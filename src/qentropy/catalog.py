@@ -302,6 +302,9 @@ def build_state(spec: str) -> DensityMatrix:
         raise ParseError(
             f"unknown parameters {sorted(unknown)} for {name!r}; accepts {list(entry.params)}"
         )
+    non_finite = [k for k, v in params.items() if isinstance(v, float) and not math.isfinite(v)]
+    if non_finite:
+        raise ParseError(f"non-finite parameters {non_finite} for {name!r} in {spec!r}")
     try:
         return as_density(entry.build(**params))
     except QEntropyError:

@@ -31,7 +31,7 @@ from .states import (
     clamped_spectrum,
     partial_trace,
 )
-from .tolerances import TAU_SUPP, TAU_TRACE
+from .tolerances import TAU_PURE, TAU_SUPP, TAU_TRACE
 
 
 @dataclass(frozen=True)
@@ -267,26 +267,17 @@ def conditional_entropy_via_coherent_info(
     """
     rho = as_density(state)
     w, _ = clamped_spectrum(rho)
-    if float(w[-1]) < 1.0 - 1e-8:
+    if float(w[-1]) < 1.0 - TAU_PURE:
         raise PreconditionError(
             f"state must be pure; largest eigenvalue is {float(w[-1]):.12f}"
         )
-    labels_t = rho.layout.normalize_labels(target)
-    labels_g = rho.layout.normalize_labels(given)
-    overlap = set(labels_t) & set(labels_g)
-    if overlap:
-        raise StructuralError(f"target and conditioning labels overlap on {sorted(overlap)}")
-    if not labels_t or not labels_g:
-        raise StructuralError("target and conditioning label sets must be nonempty")
-    rest = tuple(
-        lab for lab in rho.layout.labels if lab not in set(labels_t) | set(labels_g)
-    )
+    _, labels_g, rest = rho.layout.split(target, given, cover=False)
     if not rest:
         raise PreconditionError(
             "need a nonempty remainder group to trace out; the pure state must "
             "extend beyond target and conditioning subsystems"
         )
-    kept = rho.layout.normalize_labels(set(labels_g) | set(rest))
+    kept = rho.layout.normalize_labels(labels_g + rest)
     rho_gr = partial_trace(rho, kept)
     trace_rest = trace_out_channel(rho_gr.layout, keep=labels_g)
     return -coherent_information(rho_gr, trace_rest)

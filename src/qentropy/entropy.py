@@ -24,9 +24,7 @@ from .states import (
     partial_trace,
     permute_subsystems,
 )
-from .tolerances import TAU_SUPP, TAU_SUPP_PROJ
-
-NEG_CLAMP = 1e-9  # tiny negative totals from rounding are clamped to exactly 0.0
+from .tolerances import NEG_CLAMP, TAU_SUPP, TAU_SUPP_PROJ
 
 
 def _entropy_from_eigs(w: np.ndarray) -> float:
@@ -147,28 +145,9 @@ def relative_entropy_vs_product(
     return total + 0.0
 
 
-def _bipartition(
-    rho: DensityMatrix, first: LabelSet, second: LabelSet
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Resolve two label sets that must disjointly cover the whole layout."""
-    labels_1 = rho.layout.normalize_labels(first)
-    labels_2 = rho.layout.normalize_labels(second)
-    overlap = set(labels_1) & set(labels_2)
-    if overlap:
-        raise StructuralError(f"label sets overlap on {sorted(overlap)}")
-    if not labels_1 or not labels_2:
-        raise StructuralError("both label sets must be nonempty")
-    missing = set(rho.layout.labels) - set(labels_1) - set(labels_2)
-    if missing:
-        raise StructuralError(
-            f"label sets must cover every subsystem; missing {sorted(missing)}"
-        )
-    return labels_1, labels_2
-
-
 def mutual_information_states(rho: DensityMatrix, part_x: LabelSet, part_y: LabelSet) -> float:
     """I(X:Y) = H(rho_XY || rho_X x rho_Y) for a bipartition of rho's subsystems."""
-    labels_x, labels_y = _bipartition(rho, part_x, part_y)
+    labels_x, labels_y, _ = rho.layout.split(part_x, part_y)
     grouped = permute_subsystems(rho, labels_x + labels_y)
     rho_x = partial_trace(grouped, labels_x)
     rho_y = partial_trace(grouped, labels_y)
@@ -185,7 +164,7 @@ def conditional_entropy(rho: DensityMatrix, target: LabelSet, given: LabelSet) -
     subsystems; trace out anything else first. Returns ``-math.inf`` exactly
     when the correlation term is infinite.
     """
-    labels_t, labels_g = _bipartition(rho, target, given)
+    labels_t, labels_g, _ = rho.layout.split(target, given)
     grouped = permute_subsystems(rho, labels_t + labels_g)
     rho_t = partial_trace(grouped, labels_t)
     rho_g = partial_trace(grouped, labels_g)
@@ -202,7 +181,7 @@ def conditional_entropy_standard(rho: DensityMatrix, target: LabelSet, given: La
     Kept separate from :func:`conditional_entropy` so the two routes can be
     compared; they agree whenever all entropies involved are finite.
     """
-    _, labels_g = _bipartition(rho, target, given)
+    _, labels_g, _ = rho.layout.split(target, given)
     rho_g = partial_trace(rho, labels_g)
     return von_neumann_entropy(rho) - von_neumann_entropy(rho_g)
 

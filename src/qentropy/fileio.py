@@ -167,6 +167,8 @@ def channel_from_document(doc: Any, context: str = "channel document") -> KrausC
             raise ParseError(
                 f"{context}: kraus[{i}] has shape {k.shape}, expected ({dim_out}, {dim_in})"
             )
+        if not np.isfinite(k).all():
+            raise ParseError(f"{context}: kraus[{i}] has non-finite entries")
         ops.append(k)
     return KrausChannel(ops)
 

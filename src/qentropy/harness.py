@@ -8,6 +8,10 @@ are raw slack values with no tolerance folded in: for an inequality
 ``-tolerance``, so equalities and boundary saturations pass while genuine
 violations fail.
 
+The trial-based checks are entries of one table (layout labels, defaults,
+named fixed trials, per-trial draw, margin) run by one runner; the
+continuity check follows a deterministic schedule and builds its own report.
+
 Reproducibility contract: trial i uses seed ``master_seed XOR i``, every
 report embeds its full effective config, and re-running a config reproduces
 the report exactly (see :func:`replay_report`).
@@ -15,13 +19,15 @@ the report exactly (see :func:`replay_report`).
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Sequence, TypeAlias
 
 import numpy as np
 
-from .catalog import build_state
+from .catalog import bell, build_state, ghz
 from .channels import (
     KrausChannel,
     complementary,
@@ -44,10 +50,10 @@ from .states import (
     ginibre_state,
     haar_pure_state,
     partial_trace,
+    tensor,
 )
+from .tolerances import SATURATION_BAND
 from .truncation import PROJECTOR_MODES, ProjectorMode, conditional_entropy_sweep
-
-SATURATION_BAND = 1e-10  # |margin| at or below this is an exact boundary touch
 
 
 def resolve_state(spec: str) -> DensityMatrix:
@@ -103,433 +109,296 @@ class _Trial:
     label: str
     seed: int
     margin: float
-    values: dict[str, Any] = field(default_factory=dict)
+    values: dict[str, Any]
 
 
-def _assemble(
-    name: str,
-    config: dict[str, Any],
-    tolerance: float,
-    trials: Sequence[_Trial],
-    keep_records: Sequence[str] = (),
-) -> PropertyReport:
+def _assemble(name: str, config: dict[str, Any], trials: Sequence[_Trial]) -> PropertyReport:
     worst = min(trials, key=lambda t: t.margin)
-    # only named fixed trials are scanned: identity checks have every random
-    # margin near zero, which is agreement, not a boundary touch
+    # only named fixed trials are scanned and kept: identity checks have every
+    # random margin near zero, which is agreement, not a boundary touch
     saturated = tuple(
         {"trial": t.label, "margin": t.margin}
         for t in trials
         if not t.label.isdigit() and abs(t.margin) <= SATURATION_BAND
     )
-    keep = set(keep_records)
     records = tuple(
         {"trial": t.label, "seed": t.seed, "margin": t.margin, **t.values}
         for t in trials
-        if t.label in keep or t is worst
+        if not t.label.isdigit() or t is worst
     )
-    verdict = "pass" if worst.margin >= -tolerance else "fail"
+    tolerance = config["tolerance"]
     return PropertyReport(
         property=name,
         trials=len(trials),
-        seed=int(config["seed"]),
-        tolerance=float(tolerance),
+        seed=config["seed"],
+        tolerance=tolerance,
         worst_margin=float(worst.margin),
         worst_seed=int(worst.seed),
-        verdict=verdict,
+        verdict="pass" if worst.margin >= -tolerance else "fail",
         config=config,
         saturated=saturated,
         records=records,
     )
 
 
-def _three_layout(dims: Sequence[int]) -> SubsystemLayout:
-    if len(dims) != 3:
-        raise PreconditionError(f"need three dimensions, got {list(dims)}")
-    return SubsystemLayout(list(zip(("A", "B", "C"), map(int, dims))))
+_Rng: TypeAlias = "np.random.Generator"  # a string, so importing does not load numpy.random
+_Config = dict[str, Any]
+_Args = tuple[Any, ...]
+_Named = tuple[str, _Args]
 
 
-def check_duality(
-    dims: Sequence[int] = (2, 2, 2),
-    trials: int = 500,
-    seed: int = 0,
-    tolerance: float = 1e-7,
-) -> PropertyReport:
-    """H(C|A) + H(C|B) = 0 for random pure states on A x B x C.
+@dataclass(frozen=True)
+class _TrialCheck:
+    """One trial-based property check, as data.
 
-    Margin is -|H(C|A) + H(C|B)| per trial. A product pure state is included
-    as a fixed trial where both terms vanish individually.
+    ``fixed(rng, layout, config)`` lists the named fixed trials as
+    ``(label, args)`` pairs, drawing from ``generator(seed)`` in order;
+    ``draw(rng, layout, config)`` gives random trial i's args from its own
+    ``generator(trial_seed(seed, i))``; ``margin(*args)`` returns the raw
+    slack and the values recorded with it. The layout pairs ``labels`` with
+    the effective dims.
     """
-    layout = _three_layout(dims)
-    config = {
-        "property": "duality",
-        "dims": [int(d) for d in dims],
-        "trials": int(trials),
-        "seed": int(seed),
-        "tolerance": float(tolerance),
-    }
 
-    def margin_for(state: PureState) -> tuple[float, dict[str, float]]:
-        rho = state.as_density()
-        h_ca = conditional_entropy(partial_trace(rho, ("A", "C")), "C", "A")
-        h_cb = conditional_entropy(partial_trace(rho, ("B", "C")), "C", "B")
-        return -abs(h_ca + h_cb), {"h_c_given_a": h_ca, "h_c_given_b": h_cb}
+    labels: tuple[str, ...]
+    dims: tuple[int, ...]
+    trials: int
+    tolerance: float
+    margin: Callable[..., tuple[float, dict[str, Any]]]
+    draw: Callable[[_Rng, SubsystemLayout, _Config], _Args]
+    fixed: Callable[[_Rng, SubsystemLayout, _Config], list[_Named]] = lambda rng, layout, cfg: []
+    env_dim: int | None = None
 
-    results = []
-    rng = generator(seed)
-    parts = [haar_pure_state(rng, SubsystemLayout([(lab, d)])) for lab, d in layout.subsystems]
+    def defaults(self) -> dict[str, Any]:
+        out = {"dims": self.dims, "trials": self.trials, "seed": 0, "tolerance": self.tolerance}
+        if self.env_dim is not None:
+            out["env_dim"] = self.env_dim
+        return out
+
+
+def _part(layout: SubsystemLayout, *labels: str) -> SubsystemLayout:
+    return SubsystemLayout([(lab, layout.dim_of(lab)) for lab in labels])
+
+
+def _ginibre(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
+    return (ginibre_state(rng, layout),)
+
+
+def _haar_pure(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
+    return (haar_pure_state(rng, layout),)
+
+
+def _duality_margin(state: PureState) -> tuple[float, dict[str, float]]:
+    """H(C|A) + H(C|B) = 0 for pure states on A x B x C; margin -|sum|."""
+    rho = state.as_density()
+    h_ca = conditional_entropy(partial_trace(rho, ("A", "C")), "C", "A")
+    h_cb = conditional_entropy(partial_trace(rho, ("B", "C")), "C", "B")
+    return -abs(h_ca + h_cb), {"h_c_given_a": h_ca, "h_c_given_b": h_cb}
+
+
+def _duality_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Named]:
+    # a product pure state, where both terms vanish individually
+    parts = [haar_pure_state(rng, _part(layout, lab)) for lab in layout.labels]
     product_amp = parts[0].amplitudes
     for part in parts[1:]:
         product_amp = np.kron(product_amp, part.amplitudes)
-    m, vals = margin_for(PureState(product_amp, layout))
-    results.append(_Trial("product", int(seed), m, vals))
-    for i in range(int(trials)):
-        ts = trial_seed(seed, i)
-        m, vals = margin_for(haar_pure_state(generator(ts), layout))
-        results.append(_Trial(str(i), ts, m, vals))
-    return _assemble("duality", config, tolerance, results, keep_records=("product",))
+    return [("product", (PureState(product_amp, layout),))]
 
 
-def check_bound(
-    dims: Sequence[int] = (3, 3),
-    trials: int = 1000,
-    seed: int = 0,
-    tolerance: float = 1e-8,
-) -> PropertyReport:
-    """|H(C|A)| <= H(rho_C) for random mixed states on A x C.
+def _bound_margin(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
+    """|H(C|A)| <= H(rho_C) on A x C; margin H(rho_C) - |H(C|A)|."""
+    target = rho.layout.labels[-1]
+    given = rho.layout.labels[0]
+    h_c = von_neumann_entropy(partial_trace(rho, target))
+    h_cond = conditional_entropy(rho, target, given)
+    return h_c - abs(h_cond), {"h_target": h_c, "cond_entropy": h_cond}
 
-    Margin is H(rho_C) - |H(C|A)|. Two saturating fixed trials are included:
-    a maximally entangled pair (margin 0 from below) and a product state
-    (margin 0 from above); both are recorded as saturations, not failures.
-    """
-    if len(dims) != 2:
-        raise PreconditionError(f"need two dimensions, got {list(dims)}")
-    layout = SubsystemLayout([("A", int(dims[0])), ("C", int(dims[1]))])
-    config = {
-        "property": "bound",
-        "dims": [int(d) for d in dims],
-        "trials": int(trials),
-        "seed": int(seed),
-        "tolerance": float(tolerance),
+
+def _bound_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Named]:
+    # both saturate: a maximally entangled pair from below, a product from above
+    first = ginibre_state(rng, _part(layout, "A"))
+    product = tensor(first, ginibre_state(rng, _part(layout, "C")))
+    return [("bell", (bell(2).as_density(),)), ("product", (product,))]
+
+
+def _monotonicity_margin(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
+    """H(A|BC) <= H(A|B) on A x B x C; margin H(A|B) - H(A|BC)."""
+    h_ab = conditional_entropy(partial_trace(rho, ("A", "B")), "A", "B")
+    h_abc = conditional_entropy(rho, "A", ("B", "C"))
+    return h_ab - h_abc, {"h_a_given_b": h_ab, "h_a_given_bc": h_abc}
+
+
+def _monotonicity_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Named]:
+    # GHZ, where the gap is exactly ln 2, and a trivial (1-dimensional)
+    # conditioner, where the two sides are equal
+    trivial = SubsystemLayout(_part(layout, "A", "B").subsystems + (("C", 1),))
+    return [
+        ("ghz", (ghz(3, 2).as_density(),)),
+        ("trivial-conditioner", (ginibre_state(rng, trivial),)),
+    ]
+
+
+def _concavity_margin(
+    rho1: DensityMatrix, rho2: DensityMatrix, alpha: float
+) -> tuple[float, dict[str, float]]:
+    """H(A|B) of a mixture dominates the mixture of H(A|B); margin is the excess."""
+    mix = DensityMatrix(alpha * rho1.entries + (1.0 - alpha) * rho2.entries, rho1.layout)
+    h_mix = conditional_entropy(mix, "A", "B")
+    h1 = conditional_entropy(rho1, "A", "B")
+    h2 = conditional_entropy(rho2, "A", "B")
+    return h_mix - alpha * h1 - (1.0 - alpha) * h2, {
+        "alpha": alpha,
+        "h_mix": h_mix,
+        "h_first": h1,
+        "h_second": h2,
     }
 
-    def margin_for(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
-        target = rho.layout.labels[-1]
-        given = rho.layout.labels[0]
-        h_c = von_neumann_entropy(partial_trace(rho, target))
-        h_cond = conditional_entropy(rho, target, given)
-        return h_c - abs(h_cond), {"h_target": h_c, "cond_entropy": h_cond}
 
-    results = []
-    from .catalog import bell
-
-    m, vals = margin_for(bell(2).as_density())
-    results.append(_Trial("bell", int(seed), m, vals))
-    rng = generator(seed)
-    prod_a = ginibre_state(rng, SubsystemLayout([("A", int(dims[0]))]))
-    prod_c = ginibre_state(rng, SubsystemLayout([("C", int(dims[1]))]))
-    from .states import tensor
-
-    m, vals = margin_for(tensor(prod_a, prod_c))
-    results.append(_Trial("product", int(seed), m, vals))
-    for i in range(int(trials)):
-        ts = trial_seed(seed, i)
-        m, vals = margin_for(ginibre_state(generator(ts), layout))
-        results.append(_Trial(str(i), ts, m, vals))
-    return _assemble("bound", config, tolerance, results, keep_records=("bell", "product"))
+def _concavity_draw(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
+    alpha = float(rng.uniform())
+    return ginibre_state(rng, layout), ginibre_state(rng, layout), alpha
 
 
-def check_monotonicity(
-    dims: Sequence[int] = (2, 2, 2),
-    trials: int = 500,
-    seed: int = 0,
-    tolerance: float = 1e-8,
-) -> PropertyReport:
-    """H(A|BC) <= H(A|B) for random mixed states on A x B x C.
-
-    Margin is H(A|B) - H(A|BC). Fixed trials: a three-party GHZ state, where
-    the gap is exactly ln 2, and a trivial (1-dimensional) conditioner where
-    the two sides are equal.
-    """
-    layout = _three_layout(dims)
-    config = {
-        "property": "monotonicity",
-        "dims": [int(d) for d in dims],
-        "trials": int(trials),
-        "seed": int(seed),
-        "tolerance": float(tolerance),
-    }
-
-    def margin_for(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
-        h_ab = conditional_entropy(partial_trace(rho, ("A", "B")), "A", "B")
-        h_abc = conditional_entropy(rho, "A", ("B", "C"))
-        return h_ab - h_abc, {"h_a_given_b": h_ab, "h_a_given_bc": h_abc}
-
-    results = []
-    from .catalog import ghz
-
-    m, vals = margin_for(ghz(3, 2).as_density())
-    results.append(_Trial("ghz", int(seed), m, vals))
-    trivial_layout = SubsystemLayout([("A", int(dims[0])), ("B", int(dims[1])), ("C", 1)])
-    m, vals = margin_for(ginibre_state(generator(seed), trivial_layout))
-    results.append(_Trial("trivial-conditioner", int(seed), m, vals))
-    for i in range(int(trials)):
-        ts = trial_seed(seed, i)
-        m, vals = margin_for(ginibre_state(generator(ts), layout))
-        results.append(_Trial(str(i), ts, m, vals))
-    return _assemble(
-        "monotonicity", config, tolerance, results, keep_records=("ghz", "trivial-conditioner")
-    )
+def _concavity_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Named]:
+    # the equality cases alpha = 0 and rho1 = rho2
+    first, second = ginibre_state(rng, layout), ginibre_state(rng, layout)
+    return [("alpha-zero", (first, second, 0.0)), ("equal-states", (first, first, 0.37))]
 
 
-def check_concavity(
-    dims: Sequence[int] = (2, 3),
-    trials: int = 500,
-    seed: int = 0,
-    tolerance: float = 1e-8,
-) -> PropertyReport:
-    """Conditional entropy is concave: H(A|B) of a mixture dominates the mixture.
-
-    Each trial draws two states and a uniform mixing weight alpha; the margin
-    is H(A|B)(mix) - alpha H(A|B)(rho1) - (1-alpha) H(A|B)(rho2). Fixed
-    trials pin the equality cases alpha = 0 and rho1 = rho2.
-    """
-    if len(dims) != 2:
-        raise PreconditionError(f"need two dimensions, got {list(dims)}")
-    layout = SubsystemLayout([("A", int(dims[0])), ("B", int(dims[1]))])
-    config = {
-        "property": "concavity",
-        "dims": [int(d) for d in dims],
-        "trials": int(trials),
-        "seed": int(seed),
-        "tolerance": float(tolerance),
-    }
-
-    def margin_for(
-        rho1: DensityMatrix, rho2: DensityMatrix, alpha: float
-    ) -> tuple[float, dict[str, float]]:
-        mix = DensityMatrix(alpha * rho1.entries + (1.0 - alpha) * rho2.entries, layout)
-        h_mix = conditional_entropy(mix, "A", "B")
-        h1 = conditional_entropy(rho1, "A", "B")
-        h2 = conditional_entropy(rho2, "A", "B")
-        return h_mix - alpha * h1 - (1.0 - alpha) * h2, {
-            "alpha": alpha,
-            "h_mix": h_mix,
-            "h_first": h1,
-            "h_second": h2,
-        }
-
-    results = []
-    rng = generator(seed)
-    fixed1 = ginibre_state(rng, layout)
-    fixed2 = ginibre_state(rng, layout)
-    m, vals = margin_for(fixed1, fixed2, 0.0)
-    results.append(_Trial("alpha-zero", int(seed), m, vals))
-    m, vals = margin_for(fixed1, fixed1, 0.37)
-    results.append(_Trial("equal-states", int(seed), m, vals))
-    for i in range(int(trials)):
-        ts = trial_seed(seed, i)
-        trial_rng = generator(ts)
-        alpha = float(trial_rng.uniform())
-        rho1 = ginibre_state(trial_rng, layout)
-        rho2 = ginibre_state(trial_rng, layout)
-        m, vals = margin_for(rho1, rho2, alpha)
-        results.append(_Trial(str(i), ts, m, vals))
-    return _assemble(
-        "concavity", config, tolerance, results, keep_records=("alpha-zero", "equal-states")
-    )
-
-
-def check_subadditivity(
-    dims: Sequence[int] = (2, 2, 2, 2),
-    trials: int = 300,
-    seed: int = 0,
-    tolerance: float = 1e-7,
-) -> PropertyReport:
-    """Subadditivity of conditional entropy on A x B x C x D, three relations at once.
-
-    Per trial the margin is the worst of:
+def _subadditivity_margin(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
+    """Three subadditivity relations on A x B x C x D; margin is the worst of
 
     * ``H(A|C) + H(B|D) - H(AB|CD)`` (pairwise subadditivity),
     * ``H(A|CD) + H(B|CD) - H(AB|CD)`` (shared-conditioner intermediate),
     * ``-|chain residual|`` for the identity
       H(AB|CD) = H(A|CD) + H(B|CD) - (H(A|CD) - H(A|BCD)).
-
-    A product state rho_AC x rho_BD is fixed as the equality case of the
-    first relation.
     """
-    if len(dims) != 4:
-        raise PreconditionError(f"need four dimensions, got {list(dims)}")
-    layout = SubsystemLayout(list(zip(("A", "B", "C", "D"), map(int, dims))))
-    config = {
-        "property": "subadditivity",
-        "dims": [int(d) for d in dims],
-        "trials": int(trials),
-        "seed": int(seed),
-        "tolerance": float(tolerance),
+    h_ab_cd = conditional_entropy(rho, ("A", "B"), ("C", "D"))
+    h_a_c = conditional_entropy(partial_trace(rho, ("A", "C")), "A", "C")
+    h_b_d = conditional_entropy(partial_trace(rho, ("B", "D")), "B", "D")
+    h_a_cd = conditional_entropy(partial_trace(rho, ("A", "C", "D")), "A", ("C", "D"))
+    h_b_cd = conditional_entropy(partial_trace(rho, ("B", "C", "D")), "B", ("C", "D"))
+    h_a_bcd = conditional_entropy(rho, "A", ("B", "C", "D"))
+    pairwise = h_a_c + h_b_d - h_ab_cd
+    shared = h_a_cd + h_b_cd - h_ab_cd
+    chain = -abs(h_ab_cd - h_a_cd - h_b_cd + (h_a_cd - h_a_bcd))
+    return min(pairwise, shared, chain), {
+        "pairwise_margin": pairwise,
+        "shared_margin": shared,
+        "chain_residual_margin": chain,
     }
 
-    def margin_for(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
-        h_ab_cd = conditional_entropy(rho, ("A", "B"), ("C", "D"))
-        h_a_c = conditional_entropy(partial_trace(rho, ("A", "C")), "A", "C")
-        h_b_d = conditional_entropy(partial_trace(rho, ("B", "D")), "B", "D")
-        h_a_cd = conditional_entropy(partial_trace(rho, ("A", "C", "D")), "A", ("C", "D"))
-        h_b_cd = conditional_entropy(partial_trace(rho, ("B", "C", "D")), "B", ("C", "D"))
-        h_a_bcd = conditional_entropy(rho, "A", ("B", "C", "D"))
-        pairwise = h_a_c + h_b_d - h_ab_cd
-        shared = h_a_cd + h_b_cd - h_ab_cd
-        chain = -abs(h_ab_cd - h_a_cd - h_b_cd + (h_a_cd - h_a_bcd))
-        return min(pairwise, shared, chain), {
-            "pairwise_margin": pairwise,
-            "shared_margin": shared,
-            "chain_residual_margin": chain,
-        }
 
-    results = []
-    rng = generator(seed)
-    from .states import tensor
-
-    prod = tensor(
-        ginibre_state(rng, SubsystemLayout([("A", int(dims[0])), ("C", int(dims[2]))])),
-        ginibre_state(rng, SubsystemLayout([("B", int(dims[1])), ("D", int(dims[3]))])),
-    )
-    m, vals = margin_for(prod)
-    results.append(_Trial("product", int(seed), m, vals))
-    for i in range(int(trials)):
-        ts = trial_seed(seed, i)
-        m, vals = margin_for(ginibre_state(generator(ts), layout))
-        results.append(_Trial(str(i), ts, m, vals))
-    return _assemble("subadditivity", config, tolerance, results, keep_records=("product",))
+def _subadditivity_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Named]:
+    # rho_AC x rho_BD, the equality case of the pairwise relation
+    ac = ginibre_state(rng, _part(layout, "A", "C"))
+    bd = ginibre_state(rng, _part(layout, "B", "D"))
+    return [("product", (tensor(ac, bd),))]
 
 
-def check_coherent_duality(
-    dims: Sequence[int] = (3, 3),
-    env_dim: int = 3,
-    trials: int = 300,
-    seed: int = 0,
-    tolerance: float = 1e-7,
-) -> PropertyReport:
-    """I_c(rho, channel) + I_c(rho, complementary channel) = 0.
+def _coherent_duality_margin(
+    rho: DensityMatrix, channel: KrausChannel
+) -> tuple[float, dict[str, float]]:
+    """I_c(rho, channel) + I_c(rho, complementary channel) = 0; margin -|sum|."""
+    ic = coherent_information(rho, channel)
+    ic_comp = coherent_information(rho, complementary(channel))
+    return -abs(ic + ic_comp), {"coherent_info": ic, "coherent_info_complement": ic_comp}
 
-    Margin is -|sum| over random full-rank states and Haar-random channels.
-    Fixed trials: the identity channel (the terms are H(rho) and -H(rho))
-    and a pure input state (both terms vanish).
-    """
-    if len(dims) != 2:
-        raise PreconditionError(f"need (dim_in, dim_out), got {list(dims)}")
-    dim_in, dim_out = int(dims[0]), int(dims[1])
-    layout = SubsystemLayout([("A", dim_in)])
-    config = {
-        "property": "coherent-duality",
-        "dims": [dim_in, dim_out],
-        "env_dim": int(env_dim),
-        "trials": int(trials),
-        "seed": int(seed),
-        "tolerance": float(tolerance),
+
+def _channel(rng: _Rng, layout: SubsystemLayout, config: _Config) -> KrausChannel:
+    # layout is (input A) x (output B) of the channel
+    return haar_channel(rng, layout.dim_of("A"), layout.dim_of("B"), config["env_dim"])
+
+
+def _coherent_duality_draw(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
+    return ginibre_state(rng, _part(layout, "A")), _channel(rng, layout, config)
+
+
+def _coherent_duality_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Named]:
+    # the identity channel (terms H(rho) and -H(rho)) and a pure input (both vanish)
+    single_a = _part(layout, "A")
+    identity = (ginibre_state(rng, single_a), KrausChannel([np.eye(single_a.total_dim)]))
+    pure = haar_pure_state(rng, single_a).as_density()
+    return [("identity-channel", identity), ("pure-state", (pure, _channel(rng, layout, config)))]
+
+
+def _formula_standard_margin(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
+    """Relative-entropy and entropy-difference forms of H(C|A) agree on full-support states."""
+    via_relative = conditional_entropy(rho, "C", "A")
+    via_difference = conditional_entropy_standard(rho, "C", "A")
+    return -abs(via_relative - via_difference), {
+        "relative_form": via_relative,
+        "difference_form": via_difference,
     }
 
-    def margin_for(
-        rho: DensityMatrix, channel: KrausChannel
-    ) -> tuple[float, dict[str, float]]:
-        ic = coherent_information(rho, channel)
-        ic_comp = coherent_information(rho, complementary(channel))
-        return -abs(ic + ic_comp), {"coherent_info": ic, "coherent_info_complement": ic_comp}
 
-    results = []
-    rng = generator(seed)
-    identity = KrausChannel([np.eye(dim_in)])
-    m, vals = margin_for(ginibre_state(rng, layout), identity)
-    results.append(_Trial("identity-channel", int(seed), m, vals))
-    pure_in = haar_pure_state(rng, layout).as_density()
-    m, vals = margin_for(pure_in, haar_channel(rng, dim_in, dim_out, env_dim))
-    results.append(_Trial("pure-state", int(seed), m, vals))
-    for i in range(int(trials)):
-        ts = trial_seed(seed, i)
-        trial_rng = generator(ts)
-        rho = ginibre_state(trial_rng, layout)
-        channel = haar_channel(trial_rng, dim_in, dim_out, env_dim)
-        m, vals = margin_for(rho, channel)
-        results.append(_Trial(str(i), ts, m, vals))
-    return _assemble(
-        "coherent-duality",
-        config,
-        tolerance,
-        results,
-        keep_records=("identity-channel", "pure-state"),
-    )
+def _formula_coherent_margin(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
+    """The coherent-information route to H(C|A), through a purification, agrees."""
+    direct = conditional_entropy(rho, "C", "A")
+    via_channel = conditional_entropy_via_coherent_info(purify(rho), "C", "A")
+    return -abs(direct - via_channel), {"direct": direct, "channel_route": via_channel}
 
 
-def check_formula_standard(
-    dims: Sequence[int] = (2, 3),
-    trials: int = 500,
-    seed: int = 0,
-    tolerance: float = 1e-8,
-) -> PropertyReport:
-    """The relative-entropy and entropy-difference forms of H(C|A) agree.
+_TRIAL_CHECKS: dict[str, _TrialCheck] = {
+    "duality": _TrialCheck(
+        labels=("A", "B", "C"), dims=(2, 2, 2), trials=500, tolerance=1e-7,
+        margin=_duality_margin, draw=_haar_pure, fixed=_duality_fixed,
+    ),
+    "bound": _TrialCheck(
+        labels=("A", "C"), dims=(3, 3), trials=1000, tolerance=1e-8,
+        margin=_bound_margin, draw=_ginibre, fixed=_bound_fixed,
+    ),
+    "coherent-duality": _TrialCheck(
+        labels=("A", "B"), dims=(3, 3), trials=300, tolerance=1e-7, env_dim=3,
+        margin=_coherent_duality_margin, draw=_coherent_duality_draw,
+        fixed=_coherent_duality_fixed,
+    ),
+    "monotonicity": _TrialCheck(
+        labels=("A", "B", "C"), dims=(2, 2, 2), trials=500, tolerance=1e-8,
+        margin=_monotonicity_margin, draw=_ginibre, fixed=_monotonicity_fixed,
+    ),
+    "concavity": _TrialCheck(
+        labels=("A", "B"), dims=(2, 3), trials=500, tolerance=1e-8,
+        margin=_concavity_margin, draw=_concavity_draw, fixed=_concavity_fixed,
+    ),
+    "subadditivity": _TrialCheck(
+        labels=("A", "B", "C", "D"), dims=(2, 2, 2, 2), trials=300, tolerance=1e-7,
+        margin=_subadditivity_margin, draw=_ginibre, fixed=_subadditivity_fixed,
+    ),
+    "formula-standard": _TrialCheck(
+        labels=("A", "C"), dims=(2, 3), trials=500, tolerance=1e-8,
+        margin=_formula_standard_margin, draw=_ginibre,
+    ),
+    "formula-coherent": _TrialCheck(
+        labels=("A", "C"), dims=(2, 3), trials=500, tolerance=1e-7,
+        margin=_formula_coherent_margin, draw=_ginibre,
+    ),
+}  # fmt: skip
 
-    Margin is -|difference| on random full-support states, where both
-    quantities are finite and the two definitions coincide.
-    """
-    if len(dims) != 2:
-        raise PreconditionError(f"need two dimensions, got {list(dims)}")
-    layout = SubsystemLayout([("A", int(dims[0])), ("C", int(dims[1]))])
+
+def _run_trials(name: str, **overrides: Any) -> PropertyReport:
+    """Run a table entry: its fixed trials, then random trial i from ``trial_seed(seed, i)``."""
+    check = _TRIAL_CHECKS[name]
+    params = {**check.defaults(), **overrides}
+    seed = int(params["seed"])
     config = {
-        "property": "formula-standard",
-        "dims": [int(d) for d in dims],
-        "trials": int(trials),
-        "seed": int(seed),
-        "tolerance": float(tolerance),
+        "property": name,
+        "dims": [int(d) for d in params["dims"]],
+        "trials": int(params["trials"]),
+        "seed": seed,
+        "tolerance": float(params["tolerance"]),
     }
-    results = []
-    for i in range(int(trials)):
+    if check.env_dim is not None:
+        config["env_dim"] = int(params["env_dim"])
+    layout = SubsystemLayout(zip(check.labels, config["dims"], strict=True))
+    results = [
+        _Trial(label, seed, *check.margin(*args))
+        for label, args in check.fixed(generator(seed), layout, config)
+    ]
+    for i in range(config["trials"]):
         ts = trial_seed(seed, i)
-        rho = ginibre_state(generator(ts), layout)
-        via_relative = conditional_entropy(rho, "C", "A")
-        via_difference = conditional_entropy_standard(rho, "C", "A")
-        m = -abs(via_relative - via_difference)
-        results.append(
-            _Trial(
-                str(i),
-                ts,
-                m,
-                {"relative_form": via_relative, "difference_form": via_difference},
-            )
-        )
-    return _assemble("formula-standard", config, tolerance, results)
-
-
-def check_formula_coherent(
-    dims: Sequence[int] = (2, 3),
-    trials: int = 500,
-    seed: int = 0,
-    tolerance: float = 1e-7,
-) -> PropertyReport:
-    """The coherent-information route to H(C|A) agrees with the direct definition.
-
-    Each trial purifies a random full-support state on A x C and compares
-    conditional_entropy against the channel-based route through the purified
-    state; margin is -|difference|.
-    """
-    if len(dims) != 2:
-        raise PreconditionError(f"need two dimensions, got {list(dims)}")
-    layout = SubsystemLayout([("A", int(dims[0])), ("C", int(dims[1]))])
-    config = {
-        "property": "formula-coherent",
-        "dims": [int(d) for d in dims],
-        "trials": int(trials),
-        "seed": int(seed),
-        "tolerance": float(tolerance),
-    }
-    results = []
-    for i in range(int(trials)):
-        ts = trial_seed(seed, i)
-        rho = ginibre_state(generator(ts), layout)
-        direct = conditional_entropy(rho, "C", "A")
-        via_channel = conditional_entropy_via_coherent_info(purify(rho), "C", "A")
-        m = -abs(direct - via_channel)
-        results.append(
-            _Trial(str(i), ts, m, {"direct": direct, "channel_route": via_channel})
-        )
-    return _assemble("formula-coherent", config, tolerance, results)
+        args = check.draw(generator(ts), layout, config)
+        results.append(_Trial(str(i), ts, *check.margin(*args)))
+    return _assemble(name, config, results)
 
 
 def check_continuity_smoke(
@@ -546,10 +415,9 @@ def check_continuity_smoke(
     passes only if the deviation ends below tolerance, and (b) the smallest
     consecutive decrease, so any rise beyond tolerance also fails. The
     schedule is deterministic; the seed is carried only for config uniformity.
+    :func:`run_check` validates the parameters (``steps`` at least 2).
     """
     steps = int(steps)
-    if steps < 2:
-        raise PreconditionError(f"need at least 2 schedule points, got {steps}")
     rho0 = build_state(base)
     labels = rho0.layout.labels
     if len(labels) < 2:
@@ -616,25 +484,50 @@ def report_to_dict(report: PropertyReport) -> dict[str, Any]:
 
 
 CHECKS: dict[str, Callable[..., PropertyReport]] = {
-    "duality": check_duality,
-    "bound": check_bound,
-    "coherent-duality": check_coherent_duality,
-    "monotonicity": check_monotonicity,
-    "concavity": check_concavity,
-    "subadditivity": check_subadditivity,
-    "formula-standard": check_formula_standard,
-    "formula-coherent": check_formula_coherent,
+    **{name: partial(_run_trials, name) for name in _TRIAL_CHECKS},
     "continuity": check_continuity_smoke,
 }
 
+# the keywords each check takes, with their defaults
+_PARAMETERS: dict[str, dict[str, Any]] = {
+    **{name: check.defaults() for name, check in _TRIAL_CHECKS.items()},
+    "continuity": {
+        k: p.default for k, p in inspect.signature(check_continuity_smoke).parameters.items()
+    },
+}
+_MINIMUM = {"trials": 1, "steps": 2, "env_dim": 1, "seed": 0}
+
 
 def run_check(name: str, **overrides: Any) -> PropertyReport:
-    """Run one named property check with keyword overrides of its defaults."""
+    """Run one named property check with keyword overrides of its defaults.
+
+    Overrides of None are dropped. An override the check does not take, a
+    count below its minimum, the wrong number of dims, or a negative or
+    non-finite tolerance raises :class:`PreconditionError`.
+    """
     if name not in CHECKS:
         raise PreconditionError(f"unknown property {name!r}; have {sorted(CHECKS)}")
-    if "dims" in overrides and overrides["dims"] is not None:
-        overrides["dims"] = tuple(int(d) for d in overrides["dims"])
+    declared = _PARAMETERS[name]
     overrides = {k: v for k, v in overrides.items() if v is not None}
+    unknown = sorted(set(overrides) - set(declared))
+    if unknown:
+        raise PreconditionError(
+            f"property {name!r} does not take {', '.join(unknown)}; "
+            f"it takes {', '.join(sorted(declared))}"
+        )
+    params = {**declared, **overrides}
+    for key, low in _MINIMUM.items():
+        if key in params and int(params[key]) < low:
+            raise PreconditionError(f"{key} must be at least {low}, got {params[key]}")
+    if "dims" in overrides:
+        dims = overrides["dims"] = tuple(int(d) for d in overrides["dims"])
+        if len(dims) != len(declared["dims"]) or min(dims) < 1:
+            raise PreconditionError(
+                f"{name!r} needs {len(declared['dims'])} positive dims, got {list(dims)}"
+            )
+    tolerance = float(params["tolerance"])
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise PreconditionError(f"tolerance must be finite and nonnegative, got {tolerance}")
     return CHECKS[name](**overrides)
 
 
@@ -716,14 +609,6 @@ __all__ = [
     "CHECKS",
     "report_to_dict",
     "resolve_state",
-    "check_duality",
-    "check_bound",
-    "check_monotonicity",
-    "check_concavity",
-    "check_subadditivity",
-    "check_coherent_duality",
-    "check_formula_standard",
-    "check_formula_coherent",
     "check_continuity_smoke",
     "run_check",
     "replay_report",

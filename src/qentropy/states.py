@@ -79,6 +79,26 @@ class SubsystemLayout:
             self.index_of(lab)
         return tuple(lab for lab in self.labels if lab in wanted)
 
+    def split(
+        self, first: LabelSet, second: LabelSet, cover: bool = True
+    ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+        """Resolve two disjoint, nonempty label sets and the labels left over.
+
+        Returns ``(first, second, rest)``, each in layout order. With
+        ``cover`` the two sets must cover the layout, so ``rest`` is empty.
+        """
+        labels_1 = self.normalize_labels(first)
+        labels_2 = self.normalize_labels(second)
+        overlap = set(labels_1) & set(labels_2)
+        if overlap:
+            raise StructuralError(f"label sets overlap on {sorted(overlap)}")
+        if not labels_1 or not labels_2:
+            raise StructuralError("both label sets must be nonempty")
+        rest = tuple(lab for lab in self.labels if lab not in labels_1 + labels_2)
+        if cover and rest:
+            raise StructuralError(f"label sets must cover every subsystem; missing {list(rest)}")
+        return labels_1, labels_2, rest
+
 
 def single(label: str, dim: int) -> SubsystemLayout:
     """Layout with one subsystem."""
@@ -185,12 +205,17 @@ class ValidationReport:
 
 
 def validate(rho: DensityMatrix) -> ValidationReport:
-    """Measure the density-matrix invariants: hermiticity, unit trace, positivity.
+    """Measure the density-matrix invariants: finiteness, hermiticity, trace, positivity.
 
     Returns a report whose ``violations`` carry the measured defect of every
-    invariant that is out of tolerance; an empty report means pass.
+    invariant that is out of tolerance; an empty report means pass. A matrix
+    with non-finite entries reports only ``finite`` (defect: how many such
+    entries), since no other invariant can be measured on it.
     """
     m = rho.entries
+    non_finite = int(np.count_nonzero(~np.isfinite(m)))
+    if non_finite:
+        return ValidationReport((Violation("finite", float(non_finite)),))
     violations = []
     herm_defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if herm_defect > TAU_HERM:

@@ -41,7 +41,7 @@ from .states import (
     partial_trace,
     permute_subsystems,
 )
-from .tolerances import TAU_LAMBDA
+from .tolerances import TAU_GRAM, TAU_LAMBDA
 
 ProjectorMode = Literal["computational", "eigenbasis"]
 PROJECTOR_MODES = ("computational", "eigenbasis")
@@ -65,7 +65,7 @@ class ProjectorSequence:
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise StructuralError(f"basis must be a square matrix, got shape {b.shape}")
         gram_defect = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
-        if gram_defect > 1e-9:
+        if gram_defect > TAU_GRAM:
             raise StructuralError(f"basis columns are not orthonormal (defect {gram_defect:.3e})")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
@@ -110,6 +110,26 @@ class TruncationStep:
     state: DensityMatrix
 
 
+def _renormalized(
+    m: np.ndarray, layout: SubsystemLayout, what: str
+) -> tuple[DensityMatrix, float]:
+    """``m / Tr m`` as a state, and the weight ``Tr m``; degenerate weights raise."""
+    weight = float(np.trace(m).real)
+    if weight <= TAU_LAMBDA:
+        raise DegenerateTruncationError(
+            f"retained weight {weight:.3e} of {what} is at or below {TAU_LAMBDA:g}",
+            weight=weight,
+        )
+    return DensityMatrix(m / weight, layout), weight
+
+
+def _compress(
+    m: np.ndarray, iso: np.ndarray, layout: SubsystemLayout, what: str
+) -> tuple[DensityMatrix, float]:
+    """``iso^dagger m iso``, renormalized: a truncated state on its retained subspace."""
+    return _renormalized(iso.conj().T @ m @ iso, layout, what)
+
+
 def truncate_normalize(
     rho: DensityMatrix,
     projections: Mapping[str, tuple[int, ProjectorSequence]],
@@ -145,13 +165,8 @@ def truncate_normalize(
     proj = factors[0]
     for f in factors[1:]:
         proj = np.kron(proj, f)
-    projected = proj @ rho.entries @ proj
-    lam = float(np.trace(projected).real)
-    if lam <= TAU_LAMBDA:
-        raise DegenerateTruncationError(
-            f"retained weight {lam:.3e} is at or below {TAU_LAMBDA:g}", weight=lam
-        )
-    return TruncationStep(ranks=ranks, lam=lam, state=DensityMatrix(projected / lam, rho.layout))
+    state, lam = _renormalized(proj @ rho.entries @ proj, rho.layout, "the state")
+    return TruncationStep(ranks=ranks, lam=lam, state=state)
 
 
 @dataclass(frozen=True)
@@ -202,72 +217,79 @@ def _validate_schedule(schedule: Sequence[tuple[int, int]]) -> list[tuple[int, i
     return pairs
 
 
-def _group_bipartition(rho: DensityMatrix, target: LabelSet, given: LabelSet) -> DensityMatrix:
-    """Collapse a multipartite state to two factors labeled A (target) and B (given).
+@dataclass(frozen=True)
+class _Bipartite:
+    """A state grouped into factors A (target) and B (given), plus what every step reuses."""
+
+    grouped: DensityMatrix
+    marginal_a: np.ndarray
+    marginal_b: np.ndarray
+    seq_a: ProjectorSequence
+    seq_b: ProjectorSequence
+
+
+def _bipartite(
+    rho: DensityMatrix, target: LabelSet, given: LabelSet, mode: ProjectorMode
+) -> _Bipartite:
+    """Collapse the bipartition to two factors; take its marginals and projector families once.
 
     Each group is made contiguous in its original internal order and then
     treated as one factor; target and given must disjointly cover the layout.
     """
-    labels_t = rho.layout.normalize_labels(target)
-    labels_g = rho.layout.normalize_labels(given)
-    overlap = set(labels_t) & set(labels_g)
-    if overlap:
-        raise StructuralError(f"target and conditioning labels overlap on {sorted(overlap)}")
-    if not labels_t or not labels_g:
-        raise StructuralError("target and conditioning label sets must be nonempty")
-    missing = set(rho.layout.labels) - set(labels_t) - set(labels_g)
-    if missing:
-        raise StructuralError(
-            f"target and conditioning labels must cover every subsystem; "
-            f"missing {sorted(missing)}"
-        )
+    if mode not in PROJECTOR_MODES:
+        raise PreconditionError(f"unknown projector mode {mode!r}; have {PROJECTOR_MODES}")
+    labels_t, labels_g, _ = rho.layout.split(target, given)
     grouped = permute_subsystems(rho, labels_t + labels_g)
     dim_t = int(np.prod([grouped.layout.dim_of(lab) for lab in labels_t]))
-    dim_g = grouped.layout.total_dim // dim_t
-    layout = SubsystemLayout([("A", dim_t), ("B", dim_g)])
-    return DensityMatrix(grouped.entries, layout)
-
-
-def _projector_sequences(
-    grouped: DensityMatrix, mode: ProjectorMode
-) -> tuple[ProjectorSequence, ProjectorSequence]:
-    dim_a, dim_b = grouped.layout.dims
+    layout = SubsystemLayout([("A", dim_t), ("B", grouped.layout.total_dim // dim_t)])
+    grouped = DensityMatrix(grouped.entries, layout)
+    marginal_a = partial_trace(grouped, "A")
+    marginal_b = partial_trace(grouped, "B")
     if mode == "computational":
-        return ProjectorSequence.computational(dim_a), ProjectorSequence.computational(dim_b)
-    if mode == "eigenbasis":
-        return (
-            ProjectorSequence.from_state(partial_trace(grouped, "A")),
-            ProjectorSequence.from_state(partial_trace(grouped, "B")),
-        )
-    raise PreconditionError(f"unknown projector mode {mode!r}; have {PROJECTOR_MODES}")
+        seq_a = ProjectorSequence.computational(marginal_a.dim)
+        seq_b = ProjectorSequence.computational(marginal_b.dim)
+    else:
+        seq_a = ProjectorSequence.from_state(marginal_a)
+        seq_b = ProjectorSequence.from_state(marginal_b)
+    return _Bipartite(grouped, marginal_a.entries, marginal_b.entries, seq_a, seq_b)
 
 
-def _compress(
-    grouped: DensityMatrix, iso_a: np.ndarray, iso_b: np.ndarray
-) -> tuple[DensityMatrix, float]:
-    """Truncated-normalized state conjugated onto the retained subspace."""
-    k = np.kron(iso_a, iso_b)
-    compressed = k.conj().T @ grouped.entries @ k
-    lam = float(np.trace(compressed).real)
-    if lam <= TAU_LAMBDA:
-        raise DegenerateTruncationError(
-            f"retained weight {lam:.3e} is at or below {TAU_LAMBDA:g}", weight=lam
-        )
+@dataclass(frozen=True)
+class _Step:
+    """A compressed truncated-normalized ``state`` with weight ``lam``, and what it yields.
+
+    A sweep holds each step, joint state included, until the next step has
+    been computed: at cutoff 30 that keeps the allocator from handing the
+    ~13 MB blocks back to the system and faulting them in again every step.
+    """
+
+    state: DensityMatrix
+    lam: float
+    trunc_a: DensityMatrix
+    trunc_b: DensityMatrix
+    tilde_a: DensityMatrix
+    tilde_b: DensityMatrix
+    h_nk: float
+    h_tilde_nk: float
+
+
+def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
+    """Compress to ranks (rank_a, rank_b) and evaluate both correlation terms.
+
+    The truncated-normalized state is conjugated onto the retained subspace;
+    ``tilde_*`` are the truncated, renormalized original marginals there.
+    """
+    iso_a = part.seq_a.isometry(rank_a)
+    iso_b = part.seq_b.isometry(rank_b)
     layout = SubsystemLayout([("A", iso_a.shape[1]), ("B", iso_b.shape[1])])
-    return DensityMatrix(compressed / lam, layout), lam
-
-
-def _compress_marginal(marginal: np.ndarray, iso: np.ndarray, side: str) -> np.ndarray:
-    """Truncated, renormalized original marginal in the retained subspace."""
-    m = iso.conj().T @ marginal @ iso
-    weight = float(np.trace(m).real)
-    if weight <= TAU_LAMBDA:
-        raise DegenerateTruncationError(
-            f"retained weight {weight:.3e} of the {side} marginal is at or below "
-            f"{TAU_LAMBDA:g}",
-            weight=weight,
-        )
-    return m / weight
+    truncated, lam = _compress(part.grouped.entries, np.kron(iso_a, iso_b), layout, "the state")
+    trunc_a = partial_trace(truncated, "A")
+    trunc_b = partial_trace(truncated, "B")
+    h_nk = relative_entropy_vs_product(truncated, trunc_a, trunc_b)
+    tilde_a, _ = _compress(part.marginal_a, iso_a, trunc_a.layout, "the target marginal")
+    tilde_b, _ = _compress(part.marginal_b, iso_b, trunc_b.layout, "the conditioning marginal")
+    h_tilde_nk = relative_entropy_vs_product(truncated, tilde_a, tilde_b)
+    return _Step(truncated, lam, trunc_a, trunc_b, tilde_a, tilde_b, h_nk, h_tilde_nk)
 
 
 def conditional_entropy_sweep(
@@ -287,56 +309,25 @@ def conditional_entropy_sweep(
     Degenerate steps are recorded with null entropies, not raised.
     """
     pairs = _validate_schedule(schedule)
-    grouped = _group_bipartition(rho, target, given)
-    dim_a, dim_b = grouped.layout.dims
+    part = _bipartite(rho, target, given, mode)
+    dim_a, dim_b = part.grouped.layout.dims
     for n, k in pairs:
         if n > dim_a or k > dim_b:
             raise PreconditionError(
                 f"rank pair ({n}, {k}) exceeds factor dimensions ({dim_a}, {dim_b})"
             )
-    seq_a, seq_b = _projector_sequences(grouped, mode)
-    marginal_a = partial_trace(grouped, "A").entries
-    marginal_b = partial_trace(grouped, "B").entries
-
     points = []
     for index, (rank_a, rank_b) in enumerate(pairs):
-        iso_a = seq_a.isometry(rank_a)
-        iso_b = seq_b.isometry(rank_b)
         try:
-            truncated, lam = _compress(grouped, iso_a, iso_b)
-            trunc_a = partial_trace(truncated, "A")
-            trunc_b = partial_trace(truncated, "B")
-            h_nk = relative_entropy_vs_product(truncated, trunc_a, trunc_b)
-            tilde_a = _compress_marginal(marginal_a, iso_a, "target")
-            tilde_b = _compress_marginal(marginal_b, iso_b, "conditioning")
-            h_tilde_nk = relative_entropy_vs_product(
-                truncated,
-                DensityMatrix(tilde_a, trunc_a.layout),
-                DensityMatrix(tilde_b, trunc_b.layout),
-            )
-            cond = -math.inf if math.isinf(h_nk) else von_neumann_entropy(trunc_a) - h_nk
-            point = SweepPoint(
-                schedule_index=index,
-                rank_a=rank_a,
-                rank_b=rank_b,
-                lam=lam,
-                cond_entropy_nats=cond,
-                h_nk=h_nk,
-                h_tilde_nk=h_tilde_nk,
-                diff=h_tilde_nk - h_nk,
-            )
+            step = _step(part, rank_a, rank_b)
         except DegenerateTruncationError as exc:
-            point = SweepPoint(
-                schedule_index=index,
-                rank_a=rank_a,
-                rank_b=rank_b,
-                lam=exc.weight,
-                cond_entropy_nats=None,
-                h_nk=None,
-                h_tilde_nk=None,
-                diff=None,
-            )
-        points.append(point)
+            points.append(SweepPoint(index, rank_a, rank_b, exc.weight, None, None, None, None))
+            continue
+        h_nk, h_tilde_nk = step.h_nk, step.h_tilde_nk
+        cond = -math.inf if math.isinf(h_nk) else von_neumann_entropy(step.trunc_a) - h_nk
+        points.append(
+            SweepPoint(index, rank_a, rank_b, step.lam, cond, h_nk, h_tilde_nk, h_tilde_nk - h_nk)
+        )
     return points
 
 
@@ -382,30 +373,14 @@ def truncation_diagnostics(
     target side, Tr_B((P x Q) rho (P x Q)) <= P Tr_B((I x Q) rho (I x Q)) P
     <= P rho_A P as operators, so supports are contained.
     """
-    grouped = _group_bipartition(rho, target, given)
-    seq_a, seq_b = _projector_sequences(grouped, mode)
-    iso_a = seq_a.isometry(rank_a)
-    iso_b = seq_b.isometry(rank_b)
-    truncated, _ = _compress(grouped, iso_a, iso_b)
-    trunc_a = partial_trace(truncated, "A")
-    trunc_b = partial_trace(truncated, "B")
-    h_nk = relative_entropy_vs_product(truncated, trunc_a, trunc_b)
-    tilde_a = _compress_marginal(partial_trace(grouped, "A").entries, iso_a, "target")
-    tilde_b = _compress_marginal(partial_trace(grouped, "B").entries, iso_b, "conditioning")
-    h_tilde_nk = relative_entropy_vs_product(
-        truncated,
-        DensityMatrix(tilde_a, trunc_a.layout),
-        DensityMatrix(tilde_b, trunc_b.layout),
-    )
-    div_a = relative_entropy(trunc_a, DensityMatrix(tilde_a, trunc_a.layout))
-    div_b = relative_entropy(trunc_b, DensityMatrix(tilde_b, trunc_b.layout))
+    step = _step(_bipartite(rho, target, given, mode), rank_a, rank_b)
     return TruncationDiagnostics(
         rank_a=int(rank_a),
         rank_b=int(rank_b),
-        h_nk=h_nk,
-        h_tilde_nk=h_tilde_nk,
-        marginal_a_divergence=div_a,
-        marginal_b_divergence=div_b,
+        h_nk=step.h_nk,
+        h_tilde_nk=step.h_tilde_nk,
+        marginal_a_divergence=relative_entropy(step.trunc_a, step.tilde_a),
+        marginal_b_divergence=relative_entropy(step.trunc_b, step.tilde_b),
     )
 
 

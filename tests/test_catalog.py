@@ -299,6 +299,11 @@ class TestBuildState:
         with pytest.raises(ParseError):
             build_state("werner:p=abc")
 
+    @pytest.mark.parametrize("spec", ["thermal:nbar=nan", "tmsv:nbar=nan", "tmsv:nbar=inf"])
+    def test_non_finite_parameter(self, spec):
+        with pytest.raises(ParseError, match="non-finite"):
+            build_state(spec)
+
     def test_physics_guards_pass_through(self):
         with pytest.raises(PreconditionError):
             build_state("thermal:nbar=-1")

@@ -345,3 +345,47 @@ class TestErrorReporting:
         assert "check" in proc.stdout
         assert "converge" in proc.stdout
         assert "compute" in proc.stdout
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check", "--property", "formula-standard", "--trials", "0"),
+            ("check", "--property", "bound", "--trials", "0"),
+            ("check", "--property", "bound", "--trials", "-5"),
+            ("check", "--property", "duality", "--env-dim", "3"),
+            ("check", "--property", "continuity", "--trials", "3"),
+            ("check", "--property", "continuity", "--steps", "1"),
+            ("check", "--property", "concavity", "--dims", "2,2,2"),
+            ("check", "--property", "bound", "--tolerance", "nan"),
+            ("compute", "entropy", "thermal:nbar=nan"),
+            ("compute", "condent", "tmsv:nbar=nan"),
+            ("compute", "condent", "tmsv:nbar=inf"),
+        ],
+    )
+    def test_exits_two_with_error_line(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_non_finite_state_file(self, tmp_path):
+        path = tmp_path / "nan.json"
+        doc = {"kind": "density_matrix", "labels": ["A"], "dims": [2],
+               "data": [[["nan", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}  # fmt: skip
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_cli("compute", "entropy", str(path))
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_finite_channel_file(self, tmp_path):
+        path = tmp_path / "nan_channel.json"
+        save_channel(path, KrausChannel([np.eye(2)]))
+        path.write_text(path.read_text().replace("1.0", "NaN", 1), encoding="utf-8")
+        proc = run_cli("compute", "cohinfo", "thermal:nbar=1,cutoff=2", "--channel", str(path))
+        assert proc.returncode == 2
+        assert "non-finite" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qentropy.catalog import bell, classical_correlated
+from qentropy.catalog import bell, classical_correlated, ghz
+from qentropy.channels import conditional_entropy_via_coherent_info
 from qentropy.entropy import (
     conditional_entropy,
     conditional_entropy_standard,
@@ -14,7 +15,7 @@ from qentropy.entropy import (
     relative_entropy_vs_product,
     von_neumann_entropy,
 )
-from qentropy.errors import StructuralError
+from qentropy.errors import PreconditionError, StructuralError
 from qentropy.states import (
     DensityMatrix,
     PureState,
@@ -25,6 +26,7 @@ from qentropy.states import (
     single,
     tensor,
 )
+from qentropy.truncation import conditional_entropy_sweep
 
 LN2 = np.log(2.0)
 
@@ -352,3 +354,33 @@ class TestUnitConversion:
 
     def test_zero(self):
         assert nats_to_bits(0.0) == 0.0
+
+
+class TestBipartitionErrors:
+    """Every route resolves its two label sets through the same layout rule."""
+
+    ROUTES = {
+        "conditional_entropy": (conditional_entropy, "cover"),
+        "mutual_information_states": (mutual_information_states, "cover"),
+        "conditional_entropy_sweep": (
+            lambda rho, t, g: conditional_entropy_sweep(rho, t, g, schedule=[(1, 1)]),
+            "cover",
+        ),
+        "conditional_entropy_via_coherent_info": (conditional_entropy_via_coherent_info, "rest"),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("case", ["overlap", "empty", "unknown", "remainder"])
+    def test_rejected(self, route, case):
+        fn, rule = self.ROUTES[route]
+        rho = ghz(parties=3, dim=2).as_density()
+        target, given = {
+            "overlap": ("A", ("A", "B")),
+            "empty": ((), "B"),
+            "unknown": ("A", "Z"),
+            # covering routes need no remainder; the channel route needs one
+            "remainder": ("A", "B") if rule == "cover" else ("A", ("B", "C")),
+        }[case]
+        error = PreconditionError if (case, rule) == ("remainder", "rest") else StructuralError
+        with pytest.raises(error):
+            fn(rho, target, given)

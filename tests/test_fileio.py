@@ -195,6 +195,13 @@ class TestChannelDocuments:
         with pytest.raises(ParseError):
             channel_from_document(doc, context="test")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_kraus_entry_rejected(self, bad):
+        doc = channel_to_document(random_channel(2, 2, 2, seed=0))
+        doc["kraus"][1][0][1][0] = bad
+        with pytest.raises(ParseError, match=r"kraus\[1\] has non-finite"):
+            channel_from_document(doc, context="test")
+
     def test_non_trace_preserving_loads_structurally(self, tmp_path):
         # structural load succeeds; trace preservation is checked separately
         path = tmp_path / "halving.json"

@@ -59,6 +59,23 @@ class TestSubsystemLayout:
             layout.normalize_labels(("A", "A"))
 
 
+class TestSplit:
+    LAYOUT = SubsystemLayout((("A", 2), ("B", 3), ("C", 2)))
+
+    def test_returns_layout_order_and_rest(self):
+        assert self.LAYOUT.split(("C", "A"), "B") == (("A", "C"), ("B",), ())
+        assert self.LAYOUT.split("C", "A", cover=False) == (("C",), ("A",), ("B",))
+
+    @pytest.mark.parametrize(
+        "first, second, cover",
+        [("A", ("A", "B"), False), ((), "B", False), ("A", "Z", False), ("A", "B", True)],
+        ids=["overlap", "empty", "unknown", "uncovered"],
+    )
+    def test_rejected(self, first, second, cover):
+        with pytest.raises(StructuralError):
+            self.LAYOUT.split(first, second, cover=cover)
+
+
 class TestDensityMatrix:
     def test_structure_checked_but_not_physicality(self):
         layout = single("A", 2)
@@ -120,6 +137,13 @@ class TestValidate:
         bad = diag_state([0.6, 0.6], single("A", 2))
         report = validate(bad)
         assert any(v.invariant == "unit_trace" for v in report.violations)
+
+    def test_non_finite_entries_reported(self):
+        entries = np.diag([np.nan, 0.5]).astype(complex)
+        entries[0, 1] = np.inf
+        report = validate(DensityMatrix(entries, single("A", 2)))
+        assert not report.ok
+        assert [(v.invariant, v.magnitude) for v in report.violations] == [("finite", 2.0)]
 
     def test_hermiticity_violation(self):
         layout = single("A", 2)

@@ -278,6 +278,16 @@ class TestConditionalEntropySweep:
 
 
 class TestTruncationDiagnostics:
+    @pytest.mark.parametrize("mode", PROJECTOR_MODES)
+    def test_matches_sweep_point_exactly(self, mode):
+        layout = SubsystemLayout((("A", 3), ("B", 4)))
+        rho = random_density_matrix(12, seed=12, layout=layout)
+        points = conditional_entropy_sweep(rho, "A", "B", diagonal_schedule(1, 3), mode=mode)
+        for point in points:
+            n = point.rank_a
+            diag = truncation_diagnostics(rho, "A", "B", n, n, mode=mode)
+            assert (diag.h_nk, diag.h_tilde_nk) == (point.h_nk, point.h_tilde_nk)
+
     def test_full_rank_gap_vanishes(self):
         layout = pair_layout(3, 3)
         rho = random_density_matrix(9, seed=10, layout=layout)
