@@ -196,8 +196,7 @@ def purify(rho: DensityMatrix, reference_label: str = "R") -> PureState:
             f"reference label {reference_label!r} collides with {rho.layout.labels}"
         )
     w, u = clamped_spectrum(rho)
-    order = np.argsort(w)[::-1]
-    w, u = w[order], u[:, order]
+    w, u = w[::-1], u[:, ::-1]
     mask = w > TAU_SUPP
     lam, vecs = w[mask], u[:, mask]
     rank = int(lam.size)
@@ -266,11 +265,9 @@ def conditional_entropy_via_coherent_info(
     the two can be cross-checked.
     """
     rho = as_density(state)
-    w, _ = clamped_spectrum(rho)
-    if float(w[-1]) < 1.0 - TAU_PURE:
-        raise PreconditionError(
-            f"state must be pure; largest eigenvalue is {float(w[-1]):.12f}"
-        )
+    top = float(clamped_spectrum(rho)[0][-1])
+    if top < 1.0 - TAU_PURE:
+        raise PreconditionError(f"state must be pure; largest eigenvalue is {top:.12f}")
     _, labels_g, rest = rho.layout.split(target, given, cover=False)
     if not rest:
         raise PreconditionError(

@@ -73,10 +73,11 @@ def _parse_labels(text: str) -> tuple[str, ...]:
 
 
 def _emit(payload: str, out: str | None) -> None:
-    sys.stdout.write(payload)
+    # the file first, so a failed write leaves stdout empty
     if out:
         with open(out, "w") as fh:
             fh.write(payload)
+    sys.stdout.write(payload)
 
 
 def _reports_csv(reports: list[dict[str, Any]]) -> str:
@@ -138,7 +139,6 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         max_rank=args.max_rank,
         stride=args.stride,
         mode=args.mode,
-        seed=args.seed,
     )
     points = result["points"]
     doc: dict[str, Any] = {
@@ -317,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="computational",
         help="projector family (default computational)",
     )
-    converge.add_argument("--seed", type=int, default=0, help="recorded in the config (default 0)")
     converge.add_argument("--out", default="sweep", help="output base path (default sweep)")
     converge.add_argument("--format", choices=["json", "csv"], default="json")
     converge.add_argument(
@@ -359,10 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except QEntropyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (QEntropyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,10 @@ every other quantity built on it inherits that convention.
 All formulas work on eigendecompositions; ``0 ln 0`` is taken as 0 and support
 membership is decided against fixed absolute tolerances, never by comparing
 floating-point numbers to exact zero.
+
+One spectrum path: each matrix is solved once by ``clamped_spectrum``, each
+spectrum is cut at the support once, every total passes one round-off rule,
+and every H(rho || first x second) is one spectra-level product divergence.
 """
 
 from __future__ import annotations
@@ -26,10 +30,16 @@ from .states import (
 )
 from .tolerances import NEG_CLAMP, TAU_SUPP, TAU_SUPP_PROJ
 
+_Spectrum = tuple[np.ndarray, np.ndarray]
+
 
 def _entropy_from_eigs(w: np.ndarray) -> float:
     support = w[w > TAU_SUPP]
-    total = float(-np.sum(support * np.log(support)))
+    return _rounded(float(-np.sum(support * np.log(support))))
+
+
+def _rounded(total: float) -> float:
+    """The one round-off rule: tiny negative totals from rounding become exactly 0.0."""
     if -NEG_CLAMP <= total < 0.0:
         return 0.0
     return total + 0.0  # normalize -0.0
@@ -37,8 +47,7 @@ def _entropy_from_eigs(w: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """H(rho) = -Tr rho ln rho, in nats. Exactly 0.0 for pure states."""
-    w, _ = clamped_spectrum(rho)
-    return _entropy_from_eigs(w)
+    return _entropy_from_eigs(clamped_spectrum(rho)[0])
 
 
 def min_supported_eigenvalue(rho: DensityMatrix) -> float:
@@ -46,10 +55,6 @@ def min_supported_eigenvalue(rho: DensityMatrix) -> float:
     w, _ = clamped_spectrum(rho)
     support = w[w > TAU_SUPP]
     return float(support.min()) if support.size else 0.0
-
-
-def _support_columns(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return u[:, w > TAU_SUPP]
 
 
 def _support_contained(u_rho: np.ndarray, v_sigma: np.ndarray) -> bool:
@@ -80,21 +85,14 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         )
     w_r, u_r = clamped_spectrum(rho)
     w_s, v_s = clamped_spectrum(sigma)
-    u_sup = _support_columns(w_r, u_r)
-    v_sup = _support_columns(w_s, v_s)
+    r_mask, s_mask = w_r > TAU_SUPP, w_s > TAU_SUPP
+    u_sup, v_sup = u_r[:, r_mask], v_s[:, s_mask]
     if not _support_contained(u_sup, v_sup):
         return math.inf
-
-    r_mask = w_r > TAU_SUPP
-    s_mask = w_s > TAU_SUPP
-    lam = w_r[r_mask]
-    mu = w_s[s_mask]
+    lam, mu = w_r[r_mask], w_s[s_mask]
     # overlap[i, j] = |<u_i | v_j>|^2 over the two supports
-    overlap = np.abs(u_r[:, r_mask].conj().T @ v_s[:, s_mask]) ** 2
-    total = float(np.sum(lam * np.log(lam)) - (lam @ overlap) @ np.log(mu))
-    if -NEG_CLAMP <= total < 0.0:
-        return 0.0
-    return total + 0.0
+    overlap = np.abs(u_sup.conj().T @ v_sup) ** 2
+    return _rounded(float(np.sum(lam * np.log(lam)) - (lam @ overlap) @ np.log(mu)))
 
 
 def relative_entropy_vs_product(
@@ -118,18 +116,24 @@ def relative_entropy_vs_product(
             f"state subsystems {rho.layout.subsystems} must be the factors "
             f"{first.layout.subsystems} + {second.layout.subsystems} in order"
         )
-    w_r, u_r = clamped_spectrum(rho)
-    w_a, u_a = clamped_spectrum(first)
-    w_b, u_b = clamped_spectrum(second)
-    mask_a = w_a > TAU_SUPP
-    mask_b = w_b > TAU_SUPP
+    return _product_divergence(
+        rho.entries, clamped_spectrum(rho), clamped_spectrum(first), clamped_spectrum(second)
+    )
+
+
+def _product_divergence(
+    rho: np.ndarray, spec_rho: _Spectrum, spec_first: _Spectrum, spec_second: _Spectrum
+) -> float:
+    """:func:`relative_entropy_vs_product` from the joint matrix and the three clamped spectra."""
+    (w_r, u_r), (w_a, u_a), (w_b, u_b) = spec_rho, spec_first, spec_second
+    mask_a, mask_b = w_a > TAU_SUPP, w_b > TAU_SUPP
     if not (mask_a.all() and mask_b.all()):
         product_support = np.kron(u_a[:, mask_a], u_b[:, mask_b])
-        if not _support_contained(_support_columns(w_r, u_r), product_support):
+        if not _support_contained(u_r[:, w_r > TAU_SUPP], product_support):
             return math.inf
 
-    da, db = first.dim, second.dim
-    joint = rho.entries.reshape(da, db, da, db)
+    da, db = w_a.size, w_b.size
+    joint = rho.reshape(da, db, da, db)
     red_a = np.einsum("abcb->ac", joint)
     red_b = np.einsum("abad->bd", joint)
     # weight of rho's marginals on each factor eigendirection
@@ -139,19 +143,21 @@ def relative_entropy_vs_product(
         p_a[mask_a] @ np.log(w_a[mask_a]) + p_b[mask_b] @ np.log(w_b[mask_b])
     )
     lam = w_r[w_r > TAU_SUPP]
-    total = float(np.sum(lam * np.log(lam))) - cross
-    if -NEG_CLAMP <= total < 0.0:
-        return 0.0
-    return total + 0.0
+    return _rounded(float(np.sum(lam * np.log(lam))) - cross)
+
+
+def _grouped(
+    rho: DensityMatrix, first: LabelSet, second: LabelSet
+) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
+    """``rho`` regrouped as ``first`` then ``second``, each in layout order, and both marginals."""
+    labels_1, labels_2, _ = rho.layout.split(first, second)
+    grouped = permute_subsystems(rho, labels_1 + labels_2)
+    return grouped, partial_trace(grouped, labels_1), partial_trace(grouped, labels_2)
 
 
 def mutual_information_states(rho: DensityMatrix, part_x: LabelSet, part_y: LabelSet) -> float:
     """I(X:Y) = H(rho_XY || rho_X x rho_Y) for a bipartition of rho's subsystems."""
-    labels_x, labels_y, _ = rho.layout.split(part_x, part_y)
-    grouped = permute_subsystems(rho, labels_x + labels_y)
-    rho_x = partial_trace(grouped, labels_x)
-    rho_y = partial_trace(grouped, labels_y)
-    return relative_entropy_vs_product(grouped, rho_x, rho_y)
+    return relative_entropy_vs_product(*_grouped(rho, part_x, part_y))
 
 
 def conditional_entropy(rho: DensityMatrix, target: LabelSet, given: LabelSet) -> float:
@@ -164,15 +170,14 @@ def conditional_entropy(rho: DensityMatrix, target: LabelSet, given: LabelSet) -
     subsystems; trace out anything else first. Returns ``-math.inf`` exactly
     when the correlation term is infinite.
     """
-    labels_t, labels_g, _ = rho.layout.split(target, given)
-    grouped = permute_subsystems(rho, labels_t + labels_g)
-    rho_t = partial_trace(grouped, labels_t)
-    rho_g = partial_trace(grouped, labels_g)
-    h_t = von_neumann_entropy(rho_t)
-    corr = relative_entropy_vs_product(grouped, rho_t, rho_g)
+    grouped, rho_t, rho_g = _grouped(rho, target, given)
+    spec_t = clamped_spectrum(rho_t)
+    corr = _product_divergence(
+        grouped.entries, clamped_spectrum(grouped), spec_t, clamped_spectrum(rho_g)
+    )
     if math.isinf(corr):
         return -math.inf
-    return h_t - corr
+    return _entropy_from_eigs(spec_t[0]) - corr
 
 
 def conditional_entropy_standard(rho: DensityMatrix, target: LabelSet, given: LabelSet) -> float:

@@ -114,6 +114,14 @@ def _require(doc: dict, field: str, context: str) -> Any:
     return doc[field]
 
 
+def _dimension(value: Any, field: str, context: str) -> int:
+    """A document's dimension entry as an int; a bool, a fraction or a non-number raises."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ParseError(f"{context}: {field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def state_from_document(doc: Any, context: str = "state document") -> DensityMatrix:
     if not isinstance(doc, dict):
         raise ParseError(f"{context}: expected a JSON object")
@@ -125,8 +133,9 @@ def state_from_document(doc: Any, context: str = "state document") -> DensityMat
     data = _require(doc, "data", context)
     if not isinstance(labels, list) or not isinstance(dims, list) or len(labels) != len(dims):
         raise ParseError(f"{context}: labels and dims must be lists of equal length")
+    dims = [_dimension(d, "dims", context) for d in dims]
     try:
-        layout = SubsystemLayout(list(zip(labels, map(int, dims))))
+        layout = SubsystemLayout(list(zip(labels, dims)))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{context}: bad layout: {exc}") from exc
     entries = pairs_to_complex(data, context)
@@ -155,8 +164,8 @@ def channel_from_document(doc: Any, context: str = "channel document") -> KrausC
     kind = doc.get("kind", CHANNEL_KIND)
     if kind != CHANNEL_KIND:
         raise ParseError(f"{context}: kind {kind!r} is not {CHANNEL_KIND!r}")
-    dim_in = int(_require(doc, "dim_in", context))
-    dim_out = int(_require(doc, "dim_out", context))
+    dim_in = _dimension(_require(doc, "dim_in", context), "dim_in", context)
+    dim_out = _dimension(_require(doc, "dim_out", context), "dim_out", context)
     kraus_raw = _require(doc, "kraus", context)
     if not isinstance(kraus_raw, list) or not kraus_raw:
         raise ParseError(f"{context}: kraus must be a nonempty list of matrices")
@@ -174,9 +183,10 @@ def channel_from_document(doc: Any, context: str = "channel document") -> KrausC
 
 
 def _load_json(path: str | Path, context: str) -> Any:
-    text = Path(path).read_text()
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{context}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{context}: not valid JSON ({exc})") from exc
 

@@ -53,7 +53,7 @@ from .states import (
     tensor,
 )
 from .tolerances import SATURATION_BAND
-from .truncation import PROJECTOR_MODES, ProjectorMode, conditional_entropy_sweep
+from .truncation import ProjectorMode, conditional_entropy_sweep
 
 
 def resolve_state(spec: str) -> DensityMatrix:
@@ -555,7 +555,6 @@ def run_converge(
     stride: int = 1,
     schedule: Sequence[tuple[int, int]] | None = None,
     mode: ProjectorMode = "computational",
-    seed: int = 0,
 ) -> dict[str, Any]:
     """Run a truncation convergence sweep on a catalog or file state.
 
@@ -566,8 +565,6 @@ def run_converge(
     runs from ``min_rank`` to ``max_rank`` (default: the smaller factor
     dimension) with the given stride.
     """
-    if mode not in PROJECTOR_MODES:
-        raise PreconditionError(f"unknown projector mode {mode!r}; have {PROJECTOR_MODES}")
     rho = resolve_state(state_spec)
     target_labels = rho.layout.normalize_labels(target)
     given_labels = rho.layout.normalize_labels(given)
@@ -599,7 +596,6 @@ def run_converge(
         "given": list(given_labels),
         "schedule": [[int(n), int(k)] for n, k in schedule],
         "mode": str(mode),
-        "seed": int(seed),
     }
     return {"kind": "sweep", "config": config, "summary": summary, "points": points}
 

@@ -31,16 +31,9 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .entropy import relative_entropy, relative_entropy_vs_product, von_neumann_entropy
+from .entropy import _entropy_from_eigs, _grouped, _product_divergence, relative_entropy
 from .errors import DegenerateTruncationError, PreconditionError, StructuralError
-from .states import (
-    DensityMatrix,
-    LabelSet,
-    SubsystemLayout,
-    clamped_spectrum,
-    partial_trace,
-    permute_subsystems,
-)
+from .states import DensityMatrix, LabelSet, SubsystemLayout, clamped_spectrum, partial_trace
 from .tolerances import TAU_GRAM, TAU_LAMBDA
 
 ProjectorMode = Literal["computational", "eigenbasis"]
@@ -92,8 +85,7 @@ class ProjectorSequence:
     @classmethod
     def from_state(cls, rho: DensityMatrix) -> "ProjectorSequence":
         """Projectors onto the top-r eigenvectors of a state (descending eigenvalue)."""
-        w, u = clamped_spectrum(rho)
-        return cls(u[:, ::-1])
+        return cls(clamped_spectrum(rho)[1][:, ::-1])
 
 
 @dataclass(frozen=True)
@@ -238,13 +230,9 @@ def _bipartite(
     """
     if mode not in PROJECTOR_MODES:
         raise PreconditionError(f"unknown projector mode {mode!r}; have {PROJECTOR_MODES}")
-    labels_t, labels_g, _ = rho.layout.split(target, given)
-    grouped = permute_subsystems(rho, labels_t + labels_g)
-    dim_t = int(np.prod([grouped.layout.dim_of(lab) for lab in labels_t]))
-    layout = SubsystemLayout([("A", dim_t), ("B", grouped.layout.total_dim // dim_t)])
+    grouped, marginal_a, marginal_b = _grouped(rho, target, given)
+    layout = SubsystemLayout([("A", marginal_a.dim), ("B", marginal_b.dim)])
     grouped = DensityMatrix(grouped.entries, layout)
-    marginal_a = partial_trace(grouped, "A")
-    marginal_b = partial_trace(grouped, "B")
     if mode == "computational":
         seq_a = ProjectorSequence.computational(marginal_a.dim)
         seq_b = ProjectorSequence.computational(marginal_b.dim)
@@ -257,6 +245,8 @@ def _bipartite(
 @dataclass(frozen=True)
 class _Step:
     """A compressed truncated-normalized ``state`` with weight ``lam``, and what it yields.
+
+    ``cond`` is the state's H(A|B), from the spectrum of ``trunc_a`` that ``h_nk`` used.
 
     A sweep holds each step, joint state included, until the next step has
     been computed: at cutoff 30 that keeps the allocator from handing the
@@ -271,6 +261,7 @@ class _Step:
     tilde_b: DensityMatrix
     h_nk: float
     h_tilde_nk: float
+    cond: float
 
 
 def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
@@ -285,11 +276,15 @@ def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
     truncated, lam = _compress(part.grouped.entries, np.kron(iso_a, iso_b), layout, "the state")
     trunc_a = partial_trace(truncated, "A")
     trunc_b = partial_trace(truncated, "B")
-    h_nk = relative_entropy_vs_product(truncated, trunc_a, trunc_b)
+    spec_joint, spec_a = clamped_spectrum(truncated), clamped_spectrum(trunc_a)
+    h_nk = _product_divergence(truncated.entries, spec_joint, spec_a, clamped_spectrum(trunc_b))
     tilde_a, _ = _compress(part.marginal_a, iso_a, trunc_a.layout, "the target marginal")
     tilde_b, _ = _compress(part.marginal_b, iso_b, trunc_b.layout, "the conditioning marginal")
-    h_tilde_nk = relative_entropy_vs_product(truncated, tilde_a, tilde_b)
-    return _Step(truncated, lam, trunc_a, trunc_b, tilde_a, tilde_b, h_nk, h_tilde_nk)
+    h_tilde_nk = _product_divergence(
+        truncated.entries, spec_joint, clamped_spectrum(tilde_a), clamped_spectrum(tilde_b)
+    )
+    cond = -math.inf if math.isinf(h_nk) else _entropy_from_eigs(spec_a[0]) - h_nk
+    return _Step(truncated, lam, trunc_a, trunc_b, tilde_a, tilde_b, h_nk, h_tilde_nk, cond)
 
 
 def conditional_entropy_sweep(
@@ -324,9 +319,9 @@ def conditional_entropy_sweep(
             points.append(SweepPoint(index, rank_a, rank_b, exc.weight, None, None, None, None))
             continue
         h_nk, h_tilde_nk = step.h_nk, step.h_tilde_nk
-        cond = -math.inf if math.isinf(h_nk) else von_neumann_entropy(step.trunc_a) - h_nk
+        diff = h_tilde_nk - h_nk
         points.append(
-            SweepPoint(index, rank_a, rank_b, step.lam, cond, h_nk, h_tilde_nk, h_tilde_nk - h_nk)
+            SweepPoint(index, rank_a, rank_b, step.lam, step.cond, h_nk, h_tilde_nk, diff)
         )
     return points
 

@@ -371,6 +371,31 @@ class TestMalformedInput:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "case", ["check-out-dir", "state-dir", "channel-dir", "non-utf8-state", "fractional-dims"]
+    )
+    def test_unusable_file_exits_two(self, tmp_path, case):
+        state = {"kind": "density_matrix", "labels": ["A"], "dims": [2],
+                 "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}  # fmt: skip
+        path = tmp_path / "state.json"
+        if case == "non-utf8-state":
+            state["labels"] = ["\u00e9"]
+            path.write_bytes(json.dumps(state, ensure_ascii=False).encode("latin-1"))
+        elif case == "fractional-dims":
+            state["dims"] = [2.7]
+            path.write_text(json.dumps(state), encoding="utf-8")
+        folder = str(tmp_path)
+        args = {
+            "check-out-dir": ("check", "--property", "bound", "--trials", "1", "--out", folder),
+            "state-dir": ("compute", "entropy", folder),
+            "channel-dir": ("compute", "cohinfo", "bell", "--channel", folder),
+        }.get(case, ("compute", "entropy", str(path)))
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_non_finite_state_file(self, tmp_path):
         path = tmp_path / "nan.json"
         doc = {"kind": "density_matrix", "labels": ["A"], "dims": [2],

@@ -21,6 +21,7 @@ from qentropy.states import (
     PureState,
     SubsystemLayout,
     partial_trace,
+    permute_subsystems,
     random_density_matrix,
     random_pure_state,
     single,
@@ -309,6 +310,34 @@ class TestConditionalEntropy:
         # pure bipartite state: H(C|A) = -H(rho_A)
         h_a = von_neumann_entropy(partial_trace(rho, keep=("A",)))
         assert val == pytest.approx(-h_a, abs=1e-9)
+
+
+class TestOneSpectrumPath:
+    def test_two_party_conditional_entropy_makes_three_solves(self, eigh_sizes):
+        rho = random_density_matrix(6, seed=2, layout=pair_layout(2, 3))
+        conditional_entropy(rho, "C", "A")
+        assert sum(eigh_sizes.values()) == 3
+
+    @pytest.mark.parametrize(
+        "dims, target, given",
+        [
+            ((("A", 2), ("C", 3)), "C", "A"),
+            ((("A", 3), ("B", 2), ("C", 2)), ("A", "C"), "B"),
+            ((("A", 2), ("B", 3), ("C", 2)), "B", ("A", "C")),
+        ],
+    )
+    def test_conditional_entropy_is_exactly_its_two_terms(self, dims, target, given):
+        layout = SubsystemLayout(dims)
+        for seed in range(10):
+            rho = random_density_matrix(layout.total_dim, seed=seed, layout=layout)
+            labels_t, labels_g, _ = layout.split(target, given)
+            grouped = permute_subsystems(rho, labels_t + labels_g)
+            rho_t = partial_trace(grouped, labels_t)
+            rho_g = partial_trace(grouped, labels_g)
+            expected = von_neumann_entropy(rho_t) - relative_entropy_vs_product(
+                grouped, rho_t, rho_g
+            )
+            assert conditional_entropy(rho, target, given) == expected
 
 
 class TestMutualInformation:

@@ -154,6 +154,26 @@ class TestStateDocuments:
         with pytest.raises(ParseError, match="broken.json"):
             load_state(path)
 
+    @pytest.mark.parametrize("bad", [2.7, True, "2", None, [2], float("nan")])
+    def test_non_integer_dims_rejected(self, bad):
+        doc = state_to_document(random_density_matrix(2, seed=0))
+        doc["dims"] = [bad]
+        with pytest.raises(ParseError, match="dims must be an integer"):
+            state_from_document(doc, context="test")
+
+    def test_integral_float_dims_accepted(self):
+        rho = random_density_matrix(2, seed=0)
+        doc = state_to_document(rho)
+        doc["dims"] = [2.0]
+        assert np.array_equal(state_from_document(doc, context="test").entries, rho.entries)
+
+    def test_load_rejects_non_utf8_text(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        doc = state_to_document(random_density_matrix(2, seed=0, layout=single("\u00e9", 2)))
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        with pytest.raises(ParseError, match="latin1.json: not UTF-8"):
+            load_state(path)
+
     def test_structural_only_no_physics_gate(self, tmp_path):
         # fileio round-trips any square matrix; physical validation is a
         # separate explicit step
@@ -193,6 +213,14 @@ class TestChannelDocuments:
         doc = channel_to_document(random_channel(2, 2, 2, seed=0))
         doc["dim_out"] = 5
         with pytest.raises(ParseError):
+            channel_from_document(doc, context="test")
+
+    @pytest.mark.parametrize("field", ["dim_in", "dim_out"])
+    @pytest.mark.parametrize("bad", ["x", None, 2.5, False])
+    def test_non_integer_dims_rejected(self, field, bad):
+        doc = channel_to_document(random_channel(2, 2, 2, seed=0))
+        doc[field] = bad
+        with pytest.raises(ParseError, match=f"{field} must be an integer"):
             channel_from_document(doc, context="test")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -189,6 +189,13 @@ class TestDiagonalSchedule:
 
 
 class TestConditionalEntropySweep:
+    def test_each_step_solves_its_joint_state_once(self, eigh_sizes):
+        # joint sizes 9, 16, 25 differ from every marginal size (3, 4, 5)
+        rho = random_density_matrix(30, seed=9, layout=pair_layout(5, 6))
+        schedule = [(3, 3), (4, 4), (5, 5)]
+        conditional_entropy_sweep(rho, "A", "B", schedule, mode="computational")
+        assert {n * k: eigh_sizes[n * k] for n, k in schedule} == {9: 1, 16: 1, 25: 1}
+
     def test_full_rank_point_matches_direct(self):
         layout = pair_layout(3, 4, labels=("T", "G"))
         rho = random_density_matrix(12, seed=5, layout=layout)
