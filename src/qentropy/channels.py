@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .entropy import mutual_information_states, von_neumann_entropy
+from .entropy import _entropy_from_eigs, mutual_information_states
 from .errors import InvalidChannelError, PreconditionError, StructuralError
 from .rng import complex_normal, generator
 from .states import (
@@ -195,7 +195,14 @@ def purify(rho: DensityMatrix, reference_label: str = "R") -> PureState:
         raise StructuralError(
             f"reference label {reference_label!r} collides with {rho.layout.labels}"
         )
-    w, u = clamped_spectrum(rho)
+    return _purification(rho, reference_label, clamped_spectrum(rho))
+
+
+def _purification(
+    rho: DensityMatrix, reference_label: str, spectrum: tuple[np.ndarray, np.ndarray]
+) -> PureState:
+    """:func:`purify` from rho's clamped spectrum, which it leaves unchanged."""
+    w, u = spectrum
     w, u = w[::-1], u[:, ::-1]
     mask = w > TAU_SUPP
     lam, vecs = w[mask], u[:, mask]
@@ -225,13 +232,20 @@ def channel_mutual_information(state: State, channel: KrausChannel) -> float:
     returns H(rho_BR || rho_B x rho_R) in nats for the joint output/reference
     state. The value does not depend on which purification is used.
     """
-    rho = as_density(state)
+    return _information_and_spectrum(as_density(state), channel)[0]
+
+
+def _information_and_spectrum(
+    rho: DensityMatrix, channel: KrausChannel
+) -> tuple[float, np.ndarray]:
+    """:func:`channel_mutual_information`, and the clamped eigenvalues of rho it purified."""
     if rho.dim != channel.dim_in:
         raise StructuralError(
             f"channel expects input dimension {channel.dim_in}, state has {rho.dim}"
         )
     ref = _fresh_label(rho.layout)
-    psi = purify(rho, reference_label=ref)
+    spectrum = clamped_spectrum(rho)
+    psi = _purification(rho, ref, spectrum)
     dim_ref = psi.layout.dim_of(ref)
     joint = psi.as_density().entries
     out = np.zeros(
@@ -240,16 +254,15 @@ def channel_mutual_information(state: State, channel: KrausChannel) -> float:
     for k in _extend_last(channel, dim_ref):
         out += k @ joint @ k.conj().T
     rho_br = DensityMatrix(out, SubsystemLayout([("B", channel.dim_out), (ref, dim_ref)]))
-    return mutual_information_states(rho_br, "B", ref)
+    return mutual_information_states(rho_br, "B", ref), spectrum[0]
 
 
 def coherent_information(state: State, channel: KrausChannel) -> float:
-    """I_c(rho, Phi) = I(rho, Phi) - H(rho), in nats."""
-    rho = as_density(state)
-    mi = channel_mutual_information(rho, channel)
+    """I_c(rho, Phi) = I(rho, Phi) - H(rho), in nats; rho is solved once for both terms."""
+    mi, eigenvalues = _information_and_spectrum(as_density(state), channel)
     if math.isinf(mi):
         return mi
-    return mi - von_neumann_entropy(rho)
+    return mi - _entropy_from_eigs(eigenvalues)
 
 
 def conditional_entropy_via_coherent_info(

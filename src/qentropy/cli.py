@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
+import os
 import sys
 from datetime import datetime, timezone
 from typing import Any, Sequence
@@ -72,6 +74,24 @@ def _parse_labels(text: str) -> tuple[str, ...]:
     return labels
 
 
+def _require_writable(path: str) -> None:
+    """Raise the error that writing ``path`` later would raise, without touching it.
+
+    Catches an existing directory, a missing parent directory and missing
+    write permission before any work is done; nothing is created or truncated.
+    """
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _emit(payload: str, out: str | None) -> None:
     # the file first, so a failed write leaves stdout empty
     if out:
@@ -115,6 +135,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         names = list(CHECKS)
     else:
         names = [args.property]
+    if args.out:
+        _require_writable(args.out)
 
     reports = [run_check(name, seed=args.seed, **overrides) for name in names]
     dicts = [report_to_dict(rep) for rep in reports]
@@ -131,6 +153,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
+    base = args.out
+    for path in (base + ".json", base + ".csv"):
+        _require_writable(path)
     result = run_converge(
         state_spec=args.state,
         target=_parse_labels(args.target),
@@ -150,7 +175,6 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     if not args.no_timestamp:
         doc["timestamp"] = _timestamp()
     json_payload = dumps_document(doc)
-    base = args.out
     with open(base + ".json", "w") as fh:
         fh.write(json_payload)
     save_sweep_csv(base + ".csv", points)
@@ -179,6 +203,8 @@ def _split_labels(
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
+    if args.out:
+        _require_writable(args.out)
     quantity = args.quantity
     rho = resolve_state(args.state)
     inputs: dict[str, Any] = {"state": args.state}

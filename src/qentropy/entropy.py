@@ -38,6 +38,11 @@ def _entropy_from_eigs(w: np.ndarray) -> float:
     return _rounded(float(-np.sum(support * np.log(support))))
 
 
+def _full_support(spectrum: _Spectrum) -> bool:
+    """Whether every eigenvalue of a clamped spectrum lies above the support cutoff."""
+    return bool((spectrum[0] > TAU_SUPP).all())
+
+
 def _rounded(total: float) -> float:
     """The one round-off rule: tiny negative totals from rounding become exactly 0.0."""
     if -NEG_CLAMP <= total < 0.0:
@@ -124,10 +129,15 @@ def relative_entropy_vs_product(
 def _product_divergence(
     rho: np.ndarray, spec_rho: _Spectrum, spec_first: _Spectrum, spec_second: _Spectrum
 ) -> float:
-    """:func:`relative_entropy_vs_product` from the joint matrix and the three clamped spectra."""
+    """:func:`relative_entropy_vs_product` from the joint matrix and the three clamped spectra.
+
+    ``rho``'s eigenvectors are read only to test support containment, which
+    is needed only when a factor is rank deficient; with both factors of full
+    support ``spec_rho`` may come from a values-only solve.
+    """
     (w_r, u_r), (w_a, u_a), (w_b, u_b) = spec_rho, spec_first, spec_second
     mask_a, mask_b = w_a > TAU_SUPP, w_b > TAU_SUPP
-    if not (mask_a.all() and mask_b.all()):
+    if not (_full_support(spec_first) and _full_support(spec_second)):
         product_support = np.kron(u_a[:, mask_a], u_b[:, mask_b])
         if not _support_contained(u_r[:, w_r > TAU_SUPP], product_support):
             return math.inf

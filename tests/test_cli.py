@@ -396,6 +396,31 @@ class TestMalformedInput:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "case", ["check-dir", "converge-missing-dir", "converge-csv-dir", "compute-dir"]
+    )
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, monkeypatch, capsys, case):
+        from qentropy import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_check", no_work)
+        monkeypatch.setattr(cli, "run_converge", no_work)
+        monkeypatch.setattr(cli, "resolve_state", no_work)
+        (tmp_path / "base.csv").mkdir()
+        argv = {
+            "check-dir": ["check", "--out", str(tmp_path)],
+            "converge-missing-dir": ["converge", "--out", str(tmp_path / "missing" / "base")],
+            "converge-csv-dir": ["converge", "--out", str(tmp_path / "base")],
+            "compute-dir": ["compute", "entropy", "bell", "--out", str(tmp_path)],
+        }[case]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base.csv"]
+
     def test_non_finite_state_file(self, tmp_path):
         path = tmp_path / "nan.json"
         doc = {"kind": "density_matrix", "labels": ["A"], "dims": [2],

@@ -173,6 +173,22 @@ class TestClampedSpectrum:
         w, _ = clamped_spectrum(dm)
         assert np.all(np.diff(w) >= 0)
 
+    @pytest.mark.parametrize("real", [True, False])
+    def test_real_path_matches_complex_solve(self, real):
+        for seed in range(5):
+            rho = random_density_matrix(12, seed=seed)
+            if real:  # the real part of a state is a state
+                rho = DensityMatrix(rho.entries.real, rho.layout)
+            sym = (rho.entries + rho.entries.conj().T) / 2.0
+            w_ref = np.maximum(np.linalg.eigh(sym.astype(np.complex128))[0], 0.0)
+            w, u = clamped_spectrum(rho)
+            assert np.isrealobj(u) == real
+            assert np.max(np.abs(w - w_ref)) <= 1e-12
+            assert np.max(np.abs((u * w) @ u.conj().T - sym)) <= 1e-12
+            w_only, none = clamped_spectrum(rho, vectors=False)
+            assert none is None
+            assert np.max(np.abs(w_only - w_ref)) <= 1e-12
+
 
 class TestTensor:
     def test_hand_worked_diagonal_product(self):

@@ -1,0 +1,140 @@
+"""Differential tests: sweeps against a reference that forms kron isometries and solves complex.
+
+The reference is the straightforward route the sweep's shortcuts replace: it
+compresses with ``np.kron(V, W)``, solves every matrix as complex Hermitian
+with eigenvectors, and feeds the same product-divergence formula. The
+shortcuts (slicing or per-factor contraction, real symmetric solves,
+values-only joint solves) may move only rounding, bounded here by 1e-12 nats.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qentropy.catalog import build_state, thermal_fock
+from qentropy.entropy import _entropy_from_eigs, _grouped, _product_divergence
+from qentropy.fileio import load_state, save_state
+from qentropy.states import DensityMatrix, SubsystemLayout, random_density_matrix, single, tensor
+from qentropy.truncation import (
+    PROJECTOR_MODES,
+    _bipartite,
+    _step,
+    conditional_entropy_sweep,
+    diagonal_schedule,
+)
+
+AGREEMENT = 1e-12  # nats
+
+
+def complex_spectrum(m):
+    """Clamped eigendecomposition by the complex Hermitian solver, whatever the input."""
+    sym = ((m + m.conj().T) / 2.0).astype(np.complex128)
+    w, u = np.linalg.eigh(sym)
+    return np.where(w < 0.0, 0.0, w), u
+
+
+def reference_bases(rho, mode):
+    _, marginal_a, marginal_b = _grouped(rho, "A", "B")
+    if mode == "computational":
+        return np.eye(marginal_a.dim), np.eye(marginal_b.dim)
+    return tuple(complex_spectrum(m.entries)[1][:, ::-1] for m in (marginal_a, marginal_b))
+
+
+def kron_compressed(rho, basis_a, basis_b, n, k):
+    """The truncated-normalized joint state and both tilde marginals, by kron isometries."""
+    grouped, marginal_a, marginal_b = _grouped(rho, "A", "B")
+    iso_a, iso_b = basis_a[:, :n], basis_b[:, :k]
+    iso = np.kron(iso_a, iso_b)
+    joint = iso.conj().T @ grouped.entries @ iso
+    lam = float(np.trace(joint).real)
+    tilde_a = iso_a.conj().T @ marginal_a.entries @ iso_a
+    tilde_b = iso_b.conj().T @ marginal_b.entries @ iso_b
+    return (
+        joint / lam,
+        lam,
+        tilde_a / np.trace(tilde_a).real,
+        tilde_b / np.trace(tilde_b).real,
+    )
+
+
+def reference_sweep(rho, schedule, mode):
+    """(lam, cond, h_nk, h_tilde_nk, diff) per step, by the kron and complex-solve route."""
+    basis_a, basis_b = reference_bases(rho, mode)
+    rows = []
+    for n, k in schedule:
+        joint, lam, tilde_a, tilde_b = kron_compressed(rho, basis_a, basis_b, n, k)
+        t = joint.reshape(n, k, n, k)
+        spec_a = complex_spectrum(np.einsum("abcb->ac", t))
+        spec_b = complex_spectrum(np.einsum("abad->bd", t))
+        spec_joint = complex_spectrum(joint)
+        h_nk = _product_divergence(joint, spec_joint, spec_a, spec_b)
+        h_tilde_nk = _product_divergence(
+            joint, spec_joint, complex_spectrum(tilde_a), complex_spectrum(tilde_b)
+        )
+        cond = -math.inf if math.isinf(h_nk) else _entropy_from_eigs(spec_a[0]) - h_nk
+        rows.append((lam, cond, h_nk, h_tilde_nk, h_tilde_nk - h_nk))
+    return rows
+
+
+def relabeled(rho, label):
+    return DensityMatrix(rho.entries, single(label, rho.dim))
+
+
+def file_state(tmp_path):
+    layout = SubsystemLayout([("A", 4), ("B", 5)])
+    path = tmp_path / "state.json"
+    save_state(path, random_density_matrix(20, seed=11, layout=layout))
+    return load_state(path)
+
+
+STATES = {
+    "tmsv": lambda tmp_path: build_state("tmsv:nbar=1,cutoff=8"),
+    "thermal-thermal": lambda tmp_path: tensor(
+        thermal_fock(0.5, 6), relabeled(thermal_fock(2.0, 6), "B")
+    ),
+    "werner": lambda tmp_path: build_state("werner:p=0.5"),
+    "complex-file": file_state,
+}
+
+
+@pytest.mark.parametrize("mode", PROJECTOR_MODES)
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_sweep_agrees_with_kron_complex_reference(name, mode, tmp_path):
+    rho = STATES[name](tmp_path)
+    dims = tuple(m.dim for m in _grouped(rho, "A", "B")[1:])
+    schedule = diagonal_schedule(1, min(dims))
+    if schedule[-1] != dims:
+        schedule.append(dims)
+    points = conditional_entropy_sweep(rho, "A", "B", schedule, mode=mode)
+    expected = reference_sweep(rho, schedule, mode)
+    assert len(points) == len(expected)
+    for point, row in zip(points, expected):
+        got = (point.lam, point.cond_entropy_nats, point.h_nk, point.h_tilde_nk, point.diff)
+        for value, ref in zip(got, row):
+            assert abs(value - ref) <= AGREEMENT, (point, row)
+
+
+@pytest.mark.parametrize("mode", PROJECTOR_MODES)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_state("tmsv:nbar=1,cutoff=6"),
+        lambda: random_density_matrix(12, seed=4, layout=SubsystemLayout([("A", 3), ("B", 4)])),
+    ],
+    ids=["real-tmsv", "complex-3x4"],
+)
+def test_step_compression_equals_kron_route(make, mode):
+    rho = make()
+    part = _bipartite(rho, "A", "B", mode)
+    basis_a, basis_b = part.seq_a.basis, part.seq_b.basis
+    dim_a, dim_b = part.grouped.layout.dims
+    for n, k in [(1, 1), (2, 3), (dim_a, 2), (dim_a, dim_b)]:
+        step = _step(part, n, k)
+        joint, lam, tilde_a, tilde_b = kron_compressed(rho, basis_a, basis_b, n, k)
+        assert abs(step.lam - lam) <= 1e-14
+        for got, ref in [(step.state, joint), (step.tilde_a, tilde_a), (step.tilde_b, tilde_b)]:
+            if mode == "computational":  # a slice is exactly the 0/1 product
+                assert np.array_equal(got.entries, ref)
+            else:
+                assert np.max(np.abs(got.entries - ref)) <= 1e-14

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qentropy.catalog import bell, tmsv
+from qentropy.catalog import bell, build_state, tmsv
 from qentropy.entropy import conditional_entropy, von_neumann_entropy
 from qentropy.errors import (
     DegenerateTruncationError,
@@ -195,6 +195,36 @@ class TestConditionalEntropySweep:
         schedule = [(3, 3), (4, 4), (5, 5)]
         conditional_entropy_sweep(rho, "A", "B", schedule, mode="computational")
         assert {n * k: eigh_sizes[n * k] for n, k in schedule} == {9: 1, 16: 1, 25: 1}
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_state("tmsv:nbar=1,cutoff=6"),
+            lambda: random_density_matrix(30, seed=9, layout=pair_layout(5, 6)),
+        ],
+        ids=["real-tmsv", "complex-5x6"],
+    )
+    def test_full_support_step_solves_joint_state_for_values_only(
+        self, make, eigh_sizes, vector_solve_sizes
+    ):
+        rho = make()
+        schedule = [(3, 3), (4, 4)]
+        for mode in PROJECTOR_MODES:
+            conditional_entropy_sweep(rho, "A", "B", schedule, mode=mode)
+        assert {n * k: vector_solve_sizes[n * k] for n, k in schedule} == {9: 0, 16: 0}
+        assert {n * k: eigh_sizes[n * k] for n, k in schedule} == {9: 2, 16: 2}
+
+    def test_rank_deficient_step_keeps_the_vector_path(self, vector_solve_sizes):
+        # truncating GHZ to |0>|00>, |1>|01> leaves trunc_A = |0><0|, rank 1 of 2
+        rho = build_state("ghz:parties=3")
+        (point,) = conditional_entropy_sweep(rho, "A", ("B", "C"), [(2, 2)])
+        assert vector_solve_sizes[4] == 1
+        assert (point.lam, point.cond_entropy_nats, point.h_nk, point.h_tilde_nk) == (
+            0.4999999999999999,
+            0.0,
+            0.0,
+            0.6931471805599453,
+        )
 
     def test_full_rank_point_matches_direct(self):
         layout = pair_layout(3, 4, labels=("T", "G"))
