@@ -10,7 +10,6 @@ swapped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -260,8 +259,6 @@ def _information_and_spectrum(
 def coherent_information(state: State, channel: KrausChannel) -> float:
     """I_c(rho, Phi) = I(rho, Phi) - H(rho), in nats; rho is solved once for both terms."""
     mi, eigenvalues = _information_and_spectrum(as_density(state), channel)
-    if math.isinf(mi):
-        return mi
     return mi - _entropy_from_eigs(eigenvalues)
 
 

@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--env-dim", type=int, help="override channel environment dimension (coherent-duality)"
     )
-    check.add_argument("--base", help="override base state spec (continuity)")
+    check.add_argument("--base", help="override base state, spec or file (continuity)")
     check.add_argument("--steps", type=int, help="override schedule length (continuity)")
     check.add_argument("--out", help="also write the payload to this file")
     check.add_argument("--format", choices=["json", "csv"], default="json")
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute one entropic quantity for given states or channels",
         description=(
             "Quantities: entropy (von Neumann), relent (relative entropy, may be "
-            "inf), condent (conditional entropy, may be -inf), mutinfo (between "
+            "inf), condent (conditional entropy, finite for a valid state), mutinfo (between "
             "subsystem groups, or of a state through --channel), cohinfo "
             "(coherent information through --channel). States are catalog specs "
             "like werner:p=0.7 or JSON files; see the catalog: "

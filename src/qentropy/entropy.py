@@ -8,6 +8,16 @@ All formulas work on eigendecompositions; ``0 ln 0`` is taken as 0 and support
 membership is decided against fixed absolute tolerances, never by comparing
 floating-point numbers to exact zero.
 
+One support rule: containment supp(rho) <= supp(sigma) is read from the
+leaked mass Tr[(I - P_sigma) rho], computed from numbers each formula already
+has, and fails once that mass exceeds dim * ``TAU_SUPP``, the most that
+cutting a dim-dimensional spectrum at ``TAU_SUPP`` can drop. For every state
+supp(rho_XY) <= supp(rho_X) x supp(rho_Y) holds (Holevo-Shirokov): a marginal
+leaks only the eigenvalues its own cut drops, so mutual information and
+conditional entropy of a valid state are always finite, while a real leak
+above the cut reads as ``math.inf``. The rule never reads joint eigenvectors
+and never tests a projector norm.
+
 One spectrum path: each matrix is solved once by ``clamped_spectrum``, each
 spectrum is cut at the support once, every total passes one round-off rule,
 and every H(rho || first x second) is one spectra-level product divergence.
@@ -28,7 +38,7 @@ from .states import (
     partial_trace,
     permute_subsystems,
 )
-from .tolerances import NEG_CLAMP, TAU_SUPP, TAU_SUPP_PROJ
+from .tolerances import NEG_CLAMP, TAU_SUPP
 
 _Spectrum = tuple[np.ndarray, np.ndarray]
 
@@ -38,9 +48,9 @@ def _entropy_from_eigs(w: np.ndarray) -> float:
     return _rounded(float(-np.sum(support * np.log(support))))
 
 
-def _full_support(spectrum: _Spectrum) -> bool:
-    """Whether every eigenvalue of a clamped spectrum lies above the support cutoff."""
-    return bool((spectrum[0] > TAU_SUPP).all())
+def _leaks(mass: float, dim: int) -> bool:
+    """The one support rule: leaked mass beyond what the support cut can drop."""
+    return mass > dim * TAU_SUPP
 
 
 def _rounded(total: float) -> float:
@@ -62,41 +72,29 @@ def min_supported_eigenvalue(rho: DensityMatrix) -> float:
     return float(support.min()) if support.size else 0.0
 
 
-def _support_contained(u_rho: np.ndarray, v_sigma: np.ndarray) -> bool:
-    """Whether range(u_rho) is contained in range(v_sigma), up to tolerance.
-
-    Measured as the spectral norm of (I - P_sigma) applied to the orthonormal
-    support basis of rho; compared against a projector-level tolerance that is
-    looser than the eigenvalue cutoff because it accumulates rounding from two
-    eigendecompositions.
-    """
-    if u_rho.shape[1] == 0:
-        return True
-    if v_sigma.shape[1] == 0:
-        return False
-    residual = u_rho - v_sigma @ (v_sigma.conj().T @ u_rho)
-    return float(np.linalg.norm(residual, 2)) <= TAU_SUPP_PROJ
-
-
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """H(rho || sigma) = Tr rho (ln rho - ln sigma), in nats.
 
-    Returns ``math.inf`` when supp(rho) is not contained in supp(sigma).
-    Both arguments must live on spaces of the same dimension.
+    Returns ``math.inf`` when rho's mass outside supp(sigma) exceeds
+    dim * ``TAU_SUPP``. Both arguments must live on spaces of the same dimension.
     """
     if rho.dim != sigma.dim:
         raise StructuralError(
             f"relative entropy needs equal dimensions, got {rho.dim} and {sigma.dim}"
         )
-    w_r, u_r = clamped_spectrum(rho)
-    w_s, v_s = clamped_spectrum(sigma)
+    return _divergence(clamped_spectrum(rho), clamped_spectrum(sigma))
+
+
+def _divergence(spec_rho: _Spectrum, spec_sigma: _Spectrum) -> float:
+    """:func:`relative_entropy` from the two clamped spectra."""
+    (w_r, u_r), (w_s, v_s) = spec_rho, spec_sigma
     r_mask, s_mask = w_r > TAU_SUPP, w_s > TAU_SUPP
-    u_sup, v_sup = u_r[:, r_mask], v_s[:, s_mask]
-    if not _support_contained(u_sup, v_sup):
-        return math.inf
     lam, mu = w_r[r_mask], w_s[s_mask]
     # overlap[i, j] = |<u_i | v_j>|^2 over the two supports
-    overlap = np.abs(u_sup.conj().T @ v_sup) ** 2
+    overlap = np.abs(u_r[:, r_mask].conj().T @ v_s[:, s_mask]) ** 2
+    # Tr[(I - P_sigma) rho] = sum_i lam_i ||(I - P_sigma) u_i||^2
+    if _leaks(lam @ (1.0 - overlap.sum(axis=1)), w_r.size):
+        return math.inf
     return _rounded(float(np.sum(lam * np.log(lam)) - (lam @ overlap) @ np.log(mu)))
 
 
@@ -114,7 +112,8 @@ def relative_entropy_vs_product(
     cannot certify them. Deep Fock-cutoff sweeps need this to stay finite.
 
     ``rho``'s subsystems must be exactly ``first``'s followed by ``second``'s.
-    Returns ``math.inf`` when rho's support leaks out of the product support.
+    Returns ``math.inf`` when rho's marginals put more than dim * ``TAU_SUPP``
+    of weight outside the factors' supports.
     """
     if rho.layout.subsystems != first.layout.subsystems + second.layout.subsystems:
         raise StructuralError(
@@ -131,17 +130,14 @@ def _product_divergence(
 ) -> float:
     """:func:`relative_entropy_vs_product` from the joint matrix and the three clamped spectra.
 
-    ``rho``'s eigenvectors are read only to test support containment, which
-    is needed only when a factor is rank deficient; with both factors of full
-    support ``spec_rho`` may come from a values-only solve.
+    supp(rho) <= supp(A) x supp(B) holds exactly when rho's marginals put no
+    weight outside supp(A) and supp(B), and the sum of those two weights lies
+    between Tr[(I - P_A x P_B) rho] and twice it. So the leak is read from the
+    marginal weights the cross term needs anyway, and rho's eigenvectors are
+    never used: ``spec_rho`` may come from a values-only solve.
     """
-    (w_r, u_r), (w_a, u_a), (w_b, u_b) = spec_rho, spec_first, spec_second
+    (w_r, _), (w_a, u_a), (w_b, u_b) = spec_rho, spec_first, spec_second
     mask_a, mask_b = w_a > TAU_SUPP, w_b > TAU_SUPP
-    if not (_full_support(spec_first) and _full_support(spec_second)):
-        product_support = np.kron(u_a[:, mask_a], u_b[:, mask_b])
-        if not _support_contained(u_r[:, w_r > TAU_SUPP], product_support):
-            return math.inf
-
     da, db = w_a.size, w_b.size
     joint = rho.reshape(da, db, da, db)
     red_a = np.einsum("abcb->ac", joint)
@@ -149,6 +145,8 @@ def _product_divergence(
     # weight of rho's marginals on each factor eigendirection
     p_a = np.maximum(np.einsum("ia,ij,ja->a", u_a.conj(), red_a, u_a).real, 0.0)
     p_b = np.maximum(np.einsum("ia,ij,ja->a", u_b.conj(), red_b, u_b).real, 0.0)
+    if _leaks(p_a[~mask_a].sum() + p_b[~mask_b].sum(), w_r.size):
+        return math.inf
     cross = float(
         p_a[mask_a] @ np.log(w_a[mask_a]) + p_b[mask_b] @ np.log(w_b[mask_b])
     )
@@ -177,16 +175,18 @@ def conditional_entropy(rho: DensityMatrix, target: LabelSet, given: LabelSet) -
     correlation term is finite; it equals H(rho) - H(rho_given) when the
     joint entropy is finite (see :func:`conditional_entropy_standard`).
     ``target`` and ``given`` must be disjoint and together cover the state's
-    subsystems; trace out anything else first. Returns ``-math.inf`` exactly
-    when the correlation term is infinite.
+    subsystems; trace out anything else first. The correlation term is the
+    mutual information, and supp(rho) <= supp(rho_target) x supp(rho_given)
+    holds for every state, so the value is finite: the marginals leak only
+    the eigenvalues their own cut at ``TAU_SUPP`` drops, at most
+    (d_target + d_given - 2) * ``TAU_SUPP``, inside the bound
+    d_target * d_given * ``TAU_SUPP``.
     """
     grouped, rho_t, rho_g = _grouped(rho, target, given)
     spec_t = clamped_spectrum(rho_t)
     corr = _product_divergence(
         grouped.entries, clamped_spectrum(grouped), spec_t, clamped_spectrum(rho_g)
     )
-    if math.isinf(corr):
-        return -math.inf
     return _entropy_from_eigs(spec_t[0]) - corr
 
 

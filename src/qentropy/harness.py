@@ -10,7 +10,8 @@ violations fail.
 
 The trial-based checks are entries of one table (layout labels, defaults,
 named fixed trials, per-trial draw, margin) run by one runner; the
-continuity check follows a deterministic schedule and builds its own report.
+continuity check follows a deterministic schedule as one trial. Every
+report is built by one assembler.
 
 Reproducibility contract: trial i uses seed ``master_seed XOR i``, every
 report embeds its full effective config, and re-running a config reproduces
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Sequence, TypeAlias
 
@@ -42,6 +44,7 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .errors import InvalidStateError, PreconditionError
+from .fileio import load_state
 from .rng import generator, trial_seed
 from .states import (
     DensityMatrix,
@@ -51,9 +54,10 @@ from .states import (
     haar_pure_state,
     partial_trace,
     tensor,
+    validate,
 )
 from .tolerances import SATURATION_BAND
-from .truncation import ProjectorMode, conditional_entropy_sweep
+from .truncation import ProjectorMode, conditional_entropy_sweep, diagonal_schedule
 
 
 def resolve_state(spec: str) -> DensityMatrix:
@@ -63,11 +67,6 @@ def resolve_state(spec: str) -> DensityMatrix:
     state document and validated; everything else goes through the catalog
     grammar ``name:key=value,...``.
     """
-    import os
-
-    from .fileio import load_state
-    from .states import validate
-
     if os.path.exists(spec) or spec.endswith(".json"):
         rho = load_state(spec)
         report = validate(rho)
@@ -409,16 +408,18 @@ def check_continuity_smoke(
 ) -> PropertyReport:
     """Conditional entropy is continuous along a shrinking mixing schedule.
 
-    Mixes the base state with the maximally mixed state at eps = 2^-n for
-    n = 1..steps and tracks |H(target|given)(mixed) - H(target|given)(base)|.
-    The margin is the worse of (a) minus the final deviation, so the check
-    passes only if the deviation ends below tolerance, and (b) the smallest
-    consecutive decrease, so any rise beyond tolerance also fails. The
-    schedule is deterministic; the seed is carried only for config uniformity.
-    :func:`run_check` validates the parameters (``steps`` at least 2).
+    Mixes the base state (a catalog spec or a state file) with the maximally
+    mixed state at eps = 2^-n for n = 1..steps and tracks
+    |H(target|given)(mixed) - H(target|given)(base)|. The margin is the worse
+    of (a) minus the final deviation, so the check passes only if the
+    deviation ends below tolerance, and (b) the smallest consecutive
+    decrease, so any rise beyond tolerance also fails. The whole schedule is
+    one trial and the report counts its steps; the schedule is deterministic,
+    so the seed is carried only for config uniformity. :func:`run_check`
+    validates the parameters (``steps`` at least 2).
     """
     steps = int(steps)
-    rho0 = build_state(base)
+    rho0 = resolve_state(base)
     labels = rho0.layout.labels
     if len(labels) < 2:
         raise PreconditionError(f"base state must be multipartite, got labels {labels}")
@@ -437,33 +438,11 @@ def check_continuity_smoke(
     for n in range(1, steps + 1):
         eps = 2.0**-n
         mixed = DensityMatrix((1.0 - eps) * rho0.entries + eps * sigma, rho0.layout)
-        h_mixed = conditional_entropy(mixed, target, given)
-        deviations.append((eps, abs(h_mixed - h_base)))
-    final_margin = -deviations[-1][1]
-    shrink_margin = min(
-        prev - nxt for (_, prev), (_, nxt) in zip(deviations, deviations[1:])
-    )
-    margin = min(final_margin, shrink_margin)
-    record = {
-        "trial": "schedule",
-        "seed": int(seed),
-        "margin": margin,
-        "base_cond_entropy": h_base,
-        "deviations": [[eps, dev] for eps, dev in deviations],
-    }
-    verdict = "pass" if margin >= -tolerance else "fail"
-    return PropertyReport(
-        property="continuity",
-        trials=steps,
-        seed=int(seed),
-        tolerance=float(tolerance),
-        worst_margin=float(margin),
-        worst_seed=int(seed),
-        verdict=verdict,
-        config=config,
-        saturated=(),
-        records=(record,),
-    )
+        deviations.append([eps, abs(conditional_entropy(mixed, target, given) - h_base)])
+    shrink = min(prev - nxt for (_, prev), (_, nxt) in zip(deviations, deviations[1:]))
+    values = {"base_cond_entropy": h_base, "deviations": deviations}
+    trial = _Trial("schedule", int(seed), min(-deviations[-1][1], shrink), values)
+    return replace(_assemble("continuity", config, [trial]), trials=steps)
 
 
 def report_to_dict(report: PropertyReport) -> dict[str, Any]:
@@ -569,8 +548,6 @@ def run_converge(
     target_labels = rho.layout.normalize_labels(target)
     given_labels = rho.layout.normalize_labels(given)
     if schedule is None:
-        from .truncation import diagonal_schedule
-
         dim_t = int(np.prod([rho.layout.dim_of(lab) for lab in target_labels]))
         dim_g = int(np.prod([rho.layout.dim_of(lab) for lab in given_labels]))
         top = min(dim_t, dim_g) if max_rank is None else int(max_rank)

@@ -2,9 +2,13 @@
 
 All are absolute. The invariant tolerances sit well above double-precision
 eigensolver noise at dimensions up to ~1000 and well below any physical
-scale this library works at; the support thresholds are split (eigenvalue
-cutoff vs projector leakage) so borderline states do not flap between
-finite and infinite relative entropy.
+scale this library works at. One support threshold serves two uses: it
+is the eigenvalue cutoff, and relative entropy is infinite once the mass a
+state leaks outside another's support, Tr[(I - P_sigma) rho], exceeds
+dim * ``TAU_SUPP``, the most that cutting a dim-dimensional spectrum can
+drop. A marginal leaks out of its own support only the eigenvalues its cut
+drops, so mutual information and conditional entropy stay finite, as they
+must for every state, while a real leak above that scale reads as infinite.
 """
 
 # Density-matrix invariants
@@ -14,8 +18,7 @@ TAU_PSD = 1e-9      # eigenvalues below -TAU_PSD are a hard error
 TAU_PURE = 1e-8     # a pure state's largest eigenvalue is at least 1 - TAU_PURE
 
 # Relative-entropy support handling
-TAU_SUPP = 1e-11       # eigenvalues <= this count as zero
-TAU_SUPP_PROJ = 1e-7   # allowed norm of (I - P_sigma) P_rho
+TAU_SUPP = 1e-11       # eigenvalues <= this count as zero; dim * this bounds leaked mass
 NEG_CLAMP = 1e-9       # tiny negative entropy totals from rounding become exactly 0.0
 
 # Truncation

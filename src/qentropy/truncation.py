@@ -34,11 +34,12 @@ from typing import Literal, Mapping, Sequence
 import numpy as np
 
 from .entropy import (
+    _divergence,
     _entropy_from_eigs,
-    _full_support,
     _grouped,
     _product_divergence,
-    relative_entropy,
+    _rounded,
+    _Spectrum,
 )
 from .errors import DegenerateTruncationError, PreconditionError, StructuralError
 from .states import DensityMatrix, LabelSet, SubsystemLayout, clamped_spectrum, partial_trace
@@ -278,7 +279,10 @@ def _bipartite(
 class _Step:
     """A compressed truncated-normalized ``state`` with weight ``lam``, and what it yields.
 
-    ``cond`` is the state's H(A|B), from the spectrum of ``trunc_a`` that ``h_nk`` used.
+    ``tilde_*`` are the truncated, renormalized original marginals; ``spec_*``
+    are the clamped spectra of the state's own marginals (``a``, ``b``) and of
+    the tilde marginals, each solved once. ``cond`` is the state's H(A|B),
+    from the spectrum of the target marginal that ``h_nk`` used.
 
     A sweep holds each step, joint state included, until the next step has
     been computed: at cutoff 30 that keeps the allocator from handing the
@@ -287,10 +291,12 @@ class _Step:
 
     state: DensityMatrix
     lam: float
-    trunc_a: DensityMatrix
-    trunc_b: DensityMatrix
     tilde_a: DensityMatrix
     tilde_b: DensityMatrix
+    spec_a: _Spectrum
+    spec_b: _Spectrum
+    spec_tilde_a: _Spectrum
+    spec_tilde_b: _Spectrum
     h_nk: float
     h_tilde_nk: float
     cond: float
@@ -299,11 +305,10 @@ class _Step:
 def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
     """Compress to ranks (rank_a, rank_b) and evaluate both correlation terms.
 
-    The truncated-normalized state is conjugated onto the retained subspace;
-    ``tilde_*`` are the truncated, renormalized original marginals there.
-    The four factor spectra are solved first: the joint state's eigenvectors
-    are only read when one of them is rank deficient, so otherwise the joint
-    state, the largest matrix of the step, is solved for its eigenvalues only.
+    The truncated-normalized state is conjugated onto the retained subspace.
+    Neither correlation term reads the joint state's eigenvectors, so the
+    joint state, the largest matrix of the step, is solved for its
+    eigenvalues only.
     """
     cut_a, cut_b = part.seq_a.compression(rank_a), part.seq_b.compression(rank_b)
     dim_a, dim_b = part.grouped.layout.dims
@@ -320,13 +325,17 @@ def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
         trunc_b.layout,
         "the conditioning marginal",
     )
-    factors = [clamped_spectrum(m) for m in (trunc_a, trunc_b, tilde_a, tilde_b)]
-    spec_joint = clamped_spectrum(truncated, vectors=not all(map(_full_support, factors)))
-    spec_a, spec_b, spec_tilde_a, spec_tilde_b = factors
+    spec_a, spec_b, spec_tilde_a, spec_tilde_b = (
+        clamped_spectrum(m) for m in (trunc_a, trunc_b, tilde_a, tilde_b)
+    )
+    spec_joint = clamped_spectrum(truncated, vectors=False)
     h_nk = _product_divergence(truncated.entries, spec_joint, spec_a, spec_b)
     h_tilde_nk = _product_divergence(truncated.entries, spec_joint, spec_tilde_a, spec_tilde_b)
-    cond = -math.inf if math.isinf(h_nk) else _entropy_from_eigs(spec_a[0]) - h_nk
-    return _Step(truncated, lam, trunc_a, trunc_b, tilde_a, tilde_b, h_nk, h_tilde_nk, cond)
+    cond = _entropy_from_eigs(spec_a[0]) - h_nk
+    return _Step(
+        truncated, lam, tilde_a, tilde_b, spec_a, spec_b, spec_tilde_a, spec_tilde_b,
+        h_nk, h_tilde_nk, cond,
+    )  # fmt: skip
 
 
 def conditional_entropy_sweep(
@@ -361,7 +370,7 @@ def conditional_entropy_sweep(
             points.append(SweepPoint(index, rank_a, rank_b, exc.weight, None, None, None, None))
             continue
         h_nk, h_tilde_nk = step.h_nk, step.h_tilde_nk
-        diff = h_tilde_nk - h_nk
+        diff = _rounded(h_tilde_nk - h_nk)  # a sum of two relative entropies, so >= 0
         points.append(
             SweepPoint(index, rank_a, rank_b, step.lam, step.cond, h_nk, h_tilde_nk, diff)
         )
@@ -416,8 +425,8 @@ def truncation_diagnostics(
         rank_b=int(rank_b),
         h_nk=step.h_nk,
         h_tilde_nk=step.h_tilde_nk,
-        marginal_a_divergence=relative_entropy(step.trunc_a, step.tilde_a),
-        marginal_b_divergence=relative_entropy(step.trunc_b, step.tilde_b),
+        marginal_a_divergence=_divergence(step.spec_a, step.spec_tilde_a),
+        marginal_b_divergence=_divergence(step.spec_b, step.spec_tilde_b),
     )
 
 

@@ -439,3 +439,10 @@ class TestMalformedInput:
         assert proc.returncode == 2
         assert "non-finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_importing_the_cli_does_not_load_numpy_random():
+    # numpy.random costs about 5 MB and is needed only once a check draws states
+    code = "import sys, qentropy.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "False", proc.stderr

@@ -1,5 +1,7 @@
 """Tests for entropic quantities: von Neumann, relative, conditional, mutual information."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from qentropy.states import (
     random_pure_state,
     single,
     tensor,
+    validate,
 )
 from qentropy.truncation import conditional_entropy_sweep
 
@@ -104,6 +107,14 @@ class TestRelativeEntropy:
         sigma = PureState(np.array([0.0, 1.0]), layout)
         assert relative_entropy(rho, sigma) == np.inf
 
+    @pytest.mark.parametrize("d", [1e-11, 1.5e-11, 3e-11, 1e-10, 1e-8, 1e-7, 1e-3])
+    def test_small_leak_is_infinite_or_nonnegative(self, d):
+        # rho puts mass d outside supp(sigma); a leak above the dim * TAU_SUPP the
+        # support cut can drop is infinite, and no leak may read as a negative value
+        layout = single("A", 2)
+        value = relative_entropy(diag_state([1.0 - d, d], layout), diag_state([1.0, 0.0], layout))
+        assert value == (np.inf if d > 2e-11 else 0.0)
+
     def test_support_containment_finite(self):
         layout = single("A", 2)
         rho = diag_state([1.0, 0.0], layout)
@@ -160,6 +171,16 @@ class TestRelativeEntropyVsProduct:
         c = diag_state([0.5, 0.5], single("C", 2))
         assert relative_entropy_vs_product(rho, a, c) == np.inf
 
+    @pytest.mark.parametrize("d", [1e-11, 3e-11, 1e-10, 1e-8, 1e-7, 1e-3])
+    def test_small_leak_is_infinite_or_nonnegative(self, d):
+        # rho = diag(1-d, d) x |0><0| against |0><0| x |0><0|: A's marginal leaks d
+        a = diag_state([1.0, 0.0], single("A", 2))
+        c = diag_state([1.0, 0.0], single("C", 2))
+        rho = tensor(diag_state([1.0 - d, d], single("A", 2)), c)
+        expected = np.inf if d > 4e-11 else 0.0  # dim * TAU_SUPP at dim 4
+        assert relative_entropy_vs_product(rho, a, c) == expected
+        assert relative_entropy(rho, tensor(a, c)) == expected
+
     def test_rank_deficient_factors_supported(self):
         # the product sigma has exact kernel, rho lives inside its support
         layout = pair_layout(2, 2)
@@ -191,6 +212,74 @@ class TestRelativeEntropyVsProduct:
         # pure rho: D(rho || A x B) = -tr(rho ln(A x B)) = 2 H(marginal)
         expected = 2.0 * von_neumann_entropy(a)
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("leak", [0.0, 1e-8, 1e-3, 1.0])
+    def test_verdict_and_value_agree_with_generic_on_rank_deficient_factors(self, seed, leak):
+        # rank-2 factors on 3-dim spaces; rho mixes a state inside supp(a) x supp(c)
+        # with weight `leak` of a full-rank state, which leaks out of it
+        a = random_density_matrix(3, rank=2, seed=seed, layout=single("A", 3))
+        c = random_density_matrix(3, rank=2, seed=seed + 100, layout=single("C", 3))
+        support = np.kron(
+            *(np.linalg.eigh(m.entries)[1][:, 1:] for m in (a, c))
+        )  # both factors' kernels are their lowest eigenvector
+        inside = random_density_matrix(4, seed=seed + 200).entries
+        outside = random_density_matrix(9, seed=seed + 300).entries
+        entries = (1 - leak) * support @ inside @ support.conj().T + leak * outside
+        rho = DensityMatrix(entries, pair_layout(3, 3))
+        direct = relative_entropy(rho, tensor(a, c))
+        factored = relative_entropy_vs_product(rho, a, c)
+        assert np.isfinite(factored) == np.isfinite(direct) == (leak == 0.0)
+        if leak == 0.0:
+            assert factored == pytest.approx(direct, abs=1e-10)
+
+
+def lossy_tmsv(cutoff, nbar=1.0, eta=0.7):
+    """A TMSV whose mode B went through pure loss, from the loss Kraus operators.
+
+    A_l = sum_n sqrt(C(n, l)) eta^((n-l)/2) (1-eta)^(l/2) |n-l><n|; the TMSV
+    amplitude matrix is diagonal, so branch l has amplitudes diag(c) A_l^T.
+    """
+    x = nbar / (1.0 + nbar)
+    c = np.sqrt(x ** np.arange(cutoff))
+    c /= np.linalg.norm(c)
+    n = np.arange(cutoff)
+    branches = []
+    for l in range(cutoff):
+        kraus = np.zeros((cutoff, cutoff))
+        kraus[n[l:] - l, n[l:]] = [
+            np.sqrt(math.comb(m, l) * eta ** (m - l) * (1.0 - eta) ** l) for m in n[l:]
+        ]
+        branches.append((c[:, None] * kraus.T).ravel())
+    v = np.array(branches).T
+    layout = SubsystemLayout((("A", cutoff), ("B", cutoff)))
+    return DensityMatrix(v @ v.T, layout)
+
+
+class TestLossyTmsv:
+    """A valid state whose B marginal has an eigenvalue just under the support cutoff."""
+
+    @pytest.mark.parametrize("cutoff", [26, 30])
+    def test_finite_and_matches_entropy_difference(self, cutoff):
+        rho = lossy_tmsv(cutoff)
+        assert validate(rho).ok
+        standard = conditional_entropy_standard(rho, "A", "B")
+        h_a = von_neumann_entropy(partial_trace(rho, "A"))
+        value = conditional_entropy(rho, "A", "B")
+        mutual = mutual_information_states(rho, "A", "B")
+        assert np.isfinite(value) and np.isfinite(mutual)
+        assert abs(value - standard) <= 1e-10
+        assert abs(mutual - (h_a - standard)) <= 1e-10
+
+    @pytest.mark.parametrize("cutoff", [26, 30])
+    def test_sweep_stays_finite(self, cutoff):
+        points = conditional_entropy_sweep(
+            lossy_tmsv(cutoff), "A", "B", [(n, n) for n in range(1, cutoff + 1)]
+        )
+        for p in points:
+            assert np.isfinite(p.cond_entropy_nats) and np.isfinite(p.h_nk), p
+            assert p.diff >= 0.0, p  # a sum of two relative entropies
 
 
 class TestConditionalEntropy:
@@ -292,13 +381,18 @@ class TestConditionalEntropy:
             conditional_entropy(rho, target=("A", "B"), given=("B", "C"))  # overlap
 
     def test_near_kernel_weight_below_support_cutoff(self):
-        # amplitude mass below the support threshold is treated as kernel weight:
-        # the correlation term saturates to +inf and the conditional entropy to -inf
+        # amplitude mass below the support threshold is cut from both marginals,
+        # but supp(rho) <= supp(rho_C) x supp(rho_A) holds for every state, so the
+        # correlation term is finite: H(C|A) = -H(rho_A) ~ -3.09e-12, up to the cut
         layout = pair_layout(2, 2)
         eps = 1e-13
         amp = np.array([np.sqrt(1 - eps), 0.0, 0.0, np.sqrt(eps)])
         rho = PureState(amp, layout).as_density()
-        assert conditional_entropy(rho, target="C", given="A") == -np.inf
+        exact = eps * np.log(eps) + (1 - eps) * np.log1p(-eps)
+        assert exact == pytest.approx(-3.09e-12, abs=1e-14)
+        val = conditional_entropy(rho, target="C", given="A")
+        assert np.isfinite(val)
+        assert abs(val - exact) <= 1e-11
 
     def test_small_but_supported_weight_stays_finite(self):
         layout = pair_layout(2, 2)

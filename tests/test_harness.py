@@ -145,6 +145,33 @@ class TestContinuity:
         assert all(b < a for a, b in zip(deviations, deviations[1:]))
         assert 1e-6 < deviations[-1] < 1e-4
 
+    def test_base_state_file_matches_its_spec(self, tmp_path):
+        # --base goes through resolve_state, so a saved state reproduces the
+        # catalog spec's report; only the config's base string differs
+        path = tmp_path / "werner.json"
+        save_state(path, resolve_state("werner:p=0.5"))
+        from_file = report_to_dict(run_check("continuity", base=str(path)))
+        from_spec = report_to_dict(run_check("continuity"))
+        assert from_file["config"].pop("base") == str(path)
+        from_spec["config"].pop("base")
+        assert from_file == from_spec
+        assert from_file["trials"] == 20 and from_file["saturated"] == []
+
+    def test_exact_zero_margin_is_listed_as_saturated(self):
+        # the maximally mixed base is a fixed point of the mixing schedule: every
+        # deviation is exactly 0, a boundary touch the assembler lists like any
+        # named trial's
+        report = run_check("continuity", base="werner:p=0")
+        assert report.passed and report.worst_margin == 0.0
+        assert report.saturated == ({"trial": "schedule", "margin": 0.0},)
+
+    def test_invalid_base_state_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        bad = DensityMatrix(np.diag([0.9, 0.9]).astype(complex), single("A", 2))
+        save_state(path, bad)
+        with pytest.raises(InvalidStateError, match="unit_trace"):
+            run_check("continuity", base=str(path))
+
 
 class TestRunSuite:
     def test_subset_preserves_requested_order(self):

@@ -214,11 +214,16 @@ class TestConditionalEntropySweep:
         assert {n * k: vector_solve_sizes[n * k] for n, k in schedule} == {9: 0, 16: 0}
         assert {n * k: eigh_sizes[n * k] for n, k in schedule} == {9: 2, 16: 2}
 
-    def test_rank_deficient_step_keeps_the_vector_path(self, vector_solve_sizes):
-        # truncating GHZ to |0>|00>, |1>|01> leaves trunc_A = |0><0|, rank 1 of 2
+    def test_rank_deficient_step_solves_joint_state_for_values_only(
+        self, eigh_sizes, vector_solve_sizes
+    ):
+        # truncating GHZ to |0>|00>, |1>|01> leaves trunc_A = |0><0|, rank 1 of 2;
+        # support containment is read from marginal weights, so the joint state
+        # is solved for its eigenvalues only
         rho = build_state("ghz:parties=3")
         (point,) = conditional_entropy_sweep(rho, "A", ("B", "C"), [(2, 2)])
-        assert vector_solve_sizes[4] == 1
+        assert vector_solve_sizes[4] == 0
+        assert eigh_sizes[4] == 1
         assert (point.lam, point.cond_entropy_nats, point.h_nk, point.h_tilde_nk) == (
             0.4999999999999999,
             0.0,
@@ -275,6 +280,15 @@ class TestConditionalEntropySweep:
         for p in points:
             assert p.diff == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("mode", PROJECTOR_MODES)
+    def test_diff_is_never_negative(self, mode):
+        # h_tilde_nk - h_nk is a sum of two relative entropies; its round-off
+        # below zero passes the one round-off rule, like every other total
+        for seed in range(20):
+            rho = random_density_matrix(9, seed=seed, layout=pair_layout(3, 3))
+            for p in conditional_entropy_sweep(rho, "A", "B", diagonal_schedule(1, 3), mode=mode):
+                assert p.diff >= 0.0, (seed, p)
+
     def test_skipped_step_recorded_not_raised(self):
         layout = pair_layout(2, 2)
         rho = basis_ket(3, 4, layout)  # weight vanishes at rank 1
@@ -324,6 +338,12 @@ class TestTruncationDiagnostics:
             n = point.rank_a
             diag = truncation_diagnostics(rho, "A", "B", n, n, mode=mode)
             assert (diag.h_nk, diag.h_tilde_nk) == (point.h_nk, point.h_tilde_nk)
+
+    def test_solves_each_factor_once(self, eigh_sizes):
+        # the marginal divergences reuse the step's four factor spectra
+        rho = random_density_matrix(30, seed=9, layout=pair_layout(5, 6))
+        truncation_diagnostics(rho, "A", "B", 3, 4)
+        assert eigh_sizes == {3: 2, 4: 2, 12: 1}
 
     def test_full_rank_gap_vanishes(self):
         layout = pair_layout(3, 3)
