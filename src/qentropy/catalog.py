@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ParseError, PreconditionError, QEntropyError
+from .errors import ParseError, PreconditionError, QEntropyError, as_integer
 from .states import DensityMatrix, PureState, SubsystemLayout, as_density
 
 
@@ -48,7 +48,7 @@ def thermal_tail_mass(nbar: float, cutoff: int) -> float:
     if nbar == 0.0:
         return 0.0
     q = nbar / (nbar + 1.0)
-    return q ** int(cutoff)
+    return q ** as_integer(cutoff, "cutoff")
 
 
 def tmsv_tail_mass(nbar: float, cutoff: int) -> float:
@@ -62,7 +62,7 @@ def tmsv_tail_mass(nbar: float, cutoff: int) -> float:
 
 def bell(dim: int = 2) -> PureState:
     """Maximally entangled state (1/sqrt(d)) sum_i |ii> on labels A, B."""
-    dim = int(dim)
+    dim = as_integer(dim, "dim")
     if dim < 2:
         raise PreconditionError(f"local dimension must be at least 2, got {dim}")
     layout = SubsystemLayout([("A", dim), ("B", dim)])
@@ -78,7 +78,7 @@ def _singlet() -> PureState:
 
 def ghz(parties: int = 3, dim: int = 2) -> PureState:
     """(|0..0> + .. + |d-1..d-1>)/sqrt(d) on ``parties`` subsystems labeled A, B, C, ..."""
-    parties, dim = int(parties), int(dim)
+    parties, dim = as_integer(parties, "parties"), as_integer(dim, "dim")
     if parties < 2:
         raise PreconditionError(f"need at least 2 parties, got {parties}")
     if parties > 26:
@@ -94,7 +94,7 @@ def ghz(parties: int = 3, dim: int = 2) -> PureState:
 
 def classical_correlated(dim: int = 2) -> DensityMatrix:
     """Uniform classical correlation sum_i |ii><ii| / d on labels A, B."""
-    dim = int(dim)
+    dim = as_integer(dim, "dim")
     if dim < 2:
         raise PreconditionError(f"local dimension must be at least 2, got {dim}")
     layout = SubsystemLayout([("A", dim), ("B", dim)])
@@ -121,7 +121,7 @@ def thermal_fock(nbar: float = 1.0, cutoff: int = 30) -> DensityMatrix:
     q = nbar / (nbar + 1). Single subsystem labeled A. The discarded tail of
     the untruncated distribution is :func:`thermal_tail_mass`.
     """
-    nbar, cutoff = float(nbar), int(cutoff)
+    nbar, cutoff = float(nbar), as_integer(cutoff, "cutoff")
     if nbar < 0:
         raise PreconditionError(f"mean occupation must be nonnegative, got {nbar}")
     if cutoff < 1:
@@ -154,7 +154,7 @@ def tmsv(nbar: float | None = None, r: float | None = None, cutoff: int = 30) ->
     state at the same nbar. Labels A, B.
     """
     occ = _nbar_from_params(nbar, r)
-    cutoff = int(cutoff)
+    cutoff = as_integer(cutoff, "cutoff")
     if cutoff < 1:
         raise PreconditionError(f"cutoff must be at least 1, got {cutoff}")
     if occ < 0:

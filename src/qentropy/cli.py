@@ -36,7 +36,23 @@ from .harness import CHECKS, report_to_dict, resolve_state, run_check, run_conve
 from .states import DensityMatrix
 from .truncation import PROJECTOR_MODES
 
-QUANTITIES = ("entropy", "relent", "condent", "mutinfo", "cohinfo")
+# the optional inputs each quantity takes besides its state: every combination it accepts
+_COMPUTE_INPUTS: dict[str, tuple[tuple[str, ...], ...]] = {
+    "entropy": ((),),
+    "relent": (("sigma",),),
+    "condent": ((), ("target", "given")),
+    "mutinfo": ((), ("target", "given"), ("channel",)),
+    "cohinfo": (("channel",),),
+}
+QUANTITIES = tuple(_COMPUTE_INPUTS)
+_INPUT_NAMES = {
+    "sigma": "a second state SIGMA",
+    "channel": "--channel",
+    "target": "--target",
+    "given": "--given",
+}
+# the check flags that override a single property's parameters
+_CHECK_OVERRIDES = ("trials", "tolerance", "dims", "env_dim", "base", "steps")
 
 REPORT_CSV_COLUMNS = (
     "property",
@@ -59,12 +75,9 @@ def _timestamp() -> str:
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"--dims must be a comma list of integers, got {text!r}")
-    if not dims or any(d < 1 for d in dims):
-        raise _UsageError(f"--dims entries must be positive, got {text!r}")
-    return dims
+        raise argparse.ArgumentTypeError(f"must be a comma list of integers, got {text!r}")
 
 
 def _parse_labels(text: str) -> tuple[str, ...]:
@@ -112,20 +125,9 @@ def _reports_csv(reports: list[dict[str, Any]]) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    overrides: dict[str, Any] = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.tolerance is not None:
-        overrides["tolerance"] = args.tolerance
-    if args.dims is not None:
-        overrides["dims"] = _parse_dims(args.dims)
-    if args.env_dim is not None:
-        overrides["env_dim"] = args.env_dim
-    if args.base is not None:
-        overrides["base"] = args.base
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-
+    overrides = {
+        key: getattr(args, key) for key in _CHECK_OVERRIDES if getattr(args, key) is not None
+    }
     if args.property == "all":
         if overrides:
             raise _UsageError(
@@ -182,7 +184,18 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_split(rho: DensityMatrix) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _describe(form: tuple[str, ...]) -> str:
+    names = [_INPUT_NAMES[key] for key in form]
+    if len(names) > 1:
+        return " and ".join(names) + " together"
+    return names[0] if names else "the state alone"
+
+
+def _split_labels(
+    rho: DensityMatrix, args: argparse.Namespace
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    if args.target is not None:
+        return _parse_labels(args.target), _parse_labels(args.given)
     labels = rho.layout.labels
     if len(labels) < 2:
         raise _UsageError(
@@ -192,64 +205,44 @@ def _default_split(rho: DensityMatrix) -> tuple[tuple[str, ...], tuple[str, ...]
     return (labels[0],), labels[1:]
 
 
-def _split_labels(
-    rho: DensityMatrix, args: argparse.Namespace
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    if args.target is None and args.given is None:
-        return _default_split(rho)
-    if args.target is None or args.given is None:
-        raise _UsageError("--target and --given must be given together")
-    return _parse_labels(args.target), _parse_labels(args.given)
-
-
 def _cmd_compute(args: argparse.Namespace) -> int:
+    quantity = args.quantity
+    forms = _COMPUTE_INPUTS[quantity]
+    passed = tuple(key for key in _INPUT_NAMES if getattr(args, key) is not None)
+    if passed not in forms:
+        got = ", ".join(_INPUT_NAMES[key] for key in passed) or "no other input"
+        raise _UsageError(
+            f"{quantity} takes {' or '.join(_describe(form) for form in forms)}; got {got}"
+        )
     if args.out:
         _require_writable(args.out)
-    quantity = args.quantity
     rho = resolve_state(args.state)
     inputs: dict[str, Any] = {"state": args.state}
     extras: dict[str, Any] = {}
+    if args.channel is not None:
+        channel = load_channel(args.channel)
+        require_valid_channel(channel)
+        inputs["channel"] = args.channel
 
     if quantity == "entropy":
-        if args.sigma is not None:
-            raise _UsageError("entropy takes a single state")
         value = von_neumann_entropy(rho)
     elif quantity == "relent":
-        if args.sigma is None:
-            raise _UsageError("relent needs two states: relent RHO SIGMA")
         sigma = resolve_state(args.sigma)
         inputs["sigma"] = args.sigma
         value = relative_entropy(rho, sigma)
         extras["min_supported_sigma_eigenvalue"] = min_supported_eigenvalue(sigma)
+    elif quantity == "cohinfo":
+        value = coherent_information(rho, channel)
+    elif args.channel is not None:
+        value = channel_mutual_information(rho, channel)
     elif quantity == "condent":
-        if args.sigma is not None:
-            raise _UsageError("condent takes a single state")
         target, given = _split_labels(rho, args)
         inputs["target"], inputs["given"] = list(target), list(given)
         value = conditional_entropy(rho, target, given)
-    elif quantity == "mutinfo":
-        if args.sigma is not None:
-            raise _UsageError("mutinfo takes a single state")
-        if args.channel is not None:
-            channel = load_channel(args.channel)
-            require_valid_channel(channel)
-            inputs["channel"] = args.channel
-            value = channel_mutual_information(rho, channel)
-        else:
-            target, given = _split_labels(rho, args)
-            inputs["parts"] = [list(target), list(given)]
-            value = mutual_information_states(rho, target, given)
-    elif quantity == "cohinfo":
-        if args.sigma is not None:
-            raise _UsageError("cohinfo takes a single state")
-        if args.channel is None:
-            raise _UsageError("cohinfo needs --channel")
-        channel = load_channel(args.channel)
-        require_valid_channel(channel)
-        inputs["channel"] = args.channel
-        value = coherent_information(rho, channel)
-    else:  # unreachable behind argparse choices
-        raise _UsageError(f"unknown quantity {quantity!r}")
+    else:
+        target, given = _split_labels(rho, args)
+        inputs["parts"] = [list(target), list(given)]
+        value = mutual_information_states(rho, target, given)
 
     units = "nats"
     if args.bits:
@@ -298,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     check.add_argument("--trials", type=int, help="override trial count (single property only)")
     check.add_argument(
-        "--dims", help="override subsystem dimensions, e.g. 2,2,2 (single property only)"
+        "--dims",
+        type=_parse_dims,
+        help="override subsystem dimensions, e.g. 2,2,2 (single property only)",
     )
     check.add_argument(
         "--tolerance", type=float, help="override pass tolerance (single property only)"

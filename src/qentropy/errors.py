@@ -1,4 +1,8 @@
-"""Exception types, one per failure channel the library distinguishes."""
+"""Exception types, one per failure channel the library distinguishes, and the
+integer rule the spec and document parsers share."""
+
+import numbers
+from typing import Any
 
 
 class QEntropyError(Exception):
@@ -31,3 +35,12 @@ class DegenerateTruncationError(QEntropyError, ValueError):
 
 class ParseError(QEntropyError, ValueError):
     """A state/channel document or a catalog spec string could not be parsed."""
+
+
+def as_integer(value: Any, what: str) -> int:
+    """``value`` as an int; an integral float such as 2.0 or 1e1 counts, while a
+    bool, a fraction or a non-number raises :class:`ParseError`."""
+    integral = isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not (integral or isinstance(value, numbers.Integral)):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return int(value)

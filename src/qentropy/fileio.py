@@ -23,7 +23,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import ParseError
+from .errors import ParseError, as_integer
 from .states import DensityMatrix, SubsystemLayout
 from .truncation import SweepPoint
 
@@ -114,14 +114,6 @@ def _require(doc: dict, field: str, context: str) -> Any:
     return doc[field]
 
 
-def _dimension(value: Any, field: str, context: str) -> int:
-    """A document's dimension entry as an int; a bool, a fraction or a non-number raises."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ParseError(f"{context}: {field} must be an integer, got {value!r}")
-    return int(value)
-
-
 def state_from_document(doc: Any, context: str = "state document") -> DensityMatrix:
     if not isinstance(doc, dict):
         raise ParseError(f"{context}: expected a JSON object")
@@ -133,7 +125,7 @@ def state_from_document(doc: Any, context: str = "state document") -> DensityMat
     data = _require(doc, "data", context)
     if not isinstance(labels, list) or not isinstance(dims, list) or len(labels) != len(dims):
         raise ParseError(f"{context}: labels and dims must be lists of equal length")
-    dims = [_dimension(d, "dims", context) for d in dims]
+    dims = [as_integer(d, f"{context}: dims") for d in dims]
     try:
         layout = SubsystemLayout(list(zip(labels, dims)))
     except (TypeError, ValueError) as exc:
@@ -164,8 +156,8 @@ def channel_from_document(doc: Any, context: str = "channel document") -> KrausC
     kind = doc.get("kind", CHANNEL_KIND)
     if kind != CHANNEL_KIND:
         raise ParseError(f"{context}: kind {kind!r} is not {CHANNEL_KIND!r}")
-    dim_in = _dimension(_require(doc, "dim_in", context), "dim_in", context)
-    dim_out = _dimension(_require(doc, "dim_out", context), "dim_out", context)
+    dim_in = as_integer(_require(doc, "dim_in", context), f"{context}: dim_in")
+    dim_out = as_integer(_require(doc, "dim_out", context), f"{context}: dim_out")
     kraus_raw = _require(doc, "kraus", context)
     if not isinstance(kraus_raw, list) or not kraus_raw:
         raise ParseError(f"{context}: kraus must be a nonempty list of matrices")

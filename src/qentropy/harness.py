@@ -10,8 +10,11 @@ violations fail.
 
 The trial-based checks are entries of one table (layout labels, defaults,
 named fixed trials, per-trial draw, margin) run by one runner; the
-continuity check follows a deterministic schedule as one trial. Every
-report is built by one assembler.
+continuity check follows a deterministic schedule as one trial. Each check
+declares its parameters and their defaults once, and :func:`run_check` is
+the only place that fills, validates, coerces and records them: it builds
+the report's config and hands it to the check. Every report is built by
+one assembler.
 
 Reproducibility contract: trial i uses seed ``master_seed XOR i``, every
 report embeds its full effective config, and re-running a config reproduces
@@ -20,11 +23,9 @@ the report exactly (see :func:`replay_report`).
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Any, Callable, Sequence, TypeAlias
 
 import numpy as np
@@ -111,7 +112,7 @@ class _Trial:
     values: dict[str, Any]
 
 
-def _assemble(name: str, config: dict[str, Any], trials: Sequence[_Trial]) -> PropertyReport:
+def _assemble(config: dict[str, Any], trials: Sequence[_Trial]) -> PropertyReport:
     worst = min(trials, key=lambda t: t.margin)
     # only named fixed trials are scanned and kept: identity checks have every
     # random margin near zero, which is agreement, not a boundary touch
@@ -127,7 +128,7 @@ def _assemble(name: str, config: dict[str, Any], trials: Sequence[_Trial]) -> Pr
     )
     tolerance = config["tolerance"]
     return PropertyReport(
-        property=name,
+        property=config["property"],
         trials=len(trials),
         seed=config["seed"],
         tolerance=tolerance,
@@ -374,20 +375,10 @@ _TRIAL_CHECKS: dict[str, _TrialCheck] = {
 }  # fmt: skip
 
 
-def _run_trials(name: str, **overrides: Any) -> PropertyReport:
+def _run_trials(config: _Config) -> PropertyReport:
     """Run a table entry: its fixed trials, then random trial i from ``trial_seed(seed, i)``."""
-    check = _TRIAL_CHECKS[name]
-    params = {**check.defaults(), **overrides}
-    seed = int(params["seed"])
-    config = {
-        "property": name,
-        "dims": [int(d) for d in params["dims"]],
-        "trials": int(params["trials"]),
-        "seed": seed,
-        "tolerance": float(params["tolerance"]),
-    }
-    if check.env_dim is not None:
-        config["env_dim"] = int(params["env_dim"])
+    check = _TRIAL_CHECKS[config["property"]]
+    seed = config["seed"]
     layout = SubsystemLayout(zip(check.labels, config["dims"], strict=True))
     results = [
         _Trial(label, seed, *check.margin(*args))
@@ -397,15 +388,10 @@ def _run_trials(name: str, **overrides: Any) -> PropertyReport:
         ts = trial_seed(seed, i)
         args = check.draw(generator(ts), layout, config)
         results.append(_Trial(str(i), ts, *check.margin(*args)))
-    return _assemble(name, config, results)
+    return _assemble(config, results)
 
 
-def check_continuity_smoke(
-    base: str = "werner:p=0.5",
-    steps: int = 20,
-    seed: int = 0,
-    tolerance: float = 1e-6,
-) -> PropertyReport:
+def _run_continuity(config: _Config) -> PropertyReport:
     """Conditional entropy is continuous along a shrinking mixing schedule.
 
     Mixes the base state (a catalog spec or a state file) with the maximally
@@ -415,34 +401,25 @@ def check_continuity_smoke(
     deviation ends below tolerance, and (b) the smallest consecutive
     decrease, so any rise beyond tolerance also fails. The whole schedule is
     one trial and the report counts its steps; the schedule is deterministic,
-    so the seed is carried only for config uniformity. :func:`run_check`
-    validates the parameters (``steps`` at least 2).
+    so the seed is carried only for config uniformity.
     """
-    steps = int(steps)
-    rho0 = resolve_state(base)
+    rho0 = resolve_state(config["base"])
     labels = rho0.layout.labels
     if len(labels) < 2:
         raise PreconditionError(f"base state must be multipartite, got labels {labels}")
     target, given = labels[0], labels[1:]
-    config = {
-        "property": "continuity",
-        "base": str(base),
-        "steps": steps,
-        "seed": int(seed),
-        "tolerance": float(tolerance),
-    }
     dim = rho0.layout.total_dim
     sigma = np.eye(dim) / dim
     h_base = conditional_entropy(rho0, target, given)
     deviations = []
-    for n in range(1, steps + 1):
+    for n in range(1, config["steps"] + 1):
         eps = 2.0**-n
         mixed = DensityMatrix((1.0 - eps) * rho0.entries + eps * sigma, rho0.layout)
         deviations.append([eps, abs(conditional_entropy(mixed, target, given) - h_base)])
     shrink = min(prev - nxt for (_, prev), (_, nxt) in zip(deviations, deviations[1:]))
     values = {"base_cond_entropy": h_base, "deviations": deviations}
-    trial = _Trial("schedule", int(seed), min(-deviations[-1][1], shrink), values)
-    return replace(_assemble("continuity", config, [trial]), trials=steps)
+    trial = _Trial("schedule", config["seed"], min(-deviations[-1][1], shrink), values)
+    return replace(_assemble(config, [trial]), trials=config["steps"])
 
 
 def report_to_dict(report: PropertyReport) -> dict[str, Any]:
@@ -462,17 +439,26 @@ def report_to_dict(report: PropertyReport) -> dict[str, Any]:
     }
 
 
-CHECKS: dict[str, Callable[..., PropertyReport]] = {
-    **{name: partial(_run_trials, name) for name in _TRIAL_CHECKS},
-    "continuity": check_continuity_smoke,
+# each entry runs a complete config, as run_check builds it
+CHECKS: dict[str, Callable[[_Config], PropertyReport]] = {
+    **{name: _run_trials for name in _TRIAL_CHECKS},
+    "continuity": _run_continuity,
 }
 
-# the keywords each check takes, with their defaults
-_PARAMETERS: dict[str, dict[str, Any]] = {
+# the parameters each check takes, with their defaults
+_PARAMETERS: dict[str, _Config] = {
     **{name: check.defaults() for name, check in _TRIAL_CHECKS.items()},
-    "continuity": {
-        k: p.default for k, p in inspect.signature(check_continuity_smoke).parameters.items()
-    },
+    "continuity": {"base": "werner:p=0.5", "steps": 20, "seed": 0, "tolerance": 1e-6},
+}
+# one coercion per parameter, applied to defaults and overrides alike
+_COERCE: dict[str, Callable[[Any], Any]] = {
+    "dims": lambda dims: [int(d) for d in dims],
+    "trials": int,
+    "seed": int,
+    "env_dim": int,
+    "steps": int,
+    "tolerance": float,
+    "base": str,
 }
 _MINIMUM = {"trials": 1, "steps": 2, "env_dim": 1, "seed": 0}
 
@@ -480,9 +466,11 @@ _MINIMUM = {"trials": 1, "steps": 2, "env_dim": 1, "seed": 0}
 def run_check(name: str, **overrides: Any) -> PropertyReport:
     """Run one named property check with keyword overrides of its defaults.
 
-    Overrides of None are dropped. An override the check does not take, a
-    count below its minimum, the wrong number of dims, or a negative or
-    non-finite tolerance raises :class:`PreconditionError`.
+    Overrides of None are dropped. The report's ``config`` is the property
+    name plus every parameter the check takes, coerced to its recorded type.
+    An override the check does not take, a count below its minimum, the
+    wrong number of dims, or a negative or non-finite tolerance raises
+    :class:`PreconditionError`.
     """
     if name not in CHECKS:
         raise PreconditionError(f"unknown property {name!r}; have {sorted(CHECKS)}")
@@ -495,19 +483,17 @@ def run_check(name: str, **overrides: Any) -> PropertyReport:
             f"it takes {', '.join(sorted(declared))}"
         )
     params = {**declared, **overrides}
+    config = {"property": name, **{k: _COERCE[k](v) for k, v in params.items()}}
     for key, low in _MINIMUM.items():
-        if key in params and int(params[key]) < low:
+        if key in config and config[key] < low:
             raise PreconditionError(f"{key} must be at least {low}, got {params[key]}")
-    if "dims" in overrides:
-        dims = overrides["dims"] = tuple(int(d) for d in overrides["dims"])
-        if len(dims) != len(declared["dims"]) or min(dims) < 1:
-            raise PreconditionError(
-                f"{name!r} needs {len(declared['dims'])} positive dims, got {list(dims)}"
-            )
-    tolerance = float(params["tolerance"])
+    dims = config.get("dims")
+    if dims is not None and (len(dims) != len(declared["dims"]) or min(dims) < 1):
+        raise PreconditionError(f"{name!r} needs {len(declared['dims'])} positive dims, got {dims}")
+    tolerance = config["tolerance"]
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise PreconditionError(f"tolerance must be finite and nonnegative, got {tolerance}")
-    return CHECKS[name](**overrides)
+    return CHECKS[name](config)
 
 
 def replay_report(config: dict[str, Any]) -> PropertyReport:
@@ -582,7 +568,6 @@ __all__ = [
     "CHECKS",
     "report_to_dict",
     "resolve_state",
-    "check_continuity_smoke",
     "run_check",
     "replay_report",
     "run_suite",

@@ -304,6 +304,56 @@ class TestBuildState:
         with pytest.raises(ParseError, match="non-finite"):
             build_state(spec)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "bell:dim=2.5",
+            "classical:dim=3.5",
+            "ghz:parties=3.5",
+            "ghz:dim=2.5",
+            "thermal:nbar=1,cutoff=2.9",
+            "tmsv:nbar=1,cutoff=8.6",
+            "tmsv:nbar=1,cutoff=abc",
+        ],
+    )
+    def test_fractional_integer_parameter_rejected(self, spec):
+        # int() would truncate 2.9 to 2 and build a different state
+        with pytest.raises(ParseError, match="must be an integer"):
+            build_state(spec)
+
+    @pytest.mark.parametrize(
+        "spec, exact",
+        [
+            ("thermal:nbar=1,cutoff=2.0", "thermal:nbar=1,cutoff=2"),
+            ("tmsv:nbar=1,cutoff=1e1", "tmsv:nbar=1,cutoff=10"),
+            ("ghz:parties=3.0,dim=2.0", "ghz:parties=3,dim=2"),
+            ("bell:dim=3.0", "bell:dim=3"),
+        ],
+    )
+    def test_integral_float_reads_as_integer(self, spec, exact):
+        a, b = build_state(spec), build_state(exact)
+        assert a.layout == b.layout
+        assert np.array_equal(a.entries, b.entries)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: bell(2.5),
+            lambda: bell(True),
+            lambda: ghz(parties=3.5),
+            lambda: classical_correlated(2.5),
+            lambda: thermal_fock(1.0, cutoff=2.9),
+            lambda: tmsv(nbar=1.0, cutoff=8.6),
+            lambda: thermal_tail_mass(1.0, 2.5),
+        ],
+    )
+    def test_builders_apply_the_same_rule(self, call):
+        with pytest.raises(ParseError, match="must be an integer"):
+            call()
+
+    def test_builders_take_numpy_integers(self):
+        assert bell(np.int64(3)).layout.dims == (3, 3)
+
     def test_physics_guards_pass_through(self):
         with pytest.raises(PreconditionError):
             build_state("thermal:nbar=-1")

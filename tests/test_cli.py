@@ -106,6 +106,53 @@ class TestCheckCommand:
         assert dumps_document(again) == dumps_document(report)
 
 
+class TestCheckParameters:
+    def test_every_declared_parameter_is_forwarded_from_a_check_flag(self, monkeypatch, capsys):
+        from qentropy import cli
+        from qentropy.errors import PreconditionError
+        from qentropy.harness import _PARAMETERS
+
+        calls = []
+
+        def record(name, **overrides):
+            calls.append((name, overrides))
+            raise PreconditionError("recorded")
+
+        monkeypatch.setattr(cli, "run_check", record)
+        values = {"dims": ("2,2", (2, 2)), "base": ("bell", "bell"), "tolerance": ("0.5", 0.5)}
+        for name, declared in _PARAMETERS.items():
+            for key in declared:
+                text, value = values.get(key, ("4", 4))
+                flag = "--" + key.replace("_", "-")
+                assert cli.main(["check", "--property", name, flag, text]) == 2
+                # --seed is always forwarded; a later key of the same name wins
+                assert calls.pop() == (name, {"seed": 0, key: value})
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, overrides",
+        [
+            (["--property", "concavity", "--dims", "2,2", "--trials", "3", "--seed", "5"],
+             {"name": "concavity", "dims": (2, 2), "trials": 3, "seed": 5}),
+            (["--property", "coherent-duality", "--env-dim", "2", "--trials", "2",
+              "--tolerance", "1e-6"],
+             {"name": "coherent-duality", "env_dim": 2, "trials": 2, "tolerance": 1e-6}),
+            (["--property", "continuity", "--base", "bell", "--steps", "4", "--seed", "2"],
+             {"name": "continuity", "base": "bell", "steps": 4, "seed": 2}),
+        ],
+    )  # fmt: skip
+    def test_cli_and_library_give_the_same_config(self, capsys, argv, overrides):
+        from qentropy import cli
+        from qentropy.fileio import dumps_document
+        from qentropy.harness import report_to_dict, run_check
+
+        assert cli.main(["check", *argv, "--no-timestamp"]) in (0, 1)
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        overrides = dict(overrides)
+        library = report_to_dict(run_check(overrides.pop("name"), **overrides))
+        assert report == json.loads(dumps_document(library))
+
+
 class TestConvergeCommand:
     def test_writes_both_files_and_converges(self, tmp_path):
         base = tmp_path / "run"
@@ -362,6 +409,9 @@ class TestMalformedInput:
             ("compute", "entropy", "thermal:nbar=nan"),
             ("compute", "condent", "tmsv:nbar=nan"),
             ("compute", "condent", "tmsv:nbar=inf"),
+            ("compute", "entropy", "thermal:nbar=1,cutoff=2.9"),
+            ("converge", "--state", "tmsv:nbar=1,cutoff=8.6", "--out", "unused"),
+            ("check", "--property", "concavity", "--dims", "0,2"),
         ],
     )
     def test_exits_two_with_error_line(self, args):
@@ -420,6 +470,30 @@ class TestMalformedInput:
         assert captured.err.startswith("error:")
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["base.csv"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("compute", "condent", "bell", "--channel", "nothere.json"),
+            ("compute", "entropy", "bell", "--target", "A", "--given", "B"),
+            ("compute", "mutinfo", "bell", "--channel", "id4.json", "--target", "A",
+             "--given", "B"),
+            ("compute", "cohinfo", "bell", "--channel", "id4.json", "--target", "A",
+             "--given", "B"),
+            ("compute", "relent", "bell", "bell", "--channel", "id4.json"),
+        ],
+    )  # fmt: skip
+    def test_input_the_quantity_does_not_take(self, tmp_path, capsys, args):
+        # rejected before any file is opened: nothere.json does not exist, and
+        # id4.json is a valid identity channel on bell's four dimensions
+        from qentropy import cli
+
+        save_channel(tmp_path / "id4.json", KrausChannel([np.eye(4, dtype=complex)]))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {args[1]} takes ")
+        assert captured.out == ""
 
     def test_non_finite_state_file(self, tmp_path):
         path = tmp_path / "nan.json"

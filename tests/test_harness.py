@@ -80,6 +80,43 @@ class TestRunCheck:
         }
 
 
+# the parameters each check declares, with the type run_check records for each
+TRIAL_KEYS = {"dims": list, "trials": int, "seed": int, "tolerance": float}
+DECLARED = {
+    **{name: TRIAL_KEYS for name in FAST if name != "continuity"},
+    "coherent-duality": {**TRIAL_KEYS, "env_dim": int},
+    "continuity": {"base": str, "steps": int, "seed": int, "tolerance": float},
+}
+# small overrides that need coercing: float counts, a numpy-int seed, an int tolerance
+SMALL = {"trials": 1.0, "steps": 2.0, "seed": np.int64(3), "tolerance": 1}
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_config_records_each_declared_key_with_its_type(self, name):
+        declared = DECLARED[name]
+        overrides = {k: v for k, v in SMALL.items() if k in declared}
+        config = run_check(name, **overrides).config
+        assert set(config) == {"property", *declared}
+        assert config["property"] == name
+        for key, kind in declared.items():
+            assert type(config[key]) is kind, (key, config[key])
+        for d in config.get("dims", []):
+            assert type(d) is int
+
+    def test_library_overrides_are_coerced(self):
+        report = run_check("bound", trials=3.0, dims=(np.int64(2), 2.0))
+        assert report.config["trials"] == 3 and type(report.config["trials"]) is int
+        assert report.config["dims"] == [2, 2]
+        assert all(type(d) is int for d in report.config["dims"])
+        assert report.trials == 5  # two named fixed trials ride along
+
+    @pytest.mark.parametrize("dims", [(0, 3), (2, -1), (2,), ()])
+    def test_bad_dims_rejected(self, dims):
+        with pytest.raises(PreconditionError, match="positive dims"):
+            run_check("concavity", dims=dims)
+
+
 class TestFixedTrials:
     def test_bound_check_reports_bell_saturation(self):
         report = run_check("bound", trials=10)

@@ -1,0 +1,137 @@
+"""Write the outputs of a fixed list of qentropy invocations, for a byte-identity diff.
+
+    PYTHONPATH=<old>/src python3 tools/identity_outputs.py OLD_OUT
+    PYTHONPATH=<new>/src python3 tools/identity_outputs.py NEW_OUT
+    diff -r OLD_OUT NEW_OUT
+
+Runs ``qentropy.cli.main`` of the ``qentropy`` found on ``sys.path`` in this
+process, once per entry of :data:`INVOCATIONS`, with OUTDIR as the working
+directory and relative paths only, so no output embeds a directory name.
+The seeded input files are written first, by the same ``qentropy``. For
+invocation NAME it writes ``NAME.stdout`` and ``NAME.exit``; files named by
+``--out`` land in OUTDIR beside them. BLAS is pinned to one thread before
+numpy loads, so eigensolves round the same way on every run.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+
+PINNED_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+# the seeded input files, written by _write_inputs
+STATE_24X24 = "rand576.json"
+STATE_3PARTY = "rand24.json"
+CHANNEL = "channel.json"
+
+_TRIAL_PROPERTIES = (
+    "duality",
+    "bound",
+    "coherent-duality",
+    "monotonicity",
+    "concavity",
+    "subadditivity",
+    "formula-standard",
+    "formula-coherent",
+)
+_EIGEN = ("--mode", "eigenbasis", "--min-rank", "1")
+_EIGEN_STATES = {"werner": "werner:p=0.5", "bell": "bell", "classical": "classical"}
+
+
+def _check(*args: str) -> list[str]:
+    return ["check", *args, "--no-timestamp"]
+
+
+def _converge(stem: str, *args: str) -> list[str]:
+    # the sweep writes STEM.json and STEM.csv beside STEM.stdout
+    return ["converge", *args, "--no-timestamp", "--out", stem]
+
+
+def _compute(*args: str) -> list[str]:
+    return ["compute", *args, "--no-timestamp"]
+
+
+# name -> argv; every name is also the stem of its output files
+INVOCATIONS: dict[str, list[str]] = {
+    "check-seed0": _check("--seed", "0"),
+    "check-seed7-csv": _check("--seed", "7", "--format", "csv"),
+    **{
+        f"check-{prop}": _check("--property", prop, "--trials", "3", "--seed", "7")
+        for prop in _TRIAL_PROPERTIES
+    },
+    "check-continuity-bell": _check("--property", "continuity", "--base", "bell"),
+    "check-duality-dims": _check("--property", "duality", "--dims", "3,2,2"),
+    "check-coherent-env": _check("--property", "coherent-duality", "--env-dim", "2"),
+    "converge-tmsv": _converge("converge-tmsv"),
+    **{
+        f"converge-{stem}": _converge(f"converge-{stem}", "--state", state, *_EIGEN)
+        for stem, state in _EIGEN_STATES.items()
+    },
+    "converge-ghz": _converge(
+        "converge-ghz", "--state", "ghz:parties=3", "--target", "A", "--given", "B,C",
+        "--min-rank", "1",
+    ),
+    "converge-ghz-eigen": _converge(
+        "converge-ghz-eigen", "--state", "ghz:parties=3", "--target", "A", "--given", "B,C",
+        *_EIGEN,
+    ),
+    "converge-rand576": _converge(
+        "converge-rand576", "--state", STATE_24X24, "--mode", "eigenbasis"
+    ),
+    "converge-rand24": _converge(
+        "converge-rand24", "--state", STATE_3PARTY, "--target", "A,C", "--given", "B", *_EIGEN
+    ),
+    "compute-condent-werner": _compute("condent", "werner:p=0.5"),
+    "compute-relent-werner": _compute("relent", "werner:p=0.3", "werner:p=0.6"),
+    "compute-relent-bell": _compute("relent", "bell", "classical"),
+    "compute-entropy-thermal": _compute("entropy", "thermal:nbar=2,cutoff=40"),
+    "compute-condent-rand24": _compute("condent", STATE_3PARTY, "--target", "B", "--given", "A,C"),
+    "compute-mutinfo-rand24": _compute("mutinfo", STATE_3PARTY, "--target", "A", "--given", "B,C"),
+    "compute-mutinfo-channel": _compute(
+        "mutinfo", "werner:p=0.5", "--channel", CHANNEL, "--out", "compute-mutinfo-channel.json"
+    ),
+    "compute-cohinfo-channel": _compute("cohinfo", "werner:p=0.5", "--channel", CHANNEL),
+}  # fmt: skip
+
+
+def _write_inputs() -> None:
+    from qentropy.channels import random_channel
+    from qentropy.fileio import save_channel, save_state
+    from qentropy.states import SubsystemLayout, random_density_matrix
+
+    square = SubsystemLayout((("A", 24), ("B", 24)))
+    save_state(STATE_24X24, random_density_matrix(576, seed=201, layout=square))
+    three = SubsystemLayout((("A", 3), ("B", 4), ("C", 2)))
+    save_state(STATE_3PARTY, random_density_matrix(24, seed=5, layout=three))
+    save_channel(CHANNEL, random_channel(4, 3, 2, seed=11))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    # before anything loads numpy: threaded eigensolves may round differently
+    os.environ.update(PINNED_THREADS)
+    from qentropy.cli import main as qentropy_main
+
+    # a relative PYTHONPATH such as src must keep resolving after the chdir
+    sys.path[:] = [os.path.abspath(entry) for entry in sys.path]
+    os.makedirs(argv[0], exist_ok=True)
+    os.chdir(argv[0])
+    _write_inputs()
+    for name, args in INVOCATIONS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = qentropy_main(args)
+        with open(f"{name}.stdout", "w", encoding="utf-8") as fh:
+            fh.write(out.getvalue())
+        with open(f"{name}.exit", "w", encoding="utf-8") as fh:
+            fh.write(f"{code}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
