@@ -2,7 +2,8 @@
 
 Builders return :class:`PureState` for pure families and
 :class:`DensityMatrix` otherwise; :func:`build_state` coerces everything to a
-density matrix for uniform consumption. Infinite families (thermal,
+density matrix for uniform consumption, while convergence sweeps take pure
+families as they are built, as amplitudes. Infinite families (thermal,
 two-mode squeezed vacuum) are truncated at a Fock cutoff and renormalized;
 their analytic tail-mass helpers quantify what the truncation discarded,
 which is what convergence sweeps measure numerically.
@@ -16,12 +17,12 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import ParseError, PreconditionError, QEntropyError, as_integer
-from .states import DensityMatrix, PureState, SubsystemLayout, as_density
+from .states import DensityMatrix, PureState, State, SubsystemLayout, as_density
 
 
 def g_function(nbar: float) -> float:
@@ -168,7 +169,7 @@ def tmsv(nbar: float | None = None, r: float | None = None, cutoff: int = 30) ->
     return PureState(amp, layout)
 
 
-Builder = Callable[..., Union[DensityMatrix, PureState]]
+Builder = Callable[..., State]
 
 
 @dataclass(frozen=True)
@@ -293,6 +294,11 @@ def parse_state_spec(spec: str) -> tuple[str, dict[str, int | float | str]]:
 
 def build_state(spec: str) -> DensityMatrix:
     """Build a catalog state from its textual spec, validating name and parameters."""
+    return as_density(_build_state(spec))
+
+
+def _build_state(spec: str) -> State:
+    """:func:`build_state` without densifying: pure families stay :class:`PureState`."""
     name, params = parse_state_spec(spec)
     if name not in CATALOG:
         raise ParseError(f"unknown state family {name!r}; have {sorted(CATALOG)}")
@@ -306,7 +312,7 @@ def build_state(spec: str) -> DensityMatrix:
     if non_finite:
         raise ParseError(f"non-finite parameters {non_finite} for {name!r} in {spec!r}")
     try:
-        return as_density(entry.build(**params))
+        return entry.build(**params)
     except QEntropyError:
         raise
     except (TypeError, ValueError) as exc:

@@ -120,37 +120,40 @@ def relative_entropy_vs_product(
             f"state subsystems {rho.layout.subsystems} must be the factors "
             f"{first.layout.subsystems} + {second.layout.subsystems} in order"
         )
-    return _product_divergence(
-        rho.entries, clamped_spectrum(rho), clamped_spectrum(first), clamped_spectrum(second)
-    )
+    red_first, red_second = (partial_trace(rho, f.layout.labels).entries for f in (first, second))
+    spec_first, spec_second = clamped_spectrum(first), clamped_spectrum(second)
+    w_rho = clamped_spectrum(rho)[0]
+    return _product_divergence(w_rho, red_first, red_second, spec_first, spec_second)
 
 
 def _product_divergence(
-    rho: np.ndarray, spec_rho: _Spectrum, spec_first: _Spectrum, spec_second: _Spectrum
+    w_rho: np.ndarray,
+    red_first: np.ndarray,
+    red_second: np.ndarray,
+    spec_first: _Spectrum,
+    spec_second: _Spectrum,
 ) -> float:
-    """:func:`relative_entropy_vs_product` from the joint matrix and the three clamped spectra.
+    """:func:`relative_entropy_vs_product` from rho's eigenvalues, its two marginals
+    ``red_first`` and ``red_second``, and the two factors' clamped spectra.
 
     supp(rho) <= supp(A) x supp(B) holds exactly when rho's marginals put no
     weight outside supp(A) and supp(B), and the sum of those two weights lies
     between Tr[(I - P_A x P_B) rho] and twice it. So the leak is read from the
-    marginal weights the cross term needs anyway, and rho's eigenvectors are
-    never used: ``spec_rho`` may come from a values-only solve.
+    marginal weights the cross term needs anyway, against the dimension of
+    rho's space, and rho's eigenvectors are never used: ``w_rho`` may come
+    from a values-only solve, and may list only the nonzero eigenvalues.
     """
-    (w_r, _), (w_a, u_a), (w_b, u_b) = spec_rho, spec_first, spec_second
+    (w_a, u_a), (w_b, u_b) = spec_first, spec_second
     mask_a, mask_b = w_a > TAU_SUPP, w_b > TAU_SUPP
-    da, db = w_a.size, w_b.size
-    joint = rho.reshape(da, db, da, db)
-    red_a = np.einsum("abcb->ac", joint)
-    red_b = np.einsum("abad->bd", joint)
     # weight of rho's marginals on each factor eigendirection
-    p_a = np.maximum(np.einsum("ia,ij,ja->a", u_a.conj(), red_a, u_a).real, 0.0)
-    p_b = np.maximum(np.einsum("ia,ij,ja->a", u_b.conj(), red_b, u_b).real, 0.0)
-    if _leaks(p_a[~mask_a].sum() + p_b[~mask_b].sum(), w_r.size):
+    p_a = np.maximum(np.einsum("ia,ij,ja->a", u_a.conj(), red_first, u_a).real, 0.0)
+    p_b = np.maximum(np.einsum("ia,ij,ja->a", u_b.conj(), red_second, u_b).real, 0.0)
+    if _leaks(p_a[~mask_a].sum() + p_b[~mask_b].sum(), w_a.size * w_b.size):
         return math.inf
     cross = float(
         p_a[mask_a] @ np.log(w_a[mask_a]) + p_b[mask_b] @ np.log(w_b[mask_b])
     )
-    lam = w_r[w_r > TAU_SUPP]
+    lam = w_rho[w_rho > TAU_SUPP]
     return _rounded(float(np.sum(lam * np.log(lam))) - cross)
 
 
@@ -163,9 +166,22 @@ def _grouped(
     return grouped, partial_trace(grouped, labels_1), partial_trace(grouped, labels_2)
 
 
+def _mutual_information(
+    rho: DensityMatrix, first: LabelSet, second: LabelSet
+) -> tuple[float, _Spectrum]:
+    """I(first:second) from the grouped state and its marginals, and the first one's spectrum."""
+    grouped, rho_1, rho_2 = _grouped(rho, first, second)
+    spec_1 = clamped_spectrum(rho_1)
+    w_joint = clamped_spectrum(grouped)[0]
+    info = _product_divergence(
+        w_joint, rho_1.entries, rho_2.entries, spec_1, clamped_spectrum(rho_2)
+    )
+    return info, spec_1
+
+
 def mutual_information_states(rho: DensityMatrix, part_x: LabelSet, part_y: LabelSet) -> float:
     """I(X:Y) = H(rho_XY || rho_X x rho_Y) for a bipartition of rho's subsystems."""
-    return relative_entropy_vs_product(*_grouped(rho, part_x, part_y))
+    return _mutual_information(rho, part_x, part_y)[0]
 
 
 def conditional_entropy(rho: DensityMatrix, target: LabelSet, given: LabelSet) -> float:
@@ -182,11 +198,7 @@ def conditional_entropy(rho: DensityMatrix, target: LabelSet, given: LabelSet) -
     (d_target + d_given - 2) * ``TAU_SUPP``, inside the bound
     d_target * d_given * ``TAU_SUPP``.
     """
-    grouped, rho_t, rho_g = _grouped(rho, target, given)
-    spec_t = clamped_spectrum(rho_t)
-    corr = _product_divergence(
-        grouped.entries, clamped_spectrum(grouped), spec_t, clamped_spectrum(rho_g)
-    )
+    corr, spec_t = _mutual_information(rho, target, given)
     return _entropy_from_eigs(spec_t[0]) - corr
 
 

@@ -96,7 +96,11 @@ def json_real(value: Any) -> float:
 
 
 def dumps_document(obj: Any) -> str:
-    return json.dumps(json_ready(obj), indent=2, sort_keys=True) + "\n"
+    return _dumps(json_ready(obj))
+
+
+def _dumps(ready: Any) -> str:
+    return json.dumps(ready, indent=2, sort_keys=True) + "\n"
 
 
 def state_to_document(rho: DensityMatrix) -> dict:
@@ -188,7 +192,9 @@ def load_state(path: str | Path) -> DensityMatrix:
 
 
 def save_state(path: str | Path, rho: DensityMatrix) -> None:
-    Path(path).write_text(dumps_document(state_to_document(rho)))
+    doc = state_to_document(rho)
+    # finite entries are already plain floats, so json_ready would only re-walk them
+    Path(path).write_text(_dumps(doc) if np.isfinite(rho.entries).all() else dumps_document(doc))
 
 
 def load_channel(path: str | Path) -> KrausChannel:

@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence, TypeAlias
 
 import numpy as np
 
-from .catalog import bell, build_state, ghz
+from .catalog import _build_state, bell, build_state, ghz
 from .channels import (
     KrausChannel,
     complementary,
@@ -44,12 +44,13 @@ from .entropy import (
     conditional_entropy_standard,
     von_neumann_entropy,
 )
-from .errors import InvalidStateError, PreconditionError
+from .errors import InvalidStateError, PreconditionError, as_integer
 from .fileio import load_state
 from .rng import generator, trial_seed
 from .states import (
     DensityMatrix,
     PureState,
+    State,
     SubsystemLayout,
     ginibre_state,
     haar_pure_state,
@@ -68,13 +69,18 @@ def resolve_state(spec: str) -> DensityMatrix:
     state document and validated; everything else goes through the catalog
     grammar ``name:key=value,...``.
     """
+    return _resolve(spec, build_state)
+
+
+def _resolve(spec: str, build: Callable[[str], State]) -> State:
+    """:func:`resolve_state`, with catalog specs built by ``build``."""
     if os.path.exists(spec) or spec.endswith(".json"):
         rho = load_state(spec)
         report = validate(rho)
         if not report.ok:
             raise InvalidStateError(f"{spec}: invalid state: {report.describe()}")
         return rho
-    return build_state(spec)
+    return build(spec)
 
 
 @dataclass(frozen=True)
@@ -450,15 +456,16 @@ _PARAMETERS: dict[str, _Config] = {
     **{name: check.defaults() for name, check in _TRIAL_CHECKS.items()},
     "continuity": {"base": "werner:p=0.5", "steps": 20, "seed": 0, "tolerance": 1e-6},
 }
-# one coercion per parameter, applied to defaults and overrides alike
-_COERCE: dict[str, Callable[[Any], Any]] = {
-    "dims": lambda dims: [int(d) for d in dims],
-    "trials": int,
-    "seed": int,
-    "env_dim": int,
-    "steps": int,
-    "tolerance": float,
-    "base": str,
+# one coercion per parameter, applied to defaults and overrides alike; it is
+# passed the value and the parameter's name
+_COERCE: dict[str, Callable[[Any, str], Any]] = {
+    "dims": lambda dims, key: [as_integer(d, key) for d in dims],
+    "trials": as_integer,
+    "seed": as_integer,
+    "env_dim": as_integer,
+    "steps": as_integer,
+    "tolerance": lambda value, key: float(value),
+    "base": lambda value, key: str(value),
 }
 _MINIMUM = {"trials": 1, "steps": 2, "env_dim": 1, "seed": 0}
 
@@ -468,9 +475,11 @@ def run_check(name: str, **overrides: Any) -> PropertyReport:
 
     Overrides of None are dropped. The report's ``config`` is the property
     name plus every parameter the check takes, coerced to its recorded type.
-    An override the check does not take, a count below its minimum, the
-    wrong number of dims, or a negative or non-finite tolerance raises
-    :class:`PreconditionError`.
+    Counts, the seed and dims follow :func:`~.errors.as_integer`: an integral
+    float such as 3.0 reads as 3, while a fraction, a bool or a non-number
+    raises :class:`~.errors.ParseError`. An override the check does not
+    take, a count below its minimum, the wrong number of dims, or a negative
+    or non-finite tolerance raises :class:`PreconditionError`.
     """
     if name not in CHECKS:
         raise PreconditionError(f"unknown property {name!r}; have {sorted(CHECKS)}")
@@ -483,7 +492,7 @@ def run_check(name: str, **overrides: Any) -> PropertyReport:
             f"it takes {', '.join(sorted(declared))}"
         )
     params = {**declared, **overrides}
-    config = {"property": name, **{k: _COERCE[k](v) for k, v in params.items()}}
+    config = {"property": name, **{k: _COERCE[k](v, k) for k, v in params.items()}}
     for key, low in _MINIMUM.items():
         if key in config and config[key] < low:
             raise PreconditionError(f"{key} must be at least {low}, got {params[key]}")
@@ -529,17 +538,31 @@ def run_converge(
     full state. Without an explicit ``schedule``, a diagonal (n, n) schedule
     runs from ``min_rank`` to ``max_rank`` (default: the smaller factor
     dimension) with the given stride.
+
+    The state is a :class:`~.states.State`: a pure catalog state is swept
+    from its amplitudes, never densified. The base value is the sweep's own
+    full-rank step, H(target|given) of the state itself: the last point when
+    the schedule ends at full rank, otherwise one more step that the table
+    does not list.
     """
-    rho = resolve_state(state_spec)
+    rho = _resolve(state_spec, _build_state)
     target_labels = rho.layout.normalize_labels(target)
     given_labels = rho.layout.normalize_labels(given)
+    full = tuple(
+        math.prod(rho.layout.dim_of(lab) for lab in labels)
+        for labels in (target_labels, given_labels)
+    )
     if schedule is None:
-        dim_t = int(np.prod([rho.layout.dim_of(lab) for lab in target_labels]))
-        dim_g = int(np.prod([rho.layout.dim_of(lab) for lab in given_labels]))
-        top = min(dim_t, dim_g) if max_rank is None else int(max_rank)
+        top = min(full) if max_rank is None else int(max_rank)
         schedule = diagonal_schedule(min(int(min_rank), top), top, int(stride))
-    points = conditional_entropy_sweep(rho, target_labels, given_labels, schedule, mode=mode)
-    base_value = conditional_entropy(rho, target_labels, given_labels)
+    pairs = [(int(n), int(k)) for n, k in schedule]
+    last = pairs[-1] if pairs else full
+    # a schedule that stops short of full rank gets one more step; one that
+    # runs past it is left for the sweep to reject
+    extra = [full] if last != full and last[0] <= full[0] and last[1] <= full[1] else []
+    points = conditional_entropy_sweep(rho, target_labels, given_labels, pairs + extra, mode=mode)
+    base_value = points[-1].cond_entropy_nats
+    points = points[: len(pairs)]
     final = next((p for p in reversed(points) if not p.skipped), None)
     summary: dict[str, Any] = {
         "base_cond_entropy_nats": base_value,
@@ -557,7 +580,7 @@ def run_converge(
         "state": str(state_spec),
         "target": list(target_labels),
         "given": list(given_labels),
-        "schedule": [[int(n), int(k)] for n, k in schedule],
+        "schedule": [[n, k] for n, k in pairs],
         "mode": str(mode),
     }
     return {"kind": "sweep", "config": config, "summary": summary, "points": points}

@@ -23,6 +23,12 @@ entropy commutes with the compression while matrices shrink from
 d_A d_B to n k. Neither route forms V (x) W or a D x D projector: both
 conjugate the state one factor at a time on its (d_A, d_B, d_A, d_B) index
 form, and in the computational basis compression is a plain slice.
+
+A pure state is never densified by a sweep. Its amplitudes, grouped as a
+factor F of shape (d_A, d_B, r) with rho = F F^dagger and r = 1, are
+compressed on their ket index alone; the weight is ||F_nk||^2, the marginals
+come from F_nk, and the joint eigenvalues from the r x r Gram matrix
+F_nk^dagger F_nk, which has the same nonzero spectrum as F_nk F_nk^dagger.
 """
 
 from __future__ import annotations
@@ -42,7 +48,16 @@ from .entropy import (
     _Spectrum,
 )
 from .errors import DegenerateTruncationError, PreconditionError, StructuralError
-from .states import DensityMatrix, LabelSet, SubsystemLayout, clamped_spectrum, partial_trace
+from .states import (
+    DensityMatrix,
+    LabelSet,
+    PureState,
+    State,
+    SubsystemLayout,
+    clamped_spectrum,
+    partial_trace,
+    single,
+)
 from .tolerances import TAU_GRAM, TAU_LAMBDA
 
 ProjectorMode = Literal["computational", "eigenbasis"]
@@ -244,52 +259,77 @@ def _validate_schedule(schedule: Sequence[tuple[int, int]]) -> list[tuple[int, i
 
 @dataclass(frozen=True)
 class _Bipartite:
-    """A state grouped into factors A (target) and B (given), plus what every step reuses."""
+    """A state grouped into factors A (target) and B (given), plus what every step reuses.
 
-    grouped: DensityMatrix
+    ``joint`` is the grouped density matrix, or for a pure state its factor:
+    the amplitudes as an array F of shape (d_A, d_B, r), with rho = F F^dagger.
+    """
+
+    joint: np.ndarray
+    dims: tuple[int, int]
     marginal_a: np.ndarray
     marginal_b: np.ndarray
     seq_a: ProjectorSequence
     seq_b: ProjectorSequence
 
 
-def _bipartite(
-    rho: DensityMatrix, target: LabelSet, given: LabelSet, mode: ProjectorMode
-) -> _Bipartite:
+def _marginals(factor: np.ndarray) -> tuple[DensityMatrix, DensityMatrix]:
+    """Both marginals of F F^dagger, on A and B, for a factor F of shape (n, k, r)."""
+    n, k, r = factor.shape
+    f_a = factor.reshape(n, k * r)
+    f_b = factor.transpose(1, 0, 2).reshape(k, n * r)
+    return (
+        DensityMatrix(f_a @ f_a.conj().T, single("A", n)),
+        DensityMatrix(f_b @ f_b.conj().T, single("B", k)),
+    )
+
+
+def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMode) -> _Bipartite:
     """Collapse the bipartition to two factors; take its marginals and projector families once.
 
     Each group is made contiguous in its original internal order and then
     treated as one factor; target and given must disjointly cover the layout.
+    A pure state keeps its amplitudes, as a factor with r = 1.
     """
     if mode not in PROJECTOR_MODES:
         raise PreconditionError(f"unknown projector mode {mode!r}; have {PROJECTOR_MODES}")
-    grouped, marginal_a, marginal_b = _grouped(rho, target, given)
-    layout = SubsystemLayout([("A", marginal_a.dim), ("B", marginal_b.dim)])
-    grouped = DensityMatrix(grouped.entries, layout)
+    if isinstance(rho, PureState):
+        labels_a, labels_b, _ = rho.layout.split(target, given)
+        order = [rho.layout.index_of(label) for label in labels_a + labels_b]
+        amplitudes = rho.amplitudes.reshape(rho.layout.dims).transpose(order)
+        joint = amplitudes.reshape(math.prod(amplitudes.shape[: len(labels_a)]), -1, 1)
+        marginal_a, marginal_b = _marginals(joint)
+    else:
+        grouped, marginal_a, marginal_b = _grouped(rho, target, given)
+        joint = grouped.entries
     if mode == "computational":
         seq_a = ProjectorSequence.computational(marginal_a.dim)
         seq_b = ProjectorSequence.computational(marginal_b.dim)
     else:
         seq_a = ProjectorSequence.from_state(marginal_a)
         seq_b = ProjectorSequence.from_state(marginal_b)
-    return _Bipartite(grouped, marginal_a.entries, marginal_b.entries, seq_a, seq_b)
+    dims = (marginal_a.dim, marginal_b.dim)
+    return _Bipartite(joint, dims, marginal_a.entries, marginal_b.entries, seq_a, seq_b)
 
 
 @dataclass(frozen=True)
 class _Step:
-    """A compressed truncated-normalized ``state`` with weight ``lam``, and what it yields.
+    """A compressed truncated-normalized state with weight ``lam``, and what it yields.
 
-    ``tilde_*`` are the truncated, renormalized original marginals; ``spec_*``
-    are the clamped spectra of the state's own marginals (``a``, ``b``) and of
-    the tilde marginals, each solved once. ``cond`` is the state's H(A|B),
-    from the spectrum of the target marginal that ``h_nk`` used.
+    ``joint`` is the state in its part's representation: a matrix, or a
+    factor F with state F F^dagger. ``tilde_*`` are the truncated,
+    renormalized original marginals; ``spec_*`` are the clamped spectra of
+    the state's own marginals (``a``, ``b``) and of the tilde marginals, each
+    solved once. ``cond`` is the state's H(A|B), from the spectrum of the
+    target marginal that ``h_nk`` used.
 
     A sweep holds each step, joint state included, until the next step has
-    been computed: at cutoff 30 that keeps the allocator from handing the
-    ~13 MB blocks back to the system and faulting them in again every step.
+    been computed: for a dense state at cutoff 30 that keeps the allocator
+    from handing the ~13 MB blocks back to the system and faulting them in
+    again every step.
     """
 
-    state: DensityMatrix
+    joint: np.ndarray
     lam: float
     tilde_a: DensityMatrix
     tilde_b: DensityMatrix
@@ -302,21 +342,49 @@ class _Step:
     cond: float
 
 
+def _truncated(
+    part: _Bipartite, rank_a: int, rank_b: int, cuts: tuple[np.ndarray | slice, ...]
+) -> tuple[np.ndarray, float, np.ndarray, DensityMatrix, DensityMatrix]:
+    """The state compressed to the cuts and renormalized, its weight, its
+    eigenvalues and its two marginals: the one part of a step that depends on
+    the representation.
+
+    A matrix is conjugated and solved for its eigenvalues only. A factor is
+    contracted on its ket index; the r x r Gram matrix F^dagger F, the state
+    of the purifying system, gives the nonzero joint eigenvalues.
+    """
+    if part.joint.ndim == 2:  # a density matrix
+        layout = SubsystemLayout([("A", rank_a), ("B", rank_b)])
+        compressed = _conjugated(part.joint, part.dims, cuts)
+        truncated, lam = _renormalized(compressed, layout, "the state")
+        w_joint = clamped_spectrum(truncated, vectors=False)[0]
+        trunc_a, trunc_b = partial_trace(truncated, "A"), partial_trace(truncated, "B")
+        return truncated.entries, lam, w_joint, trunc_a, trunc_b
+    factor = part.joint
+    for axis, cut in enumerate(cuts):
+        if isinstance(cut, slice):
+            factor = factor[(slice(None),) * axis + (cut,)]
+        else:
+            factor = np.moveaxis(np.tensordot(cut.conj(), factor, axes=(0, axis)), 0, axis)
+    columns = factor.reshape(rank_a * rank_b, -1)
+    # Tr F^dagger F = ||F||^2, the weight of F F^dagger
+    purifier = single("R", columns.shape[1])
+    gram, lam = _renormalized(columns.conj().T @ columns, purifier, "the state")
+    factor = factor / math.sqrt(lam)
+    return factor, lam, clamped_spectrum(gram, vectors=False)[0], *_marginals(factor)
+
+
 def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
     """Compress to ranks (rank_a, rank_b) and evaluate both correlation terms.
 
-    The truncated-normalized state is conjugated onto the retained subspace.
+    The truncated-normalized state is compressed onto the retained subspace.
     Neither correlation term reads the joint state's eigenvectors, so the
     joint state, the largest matrix of the step, is solved for its
     eigenvalues only.
     """
     cut_a, cut_b = part.seq_a.compression(rank_a), part.seq_b.compression(rank_b)
-    dim_a, dim_b = part.grouped.layout.dims
-    layout = SubsystemLayout([("A", rank_a), ("B", rank_b)])
-    compressed = _conjugated(part.grouped.entries, (dim_a, dim_b), (cut_a, cut_b))
-    truncated, lam = _renormalized(compressed, layout, "the state")
-    trunc_a = partial_trace(truncated, "A")
-    trunc_b = partial_trace(truncated, "B")
+    dim_a, dim_b = part.dims
+    joint, lam, w_joint, trunc_a, trunc_b = _truncated(part, rank_a, rank_b, (cut_a, cut_b))
     tilde_a, _ = _renormalized(
         _conjugated(part.marginal_a, (dim_a,), (cut_a,)), trunc_a.layout, "the target marginal"
     )
@@ -328,18 +396,18 @@ def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
     spec_a, spec_b, spec_tilde_a, spec_tilde_b = (
         clamped_spectrum(m) for m in (trunc_a, trunc_b, tilde_a, tilde_b)
     )
-    spec_joint = clamped_spectrum(truncated, vectors=False)
-    h_nk = _product_divergence(truncated.entries, spec_joint, spec_a, spec_b)
-    h_tilde_nk = _product_divergence(truncated.entries, spec_joint, spec_tilde_a, spec_tilde_b)
+    red_a, red_b = trunc_a.entries, trunc_b.entries
+    h_nk = _product_divergence(w_joint, red_a, red_b, spec_a, spec_b)
+    h_tilde_nk = _product_divergence(w_joint, red_a, red_b, spec_tilde_a, spec_tilde_b)
     cond = _entropy_from_eigs(spec_a[0]) - h_nk
     return _Step(
-        truncated, lam, tilde_a, tilde_b, spec_a, spec_b, spec_tilde_a, spec_tilde_b,
+        joint, lam, tilde_a, tilde_b, spec_a, spec_b, spec_tilde_a, spec_tilde_b,
         h_nk, h_tilde_nk, cond,
     )  # fmt: skip
 
 
 def conditional_entropy_sweep(
-    rho: DensityMatrix,
+    rho: State,
     target: LabelSet,
     given: LabelSet,
     schedule: Sequence[tuple[int, int]],
@@ -352,11 +420,13 @@ def conditional_entropy_sweep(
     directions of the chosen projector family, renormalized, and measured.
     As the ranks grow, ``cond_entropy_nats`` converges to the conditional
     entropy of the full state; at full rank it reproduces it identically.
-    Degenerate steps are recorded with null entropies, not raised.
+    Degenerate steps are recorded with null entropies, not raised. ``rho``
+    may be a density matrix or a pure state; a pure state is swept from its
+    amplitudes and never densified.
     """
     pairs = _validate_schedule(schedule)
     part = _bipartite(rho, target, given, mode)
-    dim_a, dim_b = part.grouped.layout.dims
+    dim_a, dim_b = part.dims
     for n, k in pairs:
         if n > dim_a or k > dim_b:
             raise PreconditionError(
@@ -405,7 +475,7 @@ class TruncationDiagnostics:
 
 
 def truncation_diagnostics(
-    rho: DensityMatrix,
+    rho: State,
     target: LabelSet,
     given: LabelSet,
     rank_a: int,
@@ -413,6 +483,9 @@ def truncation_diagnostics(
     mode: ProjectorMode = "computational",
 ) -> TruncationDiagnostics:
     """Evaluate h_nk, h_tilde_nk, and the two marginal divergences at one point.
+
+    ``rho`` may be a density matrix or a pure state, evaluated as in
+    :func:`conditional_entropy_sweep`.
 
     The divergences are finite because each projected original marginal
     dominates the corresponding marginal of the projected state: for the

@@ -148,6 +148,19 @@ class TestStateDocuments:
         assert back.layout.labels == ("Q",)
         assert np.array_equal(back.entries, rho.entries)
 
+    @pytest.mark.parametrize("bad", [None, math.inf, -math.inf, math.nan])
+    def test_saved_bytes_match_the_document_dump(self, tmp_path, bad):
+        # finite states skip json_ready's walk; non-finite ones need its strings
+        layout = SubsystemLayout([("A", 2), ("B", 3)])
+        entries = random_density_matrix(6, seed=3, layout=layout).entries.copy()
+        entries[1, 0] = -0.0
+        if bad is not None:
+            entries[2, 4] = complex(bad, 0.5)
+        rho = DensityMatrix(entries, layout)
+        path = tmp_path / "state.json"
+        save_state(path, rho)
+        assert path.read_text() == dumps_document(state_to_document(rho))
+
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

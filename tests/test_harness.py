@@ -1,9 +1,12 @@
 """Tests for the randomized property checks, report replay, and sweep orchestration."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qentropy.catalog import thermal_fock
+from qentropy.entropy import conditional_entropy
 from qentropy.errors import InvalidStateError, ParseError, PreconditionError
 from qentropy.fileio import dumps_document, save_state
 from qentropy.harness import (
@@ -16,7 +19,15 @@ from qentropy.harness import (
     run_converge,
     run_suite,
 )
-from qentropy.states import DensityMatrix, single, tensor
+from qentropy.states import (
+    DensityMatrix,
+    PureState,
+    SubsystemLayout,
+    random_density_matrix,
+    single,
+    tensor,
+)
+from qentropy.tolerances import TAU_SUPP
 
 LN2 = np.log(2.0)
 
@@ -110,6 +121,29 @@ class TestParameterTable:
         assert report.config["dims"] == [2, 2]
         assert all(type(d) is int for d in report.config["dims"])
         assert report.trials == 5  # two named fixed trials ride along
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("bound", {"trials": 3.7}),
+            ("bound", {"seed": 1.9}),
+            ("bound", {"dims": (2, 2.5)}),
+            ("bound", {"trials": True}),
+            ("bound", {"trials": "3"}),
+            ("coherent-duality", {"env_dim": 2.5}),
+            ("continuity", {"steps": 2.9}),
+        ],
+    )
+    def test_fractional_or_non_integer_overrides_rejected(self, name, overrides):
+        # they used to be truncated and recorded: trials=3.7 ran 3 trials
+        with pytest.raises(ParseError, match="must be an integer"):
+            run_check(name, **overrides)
+
+    def test_integral_float_overrides_read_as_ints(self):
+        config = run_check("coherent-duality", trials=1.0, seed=2.0, env_dim=2.0).config
+        assert (config["trials"], config["seed"], config["env_dim"]) == (1, 2, 2)
+        assert all(type(config[k]) is int for k in ("trials", "seed", "env_dim"))
+        assert run_check("continuity", steps=3.0).config["steps"] == 3
 
     @pytest.mark.parametrize("dims", [(0, 3), (2, -1), (2,), ()])
     def test_bad_dims_rejected(self, dims):
@@ -285,8 +319,6 @@ class TestRunConverge:
         entries = np.zeros((4, 4), dtype=complex)
         entries[3, 3] = 1.0  # |11><11| on a 2 x 2 layout
         layout_pairs = (("A", 2), ("B", 2))
-        from qentropy.states import SubsystemLayout
-
         save_state(path, DensityMatrix(entries, SubsystemLayout(layout_pairs)))
         doc = run_converge(state_spec=str(path), schedule=[(1, 1), (2, 2)])
         assert doc["summary"]["skipped_steps"] == 1
@@ -296,3 +328,74 @@ class TestRunConverge:
     def test_bad_mode_rejected(self):
         with pytest.raises(PreconditionError):
             run_converge(state_spec="bell", min_rank=1, mode="fourier")
+
+
+def truncated_geometric_entropy(q, n, cut=0.0):
+    """Shannon entropy (nats) of p_k proportional to q^k on k = 0..n-1, over p_k > cut."""
+    weights = [q**k for k in range(n)]
+    total = math.fsum(weights)
+    probs = [w / total for w in weights]
+    return -math.fsum(p * math.log(p) for p in probs if p > cut)
+
+
+def no_densify(monkeypatch):
+    def densify(self):
+        raise AssertionError("PureState.as_density was called")
+
+    monkeypatch.setattr(PureState, "as_density", densify)
+
+
+class TestFactoredConverge:
+    def test_tmsv_cutoff_30_solves_nothing_above_30(self, eigh_sizes, monkeypatch):
+        no_densify(monkeypatch)
+        doc = run_converge("tmsv:nbar=1,cutoff=30")
+        assert doc["summary"]["skipped_steps"] == 0
+        assert eigh_sizes and max(eigh_sizes) <= 30
+
+    def test_tmsv_cutoff_60_matches_truncated_geometric_entropies(self, monkeypatch):
+        # the dense route would solve a 3600 x 3600 joint state at every step
+        no_densify(monkeypatch)
+        doc = run_converge("tmsv:nbar=1,cutoff=60")
+        q = 0.5  # nbar / (nbar + 1)
+        assert [p.rank_a for p in doc["points"]] == list(range(5, 61))
+        for point in doc["points"]:
+            n, value = point.rank_a, point.cond_entropy_nats
+            # entropies drop the eigenvalues at or below TAU_SUPP: from rank 37
+            # on, Schmidt weights 2^-(k+1) fall below it, and what they carry
+            # bounds the gap to the uncut entropy
+            assert abs(value + truncated_geometric_entropy(q, n, TAU_SUPP)) <= 1e-10
+            uncut = truncated_geometric_entropy(q, n)
+            dropped = uncut - truncated_geometric_entropy(q, n, TAU_SUPP)
+            assert abs(value + uncut) <= dropped + 1e-10
+            assert (dropped > 0.0) == (n >= 37)
+            assert abs(point.diff) <= 1e-10
+        base = doc["summary"]["base_cond_entropy_nats"]
+        assert abs(base + truncated_geometric_entropy(q, 60, TAU_SUPP)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "spec, target, given, options",
+        [
+            ("tmsv:nbar=1,cutoff=30", "A", "B", {}),
+            ("tmsv:nbar=2,cutoff=12", "A", "B", {"max_rank": 8, "mode": "eigenbasis"}),
+            ("bell", "A", "B", {"min_rank": 1, "mode": "eigenbasis"}),
+            ("ghz:parties=3", "A", ("B", "C"), {"min_rank": 1}),
+            ("ghz:parties=3", "A", ("B", "C"), {"schedule": [(1, 1), (2, 2)]}),
+            ("werner:p=0.5", "A", "B", {"min_rank": 1, "mode": "eigenbasis"}),
+            ("werner:p=0.5", "A", "B", {"schedule": [(1, 1)]}),
+            ("classical", "A", "B", {"min_rank": 1, "mode": "eigenbasis"}),
+            ("FILE", ("A", "C"), "B", {"min_rank": 1, "mode": "eigenbasis"}),
+            ("FILE", ("A", "C"), "B", {"schedule": [(1, 1), (3, 2)]}),
+        ],
+    )
+    def test_base_value_is_the_full_state_conditional_entropy(
+        self, spec, target, given, options, tmp_path
+    ):
+        if spec == "FILE":
+            spec = str(tmp_path / "rand24.json")
+            layout = SubsystemLayout([("A", 3), ("B", 4), ("C", 2)])
+            save_state(spec, random_density_matrix(24, seed=5, layout=layout))
+        doc = run_converge(spec, target=target, given=given, **options)
+        expected = conditional_entropy(resolve_state(spec), target, given)
+        assert abs(doc["summary"]["base_cond_entropy_nats"] - expected) <= 1e-12
+        schedule = [tuple(pair) for pair in doc["config"]["schedule"]]
+        assert [(p.rank_a, p.rank_b) for p in doc["points"]] == schedule

@@ -5,6 +5,7 @@ compresses with ``np.kron(V, W)``, solves every matrix as complex Hermitian
 with eigenvectors, and feeds the same product-divergence formula. The
 shortcuts (slicing or per-factor contraction, real symmetric solves,
 values-only joint solves) may move only rounding, bounded here by 1e-12 nats.
+A pure state is swept from its amplitudes; the reference densifies it first.
 """
 
 import math
@@ -12,10 +13,19 @@ import math
 import numpy as np
 import pytest
 
-from qentropy.catalog import build_state, thermal_fock
+from qentropy.catalog import bell, build_state, ghz, thermal_fock, tmsv
 from qentropy.entropy import _entropy_from_eigs, _grouped, _product_divergence
 from qentropy.fileio import load_state, save_state
-from qentropy.states import DensityMatrix, SubsystemLayout, random_density_matrix, single, tensor
+from qentropy.states import (
+    DensityMatrix,
+    PureState,
+    SubsystemLayout,
+    as_density,
+    random_density_matrix,
+    random_pure_state,
+    single,
+    tensor,
+)
 from qentropy.truncation import (
     PROJECTOR_MODES,
     _bipartite,
@@ -34,16 +44,16 @@ def complex_spectrum(m):
     return np.where(w < 0.0, 0.0, w), u
 
 
-def reference_bases(rho, mode):
-    _, marginal_a, marginal_b = _grouped(rho, "A", "B")
+def reference_bases(rho, mode, target="A", given="B"):
+    _, marginal_a, marginal_b = _grouped(rho, target, given)
     if mode == "computational":
         return np.eye(marginal_a.dim), np.eye(marginal_b.dim)
     return tuple(complex_spectrum(m.entries)[1][:, ::-1] for m in (marginal_a, marginal_b))
 
 
-def kron_compressed(rho, basis_a, basis_b, n, k):
+def kron_compressed(rho, basis_a, basis_b, n, k, target="A", given="B"):
     """The truncated-normalized joint state and both tilde marginals, by kron isometries."""
-    grouped, marginal_a, marginal_b = _grouped(rho, "A", "B")
+    grouped, marginal_a, marginal_b = _grouped(rho, target, given)
     iso_a, iso_b = basis_a[:, :n], basis_b[:, :k]
     iso = np.kron(iso_a, iso_b)
     joint = iso.conj().T @ grouped.entries @ iso
@@ -58,19 +68,21 @@ def kron_compressed(rho, basis_a, basis_b, n, k):
     )
 
 
-def reference_sweep(rho, schedule, mode):
+def reference_sweep(rho, schedule, mode, target="A", given="B"):
     """(lam, cond, h_nk, h_tilde_nk, diff) per step, by the kron and complex-solve route."""
-    basis_a, basis_b = reference_bases(rho, mode)
+    basis_a, basis_b = reference_bases(rho, mode, target, given)
     rows = []
     for n, k in schedule:
-        joint, lam, tilde_a, tilde_b = kron_compressed(rho, basis_a, basis_b, n, k)
+        joint, lam, tilde_a, tilde_b = kron_compressed(
+            rho, basis_a, basis_b, n, k, target, given
+        )
         t = joint.reshape(n, k, n, k)
-        spec_a = complex_spectrum(np.einsum("abcb->ac", t))
-        spec_b = complex_spectrum(np.einsum("abad->bd", t))
-        spec_joint = complex_spectrum(joint)
-        h_nk = _product_divergence(joint, spec_joint, spec_a, spec_b)
+        red_a, red_b = np.einsum("abcb->ac", t), np.einsum("abad->bd", t)
+        spec_a, spec_b = complex_spectrum(red_a), complex_spectrum(red_b)
+        w_joint = complex_spectrum(joint)[0]
+        h_nk = _product_divergence(w_joint, red_a, red_b, spec_a, spec_b)
         h_tilde_nk = _product_divergence(
-            joint, spec_joint, complex_spectrum(tilde_a), complex_spectrum(tilde_b)
+            w_joint, red_a, red_b, complex_spectrum(tilde_a), complex_spectrum(tilde_b)
         )
         cond = -math.inf if math.isinf(h_nk) else _entropy_from_eigs(spec_a[0]) - h_nk
         rows.append((lam, cond, h_nk, h_tilde_nk, h_tilde_nk - h_nk))
@@ -98,21 +110,73 @@ STATES = {
 }
 
 
-@pytest.mark.parametrize("mode", PROJECTOR_MODES)
-@pytest.mark.parametrize("name", sorted(STATES))
-def test_sweep_agrees_with_kron_complex_reference(name, mode, tmp_path):
-    rho = STATES[name](tmp_path)
-    dims = tuple(m.dim for m in _grouped(rho, "A", "B")[1:])
+def full_schedule(rho, target="A", given="B"):
+    """The diagonal schedule from rank 1, then full rank on both sides."""
+    dims = tuple(m.dim for m in _grouped(rho, target, given)[1:])
     schedule = diagonal_schedule(1, min(dims))
     if schedule[-1] != dims:
         schedule.append(dims)
-    points = conditional_entropy_sweep(rho, "A", "B", schedule, mode=mode)
-    expected = reference_sweep(rho, schedule, mode)
+    return schedule
+
+
+def assert_agrees(points, expected):
     assert len(points) == len(expected)
     for point, row in zip(points, expected):
         got = (point.lam, point.cond_entropy_nats, point.h_nk, point.h_tilde_nk, point.diff)
         for value, ref in zip(got, row):
             assert abs(value - ref) <= AGREEMENT, (point, row)
+
+
+@pytest.mark.parametrize("mode", PROJECTOR_MODES)
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_sweep_agrees_with_kron_complex_reference(name, mode, tmp_path):
+    rho = STATES[name](tmp_path)
+    schedule = full_schedule(rho)
+    points = conditional_entropy_sweep(rho, "A", "B", schedule, mode=mode)
+    assert_agrees(points, reference_sweep(rho, schedule, mode))
+
+
+# pure states, with the bipartition each is swept across
+PURE_STATES = {
+    "tmsv": (lambda: tmsv(nbar=1.0, cutoff=8), "A", "B"),
+    "bell": (lambda: bell(2), "A", "B"),
+    "ghz-A|BC": (lambda: ghz(3, 2), "A", ("B", "C")),
+    "complex-3x4": (
+        lambda: random_pure_state(SubsystemLayout([("A", 3), ("B", 4)]), seed=9),
+        "A",
+        "B",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", PROJECTOR_MODES)
+@pytest.mark.parametrize("name", sorted(PURE_STATES))
+def test_pure_sweep_agrees_with_kron_complex_reference(name, mode, monkeypatch):
+    make, target, given = PURE_STATES[name]
+    psi = make()
+    assert isinstance(psi, PureState)
+    rho = as_density(psi)
+    schedule = full_schedule(rho, target, given)
+
+    def densify(self):
+        raise AssertionError("a pure state's sweep densified it")
+
+    monkeypatch.setattr(PureState, "as_density", densify)
+    points = conditional_entropy_sweep(psi, target, given, schedule, mode=mode)
+    assert_agrees(points, reference_sweep(rho, schedule, mode, target, given))
+
+
+def test_degenerate_step_is_skipped_alike_on_both_routes():
+    layout = SubsystemLayout([("A", 2), ("B", 2)])
+    psi = PureState(np.array([0.0, 0.0, 0.0, 1.0]), layout)  # |11>
+    schedule = [(1, 1), (1, 2), (2, 2)]
+    factored = conditional_entropy_sweep(psi, "A", "B", schedule)
+    dense = conditional_entropy_sweep(as_density(psi), "A", "B", schedule)
+    for point in (factored, dense):
+        assert [p.skipped for p in point] == [True, True, False]
+    assert factored[:2] == dense[:2]  # weight included
+    assert factored[0].lam == 0.0
+    assert_agrees(factored[2:], [(1.0, 0.0, 0.0, 0.0, 0.0)])
 
 
 @pytest.mark.parametrize("mode", PROJECTOR_MODES)
@@ -128,13 +192,41 @@ def test_step_compression_equals_kron_route(make, mode):
     rho = make()
     part = _bipartite(rho, "A", "B", mode)
     basis_a, basis_b = part.seq_a.basis, part.seq_b.basis
-    dim_a, dim_b = part.grouped.layout.dims
+    dim_a, dim_b = part.dims
     for n, k in [(1, 1), (2, 3), (dim_a, 2), (dim_a, dim_b)]:
         step = _step(part, n, k)
         joint, lam, tilde_a, tilde_b = kron_compressed(rho, basis_a, basis_b, n, k)
         assert abs(step.lam - lam) <= 1e-14
-        for got, ref in [(step.state, joint), (step.tilde_a, tilde_a), (step.tilde_b, tilde_b)]:
+        tildes = [(step.tilde_a.entries, tilde_a), (step.tilde_b.entries, tilde_b)]
+        for got, ref in [(step.joint, joint), *tildes]:
             if mode == "computational":  # a slice is exactly the 0/1 product
-                assert np.array_equal(got.entries, ref)
+                assert np.array_equal(got, ref)
             else:
-                assert np.max(np.abs(got.entries - ref)) <= 1e-14
+                assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("mode", PROJECTOR_MODES)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: tmsv(nbar=1.0, cutoff=6),
+        lambda: random_pure_state(SubsystemLayout([("A", 3), ("B", 4)]), seed=4),
+    ],
+    ids=["real-tmsv", "complex-3x4"],
+)
+def test_factored_step_equals_kron_route(make, mode):
+    psi = make()
+    rho = as_density(psi)
+    part = _bipartite(psi, "A", "B", mode)
+    dim_a, dim_b = part.dims
+    for n, k in [(1, 1), (2, 3), (dim_a, 2), (dim_a, dim_b)]:
+        step = _step(part, n, k)
+        assert step.joint.shape == (n, k, 1)
+        joint, lam, tilde_a, tilde_b = kron_compressed(
+            rho, part.seq_a.basis, part.seq_b.basis, n, k
+        )
+        columns = step.joint.reshape(n * k, 1)
+        assert abs(step.lam - lam) <= 1e-14
+        assert np.max(np.abs(columns @ columns.conj().T - joint)) <= 1e-14
+        assert np.max(np.abs(step.tilde_a.entries - tilde_a)) <= 1e-14
+        assert np.max(np.abs(step.tilde_b.entries - tilde_b)) <= 1e-14

@@ -3,6 +3,10 @@
     PYTHONPATH=<old>/src python3 tools/identity_outputs.py OLD_OUT
     PYTHONPATH=<new>/src python3 tools/identity_outputs.py NEW_OUT
     diff -r OLD_OUT NEW_OUT
+    python3 tools/compare_outputs.py OLD_OUT NEW_OUT
+
+``diff -r`` proves byte identity; where a change may move rounding,
+``tools/compare_outputs.py`` checks the outputs against its agreement bound.
 
 Runs ``qentropy.cli.main`` of the ``qentropy`` found on ``sys.path`` in this
 process, once per entry of :data:`INVOCATIONS`, with OUTDIR as the working
@@ -66,6 +70,10 @@ INVOCATIONS: dict[str, list[str]] = {
     "check-duality-dims": _check("--property", "duality", "--dims", "3,2,2"),
     "check-coherent-env": _check("--property", "coherent-duality", "--env-dim", "2"),
     "converge-tmsv": _converge("converge-tmsv"),
+    "converge-tmsv-short": _converge(
+        "converge-tmsv-short", "--state", "tmsv:nbar=2,cutoff=12", "--max-rank", "8",
+        "--mode", "eigenbasis",
+    ),
     **{
         f"converge-{stem}": _converge(f"converge-{stem}", "--state", state, *_EIGEN)
         for stem, state in _EIGEN_STATES.items()
