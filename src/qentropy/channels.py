@@ -6,6 +6,13 @@ with the environment appended as the LAST tensor factor, so the row index of
 the isometry is ``b * J + j``. The complementary channel reads its Kraus
 operators off the same isometry with the roles of output and environment
 swapped.
+
+Channel information never forms a dense output state. The input's
+purification is kept as its (d_in, rank) amplitude matrix psi, and the output
+of (channel x id_R) as the factor F[b, i, j] = sum_a K_j[b, a] psi[a, i], with
+rho_BR = sum_j F[:, :, j] F[:, :, j]^dagger. The marginals on B and R come
+from F, and the nonzero eigenvalues of rho_BR from the env x env Gram matrix
+F^dagger F, so no matrix of size d_out * rank is solved.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .entropy import _entropy_from_eigs, mutual_information_states
+from .entropy import _entropy_from_eigs, _marginals, _product_divergence
 from .errors import InvalidChannelError, PreconditionError, StructuralError
 from .rng import complex_normal, generator
 from .states import (
@@ -29,6 +36,7 @@ from .states import (
     as_density,
     clamped_spectrum,
     partial_trace,
+    single,
 )
 from .tolerances import TAU_PURE, TAU_SUPP, TAU_TRACE
 
@@ -172,15 +180,6 @@ def trace_out_channel(layout: SubsystemLayout, keep: LabelSet) -> KrausChannel:
     return KrausChannel(ops)
 
 
-def _fresh_label(layout: SubsystemLayout, base: str = "R") -> str:
-    if base not in layout.labels:
-        return base
-    i = 2
-    while f"{base}{i}" in layout.labels:
-        i += 1
-    return f"{base}{i}"
-
-
 def purify(rho: DensityMatrix, reference_label: str = "R") -> PureState:
     """Pure state on (original system) x (reference) whose reduction is rho.
 
@@ -194,13 +193,14 @@ def purify(rho: DensityMatrix, reference_label: str = "R") -> PureState:
         raise StructuralError(
             f"reference label {reference_label!r} collides with {rho.layout.labels}"
         )
-    return _purification(rho, reference_label, clamped_spectrum(rho))
+    amplitudes = _purification(clamped_spectrum(rho))
+    layout = SubsystemLayout(rho.layout.subsystems + ((reference_label, amplitudes.shape[1]),))
+    return PureState(amplitudes.reshape(-1), layout)
 
 
-def _purification(
-    rho: DensityMatrix, reference_label: str, spectrum: tuple[np.ndarray, np.ndarray]
-) -> PureState:
-    """:func:`purify` from rho's clamped spectrum, which it leaves unchanged."""
+def _purification(spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """:func:`purify`'s amplitudes from rho's clamped spectrum, which it leaves
+    unchanged, as a (dim, rank) matrix psi with rho = psi psi^dagger."""
     w, u = spectrum
     w, u = w[::-1], u[:, ::-1]
     mask = w > TAU_SUPP
@@ -212,16 +212,8 @@ def _purification(
         col = vecs[:, i]
         pivot = col[np.argmax(np.abs(col))]
         vecs[:, i] = col * (pivot.conjugate() / abs(pivot))
-    amp = (vecs * np.sqrt(lam)).reshape(-1)  # flat index = a * rank + i
-    amp = amp / np.linalg.norm(amp)
-    layout = SubsystemLayout(rho.layout.subsystems + ((reference_label, rank),))
-    return PureState(amp, layout)
-
-
-def _extend_last(channel: KrausChannel, dim_ref: int) -> list[np.ndarray]:
-    """Kraus operators of (channel x identity) acting on (input x reference)."""
-    eye = np.eye(dim_ref)
-    return [np.kron(k, eye) for k in channel.kraus_ops]
+    amp = vecs * np.sqrt(lam)
+    return amp / np.linalg.norm(amp.reshape(-1))
 
 
 def channel_mutual_information(state: State, channel: KrausChannel) -> float:
@@ -237,23 +229,27 @@ def channel_mutual_information(state: State, channel: KrausChannel) -> float:
 def _information_and_spectrum(
     rho: DensityMatrix, channel: KrausChannel
 ) -> tuple[float, np.ndarray]:
-    """:func:`channel_mutual_information`, and the clamped eigenvalues of rho it purified."""
+    """:func:`channel_mutual_information` from the output factor, and the
+    clamped eigenvalues of rho it purified."""
     if rho.dim != channel.dim_in:
         raise StructuralError(
             f"channel expects input dimension {channel.dim_in}, state has {rho.dim}"
         )
-    ref = _fresh_label(rho.layout)
     spectrum = clamped_spectrum(rho)
-    psi = _purification(rho, ref, spectrum)
-    dim_ref = psi.layout.dim_of(ref)
-    joint = psi.as_density().entries
-    out = np.zeros(
-        (channel.dim_out * dim_ref, channel.dim_out * dim_ref), dtype=np.complex128
+    psi = _purification(spectrum)
+    # F[b, i, j] = sum_a K_j[b, a] psi[a, i]
+    factor = np.einsum("jba,ai->bij", np.stack(channel.kraus_ops), psi)
+    columns = factor.reshape(-1, channel.env_dim)
+    gram = DensityMatrix(columns.conj().T @ columns, single("E", channel.env_dim))
+    rho_b, rho_r = _marginals(factor)
+    info = _product_divergence(
+        clamped_spectrum(gram, vectors=False)[0],
+        rho_b.entries,
+        rho_r.entries,
+        clamped_spectrum(rho_b),
+        clamped_spectrum(rho_r),
     )
-    for k in _extend_last(channel, dim_ref):
-        out += k @ joint @ k.conj().T
-    rho_br = DensityMatrix(out, SubsystemLayout([("B", channel.dim_out), (ref, dim_ref)]))
-    return mutual_information_states(rho_br, "B", ref), spectrum[0]
+    return info, spectrum[0]
 
 
 def coherent_information(state: State, channel: KrausChannel) -> float:
@@ -275,7 +271,7 @@ def conditional_entropy_via_coherent_info(
     the two can be cross-checked.
     """
     rho = as_density(state)
-    top = float(clamped_spectrum(rho)[0][-1])
+    top = float(clamped_spectrum(rho, vectors=False)[0][-1])
     if top < 1.0 - TAU_PURE:
         raise PreconditionError(f"state must be pure; largest eigenvalue is {top:.12f}")
     _, labels_g, rest = rho.layout.split(target, given, cover=False)

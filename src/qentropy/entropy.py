@@ -37,6 +37,7 @@ from .states import (
     clamped_spectrum,
     partial_trace,
     permute_subsystems,
+    single,
 )
 from .tolerances import NEG_CLAMP, TAU_SUPP
 
@@ -155,6 +156,18 @@ def _product_divergence(
     )
     lam = w_rho[w_rho > TAU_SUPP]
     return _rounded(float(np.sum(lam * np.log(lam))) - cross)
+
+
+def _marginals(factor: np.ndarray) -> tuple[DensityMatrix, DensityMatrix]:
+    """Both marginals of F F^dagger for a factor F of shape (n, k, r): on its
+    first index (labelled A) and its second (labelled B)."""
+    n, k, r = factor.shape
+    f_a = factor.reshape(n, k * r)
+    f_b = factor.transpose(1, 0, 2).reshape(k, n * r)
+    return (
+        DensityMatrix(f_a @ f_a.conj().T, single("A", n)),
+        DensityMatrix(f_b @ f_b.conj().T, single("B", k)),
+    )
 
 
 def _grouped(

@@ -59,7 +59,12 @@ from .states import (
     validate,
 )
 from .tolerances import SATURATION_BAND
-from .truncation import ProjectorMode, conditional_entropy_sweep, diagonal_schedule
+from .truncation import (
+    ProjectorMode,
+    _validate_schedule,
+    conditional_entropy_sweep,
+    diagonal_schedule,
+)
 
 
 def resolve_state(spec: str) -> DensityMatrix:
@@ -537,7 +542,8 @@ def run_converge(
     summary comparing the final step against the conditional entropy of the
     full state. Without an explicit ``schedule``, a diagonal (n, n) schedule
     runs from ``min_rank`` to ``max_rank`` (default: the smaller factor
-    dimension) with the given stride.
+    dimension) with the given stride. Ranks, bounds and stride follow
+    :func:`~.errors.as_integer`.
 
     The state is a :class:`~.states.State`: a pure catalog state is swept
     from its amplitudes, never densified. The base value is the sweep's own
@@ -553,10 +559,10 @@ def run_converge(
         for labels in (target_labels, given_labels)
     )
     if schedule is None:
-        top = min(full) if max_rank is None else int(max_rank)
-        schedule = diagonal_schedule(min(int(min_rank), top), top, int(stride))
-    pairs = [(int(n), int(k)) for n, k in schedule]
-    last = pairs[-1] if pairs else full
+        top = min(full) if max_rank is None else as_integer(max_rank, "max_rank")
+        schedule = diagonal_schedule(min(as_integer(min_rank, "min_rank"), top), top, stride)
+    pairs = _validate_schedule(schedule)
+    last = pairs[-1]
     # a schedule that stops short of full rank gets one more step; one that
     # runs past it is left for the sweep to reject
     extra = [full] if last != full and last[0] <= full[0] and last[1] <= full[1] else []

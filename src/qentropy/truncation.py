@@ -15,14 +15,14 @@ marginal pairs (see :func:`truncation_diagnostics`), so it is nonnegative
 and vanishes exactly when truncation commutes with taking marginals
 (e.g. rank-aligned truncation of a Schmidt-diagonal state).
 
-:func:`truncate_normalize` returns states in the original space. Sweeps
-instead compress each projected factor onto its retained subspace: replacing
+A sweep never forms the truncated state P rho P in the original space. It
+compresses each projected factor onto its retained subspace: replacing
 P rho P by (V (x) W)^dagger rho (V (x) W) with isometries V, W changes no
 eigenvalue of the state, its marginals, or any product of them, so every
 entropy commutes with the compression while matrices shrink from
-d_A d_B to n k. Neither route forms V (x) W or a D x D projector: both
-conjugate the state one factor at a time on its (d_A, d_B, d_A, d_B) index
-form, and in the computational basis compression is a plain slice.
+d_A d_B to n k. The compression forms neither V (x) W nor a D x D projector:
+it conjugates the state one factor at a time on its (d_A, d_B, d_A, d_B)
+index form, and in the computational basis it is a plain slice.
 
 A pure state is never densified by a sweep. Its amplitudes, grouped as a
 factor F of shape (d_A, d_B, r) with rho = F F^dagger and r = 1, are
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -43,11 +43,12 @@ from .entropy import (
     _divergence,
     _entropy_from_eigs,
     _grouped,
+    _marginals,
     _product_divergence,
     _rounded,
     _Spectrum,
 )
-from .errors import DegenerateTruncationError, PreconditionError, StructuralError
+from .errors import DegenerateTruncationError, PreconditionError, StructuralError, as_integer
 from .states import (
     DensityMatrix,
     LabelSet,
@@ -69,11 +70,11 @@ class ProjectorSequence:
     """Nested family of projectors P_1 <= P_2 <= ... from a fixed orthonormal basis.
 
     ``basis`` holds the basis as columns; ``isometry(r)`` returns the first r
-    columns and ``projector(r)`` the corresponding rank-r projector. Because
-    every projector reuses the same leading columns, the family is increasing
-    by construction: P_m P_n = P_min(m,n), and P equals the identity at full
-    rank. ``standard`` records whether the basis is exactly the computational
-    one, in which case compressing is indexing.
+    columns V_r, and P_r = V_r V_r^dagger. Because every isometry reuses the
+    same leading columns, the family is increasing by construction:
+    P_m P_n = P_min(m,n), and P equals the identity at full rank.
+    ``standard`` records whether the basis is exactly the computational one,
+    in which case compressing is indexing.
     """
 
     basis: np.ndarray
@@ -96,14 +97,10 @@ class ProjectorSequence:
         return self.basis.shape[0]
 
     def isometry(self, rank: int) -> np.ndarray:
-        rank = int(rank)
+        rank = as_integer(rank, "rank")
         if not 1 <= rank <= self.dim:
             raise PreconditionError(f"rank must be in [1, {self.dim}], got {rank}")
         return self.basis[:, :rank]
-
-    def projector(self, rank: int) -> np.ndarray:
-        v = self.isometry(rank)
-        return v @ v.conj().T
 
     def compression(self, rank: int) -> np.ndarray | slice:
         """The rank-r isometry as a map for :func:`_conjugated`: ``slice(r)`` if standard."""
@@ -121,20 +118,6 @@ class ProjectorSequence:
         return cls(clamped_spectrum(rho)[1][:, ::-1])
 
 
-@dataclass(frozen=True)
-class TruncationStep:
-    """A truncated-normalized state with its retained weight.
-
-    ``ranks`` maps each projected subsystem label to its rank; subsystems
-    absent from the map were left untouched. ``state`` lives in the original
-    space with the original layout.
-    """
-
-    ranks: dict[str, int]
-    lam: float
-    state: DensityMatrix
-
-
 def _renormalized(
     m: np.ndarray, layout: SubsystemLayout, what: str
 ) -> tuple[DensityMatrix, float]:
@@ -149,14 +132,14 @@ def _renormalized(
 
 
 def _conjugated(
-    m: np.ndarray, dims: Sequence[int], maps: Sequence[np.ndarray | slice | None]
+    m: np.ndarray, dims: Sequence[int], maps: Sequence[np.ndarray | slice]
 ) -> np.ndarray:
     """``F^dagger m F`` for ``F = maps[0] (x) maps[1] (x) ...``, one factor at a time.
 
     ``m`` acts on the product of spaces of dimensions ``dims``. ``maps[i]``
     is a matrix with ``dims[i]`` rows, contracted with factor i's row and
     column index of ``m``; or ``slice(r)``, the first r computational basis
-    vectors, which only indexes; or None, the identity.
+    vectors, which only indexes.
     """
     n = len(dims)
     t = m.reshape(tuple(dims) * 2)
@@ -165,48 +148,11 @@ def _conjugated(
             index = [slice(None)] * (2 * n)
             index[i] = index[n + i] = f
             t = t[tuple(index)]
-        elif f is not None:
+        else:
             t = np.moveaxis(np.tensordot(f.conj(), t, axes=(0, i)), 0, i)
             t = np.moveaxis(np.tensordot(t, f, axes=(n + i, 0)), -1, n + i)
     side = math.prod(t.shape[:n])
     return t.reshape(side, side)
-
-
-def truncate_normalize(
-    rho: DensityMatrix,
-    projections: Mapping[str, tuple[int, ProjectorSequence]],
-) -> TruncationStep:
-    """Project chosen subsystems to finite rank, then renormalize.
-
-    ``projections`` maps subsystem labels to (rank, projector family) pairs;
-    subsystems not in the map get the identity, which covers one-sided
-    truncation. With full-rank projectors everywhere this is the identity:
-    lam = 1 and state = rho. Raises :class:`DegenerateTruncationError` when
-    the retained weight lam = Tr(P rho P) is at or below the degeneracy
-    threshold, since the normalized state is then meaningless.
-    """
-    if not projections:
-        raise StructuralError("projections must name at least one subsystem")
-    ranks: dict[str, int] = {}
-    factors: list[np.ndarray | None] = []
-    for label, dim in rho.layout.subsystems:
-        if label in projections:
-            rank, seq = projections[label]
-            if seq.dim != dim:
-                raise StructuralError(
-                    f"projector family for {label!r} acts on dimension {seq.dim}, "
-                    f"subsystem has dimension {dim}"
-                )
-            factors.append(seq.projector(rank))
-            ranks[label] = int(rank)
-        else:
-            factors.append(None)
-    unknown = set(projections) - set(rho.layout.labels)
-    if unknown:
-        raise StructuralError(f"unknown subsystem labels {sorted(unknown)} in projections")
-    projected = _conjugated(rho.entries, rho.layout.dims, factors)
-    state, lam = _renormalized(projected, rho.layout, "the state")
-    return TruncationStep(ranks=ranks, lam=lam, state=state)
 
 
 @dataclass(frozen=True)
@@ -232,8 +178,13 @@ class SweepPoint:
 
 
 def diagonal_schedule(min_rank: int, max_rank: int, stride: int = 1) -> list[tuple[int, int]]:
-    """Rank pairs (n, n) for n = min_rank, min_rank + stride, ..., <= max_rank."""
-    min_rank, max_rank, stride = int(min_rank), int(max_rank), int(stride)
+    """Rank pairs (n, n) for n = min_rank, min_rank + stride, ..., <= max_rank.
+
+    The three bounds follow :func:`~.errors.as_integer`, like every rank.
+    """
+    min_rank = as_integer(min_rank, "min_rank")
+    max_rank = as_integer(max_rank, "max_rank")
+    stride = as_integer(stride, "stride")
     if min_rank < 1 or max_rank < min_rank or stride < 1:
         raise PreconditionError(
             f"need 1 <= min_rank <= max_rank and stride >= 1, got "
@@ -243,9 +194,11 @@ def diagonal_schedule(min_rank: int, max_rank: int, stride: int = 1) -> list[tup
 
 
 def _validate_schedule(schedule: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The schedule as int pairs, read by :func:`~.errors.as_integer`; it must
+    be nonempty, positive and strictly increasing."""
     if not schedule:
         raise PreconditionError("schedule must contain at least one rank pair")
-    pairs = [(int(n), int(k)) for n, k in schedule]
+    pairs = [(as_integer(n, "rank"), as_integer(k, "rank")) for n, k in schedule]
     for n, k in pairs:
         if n < 1 or k < 1:
             raise PreconditionError(f"ranks must be positive, got ({n}, {k})")
@@ -271,17 +224,6 @@ class _Bipartite:
     marginal_b: np.ndarray
     seq_a: ProjectorSequence
     seq_b: ProjectorSequence
-
-
-def _marginals(factor: np.ndarray) -> tuple[DensityMatrix, DensityMatrix]:
-    """Both marginals of F F^dagger, on A and B, for a factor F of shape (n, k, r)."""
-    n, k, r = factor.shape
-    f_a = factor.reshape(n, k * r)
-    f_b = factor.transpose(1, 0, 2).reshape(k, n * r)
-    return (
-        DensityMatrix(f_a @ f_a.conj().T, single("A", n)),
-        DensityMatrix(f_b @ f_b.conj().T, single("B", k)),
-    )
 
 
 def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMode) -> _Bipartite:
@@ -492,10 +434,11 @@ def truncation_diagnostics(
     target side, Tr_B((P x Q) rho (P x Q)) <= P Tr_B((I x Q) rho (I x Q)) P
     <= P rho_A P as operators, so supports are contained.
     """
+    rank_a, rank_b = as_integer(rank_a, "rank_a"), as_integer(rank_b, "rank_b")
     step = _step(_bipartite(rho, target, given, mode), rank_a, rank_b)
     return TruncationDiagnostics(
-        rank_a=int(rank_a),
-        rank_b=int(rank_b),
+        rank_a=rank_a,
+        rank_b=rank_b,
         h_nk=step.h_nk,
         h_tilde_nk=step.h_tilde_nk,
         marginal_a_divergence=_divergence(step.spec_a, step.spec_tilde_a),
@@ -507,10 +450,8 @@ __all__ = [
     "ProjectorSequence",
     "ProjectorMode",
     "PROJECTOR_MODES",
-    "TruncationStep",
     "SweepPoint",
     "TruncationDiagnostics",
-    "truncate_normalize",
     "diagonal_schedule",
     "conditional_entropy_sweep",
     "truncation_diagnostics",

@@ -305,7 +305,8 @@ class TestCoherentInformation:
             assert -h - 1e-8 <= val <= h + 1e-8
 
     def test_solves_its_input_once(self, eigh_sizes):
-        # rank 2 of 4 and a 4 -> 3 channel: the other solves have sizes 6, 3 and 2
+        # rank 2 of 4 and a 4 -> 3 channel with two Kraus operators: the other
+        # solves are the 2 x 2 Gram matrix and the marginals on B (3) and R (2)
         rho = DensityMatrix(np.diag([0.6, 0.4, 0.0, 0.0]), single("A", 4))
         ch = random_channel(4, 3, 2, seed=8)
         val = coherent_information(rho, ch)
@@ -354,6 +355,14 @@ class TestConditionalEntropyViaCoherentInfo:
             partial_trace(rho, keep=("A", "C", "D")), target=("C", "D"), given="A"
         )
         assert via_channel == pytest.approx(direct, abs=1e-7)
+
+    def test_purity_check_solves_for_values_only(self, eigh_sizes, vector_solve_sizes):
+        # the pure state is 24 x 24; only its largest eigenvalue is read
+        layout = SubsystemLayout((("A", 2), ("B", 3), ("C", 4)))
+        psi = random_pure_state(layout, seed=3)
+        conditional_entropy_via_coherent_info(psi, target="C", given="A")
+        assert eigh_sizes[24] == 1
+        assert vector_solve_sizes[24] == 0
 
     def test_mixed_state_rejected(self):
         layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))

@@ -329,6 +329,43 @@ class TestRunConverge:
         with pytest.raises(PreconditionError):
             run_converge(state_spec="bell", min_rank=1, mode="fourier")
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"schedule": [(2.7, 3.9)]},
+            {"schedule": [(True, True)]},
+            {"schedule": [(2, 2), (float("nan"), 3)]},
+            {"min_rank": 2.5},
+            {"min_rank": True},
+            {"max_rank": 4.5},
+            {"max_rank": float("nan")},
+            {"stride": 1.5},
+            {"stride": "2"},
+        ],
+        ids=lambda options: repr(options),
+    )
+    def test_ranks_must_be_integers(self, options):
+        with pytest.raises(ParseError):
+            run_converge("tmsv:nbar=1,cutoff=6", **options)
+
+    @pytest.mark.parametrize(
+        "options, schedule",
+        [
+            ({"schedule": [(2.0, np.int64(3))]}, [[2, 3]]),
+            ({"min_rank": 4.0, "max_rank": np.int64(6), "stride": 2.0}, [[4, 4], [6, 6]]),
+        ],
+        ids=["schedule", "bounds"],
+    )
+    def test_integral_ranks_accepted(self, options, schedule):
+        doc = run_converge("tmsv:nbar=1,cutoff=6", **options)
+        assert doc["config"]["schedule"] == schedule
+        assert all(type(n) is int for pair in doc["config"]["schedule"] for n in pair)
+        assert doc == run_converge("tmsv:nbar=1,cutoff=6", schedule=[tuple(p) for p in schedule])
+
+    def test_empty_schedule_rejected(self):
+        with pytest.raises(PreconditionError):
+            run_converge("tmsv:nbar=1,cutoff=6", schedule=[])
+
 
 def truncated_geometric_entropy(q, n, cut=0.0):
     """Shannon entropy (nats) of p_k proportional to q^k on k = 0..n-1, over p_k > cut."""

@@ -5,11 +5,7 @@ import pytest
 
 from qentropy.catalog import bell, build_state, tmsv
 from qentropy.entropy import conditional_entropy, von_neumann_entropy
-from qentropy.errors import (
-    DegenerateTruncationError,
-    PreconditionError,
-    StructuralError,
-)
+from qentropy.errors import ParseError, PreconditionError, StructuralError
 from qentropy.states import (
     DensityMatrix,
     PureState,
@@ -23,8 +19,9 @@ from qentropy.truncation import (
     PROJECTOR_MODES,
     ProjectorSequence,
     conditional_entropy_sweep,
+    _bipartite,
+    _step,
     diagonal_schedule,
-    truncate_normalize,
     truncation_diagnostics,
 )
 
@@ -46,19 +43,31 @@ class TestProjectorSequence:
         v = seq.isometry(2)
         assert v.shape == (4, 2)
         assert np.allclose(v.conj().T @ v, np.eye(2))
-        p = seq.projector(2)
-        assert np.allclose(p, np.diag([1.0, 1.0, 0.0, 0.0]))
+        assert np.array_equal(v @ v.conj().T, np.diag([1.0, 1.0, 0.0, 0.0]))
 
-    def test_nesting_identity(self):
-        seq = ProjectorSequence.computational(5)
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            ProjectorSequence.computational(5),
+            ProjectorSequence.from_state(random_density_matrix(5, seed=2)),
+        ],
+        ids=["computational", "eigenbasis"],
+    )
+    def test_nesting_identity(self, seq):
+        # each isometry is the leading columns of every larger one, so the
+        # projectors P_r = V_r V_r^dagger satisfy P_m P_n = P_min(m, n)
         for m in (1, 3, 5):
             for n in (2, 4):
-                got = seq.projector(m) @ seq.projector(n)
-                assert np.allclose(got, seq.projector(min(m, n)), atol=1e-12)
+                small = seq.isometry(min(m, n))
+                assert np.array_equal(seq.isometry(max(m, n))[:, : small.shape[1]], small)
+                p_m, p_n = (seq.isometry(r) @ seq.isometry(r).conj().T for r in (m, n))
+                assert np.allclose(p_m @ p_n, small @ small.conj().T, atol=1e-12)
 
     def test_full_rank_is_identity(self):
         seq = ProjectorSequence.computational(3)
-        assert np.allclose(seq.projector(3), np.eye(3))
+        assert np.array_equal(seq.isometry(3), np.eye(3))
+        eigen = ProjectorSequence.from_state(random_density_matrix(3, seed=4)).isometry(3)
+        assert np.allclose(eigen @ eigen.conj().T, np.eye(3), atol=1e-12)
 
     def test_eigenbasis_ordering(self):
         rho = DensityMatrix(np.diag([0.1, 0.6, 0.3]), single("A", 3))
@@ -66,8 +75,8 @@ class TestProjectorSequence:
         # leading column is the dominant eigenvector
         lead = np.abs(seq.isometry(1)[:, 0])
         assert lead[1] == pytest.approx(1.0, abs=1e-12)
-        top2 = seq.projector(2)
-        assert np.allclose(top2, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+        top2 = seq.isometry(2)
+        assert np.allclose(top2 @ top2.conj().T, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(StructuralError):
@@ -80,74 +89,62 @@ class TestProjectorSequence:
         with pytest.raises(PreconditionError):
             seq.isometry(4)
 
+    @pytest.mark.parametrize("rank", [2.5, True, float("nan"), float("inf"), "2", None])
+    def test_rank_must_be_an_integer(self, rank):
+        with pytest.raises(ParseError):
+            ProjectorSequence.computational(3).isometry(rank)
 
-class TestTruncateNormalize:
+    @pytest.mark.parametrize("rank", [2.0, np.int64(2), np.float64(2.0)])
+    def test_integral_rank_accepted(self, rank):
+        assert ProjectorSequence.computational(3).isometry(rank).shape == (3, 2)
+
+
+class TestTruncatedState:
     def test_full_rank_is_identity(self):
         layout = pair_layout(2, 3)
         rho = random_density_matrix(6, seed=0, layout=layout)
-        step = truncate_normalize(
-            rho,
-            {
-                "A": (2, ProjectorSequence.computational(2)),
-                "B": (3, ProjectorSequence.computational(3)),
-            },
-        )
+        step = _step(_bipartite(rho, "A", "B", "computational"), 2, 3)
         assert step.lam == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(step.state.entries, rho.entries, atol=1e-12)
-        assert step.ranks == {"A": 2, "B": 3}
+        assert np.allclose(step.joint, rho.entries, atol=1e-12)
 
     def test_bell_rank_one(self):
+        # the rank-(1, 1) truncation of the Bell state is |00><00| with weight 1/2
         rho = as_density(bell(2))
-        step = truncate_normalize(
-            rho,
-            {
-                "A": (1, ProjectorSequence.computational(2)),
-                "B": (1, ProjectorSequence.computational(2)),
-            },
-        )
+        step = _step(_bipartite(rho, "A", "B", "computational"), 1, 1)
         assert step.lam == pytest.approx(0.5, abs=1e-12)
-        expected = basis_ket(0, 4, rho.layout)
-        assert np.allclose(step.state.entries, expected.entries, atol=1e-12)
+        assert np.allclose(step.joint, [[1.0]], atol=1e-12)
+        (point,) = conditional_entropy_sweep(rho, "A", "B", [(1, 1)])
+        assert point.lam == pytest.approx(0.5, abs=1e-12)
+        assert point.cond_entropy_nats == pytest.approx(0.0, abs=1e-10)
 
     def test_one_sided_truncation(self):
+        # rank 1 on A, full rank on B, which is left untouched
         rho = as_density(bell(2))
-        step = truncate_normalize(rho, {"A": (1, ProjectorSequence.computational(2))})
-        assert step.lam == pytest.approx(0.5, abs=1e-12)
-        assert step.ranks == {"A": 1}
-        assert step.state.layout.labels == ("A", "B")
+        (point,) = conditional_entropy_sweep(rho, "A", "B", [(1, 2)])
+        assert (point.rank_a, point.rank_b) == (1, 2)
+        assert point.lam == pytest.approx(0.5, abs=1e-12)
+        assert point.h_nk == pytest.approx(0.0, abs=1e-10)
 
     def test_retained_weight_monotone_in_rank(self):
         psi = tmsv(nbar=1.0, cutoff=12)
-        rho = psi.as_density()
-        seq = ProjectorSequence.computational(12)
-        lams = [
-            truncate_normalize(rho, {"A": (r, seq), "B": (r, seq)}).lam
-            for r in range(1, 13)
-        ]
-        assert np.all(np.diff(lams) >= -1e-15)
-        assert lams[-1] == pytest.approx(1.0, abs=1e-12)
+        for state in (psi, psi.as_density()):
+            points = conditional_entropy_sweep(state, "A", "B", diagonal_schedule(1, 12))
+            lams = [p.lam for p in points]
+            assert np.all(np.diff(lams) >= -1e-15)
+            assert lams[-1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_degenerate_weight_raises_with_weight(self):
+    def test_degenerate_weight_is_skipped_with_weight(self):
         layout = pair_layout(2, 2)
         rho = basis_ket(3, 4, layout)  # |11><11|
-        with pytest.raises(DegenerateTruncationError) as exc_info:
-            truncate_normalize(rho, {"A": (1, ProjectorSequence.computational(2))})
-        assert exc_info.value.weight == pytest.approx(0.0, abs=1e-15)
-
-    def test_empty_projections_rejected(self):
-        rho = random_density_matrix(4, seed=1, layout=pair_layout(2, 2))
-        with pytest.raises(StructuralError):
-            truncate_normalize(rho, {})
+        (point,) = conditional_entropy_sweep(rho, "A", "B", [(1, 2)])
+        assert point.skipped
+        assert (point.h_nk, point.h_tilde_nk, point.diff) == (None, None, None)
+        assert point.lam == pytest.approx(0.0, abs=1e-15)
 
     def test_unknown_label_rejected(self):
         rho = random_density_matrix(4, seed=1, layout=pair_layout(2, 2))
         with pytest.raises(StructuralError):
-            truncate_normalize(rho, {"Z": (1, ProjectorSequence.computational(2))})
-
-    def test_dimension_mismatch_rejected(self):
-        rho = random_density_matrix(4, seed=1, layout=pair_layout(2, 2))
-        with pytest.raises(StructuralError):
-            truncate_normalize(rho, {"A": (1, ProjectorSequence.computational(3))})
+            conditional_entropy_sweep(rho, "Z", "B", [(1, 1)])
 
 
 class TestTmsvWeightOracle:
@@ -157,21 +154,21 @@ class TestTmsvWeightOracle:
         # rank r has the closed form (1 - q^r) / (1 - q^N) with q = nbar/(nbar+1)
         nbar, cutoff = 1.0, 16
         q = nbar / (nbar + 1.0)
-        rho = tmsv(nbar=nbar, cutoff=cutoff).as_density()
-        seq = ProjectorSequence.computational(cutoff)
-        for r in (1, 2, 5, 9, 16):
-            step = truncate_normalize(rho, {"A": (r, seq), "B": (r, seq)})
-            expected = (1.0 - q**r) / (1.0 - q**cutoff)
-            assert step.lam == pytest.approx(expected, abs=1e-12)
+        psi = tmsv(nbar=nbar, cutoff=cutoff)
+        schedule = [(r, r) for r in (1, 2, 5, 9, 16)]
+        for state in (psi, psi.as_density()):
+            for point in conditional_entropy_sweep(state, "A", "B", schedule):
+                expected = (1.0 - q**point.rank_a) / (1.0 - q**cutoff)
+                assert point.lam == pytest.approx(expected, abs=1e-12)
 
     def test_asymmetric_ranks_use_smaller(self):
         nbar, cutoff = 1.0, 10
         q = nbar / (nbar + 1.0)
-        rho = tmsv(nbar=nbar, cutoff=cutoff).as_density()
-        seq = ProjectorSequence.computational(cutoff)
-        step = truncate_normalize(rho, {"A": (3, seq), "B": (7, seq)})
+        psi = tmsv(nbar=nbar, cutoff=cutoff)
         expected = (1.0 - q**3) / (1.0 - q**cutoff)
-        assert step.lam == pytest.approx(expected, abs=1e-12)
+        for state in (psi, psi.as_density()):
+            (point,) = conditional_entropy_sweep(state, "A", "B", [(3, 7)])
+            assert point.lam == pytest.approx(expected, abs=1e-12)
 
 
 class TestDiagonalSchedule:
@@ -186,6 +183,20 @@ class TestDiagonalSchedule:
             diagonal_schedule(5, 4)
         with pytest.raises(PreconditionError):
             diagonal_schedule(0, 4)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(1.5, 4.9, 1.2), (1.5, 4, 1), (1, 4.9, 1), (1, 4, 1.2), (True, 4, 1), (1, 4, True),
+         (float("nan"), 4, 1), (1, float("inf"), 1), (1, "4", 1)],
+    )  # fmt: skip
+    def test_bounds_must_be_integers(self, bounds):
+        with pytest.raises(ParseError):
+            diagonal_schedule(*bounds)
+
+    def test_integral_floats_and_numpy_ints_accepted(self):
+        schedule = diagonal_schedule(np.int64(2), 4.0, np.int32(1))
+        assert schedule == [(2, 2), (3, 3), (4, 4)]
+        assert all(type(n) is int for pair in schedule for n in pair)
 
 
 class TestConditionalEntropySweep:
@@ -322,6 +333,22 @@ class TestConditionalEntropySweep:
         with pytest.raises(PreconditionError):
             conditional_entropy_sweep(rho, "A", "B", schedule=[(3, 1)])
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [[(2.7, 3.9)], [(1, 1), (2, 2.5)], [(True, True)], [(float("nan"), 1)], [(1, None)]],
+        ids=["fractions", "late-fraction", "bools", "nan", "none"],
+    )
+    def test_schedule_ranks_must_be_integers(self, schedule):
+        rho = random_density_matrix(16, seed=1, layout=pair_layout(4, 4))
+        with pytest.raises(ParseError):
+            conditional_entropy_sweep(rho, "A", "B", schedule)
+
+    def test_integral_schedule_ranks_accepted(self):
+        rho = random_density_matrix(16, seed=1, layout=pair_layout(4, 4))
+        points = conditional_entropy_sweep(rho, "A", "B", [(np.int64(2), 3.0), (4.0, np.int8(4))])
+        assert [(p.rank_a, p.rank_b) for p in points] == [(2, 3), (4, 4)]
+        assert all(type(p.rank_a) is int and type(p.rank_b) is int for p in points)
+
     def test_unknown_mode_rejected(self):
         rho = random_density_matrix(4, seed=1, layout=pair_layout(2, 2))
         with pytest.raises(PreconditionError):
@@ -344,6 +371,21 @@ class TestTruncationDiagnostics:
         rho = random_density_matrix(30, seed=9, layout=pair_layout(5, 6))
         truncation_diagnostics(rho, "A", "B", 3, 4)
         assert eigh_sizes == {3: 2, 4: 2, 12: 1}
+
+    @pytest.mark.parametrize(
+        "ranks", [(2.5, 2), (2, 2.5), (True, 2), (float("nan"), 2)], ids=["a", "b", "bool", "nan"]
+    )
+    def test_ranks_must_be_integers(self, ranks):
+        rho = random_density_matrix(9, seed=10, layout=pair_layout(3, 3))
+        with pytest.raises(ParseError):
+            truncation_diagnostics(rho, "A", "B", *ranks)
+
+    def test_integral_ranks_accepted(self):
+        rho = random_density_matrix(9, seed=10, layout=pair_layout(3, 3))
+        diag = truncation_diagnostics(rho, "A", "B", 2.0, np.int64(3))
+        assert (diag.rank_a, diag.rank_b) == (2, 3)
+        assert type(diag.rank_a) is int and type(diag.rank_b) is int
+        assert diag == truncation_diagnostics(rho, "A", "B", 2, 3)
 
     def test_full_rank_gap_vanishes(self):
         layout = pair_layout(3, 3)
@@ -384,6 +426,6 @@ class TestEntropyAfterTruncation:
     def test_truncated_entropy_tracks_weight(self):
         # H of the rank-1 truncated Bell state is 0 (it is |00><00|)
         rho = as_density(bell(2))
-        seq = ProjectorSequence.computational(2)
-        step = truncate_normalize(rho, {"A": (1, seq), "B": (1, seq)})
-        assert von_neumann_entropy(step.state) == pytest.approx(0.0, abs=1e-10)
+        step = _step(_bipartite(rho, "A", "B", "computational"), 1, 1)
+        truncated = DensityMatrix(step.joint, pair_layout(1, 1))
+        assert von_neumann_entropy(truncated) == pytest.approx(0.0, abs=1e-10)

@@ -102,6 +102,8 @@ INVOCATIONS: dict[str, list[str]] = {
         "mutinfo", "werner:p=0.5", "--channel", CHANNEL, "--out", "compute-mutinfo-channel.json"
     ),
     "compute-cohinfo-channel": _compute("cohinfo", "werner:p=0.5", "--channel", CHANNEL),
+    # a pure input: its purification has a rank-1 reference
+    "compute-cohinfo-pure": _compute("cohinfo", "bell", "--channel", CHANNEL),
 }  # fmt: skip
 
 
