@@ -13,6 +13,11 @@ of (channel x id_R) as the factor F[b, i, j] = sum_a K_j[b, a] psi[a, i], with
 rho_BR = sum_j F[:, :, j] F[:, :, j]^dagger. The marginals on B and R come
 from F, and the nonzero eigenvalues of rho_BR from the env x env Gram matrix
 F^dagger F, so no matrix of size d_out * rank is solved.
+
+A channel may be a stack: Kraus operators of shape (N, d_out, d_in), one
+channel per row. Channel information of a stack of N states through a stack
+of N channels, or through one channel, is evaluated in one call, one value
+per row.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .states import (
     SubsystemLayout,
     ValidationReport,
     Violation,
+    _support_groups,
     as_density,
     clamped_spectrum,
     partial_trace,
@@ -47,7 +53,8 @@ class KrausChannel:
 
     ``env_dim`` (the number of Kraus operators) is the dimension of the
     Stinespring environment. Construction checks structure only; whether the
-    map is trace preserving is measured by :func:`validate_channel`.
+    map is trace preserving is measured by :func:`validate_channel`. Kraus
+    operators of shape (N, d_out, d_in) make a stack of N channels.
     """
 
     kraus_ops: tuple[np.ndarray, ...]
@@ -63,17 +70,17 @@ class KrausChannel:
         ops = []
         for k in kraus_ops:
             a = np.array(k, dtype=np.complex128, copy=True)
-            if a.ndim != 2:
-                raise StructuralError(f"Kraus operator has {a.ndim} axes, expected 2")
+            if a.ndim not in (2, 3):
+                raise StructuralError(f"Kraus operator has {a.ndim} axes, expected 2 or 3")
             a.setflags(write=False)
             ops.append(a)
         if not ops:
             raise StructuralError("a channel needs at least one Kraus operator")
-        out, inp = ops[0].shape
+        out, inp = ops[0].shape[-2:]
         for a in ops:
-            if a.shape != (out, inp):
+            if a.shape != ops[0].shape:
                 raise StructuralError(
-                    f"Kraus operators disagree in shape: {a.shape} vs {(out, inp)}"
+                    f"Kraus operators disagree in shape: {a.shape} vs {ops[0].shape}"
                 )
         if dim_in is not None and int(dim_in) != inp:
             raise StructuralError(f"dim_in {dim_in} does not match Kraus shape {(out, inp)}")
@@ -88,8 +95,9 @@ class KrausChannel:
         return len(self.kraus_ops)
 
     def completeness_defect(self) -> float:
-        """Max-abs deviation of sum_j K_j^dagger K_j from the identity."""
-        s = sum(k.conj().T @ k for k in self.kraus_ops)
+        """Max-abs deviation of sum_j K_j^dagger K_j from the identity; the
+        largest over the rows of a stack."""
+        s = sum(k.conj().swapaxes(-1, -2) @ k for k in self.kraus_ops)
         return float(np.max(np.abs(s - np.eye(self.dim_in))))
 
     def apply(self, state: State, out_label: str = "B") -> DensityMatrix:
@@ -141,9 +149,8 @@ def complementary(channel: KrausChannel) -> KrausChannel:
     environment via ``(K~_e)[j, a] = (K_j)[e, a]``.
     """
     require_valid_channel(channel)
-    stacked = np.stack(channel.kraus_ops)  # (env, out, in)
-    swapped = stacked.transpose(1, 0, 2)  # (out, env, in)
-    return KrausChannel(list(swapped))
+    stacked = np.stack(channel.kraus_ops)  # (env, [N,] out, in)
+    return KrausChannel(list(np.swapaxes(stacked, 0, -2)))  # (out, [N,] env, in)
 
 
 def trace_out_channel(layout: SubsystemLayout, keep: LabelSet) -> KrausChannel:
@@ -187,33 +194,43 @@ def purify(rho: DensityMatrix, reference_label: str = "R") -> PureState:
     support cutoff), not the full dimension. Eigenvalues enter in descending
     order and each eigenvector's phase is fixed by making its
     largest-magnitude component real positive, so the output is a
-    deterministic function of the input matrix.
+    deterministic function of the input matrix. A stack purifies row by
+    row onto the largest rank among its rows; a row of lower rank has zero
+    amplitude on the reference levels past its own rank.
     """
     if reference_label in rho.layout.labels:
         raise StructuralError(
             f"reference label {reference_label!r} collides with {rho.layout.labels}"
         )
     amplitudes = _purification(clamped_spectrum(rho))
-    layout = SubsystemLayout(rho.layout.subsystems + ((reference_label, amplitudes.shape[1]),))
-    return PureState(amplitudes.reshape(-1), layout)
+    layout = SubsystemLayout(rho.layout.subsystems + ((reference_label, amplitudes.shape[-1]),))
+    return PureState(amplitudes.reshape(amplitudes.shape[:-2] + (-1,)), layout)
 
 
 def _purification(spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """:func:`purify`'s amplitudes from rho's clamped spectrum, which it leaves
-    unchanged, as a (dim, rank) matrix psi with rho = psi psi^dagger."""
+    unchanged, as a (dim, rank) matrix psi with rho = psi psi^dagger.
+
+    A stack gives (N, dim, max rank): row i fills its first rank_i columns,
+    solved with the rows of equal rank, and the rest are zero.
+    """
     w, u = spectrum
-    w, u = w[::-1], u[:, ::-1]
-    mask = w > TAU_SUPP
-    lam, vecs = w[mask], u[:, mask]
-    rank = int(lam.size)
-    if rank == 0:
+    stack, dim = w.shape[:-1], w.shape[-1]
+    w, u = w.reshape(-1, dim), u.reshape(-1, dim, dim)
+    groups = _support_groups(w)
+    w, u = w[:, ::-1], u[:, :, ::-1]
+    if any(rank == 0 for _, (rank,) in groups):
         raise PreconditionError("cannot purify the zero matrix")
-    for i in range(rank):
-        col = vecs[:, i]
-        pivot = col[np.argmax(np.abs(col))]
-        vecs[:, i] = col * (pivot.conjugate() / abs(pivot))
-    amp = vecs * np.sqrt(lam)
-    return amp / np.linalg.norm(amp.reshape(-1))
+    psi = np.zeros((len(w), dim, max(rank for _, (rank,) in groups)), dtype=u.dtype)
+    for rows, (rank,) in groups:
+        lam, vecs = w[rows, :rank], u[rows, :, :rank]
+        # each column's phase makes its largest-magnitude component real positive
+        top = np.argmax(np.abs(vecs), axis=-2)[:, None, :]
+        pivot = np.take_along_axis(vecs, top, axis=-2)
+        amp = vecs * (pivot.conj() / np.hypot(pivot.real, pivot.imag)) * np.sqrt(lam)[:, None, :]
+        norms = np.array([np.linalg.norm(row.reshape(-1)) for row in amp])
+        psi[rows, :, :rank] = amp / norms[:, None, None]
+    return psi.reshape(stack + psi.shape[1:])
 
 
 def channel_mutual_information(state: State, channel: KrausChannel) -> float:
@@ -228,28 +245,35 @@ def channel_mutual_information(state: State, channel: KrausChannel) -> float:
 
 def _information_and_spectrum(
     rho: DensityMatrix, channel: KrausChannel
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """:func:`channel_mutual_information` from the output factor, and the
-    clamped eigenvalues of rho it purified."""
+    clamped eigenvalues of rho it purified. The rows of a stack are grouped
+    by rank, so each row's factor has exactly its own rank's columns."""
     if rho.dim != channel.dim_in:
         raise StructuralError(
             f"channel expects input dimension {channel.dim_in}, state has {rho.dim}"
         )
-    spectrum = clamped_spectrum(rho)
-    psi = _purification(spectrum)
-    # F[b, i, j] = sum_a K_j[b, a] psi[a, i]
-    factor = np.einsum("jba,ai->bij", np.stack(channel.kraus_ops), psi)
-    columns = factor.reshape(-1, channel.env_dim)
-    gram = DensityMatrix(columns.conj().T @ columns, single("E", channel.env_dim))
-    rho_b, rho_r = _marginals(factor)
-    info = _product_divergence(
-        clamped_spectrum(gram, vectors=False)[0],
-        rho_b.entries,
-        rho_r.entries,
-        clamped_spectrum(rho_b),
-        clamped_spectrum(rho_r),
-    )
-    return info, spectrum[0]
+    w, u = clamped_spectrum(rho)
+    stack, dim, env = w.shape[:-1], rho.dim, channel.env_dim
+    w, u = w.reshape(-1, dim), u.reshape(-1, dim, dim)
+    kraus = np.stack(channel.kraus_ops, axis=-3)  # ([N,] env, out, in)
+    info = np.empty(len(w))
+    for rows, _ in _support_groups(w):
+        psi = _purification((w[rows], u[rows]))
+        # F[b, i, j] = sum_a K_j[b, a] psi[a, i]
+        factor = np.einsum("...jba,...ai->...bij", kraus[rows] if kraus.ndim == 4 else kraus, psi)
+        columns = factor.reshape(len(psi), -1, env)
+        gram = DensityMatrix(columns.conj().swapaxes(-1, -2) @ columns, single("E", env))
+        rho_b, rho_r = _marginals(factor)
+        info[rows] = _product_divergence(
+            clamped_spectrum(gram, vectors=False)[0],
+            rho_b.entries,
+            rho_r.entries,
+            clamped_spectrum(rho_b),
+            clamped_spectrum(rho_r),
+        )
+    info = info.reshape(stack)
+    return (info if stack else float(info)), w.reshape(stack + (dim,))
 
 
 def coherent_information(state: State, channel: KrausChannel) -> float:
@@ -271,9 +295,10 @@ def conditional_entropy_via_coherent_info(
     the two can be cross-checked.
     """
     rho = as_density(state)
-    top = float(clamped_spectrum(rho, vectors=False)[0][-1])
-    if top < 1.0 - TAU_PURE:
-        raise PreconditionError(f"state must be pure; largest eigenvalue is {top:.12f}")
+    top = clamped_spectrum(rho, vectors=False)[0][..., -1].reshape(-1)
+    if top.min() < 1.0 - TAU_PURE:
+        first = top[np.argmax(top < 1.0 - TAU_PURE)]
+        raise PreconditionError(f"state must be pure; largest eigenvalue is {first:.12f}")
     _, labels_g, rest = rho.layout.split(target, given, cover=False)
     if not rest:
         raise PreconditionError(

@@ -33,6 +33,7 @@ from .errors import StructuralError
 from .states import (
     DensityMatrix,
     LabelSet,
+    _support_groups,
     as_density,
     clamped_spectrum,
     partial_trace,
@@ -44,18 +45,33 @@ from .tolerances import NEG_CLAMP, TAU_SUPP
 _Spectrum = tuple[np.ndarray, np.ndarray]
 
 
-def _entropy_from_eigs(w: np.ndarray) -> float:
-    support = w[w > TAU_SUPP]
-    return _rounded(float(-np.sum(support * np.log(support))))
+def _entropy_from_eigs(w: np.ndarray) -> float | np.ndarray:
+    """-sum w ln w over the support of an ascending spectrum, or of each row of a stack.
+
+    The support is the top of an ascending spectrum, so each row sums its
+    own support alone, in the order a single spectrum would.
+    """
+    rows = w.reshape(-1, w.shape[-1])
+    total = np.empty(len(rows))
+    for idx, (kept,) in _support_groups(rows):
+        support = rows[idx, rows.shape[-1] - kept :]
+        total[idx] = -np.add.reduce(support * np.log(support), axis=-1)
+    return _rounded(total.reshape(w.shape[:-1]))
 
 
-def _leaks(mass: float, dim: int) -> bool:
+def _leaks(mass: float | np.ndarray, dim: int) -> bool | np.ndarray:
     """The one support rule: leaked mass beyond what the support cut can drop."""
     return mass > dim * TAU_SUPP
 
 
-def _rounded(total: float) -> float:
-    """The one round-off rule: tiny negative totals from rounding become exactly 0.0."""
+def _rounded(total: float | np.ndarray) -> float | np.ndarray:
+    """The one round-off rule: tiny negative totals from rounding become exactly 0.0.
+
+    An array of totals is rounded entry by entry.
+    """
+    if getattr(total, "ndim", 0):
+        return np.array([_rounded(t) for t in total.tolist()]).reshape(total.shape)
+    total = float(total)
     if -NEG_CLAMP <= total < 0.0:
         return 0.0
     return total + 0.0  # normalize -0.0
@@ -133,7 +149,7 @@ def _product_divergence(
     red_second: np.ndarray,
     spec_first: _Spectrum,
     spec_second: _Spectrum,
-) -> float:
+) -> float | np.ndarray:
     """:func:`relative_entropy_vs_product` from rho's eigenvalues, its two marginals
     ``red_first`` and ``red_second``, and the two factors' clamped spectra.
 
@@ -143,30 +159,45 @@ def _product_divergence(
     marginal weights the cross term needs anyway, against the dimension of
     rho's space, and rho's eigenvectors are never used: ``w_rho`` may come
     from a values-only solve, and may list only the nonzero eigenvalues.
+
+    Every input may carry a leading stack axis; the value is then one per
+    row. Spectra are ascending, so each support is the top of its spectrum.
     """
     (w_a, u_a), (w_b, u_b) = spec_first, spec_second
-    mask_a, mask_b = w_a > TAU_SUPP, w_b > TAU_SUPP
     # weight of rho's marginals on each factor eigendirection
-    p_a = np.maximum(np.einsum("ia,ij,ja->a", u_a.conj(), red_first, u_a).real, 0.0)
-    p_b = np.maximum(np.einsum("ia,ij,ja->a", u_b.conj(), red_second, u_b).real, 0.0)
-    if _leaks(p_a[~mask_a].sum() + p_b[~mask_b].sum(), w_a.size * w_b.size):
-        return math.inf
-    cross = float(
-        p_a[mask_a] @ np.log(w_a[mask_a]) + p_b[mask_b] @ np.log(w_b[mask_b])
-    )
-    lam = w_rho[w_rho > TAU_SUPP]
-    return _rounded(float(np.sum(lam * np.log(lam))) - cross)
+    p_a = np.maximum(np.einsum("...ia,...ij,...ja->...a", u_a.conj(), red_first, u_a).real, 0.0)
+    p_b = np.maximum(np.einsum("...ia,...ij,...ja->...a", u_b.conj(), red_second, u_b).real, 0.0)
+    stack, d_a, d_b, d_rho = w_rho.shape[:-1], w_a.shape[-1], w_b.shape[-1], w_rho.shape[-1]
+    w_a, p_a = w_a.reshape(-1, d_a), p_a.reshape(-1, d_a)
+    w_b, p_b = w_b.reshape(-1, d_b), p_b.reshape(-1, d_b)
+    w_rho = w_rho.reshape(-1, d_rho)
+    out = np.empty(len(w_rho))
+    for rows, (k_a, k_b, k_rho) in _support_groups(w_a, w_b, w_rho):
+        cut_a, cut_b = d_a - k_a, d_b - k_b
+        leaked = np.add.reduce(p_a[rows, :cut_a], axis=-1)
+        leaked += np.add.reduce(p_b[rows, :cut_b], axis=-1)
+        # each cross term a row-by-column product, as a single spectrum's dot product
+        cross = (
+            p_a[rows, None, cut_a:] @ np.log(w_a[rows, cut_a:, None])
+            + p_b[rows, None, cut_b:] @ np.log(w_b[rows, cut_b:, None])
+        )[:, 0, 0]
+        lam = w_rho[rows, d_rho - k_rho :]
+        value = np.add.reduce(lam * np.log(lam), axis=-1) - cross
+        value[_leaks(leaked, d_a * d_b)] = math.inf
+        out[rows] = value
+    return _rounded(out.reshape(stack))
 
 
 def _marginals(factor: np.ndarray) -> tuple[DensityMatrix, DensityMatrix]:
-    """Both marginals of F F^dagger for a factor F of shape (n, k, r): on its
-    first index (labelled A) and its second (labelled B)."""
-    n, k, r = factor.shape
-    f_a = factor.reshape(n, k * r)
-    f_b = factor.transpose(1, 0, 2).reshape(k, n * r)
+    """Both marginals of F F^dagger for a factor F of shape (n, k, r), or a stack
+    of them: on its first index (labelled A) and its second (labelled B)."""
+    n, k, r = factor.shape[-3:]
+    stack = factor.shape[:-3]
+    f_a = factor.reshape(stack + (n, k * r))
+    f_b = np.swapaxes(factor, -3, -2).reshape(stack + (k, n * r))
     return (
-        DensityMatrix(f_a @ f_a.conj().T, single("A", n)),
-        DensityMatrix(f_b @ f_b.conj().T, single("B", k)),
+        DensityMatrix(f_a @ f_a.conj().swapaxes(-1, -2), single("A", n)),
+        DensityMatrix(f_b @ f_b.conj().swapaxes(-1, -2), single("B", k)),
     )
 
 

@@ -10,15 +10,23 @@ violations fail.
 
 The trial-based checks are entries of one table (layout labels, defaults,
 named fixed trials, per-trial draw, margin) run by one runner; the
-continuity check follows a deterministic schedule as one trial. Each check
-declares its parameters and their defaults once, and :func:`run_check` is
-the only place that fills, validates, coerces and records them: it builds
-the report's config and hands it to the check. Every report is built by
-one assembler.
+continuity check follows a deterministic schedule as one trial. The runner
+draws each trial from its own seed, then evaluates the trials in stacks:
+consecutive random trials, up to a fixed cap, go through the margin in one
+call with every state stacked on a leading axis, and each named fixed trial
+is a stack of its own. A stack yields the same per-trial margins as
+evaluating its trials one by one.
+
+Each check declares its parameters and their defaults once, and
+:func:`run_check` is the only place that fills, validates, coerces and
+records them: it builds the report's config and hands it to the check.
+Every report is built by one assembler.
 
 Reproducibility contract: trial i uses seed ``master_seed XOR i``, every
 report embeds its full effective config, and re-running a config reproduces
-the report exactly (see :func:`replay_report`).
+the report exactly (see :func:`replay_report`). Stacking is not part of the
+config: it changes no arithmetic, so a report does not depend on the stack
+cap.
 """
 
 from __future__ import annotations
@@ -166,8 +174,11 @@ class _TrialCheck:
     ``(label, args)`` pairs, drawing from ``generator(seed)`` in order;
     ``draw(rng, layout, config)`` gives random trial i's args from its own
     ``generator(trial_seed(seed, i))``; ``margin(*args)`` returns the raw
-    slack and the values recorded with it. The layout pairs ``labels`` with
-    the effective dims.
+    slack and the values recorded with it. The runner calls ``margin`` on
+    stacks, each arg stacked across trials (:func:`_stacked`), and gets one
+    slack and one of each value per trial; on one trial's own args it
+    returns plain numbers. The layout pairs ``labels`` with the effective
+    dims.
     """
 
     labels: tuple[str, ...]
@@ -252,7 +263,8 @@ def _concavity_margin(
     rho1: DensityMatrix, rho2: DensityMatrix, alpha: float
 ) -> tuple[float, dict[str, float]]:
     """H(A|B) of a mixture dominates the mixture of H(A|B); margin is the excess."""
-    mix = DensityMatrix(alpha * rho1.entries + (1.0 - alpha) * rho2.entries, rho1.layout)
+    weight = np.asarray(alpha)[..., None, None]
+    mix = DensityMatrix(weight * rho1.entries + (1.0 - weight) * rho2.entries, rho1.layout)
     h_mix = conditional_entropy(mix, "A", "B")
     h1 = conditional_entropy(rho1, "A", "B")
     h2 = conditional_entropy(rho2, "A", "B")
@@ -292,7 +304,7 @@ def _subadditivity_margin(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
     pairwise = h_a_c + h_b_d - h_ab_cd
     shared = h_a_cd + h_b_cd - h_ab_cd
     chain = -abs(h_ab_cd - h_a_cd - h_b_cd + (h_a_cd - h_a_bcd))
-    return min(pairwise, shared, chain), {
+    return np.minimum(np.minimum(pairwise, shared), chain), {
         "pairwise_margin": pairwise,
         "shared_margin": shared,
         "chain_residual_margin": chain,
@@ -386,19 +398,49 @@ _TRIAL_CHECKS: dict[str, _TrialCheck] = {
 }  # fmt: skip
 
 
+# the most random trials evaluated in one stack: the stacks' memory stays
+# small while the per-call cost is paid once per stack
+_STACK_CAP = 16
+
+
+def _stacked(column: Sequence[Any]) -> Any:
+    """One margin argument across several trials, stacked on a leading axis."""
+    first = column[0]
+    if isinstance(first, DensityMatrix):
+        return DensityMatrix(np.stack([arg.entries for arg in column]), first.layout)
+    if isinstance(first, PureState):
+        return PureState(np.stack([arg.amplitudes for arg in column]), first.layout)
+    if isinstance(first, KrausChannel):
+        return KrausChannel(np.stack([arg.kraus_ops for arg in column], axis=1))
+    return np.array(column)
+
+
+def _evaluate(
+    check: _TrialCheck, named: Sequence[tuple[str, int]], drawn: Sequence[_Args]
+) -> list[_Trial]:
+    """The trials ``named`` by (label, seed), whose args are ``drawn``, as one stack."""
+    margins, values = check.margin(*map(_stacked, zip(*drawn)))
+    return [
+        _Trial(label, ts, float(margins[row]), {k: float(v[row]) for k, v in values.items()})
+        for row, (label, ts) in enumerate(named)
+    ]
+
+
 def _run_trials(config: _Config) -> PropertyReport:
     """Run a table entry: its fixed trials, then random trial i from ``trial_seed(seed, i)``."""
     check = _TRIAL_CHECKS[config["property"]]
     seed = config["seed"]
     layout = SubsystemLayout(zip(check.labels, config["dims"], strict=True))
-    results = [
-        _Trial(label, seed, *check.margin(*args))
-        for label, args in check.fixed(generator(seed), layout, config)
-    ]
-    for i in range(config["trials"]):
-        ts = trial_seed(seed, i)
-        args = check.draw(generator(ts), layout, config)
-        results.append(_Trial(str(i), ts, *check.margin(*args)))
+    results = []
+    for label, args in check.fixed(generator(seed), layout, config):
+        results += _evaluate(check, [(label, seed)], [args])
+    for start in range(0, config["trials"], _STACK_CAP):
+        named = [
+            (str(i), trial_seed(seed, i))
+            for i in range(start, min(start + _STACK_CAP, config["trials"]))
+        ]
+        drawn = [check.draw(generator(ts), layout, config) for _, ts in named]
+        results += _evaluate(check, named, drawn)
     return _assemble(config, results)
 
 

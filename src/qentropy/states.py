@@ -10,6 +10,7 @@ ordering of ``numpy.kron`` applied left to right.
 from __future__ import annotations
 
 import string
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -118,6 +119,12 @@ class DensityMatrix:
     Construction checks structure only (square, dimension matches the
     layout). The statistical invariants are measured by :func:`validate`,
     so defective matrices can be built and inspected.
+
+    ``entries`` may also be a stack of shape (N, d, d): N states on one
+    layout. :func:`clamped_spectrum`, :func:`partial_trace`,
+    :func:`permute_subsystems` and the entropy and channel-information
+    functions built on them evaluate a stack row by row in one call and
+    return one value per row.
     """
 
     entries: np.ndarray
@@ -125,18 +132,18 @@ class DensityMatrix:
 
     def __post_init__(self):
         entries = _freeze(self.entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        if entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]:
             raise StructuralError(f"entries must be square, got shape {entries.shape}")
-        if entries.shape[0] != self.layout.total_dim:
+        if entries.shape[-1] != self.layout.total_dim:
             raise StructuralError(
-                f"entries are {entries.shape[0]}x{entries.shape[0]} but layout "
+                f"entries are {entries.shape[-1]}x{entries.shape[-1]} but layout "
                 f"{self.layout.labels} has total dimension {self.layout.total_dim}"
             )
         object.__setattr__(self, "entries", entries)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
@@ -144,29 +151,36 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit vector with a layout; ``as_density`` gives the rank-1 projector."""
+    """Unit vector with a layout; ``as_density`` gives the rank-1 projector.
+
+    ``amplitudes`` may also be a stack of shape (N, D), whose ``as_density``
+    is the (N, D, D) stack of projectors.
+    """
 
     amplitudes: np.ndarray
     layout: SubsystemLayout
 
     def __post_init__(self):
-        amp = _freeze(self.amplitudes).reshape(-1)
-        if amp.shape[0] != self.layout.total_dim:
+        amp = _freeze(self.amplitudes)
+        if amp.ndim not in (1, 2):
+            raise StructuralError(f"amplitudes must be a vector or a stack, got shape {amp.shape}")
+        if amp.shape[-1] != self.layout.total_dim:
             raise StructuralError(
-                f"amplitude vector has length {amp.shape[0]} but layout "
+                f"amplitude vector has length {amp.shape[-1]} but layout "
                 f"{self.layout.labels} has total dimension {self.layout.total_dim}"
             )
         object.__setattr__(self, "amplitudes", amp)
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.shape[0]
+        return self.amplitudes.shape[-1]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
     def as_density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.layout)
+        amp = self.amplitudes
+        return DensityMatrix(amp[..., :, None] * amp.conj()[..., None, :], self.layout)
 
 
 State = Union[DensityMatrix, PureState]
@@ -243,23 +257,50 @@ def clamped_spectrum(
     A matrix without imaginary part is solved as a real symmetric one, about
     7x faster at dimension 900: its eigenvalues agree with the complex solve
     to rounding, and its eigenvectors come out real.
+
+    A stack of N matrices is one solve with a leading axis on both outputs;
+    it is solved as real only when no row has an imaginary part, and the
+    first row with an eigenvalue below -TAU_PSD raises.
     """
     m = as_density(rho).entries
+    # (m + m^dagger) / 2 built in one temporary: a stack of large states sets
+    # the memory peak here
     if np.count_nonzero(m.imag):
-        sym = (m + m.conj().T) / 2.0
+        sym = m.conj().swapaxes(-1, -2)
+        sym += m
     else:
         m = m.real
-        sym = (m + m.T) / 2.0
+        sym = m + m.swapaxes(-1, -2)
+    sym /= 2.0
     if vectors:
         w, u = np.linalg.eigh(sym)
     else:
         w, u = np.linalg.eigvalsh(sym), None
-    if w[0] < -TAU_PSD:
-        raise InvalidStateError(
-            f"state has eigenvalue {w[0]:.3e} below -{TAU_PSD:g}; not a density matrix"
-        )
+    for lowest in w[..., 0].reshape(-1).tolist():
+        if lowest < -TAU_PSD:
+            raise InvalidStateError(
+                f"state has eigenvalue {lowest:.3e} below -{TAU_PSD:g}; not a density matrix"
+            )
     w = np.where(w < 0.0, 0.0, w)
     return w, u
+
+
+def _support_groups(*spectra: np.ndarray) -> list[tuple[np.ndarray | slice, tuple[int, ...]]]:
+    """The rows of stacked (N, d) ascending spectra grouped by how many
+    eigenvalues of each spectrum lie above ``TAU_SUPP``.
+
+    Returns ``(rows, sizes)`` pairs, ``rows`` indexing the rows whose spectra
+    keep ``sizes`` eigenvalues. A stack whose rows all agree, the usual case,
+    is one group indexed by a full slice.
+    """
+    sizes = [[len(row) - bisect_right(row, TAU_SUPP) for row in w.tolist()] for w in spectra]
+    keys = list(zip(*sizes))
+    if keys.count(keys[0]) == len(keys):
+        return [(slice(None), keys[0])]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
+    return [(np.array(rows), key) for key, rows in groups.items()]
 
 
 def tensor(rho: State, sigma: State) -> DensityMatrix:
@@ -284,7 +325,8 @@ def partial_trace(rho: State, keep: LabelSet) -> DensityMatrix:
     n = len(dims)
     if 2 * n > len(_EINSUM_LETTERS):
         raise StructuralError(f"too many subsystems for partial trace: {n}")
-    tensor_form = rho.entries.reshape(dims + dims)
+    stack = rho.entries.shape[:-2]
+    tensor_form = rho.entries.reshape(stack + dims + dims)
     bra = list(_EINSUM_LETTERS[:n])
     ket = list(_EINSUM_LETTERS[n : 2 * n])
     out = []
@@ -294,12 +336,12 @@ def partial_trace(rho: State, keep: LabelSet) -> DensityMatrix:
             out.append((bra[i], ket[i]))
         else:
             ket[i] = bra[i]
-    spec = "".join(bra) + "".join(ket) + "->" + "".join(b for b, _ in out) + "".join(
+    spec = "..." + "".join(bra) + "".join(ket) + "->..." + "".join(b for b, _ in out) + "".join(
         k for _, k in out
     )
     kept_dims = [rho.layout.dim_of(label) for label in kept]
     d = int(np.prod(kept_dims))
-    reduced = np.einsum(spec, tensor_form).reshape(d, d)
+    reduced = np.einsum(spec, tensor_form).reshape(stack + (d, d))
     layout = SubsystemLayout([(label, rho.layout.dim_of(label)) for label in kept])
     return DensityMatrix(reduced, layout)
 
@@ -315,12 +357,14 @@ def permute_subsystems(rho: State, new_order: Sequence[str]) -> DensityMatrix:
         )
     dims = rho.layout.dims
     n = len(dims)
-    perm = [rho.layout.index_of(label) for label in new_order]
-    tensor_form = rho.entries.reshape(dims + dims)
-    shuffled = tensor_form.transpose(perm + [n + p for p in perm])
+    stack = rho.entries.shape[:-2]
+    lead = list(range(len(stack)))
+    perm = [len(stack) + rho.layout.index_of(label) for label in new_order]
+    tensor_form = rho.entries.reshape(stack + dims + dims)
+    shuffled = tensor_form.transpose(lead + perm + [n + p for p in perm])
     d = rho.layout.total_dim
     layout = SubsystemLayout([(label, rho.layout.dim_of(label)) for label in new_order])
-    return DensityMatrix(shuffled.reshape(d, d), layout)
+    return DensityMatrix(shuffled.reshape(stack + (d, d)), layout)
 
 
 def ginibre_state(

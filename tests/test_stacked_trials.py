@@ -1,0 +1,209 @@
+"""Stacked trials: the runner's stacks against a one-trial-at-a-time reference.
+
+The reference is the runner the stacks replace: every fixed and random trial
+goes through its check's margin on its own, unstacked args. Stacking changes
+no arithmetic, so reports must be equal, not merely close. The remaining
+tests pin the stack cap's effect on solves and the per-row behaviour of the
+stacked spectrum, purification and channel paths.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import qentropy.harness as harness
+from qentropy.catalog import bell
+from qentropy.channels import (
+    KrausChannel,
+    _information_and_spectrum,
+    _purification,
+    coherent_information,
+    complementary,
+    random_channel,
+    validate_channel,
+)
+from qentropy.entropy import conditional_entropy
+from qentropy.errors import InvalidChannelError, InvalidStateError
+from qentropy.harness import report_to_dict, run_check
+from qentropy.rng import generator, trial_seed
+from qentropy.states import (
+    DensityMatrix,
+    SubsystemLayout,
+    clamped_spectrum,
+    random_density_matrix,
+    random_pure_state,
+    single,
+)
+
+TRIAL_CHECKS = sorted(harness._TRIAL_CHECKS)
+
+# one shape per check other than its default
+OTHER_SHAPES = {
+    "duality": {"dims": [3, 2, 2]},
+    "bound": {"dims": [2, 4]},
+    "coherent-duality": {"dims": [2, 3], "env_dim": 2},
+    "monotonicity": {"dims": [2, 3, 2]},
+    "concavity": {"dims": [3, 2]},
+    "subadditivity": {"dims": [1, 2, 2, 1]},
+    "formula-standard": {"dims": [3, 2]},
+    "formula-coherent": {"dims": [3, 2]},
+}
+
+
+def reference_trials(config):
+    """Every trial of a check, each evaluated on its own unstacked args."""
+    check = harness._TRIAL_CHECKS[config["property"]]
+    seed = config["seed"]
+    layout = SubsystemLayout(zip(check.labels, config["dims"], strict=True))
+    trials = [
+        harness._Trial(label, seed, *check.margin(*args))
+        for label, args in check.fixed(generator(seed), layout, config)
+    ]
+    for i in range(config["trials"]):
+        ts = trial_seed(seed, i)
+        args = check.draw(generator(ts), layout, config)
+        trials.append(harness._Trial(str(i), ts, *check.margin(*args)))
+    return trials
+
+
+def reference_report(config):
+    return harness._assemble(config, reference_trials(config))
+
+
+def stacked_trials(monkeypatch, name, **overrides):
+    """The trials the stacked runner hands to the assembler, and its report."""
+    seen = []
+    assemble = harness._assemble
+
+    def recording(config, trials):
+        seen.extend(trials)
+        return assemble(config, trials)
+
+    monkeypatch.setattr(harness, "_assemble", recording)
+    report = run_check(name, **overrides)
+    return seen, report
+
+
+def as_tuples(trials):
+    return [(t.label, t.seed, float(t.margin), dict(t.values)) for t in trials]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("name", TRIAL_CHECKS)
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("trials", [1, 15, 16, 17, 33])
+    def test_report_is_equal(self, name, seed, trials):
+        report = run_check(name, seed=seed, trials=trials)
+        assert report_to_dict(report) == report_to_dict(reference_report(report.config))
+
+    @pytest.mark.parametrize("name", TRIAL_CHECKS)
+    def test_report_is_equal_on_another_shape(self, name):
+        report = run_check(name, seed=5, trials=17, **OTHER_SHAPES[name])
+        assert report_to_dict(report) == report_to_dict(reference_report(report.config))
+
+    @pytest.mark.parametrize("name", TRIAL_CHECKS)
+    def test_every_trial_is_equal(self, monkeypatch, name):
+        # reports keep only the worst random trial; every margin and value must agree
+        trials, report = stacked_trials(monkeypatch, name, seed=7, trials=33)
+        assert as_tuples(trials) == as_tuples(reference_trials(report.config))
+
+
+class TestStackCap:
+    @pytest.mark.parametrize("name", TRIAL_CHECKS)
+    @pytest.mark.parametrize("cap", [1, 5])
+    def test_reports_do_not_depend_on_the_cap(self, monkeypatch, name, cap):
+        expected = report_to_dict(run_check(name, seed=3, trials=17))
+        monkeypatch.setattr(harness, "_STACK_CAP", cap)
+        assert report_to_dict(run_check(name, seed=3, trials=17)) == expected
+
+    @pytest.mark.parametrize("cap", [None, 5])
+    def test_bound_solves_each_matrix_once_per_stack(self, monkeypatch, eigh_sizes, cap):
+        if cap is not None:
+            monkeypatch.setattr(harness, "_STACK_CAP", cap)
+        run_check("bound", trials=64)
+        stacks = math.ceil(64 / harness._STACK_CAP)
+        # per stack: H(rho_C), and H(C|A)'s two 3 x 3 marginals and 9 x 9 joint;
+        # the fixed trials add a Bell pair (2 x 2 marginals, 4 x 4 joint) and
+        # one product state on the default 3 x 3
+        assert eigh_sizes == {2: 3, 4: 1, 3: 3 * (stacks + 1), 9: stacks + 1}
+
+    def test_fixed_trials_keep_their_real_solves(self, monkeypatch):
+        kinds = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            kinds.append((np.shape(a)[-1], np.iscomplexobj(a)))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        run_check("bound", trials=3)
+        # the real Bell pair is the only trial with 2 x 2 marginals
+        assert {kind for kind in kinds if kind[0] in (2, 4)} == {(2, False), (4, False)}
+
+
+def _stack(*states):
+    return DensityMatrix(np.stack([s.entries for s in states]), states[0].layout)
+
+
+class TestPerRow:
+    def test_one_indefinite_row_raises_with_its_eigenvalue(self):
+        good = random_density_matrix(2, seed=1)
+        bad = DensityMatrix(np.diag([1.25, -0.25]), single("A", 2))
+        with pytest.raises(InvalidStateError) as alone:
+            clamped_spectrum(bad)
+        with pytest.raises(InvalidStateError, match=r"-2\.500e-01") as stacked:
+            clamped_spectrum(_stack(good, bad, good))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_one_non_trace_preserving_channel_raises(self):
+        good = random_channel(2, 2, 2, seed=3)
+        bad = KrausChannel([1.1 * k for k in good.kraus_ops])
+        stack = KrausChannel(np.stack([good.kraus_ops, bad.kraus_ops, good.kraus_ops], axis=1))
+        assert validate_channel(stack).violations[0].magnitude == bad.completeness_defect()
+        with pytest.raises(InvalidChannelError):
+            complementary(stack)
+        rho = _stack(*(random_density_matrix(2, seed=s) for s in range(3)))
+        with pytest.raises(InvalidChannelError):
+            harness._coherent_duality_margin(rho, stack)
+
+    def test_purification_of_rows_with_different_ranks(self):
+        full = random_density_matrix(3, seed=4)
+        pure = random_pure_state(single("A", 3), seed=5).as_density()
+        psi = _purification(clamped_spectrum(_stack(full, pure, full)))
+        assert psi.shape == (3, 3, 3)
+        for row, state in enumerate((full, pure, full)):
+            alone = _purification(clamped_spectrum(state))
+            rank = alone.shape[1]
+            assert np.array_equal(psi[row, :, :rank], alone)
+            assert not psi[row, :, rank:].any()
+
+    def test_channel_information_of_rows_with_different_ranks(self, eigh_sizes):
+        states = (
+            random_density_matrix(3, seed=4),
+            random_pure_state(single("A", 3), seed=5).as_density(),
+            random_density_matrix(3, seed=6, rank=2),
+        )
+        channel = random_channel(3, 2, 2, seed=7)
+        info, w = _information_and_spectrum(_stack(*states), channel)
+        # the rank-1 row's reference marginal is solved at its own rank, not padded
+        assert eigh_sizes[1] == 1
+        for row, state in enumerate(states):
+            info_alone, w_alone = _information_and_spectrum(state, channel)
+            assert info[row] == info_alone
+            assert np.array_equal(w[row], w_alone)
+        assert list(coherent_information(_stack(*states), channel)) == [
+            coherent_information(state, channel) for state in states
+        ]
+
+    def test_stack_mixing_real_and_complex_rows_is_solved_as_complex(self):
+        real = bell(2).as_density()
+        mixed = random_density_matrix(4, seed=6, layout=real.layout)
+        stack = _stack(real, mixed)
+        w, u = clamped_spectrum(stack)
+        assert np.iscomplexobj(u)
+        for row, state in enumerate((real, mixed)):
+            assert np.allclose(w[row], clamped_spectrum(state)[0], atol=1e-14)
+        h = conditional_entropy(stack, "A", "B")
+        assert h[0] == pytest.approx(-math.log(2.0), abs=1e-12)
+        assert h[1] == pytest.approx(conditional_entropy(mixed, "A", "B"), abs=1e-12)

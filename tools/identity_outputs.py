@@ -69,6 +69,17 @@ INVOCATIONS: dict[str, list[str]] = {
     "check-continuity-bell": _check("--property", "continuity", "--base", "bell"),
     "check-duality-dims": _check("--property", "duality", "--dims", "3,2,2"),
     "check-coherent-env": _check("--property", "coherent-duality", "--env-dim", "2"),
+    # 17 trials leave a partial last stack, on shapes other than the defaults
+    "check-formula-coherent-stack": _check(
+        "--property", "formula-coherent", "--trials", "17", "--dims", "3,2", "--seed", "5"
+    ),
+    "check-coherent-duality-stack": _check(
+        "--property", "coherent-duality", "--trials", "17", "--dims", "2,3", "--env-dim", "2",
+        "--seed", "5",
+    ),
+    "check-subadditivity-stack": _check(
+        "--property", "subadditivity", "--trials", "17", "--dims", "1,2,2,1", "--seed", "5"
+    ),
     "converge-tmsv": _converge("converge-tmsv"),
     "converge-tmsv-short": _converge(
         "converge-tmsv-short", "--state", "tmsv:nbar=2,cutoff=12", "--max-rank", "8",
