@@ -153,6 +153,24 @@ def _product_divergence(
     """:func:`relative_entropy_vs_product` from rho's eigenvalues, its two marginals
     ``red_first`` and ``red_second``, and the two factors' clamped spectra.
 
+    The weight of each marginal on each factor eigendirection is read off the
+    eigenvectors, and :func:`_spectra_divergence` does the rest. Every input
+    may carry a leading stack axis; the value is then one per row.
+    """
+    (w_a, u_a), (w_b, u_b) = spec_first, spec_second
+    p_a = np.einsum("...ia,...ij,...ja->...a", u_a.conj(), red_first, u_a).real
+    p_b = np.einsum("...ia,...ij,...ja->...a", u_b.conj(), red_second, u_b).real
+    return _spectra_divergence(w_rho, p_a, w_a, p_b, w_b)
+
+
+def _spectra_divergence(
+    w_rho: np.ndarray, p_a: np.ndarray, w_a: np.ndarray, p_b: np.ndarray, w_b: np.ndarray
+) -> float | np.ndarray:
+    """H(rho || A x B) from rho's eigenvalues ``w_rho``, the factors' ascending
+    eigenvalues ``w_a`` and ``w_b``, and the weights ``p_a`` and ``p_b`` of
+    rho's marginals on the factors' eigendirections, in the same order.
+
+    Tr rho ln(A x B) = sum_a p_a ln w_a + sum_b p_b ln w_b over the supports.
     supp(rho) <= supp(A) x supp(B) holds exactly when rho's marginals put no
     weight outside supp(A) and supp(B), and the sum of those two weights lies
     between Tr[(I - P_A x P_B) rho] and twice it. So the leak is read from the
@@ -163,10 +181,7 @@ def _product_divergence(
     Every input may carry a leading stack axis; the value is then one per
     row. Spectra are ascending, so each support is the top of its spectrum.
     """
-    (w_a, u_a), (w_b, u_b) = spec_first, spec_second
-    # weight of rho's marginals on each factor eigendirection
-    p_a = np.maximum(np.einsum("...ia,...ij,...ja->...a", u_a.conj(), red_first, u_a).real, 0.0)
-    p_b = np.maximum(np.einsum("...ia,...ij,...ja->...a", u_b.conj(), red_second, u_b).real, 0.0)
+    p_a, p_b = np.maximum(p_a, 0.0), np.maximum(p_b, 0.0)
     stack, d_a, d_b, d_rho = w_rho.shape[:-1], w_a.shape[-1], w_b.shape[-1], w_rho.shape[-1]
     w_a, p_a = w_a.reshape(-1, d_a), p_a.reshape(-1, d_a)
     w_b, p_b = w_b.reshape(-1, d_b), p_b.reshape(-1, d_b)

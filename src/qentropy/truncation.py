@@ -26,9 +26,23 @@ index form, and in the computational basis it is a plain slice.
 
 A pure state is never densified by a sweep. Its amplitudes, grouped as a
 factor F of shape (d_A, d_B, r) with rho = F F^dagger and r = 1, are
-compressed on their ket index alone; the weight is ||F_nk||^2, the marginals
-come from F_nk, and the joint eigenvalues from the r x r Gram matrix
-F_nk^dagger F_nk, which has the same nonzero spectrum as F_nk F_nk^dagger.
+compressed on their ket index alone; the weight is ||F_nk||^2 and the joint
+eigenvalues come from the r x r Gram matrix F_nk^dagger F_nk, which has the
+same nonzero spectrum as F_nk F_nk^dagger.
+
+A step solves only what two facts leave open:
+
+* Against its own marginals a state needs no eigenvectors:
+  Tr[rho_AB (ln rho_A (x) I)] = Tr rho_A ln rho_A, so ``h_nk`` weighs each
+  eigendirection of rho_A by its eigenvalue, and the own marginals are
+  solved for eigenvalues only. For a pure factor (r = 1) both are the
+  squared singular values of F_nk, zero-padded to n and to k (Schmidt), from
+  one values-only SVD; the marginals are never formed.
+* In the eigenbasis family the truncated original marginal is diagonal: its
+  spectrum is the retained eigenvalues over their sum, and the weights of
+  the truncated state on it are its own marginals' diagonal (for a factor,
+  the squared row norms of F). In the computational family it is solved
+  once per side, and the weights are one matrix product.
 """
 
 from __future__ import annotations
@@ -40,13 +54,13 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .entropy import (
-    _divergence,
     _entropy_from_eigs,
     _grouped,
     _marginals,
-    _product_divergence,
     _rounded,
+    _spectra_divergence,
     _Spectrum,
+    relative_entropy,
 )
 from .errors import DegenerateTruncationError, PreconditionError, StructuralError, as_integer
 from .states import (
@@ -74,10 +88,13 @@ class ProjectorSequence:
     same leading columns, the family is increasing by construction:
     P_m P_n = P_min(m,n), and P equals the identity at full rank.
     ``standard`` records whether the basis is exactly the computational one,
-    in which case compressing is indexing.
+    in which case compressing is indexing. A family built by
+    :meth:`from_state` keeps the state's ``eigenvalues`` along its basis
+    (descending); any other family has None.
     """
 
     basis: np.ndarray
+    eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
     standard: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,6 +107,12 @@ class ProjectorSequence:
             raise StructuralError(f"basis columns are not orthonormal (defect {gram_defect:.3e})")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
+        if self.eigenvalues is not None:
+            w = np.array(self.eigenvalues, dtype=np.float64, copy=True)
+            if w.shape != (b.shape[0],):
+                raise StructuralError(f"need {b.shape[0]} eigenvalues, got shape {w.shape}")
+            w.setflags(write=False)
+            object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "standard", bool(np.array_equal(b, eye)))
 
     @property
@@ -115,19 +138,25 @@ class ProjectorSequence:
     @classmethod
     def from_state(cls, rho: DensityMatrix) -> "ProjectorSequence":
         """Projectors onto the top-r eigenvectors of a state (descending eigenvalue)."""
-        return cls(clamped_spectrum(rho)[1][:, ::-1])
+        w, u = clamped_spectrum(rho)
+        return cls(u[:, ::-1], eigenvalues=w[::-1])
+
+
+def _retained(weight: float, what: str) -> float:
+    """A retained weight, raised on if degenerate."""
+    if weight <= TAU_LAMBDA:
+        raise DegenerateTruncationError(
+            f"retained weight {weight:.3e} of {what} is at or below {TAU_LAMBDA:g}",
+            weight=weight,
+        )
+    return weight
 
 
 def _renormalized(
     m: np.ndarray, layout: SubsystemLayout, what: str
 ) -> tuple[DensityMatrix, float]:
     """``m / Tr m`` as a state, and the weight ``Tr m``; degenerate weights raise."""
-    weight = float(np.trace(m).real)
-    if weight <= TAU_LAMBDA:
-        raise DegenerateTruncationError(
-            f"retained weight {weight:.3e} of {what} is at or below {TAU_LAMBDA:g}",
-            weight=weight,
-        )
+    weight = _retained(float(np.trace(m).real), what)
     return DensityMatrix(m / weight, layout), weight
 
 
@@ -239,6 +268,9 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
         labels_a, labels_b, _ = rho.layout.split(target, given)
         order = [rho.layout.index_of(label) for label in labels_a + labels_b]
         amplitudes = rho.amplitudes.reshape(rho.layout.dims).transpose(order)
+        if not np.count_nonzero(amplitudes.imag):
+            # a real factor keeps each step's products and SVD real, as clamped_spectrum does
+            amplitudes = amplitudes.real
         joint = amplitudes.reshape(math.prod(amplitudes.shape[: len(labels_a)]), -1, 1)
         marginal_a, marginal_b = _marginals(joint)
     else:
@@ -255,15 +287,52 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
 
 
 @dataclass(frozen=True)
+class _Marginal:
+    """One marginal of a truncated state, as a step reads it.
+
+    ``eigenvalues`` is its clamped spectrum, ascending. ``matrix`` is the
+    marginal itself, or with ``root`` a matrix R whose marginal is R R^dagger:
+    a pure factor's amplitudes with that side's index as rows.
+    """
+
+    eigenvalues: np.ndarray
+    matrix: np.ndarray
+    root: bool
+
+    def weights(self, u: np.ndarray | None) -> np.ndarray:
+        """The marginal's weight <u_a| m |u_a> on each column u_a of ``u``.
+
+        With None, the weights on the standard basis vectors in reverse
+        order, matching a spectrum read ascending off a descending diagonal.
+        """
+        m = self.matrix
+        if u is None:
+            diagonal = np.einsum("ij,ij->i", m.conj(), m).real if self.root else m.diagonal().real
+            return diagonal[::-1]
+        if self.root:
+            rotated = u.conj().T @ m
+            return np.einsum("ai,ai->a", rotated.conj(), rotated).real
+        return np.einsum("ia,ia->a", u.conj(), m @ u).real
+
+
+@dataclass(frozen=True)
 class _Step:
     """A compressed truncated-normalized state with weight ``lam``, and what it yields.
 
     ``joint`` is the state in its part's representation: a matrix, or a
     factor F with state F F^dagger. ``tilde_*`` are the truncated,
-    renormalized original marginals; ``spec_*`` are the clamped spectra of
-    the state's own marginals (``a``, ``b``) and of the tilde marginals, each
-    solved once. ``cond`` is the state's H(A|B), from the spectrum of the
-    target marginal that ``h_nk`` used.
+    renormalized original marginals: a matrix, or in the eigenbasis family,
+    where they are diagonal, that diagonal (descending). ``cond`` is the
+    state's H(A|B), from the spectrum of the target marginal that ``h_nk``
+    used.
+
+    Two facts fix most of a step. ``h_nk`` needs no eigenvector of the
+    state's own marginals: Tr[rho (ln rho_A (x) I)] = Tr rho_A ln rho_A, so
+    each eigendirection of rho_A carries its own eigenvalue as weight, and
+    for a pure factor both marginals have the squared singular values of F
+    as spectrum (Schmidt). ``h_tilde_nk`` needs no solve of a tilde marginal
+    in the eigenbasis family, where it is the retained eigenvalues over
+    their sum, and the state's weights on it are its marginals' diagonal.
 
     A sweep holds each step, joint state included, until the next step has
     been computed: for a dense state at cutoff 30 that keeps the allocator
@@ -273,12 +342,8 @@ class _Step:
 
     joint: np.ndarray
     lam: float
-    tilde_a: DensityMatrix
-    tilde_b: DensityMatrix
-    spec_a: _Spectrum
-    spec_b: _Spectrum
-    spec_tilde_a: _Spectrum
-    spec_tilde_b: _Spectrum
+    tilde_a: np.ndarray
+    tilde_b: np.ndarray
     h_nk: float
     h_tilde_nk: float
     cond: float
@@ -286,66 +351,95 @@ class _Step:
 
 def _truncated(
     part: _Bipartite, rank_a: int, rank_b: int, cuts: tuple[np.ndarray | slice, ...]
-) -> tuple[np.ndarray, float, np.ndarray, DensityMatrix, DensityMatrix]:
+) -> tuple[np.ndarray, float, np.ndarray, _Marginal, _Marginal]:
     """The state compressed to the cuts and renormalized, its weight, its
     eigenvalues and its two marginals: the one part of a step that depends on
     the representation.
 
-    A matrix is conjugated and solved for its eigenvalues only. A factor is
-    contracted on its ket index; the r x r Gram matrix F^dagger F, the state
-    of the purifying system, gives the nonzero joint eigenvalues.
+    A matrix is conjugated and solved for its eigenvalues only, and so are
+    its marginals. A factor is contracted on its ket index; the r x r Gram
+    matrix F^dagger F, the state of the purifying system, gives the nonzero
+    joint eigenvalues, and the singular values of F unfolded on each side
+    give the marginal spectra, one SVD serving both sides when r = 1.
     """
     if part.joint.ndim == 2:  # a density matrix
         layout = SubsystemLayout([("A", rank_a), ("B", rank_b)])
         compressed = _conjugated(part.joint, part.dims, cuts)
         truncated, lam = _renormalized(compressed, layout, "the state")
         w_joint = clamped_spectrum(truncated, vectors=False)[0]
-        trunc_a, trunc_b = partial_trace(truncated, "A"), partial_trace(truncated, "B")
-        return truncated.entries, lam, w_joint, trunc_a, trunc_b
+        own = (partial_trace(truncated, label) for label in ("A", "B"))
+        marginals = (
+            _Marginal(clamped_spectrum(m, vectors=False)[0], m.entries, False) for m in own
+        )
+        return truncated.entries, lam, w_joint, *marginals
     factor = part.joint
     for axis, cut in enumerate(cuts):
         if isinstance(cut, slice):
             factor = factor[(slice(None),) * axis + (cut,)]
         else:
             factor = np.moveaxis(np.tensordot(cut.conj(), factor, axes=(0, axis)), 0, axis)
-    columns = factor.reshape(rank_a * rank_b, -1)
+    r = factor.shape[2]
+    columns = factor.reshape(rank_a * rank_b, r)
     # Tr F^dagger F = ||F||^2, the weight of F F^dagger
-    purifier = single("R", columns.shape[1])
-    gram, lam = _renormalized(columns.conj().T @ columns, purifier, "the state")
+    gram, lam = _renormalized(columns.conj().T @ columns, single("R", r), "the state")
     factor = factor / math.sqrt(lam)
-    return factor, lam, clamped_spectrum(gram, vectors=False)[0], *_marginals(factor)
+    rows_a = factor.reshape(rank_a, rank_b * r)
+    rows_b = np.swapaxes(factor, 0, 1).reshape(rank_b, rank_a * r)
+    s_a = np.linalg.svd(rows_a, compute_uv=False)
+    s_b = s_a if r == 1 else np.linalg.svd(rows_b, compute_uv=False)
+    marginals = (
+        _Marginal(_padded(s**2, rank), rows, True)
+        for s, rows, rank in ((s_a, rows_a, rank_a), (s_b, rows_b, rank_b))
+    )
+    return factor, lam, clamped_spectrum(gram, vectors=False)[0], *marginals
+
+
+def _padded(descending: np.ndarray, size: int) -> np.ndarray:
+    """A descending spectrum listed ascending with zeros in front, to ``size`` entries."""
+    return np.concatenate([np.zeros(size - descending.size), descending[::-1]])
+
+
+def _tilde(
+    marginal: np.ndarray, seq: ProjectorSequence, rank: int, cut: np.ndarray | slice, what: str
+) -> tuple[np.ndarray, _Spectrum]:
+    """The truncated, renormalized original marginal and its clamped spectrum.
+
+    In the eigenbasis family the compressed marginal is the diagonal matrix
+    of the retained eigenvalues: it is returned as that diagonal, descending,
+    and its spectrum is the diagonal reversed, with vectors None. Any other
+    family compresses the marginal and solves it.
+    """
+    if seq.eigenvalues is None:
+        tilde, _ = _renormalized(_conjugated(marginal, (seq.dim,), (cut,)), single("A", rank), what)
+        return tilde.entries, clamped_spectrum(tilde)
+    retained = seq.eigenvalues[:rank]
+    diagonal = retained / _retained(float(retained.sum()), what)
+    return diagonal, (diagonal[::-1], None)
 
 
 def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
     """Compress to ranks (rank_a, rank_b) and evaluate both correlation terms.
 
     The truncated-normalized state is compressed onto the retained subspace.
-    Neither correlation term reads the joint state's eigenvectors, so the
-    joint state, the largest matrix of the step, is solved for its
-    eigenvalues only.
+    Neither correlation term reads the joint state's eigenvectors or its own
+    marginals' eigenvectors, so those are solved for eigenvalues only; in the
+    eigenbasis family nothing else is solved.
     """
     cut_a, cut_b = part.seq_a.compression(rank_a), part.seq_b.compression(rank_b)
-    dim_a, dim_b = part.dims
-    joint, lam, w_joint, trunc_a, trunc_b = _truncated(part, rank_a, rank_b, (cut_a, cut_b))
-    tilde_a, _ = _renormalized(
-        _conjugated(part.marginal_a, (dim_a,), (cut_a,)), trunc_a.layout, "the target marginal"
+    joint, lam, w_joint, own_a, own_b = _truncated(part, rank_a, rank_b, (cut_a, cut_b))
+    tilde_a, (w_tilde_a, u_tilde_a) = _tilde(
+        part.marginal_a, part.seq_a, rank_a, cut_a, "the target marginal"
     )
-    tilde_b, _ = _renormalized(
-        _conjugated(part.marginal_b, (dim_b,), (cut_b,)),
-        trunc_b.layout,
-        "the conditioning marginal",
+    tilde_b, (w_tilde_b, u_tilde_b) = _tilde(
+        part.marginal_b, part.seq_b, rank_b, cut_b, "the conditioning marginal"
     )
-    spec_a, spec_b, spec_tilde_a, spec_tilde_b = (
-        clamped_spectrum(m) for m in (trunc_a, trunc_b, tilde_a, tilde_b)
+    w_a, w_b = own_a.eigenvalues, own_b.eigenvalues
+    h_nk = _spectra_divergence(w_joint, w_a, w_a, w_b, w_b)
+    h_tilde_nk = _spectra_divergence(
+        w_joint, own_a.weights(u_tilde_a), w_tilde_a, own_b.weights(u_tilde_b), w_tilde_b
     )
-    red_a, red_b = trunc_a.entries, trunc_b.entries
-    h_nk = _product_divergence(w_joint, red_a, red_b, spec_a, spec_b)
-    h_tilde_nk = _product_divergence(w_joint, red_a, red_b, spec_tilde_a, spec_tilde_b)
-    cond = _entropy_from_eigs(spec_a[0]) - h_nk
-    return _Step(
-        joint, lam, tilde_a, tilde_b, spec_a, spec_b, spec_tilde_a, spec_tilde_b,
-        h_nk, h_tilde_nk, cond,
-    )  # fmt: skip
+    cond = _entropy_from_eigs(w_a) - h_nk
+    return _Step(joint, lam, tilde_a, tilde_b, h_nk, h_tilde_nk, cond)
 
 
 def conditional_entropy_sweep(
@@ -436,13 +530,25 @@ def truncation_diagnostics(
     """
     rank_a, rank_b = as_integer(rank_a, "rank_a"), as_integer(rank_b, "rank_b")
     step = _step(_bipartite(rho, target, given, mode), rank_a, rank_b)
+    if step.joint.ndim == 2:
+        truncated = DensityMatrix(step.joint, SubsystemLayout([("A", rank_a), ("B", rank_b)]))
+        own = partial_trace(truncated, "A"), partial_trace(truncated, "B")
+    else:
+        own = _marginals(step.joint)
+    # a divergence needs both marginals of its pair with eigenvectors; the step
+    # solved the own marginals for values only, and in the eigenbasis family
+    # solved no tilde marginal at all
+    tildes = (np.diag(t) if t.ndim == 1 else t for t in (step.tilde_a, step.tilde_b))
+    divergence_a, divergence_b = (
+        relative_entropy(m, DensityMatrix(t, m.layout)) for m, t in zip(own, tildes)
+    )
     return TruncationDiagnostics(
         rank_a=rank_a,
         rank_b=rank_b,
         h_nk=step.h_nk,
         h_tilde_nk=step.h_tilde_nk,
-        marginal_a_divergence=_divergence(step.spec_a, step.spec_tilde_a),
-        marginal_b_divergence=_divergence(step.spec_b, step.spec_tilde_b),
+        marginal_a_divergence=divergence_a,
+        marginal_b_divergence=divergence_b,
     )
 
 

@@ -109,6 +109,39 @@ def test_csv_differences_fail(tmp_path, capsys, new):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "new, moved",
+    [
+        (_edited(summary__steps=3), "summary.steps: 2 -> 3"),
+        (_edited(points__1__rank_A=1), "points[].rank_A: 2 -> 1"),
+        (_edited(summary__steps=2.0), "summary.steps: 2 -> 2.0"),  # an integer became a float
+    ],
+    ids=["count", "rank", "type"],
+)
+def test_integers_compare_exactly_and_report_the_move(tmp_path, capsys, new, moved):
+    # an integer is a count, rank, index or seed: a move of 1 is not rounding,
+    # however it compares with the float bound
+    code, out = _run(tmp_path, {"s.json": json.dumps(SWEEP)}, {"s.json": new}, capsys)
+    assert code == 1
+    assert f"  moved      {moved}" in out
+    assert "FAIL" in out.splitlines()[-1]
+
+
+def test_large_integers_compare_exactly(tmp_path, capsys):
+    # seeds beyond 2**53 are distinct integers that are equal as floats
+    old = {"s.json": json.dumps({"worst_seed": 2**60 + 1})}
+    new = {"s.json": json.dumps({"worst_seed": 2**60})}
+    code, out = _run(tmp_path, old, new, capsys)
+    assert code == 1
+    assert f"worst_seed: {2**60 + 1} -> {2**60}" in out
+
+
+def test_csv_integer_cells_compare_exactly(tmp_path, capsys):
+    code, out = _run(tmp_path, {"s.csv": CSV}, {"s.csv": CSV.replace("\n1,2,", "\n2,2,")}, capsys)
+    assert code == 1
+    assert "  moved      schedule_index: 1 -> 2" in out
+
+
 def test_a_file_on_one_side_only_fails(tmp_path, capsys):
     code, out = _run(tmp_path, {"a.exit": "0\n"}, {"a.exit": "0\n", "b.exit": "0\n"}, capsys)
     assert code == 1

@@ -93,6 +93,9 @@ class TestJsonHygiene:
         assert text == dumps_document({"a": [math.inf], "b": 1})
         assert text.endswith("\n")
         assert json.loads(text) == {"a": ["inf"], "b": 1}
+        # reports keep the two-space indent; state files ask for compact text
+        assert text == '{\n  "a": [\n    "inf"\n  ],\n  "b": 1\n}\n'
+        assert dumps_document({"b": 1, "a": [math.inf]}, compact=True) == '{"a":["inf"],"b":1}\n'
 
     def test_float_precision_preserved(self):
         value = 0.1 + 0.2  # not representable as a short decimal
@@ -159,7 +162,21 @@ class TestStateDocuments:
         rho = DensityMatrix(entries, layout)
         path = tmp_path / "state.json"
         save_state(path, rho)
-        assert path.read_text() == dumps_document(state_to_document(rho))
+        assert path.read_text() == dumps_document(state_to_document(rho), compact=True)
+        assert "\n" not in path.read_text()[:-1] and " " not in path.read_text()
+
+    def test_indented_state_files_still_load(self, tmp_path):
+        # state files were written with a two-space indent before they were compact
+        layout = SubsystemLayout([("A", 2), ("B", 3)])
+        rho = random_density_matrix(6, seed=3, layout=layout)
+        indented, compact = tmp_path / "indented.json", tmp_path / "compact.json"
+        indented.write_text(json.dumps(state_to_document(rho), indent=2, sort_keys=True) + "\n")
+        save_state(compact, rho)
+        assert indented.stat().st_size > compact.stat().st_size
+        for path in (indented, compact):
+            back = load_state(path)
+            assert back.layout == rho.layout
+            assert np.array_equal(back.entries, rho.entries)
 
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -4,16 +4,27 @@ The reference is the straightforward route the sweep's shortcuts replace: it
 compresses with ``np.kron(V, W)``, solves every matrix as complex Hermitian
 with eigenvectors, and feeds the same product-divergence formula. The
 shortcuts (slicing or per-factor contraction, real symmetric solves,
-values-only joint solves) may move only rounding, bounded here by 1e-12 nats.
-A pure state is swept from its amplitudes; the reference densifies it first.
+values-only joint and own-marginal solves, the singular values of a pure
+factor, the eigenbasis family's unsolved tilde marginals) may move only
+rounding, bounded here by 1e-12 nats. A pure state is swept from its
+amplitudes; the reference densifies it first.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from qentropy.catalog import bell, build_state, ghz, thermal_fock, tmsv
+from qentropy.catalog import (
+    bell,
+    build_state,
+    classical_correlated,
+    ghz,
+    thermal_fock,
+    tmsv,
+    werner,
+)
 from qentropy.entropy import _entropy_from_eigs, _grouped, _product_divergence
 from qentropy.fileio import load_state, save_state
 from qentropy.states import (
@@ -26,6 +37,7 @@ from qentropy.states import (
     single,
     tensor,
 )
+from qentropy.tolerances import TAU_LAMBDA
 from qentropy.truncation import (
     PROJECTOR_MODES,
     _bipartite,
@@ -52,12 +64,17 @@ def reference_bases(rho, mode, target="A", given="B"):
 
 
 def kron_compressed(rho, basis_a, basis_b, n, k, target="A", given="B"):
-    """The truncated-normalized joint state and both tilde marginals, by kron isometries."""
+    """The truncated-normalized joint state and both tilde marginals, by kron isometries.
+
+    A degenerate weight gives None for the three states.
+    """
     grouped, marginal_a, marginal_b = _grouped(rho, target, given)
     iso_a, iso_b = basis_a[:, :n], basis_b[:, :k]
     iso = np.kron(iso_a, iso_b)
     joint = iso.conj().T @ grouped.entries @ iso
     lam = float(np.trace(joint).real)
+    if lam <= TAU_LAMBDA:
+        return None, lam, None, None
     tilde_a = iso_a.conj().T @ marginal_a.entries @ iso_a
     tilde_b = iso_b.conj().T @ marginal_b.entries @ iso_b
     return (
@@ -68,14 +85,21 @@ def kron_compressed(rho, basis_a, basis_b, n, k, target="A", given="B"):
     )
 
 
-def reference_sweep(rho, schedule, mode, target="A", given="B"):
-    """(lam, cond, h_nk, h_tilde_nk, diff) per step, by the kron and complex-solve route."""
-    basis_a, basis_b = reference_bases(rho, mode, target, given)
+def reference_sweep(rho, schedule, mode, target="A", given="B", bases=None):
+    """(lam, cond, h_nk, h_tilde_nk, diff) per step, by the kron and complex-solve route.
+
+    ``bases`` overrides the reference's own projector bases, for families
+    whose eigenbasis is not unique. A skipped step is (lam, None, ...).
+    """
+    basis_a, basis_b = bases or reference_bases(rho, mode, target, given)
     rows = []
     for n, k in schedule:
         joint, lam, tilde_a, tilde_b = kron_compressed(
             rho, basis_a, basis_b, n, k, target, given
         )
+        if joint is None:
+            rows.append((lam, None, None, None, None))
+            continue
         t = joint.reshape(n, k, n, k)
         red_a, red_b = np.einsum("abcb->ac", t), np.einsum("abad->bd", t)
         spec_a, spec_b = complex_spectrum(red_a), complex_spectrum(red_b)
@@ -124,7 +148,15 @@ def assert_agrees(points, expected):
     for point, row in zip(points, expected):
         got = (point.lam, point.cond_entropy_nats, point.h_nk, point.h_tilde_nk, point.diff)
         for value, ref in zip(got, row):
-            assert abs(value - ref) <= AGREEMENT, (point, row)
+            if ref is None:
+                assert value is None, (point, row)
+            else:
+                assert abs(value - ref) <= AGREEMENT, (point, row)
+
+
+def tilde_matrix(tilde):
+    """A step's tilde marginal as a matrix; the eigenbasis family keeps its diagonal."""
+    return np.diag(tilde) if tilde.ndim == 1 else tilde
 
 
 @pytest.mark.parametrize("mode", PROJECTOR_MODES)
@@ -146,7 +178,25 @@ PURE_STATES = {
         "A",
         "B",
     ),
+    "complex-5x3": (
+        lambda: random_pure_state(SubsystemLayout([("A", 5), ("B", 3)]), seed=12),
+        "A",
+        "B",
+    ),
+    # Schmidt rank 2, below both factor dimensions: the padded SVD spectra
+    # carry zeros on both sides
+    "ghz-BC|A": (lambda: ghz(3, 2), ("B", "C"), "A"),
+    "schmidt-rank-2-4x5": (lambda: schmidt_rank_two(), "A", "B"),
 }
+
+
+def schmidt_rank_two():
+    """A complex pure state on 4 x 5 with Schmidt rank 2."""
+    rng = np.random.default_rng(21)
+    amp = sum(
+        np.kron(*(rng.normal(size=d) + 1j * rng.normal(size=d) for d in (4, 5))) for _ in range(2)
+    )
+    return PureState(amp / np.linalg.norm(amp), SubsystemLayout([("A", 4), ("B", 5)]))
 
 
 @pytest.mark.parametrize("mode", PROJECTOR_MODES)
@@ -180,6 +230,60 @@ def test_degenerate_step_is_skipped_alike_on_both_routes():
 
 
 @pytest.mark.parametrize("mode", PROJECTOR_MODES)
+@pytest.mark.parametrize("pure", [True, False], ids=["factored", "dense"])
+def test_skipped_steps_agree_with_kron_complex_reference(pure, mode):
+    # sum_i |i, i+2 mod 3> / sqrt(3): the rank-(1, 1) and rank-(1, 2)
+    # truncations in the computational family keep no weight; every marginal
+    # is maximally mixed, so the eigenbasis family skips wherever its basis says
+    layout = SubsystemLayout([("A", 3), ("B", 3)])
+    amp = np.zeros(9)
+    amp[[2, 3, 7]] = 1.0 / math.sqrt(3.0)
+    psi = PureState(amp, layout)
+    rho = as_density(psi)
+    state = psi if pure else rho
+    schedule = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
+    part = _bipartite(state, "A", "B", mode)
+    bases = (part.seq_a.basis, part.seq_b.basis)
+    points = conditional_entropy_sweep(state, "A", "B", schedule, mode=mode)
+    if mode == "computational":
+        assert [p.skipped for p in points] == [True, True, False, False, False]
+    assert_agrees(points, reference_sweep(rho, schedule, mode, bases=bases))
+
+
+def rotated_werner():
+    """werner:p=0.5 under a fixed complex local unitary: its maximally mixed
+    marginals carry rounding, so the solver picks some basis of the tie."""
+    rng = np.random.default_rng(5)
+    g_a, g_b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in "AB")
+    u_a, u_b = np.linalg.qr(g_a)[0], np.linalg.qr(g_b)[0]
+    u = np.kron(u_a, u_b)
+    return DensityMatrix(u @ werner(0.5).entries @ u.conj().T, werner(0.5).layout)
+
+
+# states whose marginals have tied eigenvalues at every cut
+TIED_STATES = {
+    "werner": lambda: werner(0.5),
+    "bell": lambda: bell(2),
+    "bell-3": lambda: bell(3),
+    "classical": lambda: classical_correlated(3),
+    "rotated-werner": rotated_werner,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIED_STATES))
+def test_eigenbasis_ties_at_the_cut_agree_with_kron_reference(name):
+    # a tied eigenbasis is not unique, so the reference takes the sweep's own
+    # bases; the tilde marginals in them are diagonal whichever basis was chosen
+    state = TIED_STATES[name]()
+    rho = as_density(state)
+    part = _bipartite(state, "A", "B", "eigenbasis")
+    bases = (part.seq_a.basis, part.seq_b.basis)
+    schedule = full_schedule(rho)
+    points = conditional_entropy_sweep(state, "A", "B", schedule, mode="eigenbasis")
+    assert_agrees(points, reference_sweep(rho, schedule, "eigenbasis", bases=bases))
+
+
+@pytest.mark.parametrize("mode", PROJECTOR_MODES)
 @pytest.mark.parametrize(
     "make",
     [
@@ -197,7 +301,7 @@ def test_step_compression_equals_kron_route(make, mode):
         step = _step(part, n, k)
         joint, lam, tilde_a, tilde_b = kron_compressed(rho, basis_a, basis_b, n, k)
         assert abs(step.lam - lam) <= 1e-14
-        tildes = [(step.tilde_a.entries, tilde_a), (step.tilde_b.entries, tilde_b)]
+        tildes = [(tilde_matrix(step.tilde_a), tilde_a), (tilde_matrix(step.tilde_b), tilde_b)]
         for got, ref in [(step.joint, joint), *tildes]:
             if mode == "computational":  # a slice is exactly the 0/1 product
                 assert np.array_equal(got, ref)
@@ -228,5 +332,23 @@ def test_factored_step_equals_kron_route(make, mode):
         columns = step.joint.reshape(n * k, 1)
         assert abs(step.lam - lam) <= 1e-14
         assert np.max(np.abs(columns @ columns.conj().T - joint)) <= 1e-14
-        assert np.max(np.abs(step.tilde_a.entries - tilde_a)) <= 1e-14
-        assert np.max(np.abs(step.tilde_b.entries - tilde_b)) <= 1e-14
+        assert np.max(np.abs(tilde_matrix(step.tilde_a) - tilde_a)) <= 1e-14
+        assert np.max(np.abs(tilde_matrix(step.tilde_b) - tilde_b)) <= 1e-14
+
+
+@pytest.mark.parametrize("mode", PROJECTOR_MODES)
+def test_factor_of_purifying_rank_two_equals_dense_step(mode):
+    # a mixed state as a factor F of shape (3, 4, 2), rho = F F^dagger: its two
+    # marginals no longer share a spectrum, so each side takes its own SVD
+    rng = np.random.default_rng(17)
+    factor = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+    factor /= np.linalg.norm(factor)
+    columns = factor.reshape(12, 2)
+    rho = DensityMatrix(columns @ columns.conj().T, SubsystemLayout([("A", 3), ("B", 4)]))
+    dense = _bipartite(rho, "A", "B", mode)
+    factored = dataclasses.replace(dense, joint=factor)
+    for n, k in [(1, 1), (2, 3), (3, 2), (3, 4)]:
+        got, ref = _step(factored, n, k), _step(dense, n, k)
+        assert abs(got.lam - ref.lam) <= 1e-14
+        pairs = [(got.h_nk, ref.h_nk), (got.h_tilde_nk, ref.h_tilde_nk), (got.cond, ref.cond)]
+        assert all(abs(value - expected) <= AGREEMENT for value, expected in pairs), (n, k)

@@ -12,6 +12,7 @@ from qentropy.states import (
     SubsystemLayout,
     as_density,
     random_density_matrix,
+    random_pure_state,
     single,
     tensor,
 )
@@ -77,6 +78,16 @@ class TestProjectorSequence:
         assert lead[1] == pytest.approx(1.0, abs=1e-12)
         top2 = seq.isometry(2)
         assert np.allclose(top2 @ top2.conj().T, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+
+    def test_state_family_keeps_its_eigenvalues_along_the_basis(self):
+        rho = DensityMatrix(np.diag([0.1, 0.6, 0.3]), single("A", 3))
+        seq = ProjectorSequence.from_state(rho)
+        assert np.allclose(seq.eigenvalues, [0.6, 0.3, 0.1], atol=1e-15)
+        for w, v in zip(seq.eigenvalues, seq.basis.T):
+            assert np.allclose(rho.entries @ v, w * v, atol=1e-15)
+        assert ProjectorSequence.computational(3).eigenvalues is None
+        with pytest.raises(StructuralError):
+            ProjectorSequence(np.eye(3), eigenvalues=[0.5, 0.5])
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(StructuralError):
@@ -242,6 +253,39 @@ class TestConditionalEntropySweep:
             0.6931471805599453,
         )
 
+    def test_factor_step_solves_only_its_tilde_marginals_in_computational_mode(
+        self, eigh_sizes, vector_solve_sizes
+    ):
+        # the own marginals come from one values-only SVD; the tilde marginals
+        # (sizes 3 and 4) are solved once each, and the joint state only as
+        # its 1 x 1 Gram matrix
+        psi = random_pure_state(pair_layout(5, 6), seed=3)
+        conditional_entropy_sweep(psi, "A", "B", [(3, 4)], mode="computational")
+        assert vector_solve_sizes == {3: 1, 4: 1}
+        assert eigh_sizes == {1: 1, 3: 1, 4: 1}
+
+    @pytest.mark.parametrize("pure", [True, False], ids=["factored", "dense"])
+    def test_eigenbasis_steps_solve_no_tilde_marginal(self, pure, eigh_sizes, vector_solve_sizes):
+        # the families are solved once, on the full marginals (sizes 5 and 6);
+        # the steps solve no tilde marginal and nothing else with eigenvectors
+        psi = random_pure_state(pair_layout(5, 6), seed=3)
+        state = psi if pure else as_density(psi)
+        schedule = [(2, 4), (3, 4), (4, 4)]
+        conditional_entropy_sweep(state, "A", "B", schedule, mode="eigenbasis")
+        assert vector_solve_sizes == {5: 1, 6: 1}
+        if pure:  # each step solves its 1 x 1 Gram matrix
+            assert eigh_sizes == {1: 3, 5: 1, 6: 1}
+        else:  # each step solves its joint state (8, 12, 16) and its own marginals
+            assert eigh_sizes == {2: 1, 3: 1, 4: 4, 5: 1, 6: 1, 8: 1, 12: 1, 16: 1}
+
+    def test_dense_step_solves_own_marginals_for_values_only(self, eigh_sizes, vector_solve_sizes):
+        # own marginals (3, 4) values only; the tilde marginals, also 3 and 4,
+        # once each with vectors; the joint state (12) values only
+        rho = random_density_matrix(30, seed=9, layout=pair_layout(5, 6))
+        conditional_entropy_sweep(rho, "A", "B", [(3, 4)], mode="computational")
+        assert vector_solve_sizes == {3: 1, 4: 1}
+        assert eigh_sizes == {3: 2, 4: 2, 12: 1}
+
     def test_full_rank_point_matches_direct(self):
         layout = pair_layout(3, 4, labels=("T", "G"))
         rho = random_density_matrix(12, seed=5, layout=layout)
@@ -366,11 +410,23 @@ class TestTruncationDiagnostics:
             diag = truncation_diagnostics(rho, "A", "B", n, n, mode=mode)
             assert (diag.h_nk, diag.h_tilde_nk) == (point.h_nk, point.h_tilde_nk)
 
-    def test_solves_each_factor_once(self, eigh_sizes):
-        # the marginal divergences reuse the step's four factor spectra
+    def test_solves_both_marginal_pairs_with_vectors(self, eigh_sizes, vector_solve_sizes):
+        # the step solves the own marginals (3, 4) for values and the tilde
+        # marginals with vectors; each marginal divergence then solves its
+        # pair with vectors
         rho = random_density_matrix(30, seed=9, layout=pair_layout(5, 6))
         truncation_diagnostics(rho, "A", "B", 3, 4)
-        assert eigh_sizes == {3: 2, 4: 2, 12: 1}
+        assert vector_solve_sizes == {3: 3, 4: 3}
+        assert eigh_sizes == {3: 4, 4: 4, 12: 1}
+
+    @pytest.mark.parametrize("mode", PROJECTOR_MODES)
+    @pytest.mark.parametrize("pure", [True, False], ids=["factored", "dense"])
+    def test_gap_decomposition_to_rounding(self, pure, mode):
+        psi = random_pure_state(pair_layout(4, 5), seed=8)
+        rho = random_density_matrix(20, seed=8, layout=pair_layout(4, 5))
+        for n, k in [(1, 2), (2, 2), (3, 4), (4, 3), (4, 5)]:
+            diag = truncation_diagnostics(psi if pure else rho, "A", "B", n, k, mode=mode)
+            assert diag.residual <= 1e-12, (n, k, diag)
 
     @pytest.mark.parametrize(
         "ranks", [(2.5, 2), (2, 2.5), (True, 2), (float("nan"), 2)], ids=["a", "b", "bool", "nan"]

@@ -4,10 +4,13 @@
 
 Lists the files that are byte-identical. Each file that differs is read as
 JSON if its text parses as JSON, and as CSV otherwise; for it, the largest
-absolute difference of every numeric field is reported. A field is a JSON
+absolute difference of every float field is reported. A field is a JSON
 path with list indices dropped (``points[].h_nk``) or a CSV column name.
-Every other value (a key, a string, a bool, null, an empty CSV cell, the
-number of points or rows) must match exactly.
+Integers (a JSON integer, or a CSV cell written as one) are counts, ranks,
+indices and seeds, not rounded values: they must match exactly, and each
+one that moved is reported as ``field: old -> new``. Every other value (a
+key, a string, a bool, null, an empty CSV cell, the number of points or
+rows) must match exactly too.
 
 Exits 0 when every numeric gap is at most :data:`BOUND` and nothing else
 differs, 1 otherwise, and 2 on a usage error.
@@ -27,13 +30,18 @@ BOUND = 1e-12  # nats
 
 
 class Comparison:
-    """Per-field largest numeric gaps and the structural differences of one file."""
+    """Per-field largest float gaps, moved integers and structural differences of one file."""
 
     def __init__(self) -> None:
         self.gaps: dict[str, float] = {}
+        self.moved: list[str] = []
         self.problems: list[str] = []
 
-    def number(self, field: str, old: float, new: float) -> None:
+    def number(self, field: str, old: int | float, new: int | float) -> None:
+        if isinstance(old, int) or isinstance(new, int):
+            if type(old) is not type(new) or old != new:
+                self.moved.append(f"{field}: {old!r} -> {new!r}")
+            return
         if math.isfinite(old) and math.isfinite(new):
             gap = abs(old - new)
         else:  # qentropy writes non-finite values as strings, but CSV cells may read as inf
@@ -50,7 +58,7 @@ def _is_number(value: Any) -> bool:
 
 def compare_json(old: Any, new: Any, field: str, out: Comparison) -> None:
     if _is_number(old) and _is_number(new):
-        out.number(field, float(old), float(new))
+        out.number(field, old, new)
     elif isinstance(old, dict) and isinstance(new, dict):
         if old.keys() != new.keys():
             out.mismatch(f"{field} keys", sorted(old), sorted(new))
@@ -67,11 +75,13 @@ def compare_json(old: Any, new: Any, field: str, out: Comparison) -> None:
         out.mismatch(field, old, new)
 
 
-def _cell_number(cell: str) -> float | None:
-    try:
-        return float(cell)
-    except ValueError:
-        return None
+def _cell_number(cell: str) -> int | float | None:
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return None
 
 
 def compare_csv(old: str, new: str, out: Comparison) -> None:
@@ -126,11 +136,13 @@ def main(argv: list[str]) -> int:
         print(f"differs: {name}")
         for problem in result.problems:
             print(f"  structure  {problem}")
+        for moved in result.moved:
+            print(f"  moved      {moved}")
         for field, gap in sorted(result.gaps.items()):
             if gap > 0.0:
                 print(f"  {gap:.3e}  {field}")
         worst = max([worst, *result.gaps.values()])
-        failed = failed or bool(result.problems)
+        failed = failed or bool(result.problems or result.moved)
     print(f"byte-identical: {len(identical)} files")
     for name in identical:
         print(f"  {name}")
