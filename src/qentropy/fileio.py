@@ -97,16 +97,12 @@ def json_real(value: Any) -> float:
     return float(value)
 
 
-def dumps_document(obj: Any, compact: bool = False) -> str:
-    """``obj`` as JSON text with sorted keys and a final newline: indented by
-    two spaces, or with ``compact`` on one line without spaces."""
-    return _dumps(json_ready(obj), compact)
+def dumps_document(obj: Any) -> str:
+    return json.dumps(json_ready(obj), indent=2, sort_keys=True) + "\n"
 
 
-def _dumps(ready: Any, compact: bool = False) -> str:
-    if compact:
-        return json.dumps(ready, separators=(",", ":"), sort_keys=True) + "\n"
-    return json.dumps(ready, indent=2, sort_keys=True) + "\n"
+def _dumps_compact(ready: Any) -> str:
+    return json.dumps(ready, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def state_to_document(rho: DensityMatrix) -> dict:
@@ -201,7 +197,7 @@ def save_state(path: str | Path, rho: DensityMatrix) -> None:
     doc = state_to_document(rho)
     # finite entries are already plain floats, so json_ready would only re-walk them
     ready = doc if np.isfinite(rho.entries).all() else json_ready(doc)
-    Path(path).write_text(_dumps(ready, compact=True))
+    Path(path).write_text(_dumps_compact(ready))
 
 
 def load_channel(path: str | Path) -> KrausChannel:

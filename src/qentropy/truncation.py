@@ -59,7 +59,6 @@ from .entropy import (
     _marginals,
     _rounded,
     _spectra_divergence,
-    _Spectrum,
     relative_entropy,
 )
 from .errors import DegenerateTruncationError, PreconditionError, StructuralError, as_integer
@@ -88,14 +87,13 @@ class ProjectorSequence:
     same leading columns, the family is increasing by construction:
     P_m P_n = P_min(m,n), and P equals the identity at full rank.
     ``standard`` records whether the basis is exactly the computational one,
-    in which case compressing is indexing. A family built by
-    :meth:`from_state` keeps the state's ``eigenvalues`` along its basis
-    (descending); any other family has None.
+    in which case compressing is indexing.
     """
 
     basis: np.ndarray
-    eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
     standard: bool = field(init=False, repr=False, compare=False)
+    # the state's eigenvalues along the basis (descending), set by from_state
+    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=np.complex128, copy=True)
@@ -107,12 +105,6 @@ class ProjectorSequence:
             raise StructuralError(f"basis columns are not orthonormal (defect {gram_defect:.3e})")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
-        if self.eigenvalues is not None:
-            w = np.array(self.eigenvalues, dtype=np.float64, copy=True)
-            if w.shape != (b.shape[0],):
-                raise StructuralError(f"need {b.shape[0]} eigenvalues, got shape {w.shape}")
-            w.setflags(write=False)
-            object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "standard", bool(np.array_equal(b, eye)))
 
     @property
@@ -139,7 +131,9 @@ class ProjectorSequence:
     def from_state(cls, rho: DensityMatrix) -> "ProjectorSequence":
         """Projectors onto the top-r eigenvectors of a state (descending eigenvalue)."""
         w, u = clamped_spectrum(rho)
-        return cls(u[:, ::-1], eigenvalues=w[::-1])
+        seq = cls(u[:, ::-1])
+        object.__setattr__(seq, "_eigenvalues", w[::-1])
+        return seq
 
 
 def _retained(weight: float, what: str) -> float:
@@ -288,7 +282,7 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
 
 @dataclass(frozen=True)
 class _Marginal:
-    """One marginal of a truncated state, as a step reads it.
+    """One marginal of a step, as the step reads it.
 
     ``eigenvalues`` is its clamped spectrum, ascending. ``matrix`` is the
     marginal itself, or with ``root`` a matrix R whose marginal is R R^dagger:
@@ -297,7 +291,11 @@ class _Marginal:
 
     eigenvalues: np.ndarray
     matrix: np.ndarray
-    root: bool
+    root: bool = False
+
+    def density(self) -> np.ndarray:
+        """The marginal as a matrix."""
+        return self.matrix @ self.matrix.conj().T if self.root else self.matrix
 
     def weights(self, u: np.ndarray | None) -> np.ndarray:
         """The marginal's weight <u_a| m |u_a> on each column u_a of ``u``.
@@ -320,11 +318,10 @@ class _Step:
     """A compressed truncated-normalized state with weight ``lam``, and what it yields.
 
     ``joint`` is the state in its part's representation: a matrix, or a
-    factor F with state F F^dagger. ``tilde_*`` are the truncated,
-    renormalized original marginals: a matrix, or in the eigenbasis family,
-    where they are diagonal, that diagonal (descending). ``cond`` is the
-    state's H(A|B), from the spectrum of the target marginal that ``h_nk``
-    used.
+    factor F with state F F^dagger. ``own_*`` are the state's marginals and
+    ``tilde_*`` the truncated, renormalized original marginals. ``cond`` is
+    the state's H(A|B), from the spectrum of the target marginal that
+    ``h_nk`` used.
 
     Two facts fix most of a step. ``h_nk`` needs no eigenvector of the
     state's own marginals: Tr[rho (ln rho_A (x) I)] = Tr rho_A ln rho_A, so
@@ -342,8 +339,10 @@ class _Step:
 
     joint: np.ndarray
     lam: float
-    tilde_a: np.ndarray
-    tilde_b: np.ndarray
+    own_a: _Marginal
+    own_b: _Marginal
+    tilde_a: _Marginal
+    tilde_b: _Marginal
     h_nk: float
     h_tilde_nk: float
     cond: float
@@ -368,9 +367,7 @@ def _truncated(
         truncated, lam = _renormalized(compressed, layout, "the state")
         w_joint = clamped_spectrum(truncated, vectors=False)[0]
         own = (partial_trace(truncated, label) for label in ("A", "B"))
-        marginals = (
-            _Marginal(clamped_spectrum(m, vectors=False)[0], m.entries, False) for m in own
-        )
+        marginals = (_Marginal(clamped_spectrum(m, vectors=False)[0], m.entries) for m in own)
         return truncated.entries, lam, w_joint, *marginals
     factor = part.joint
     for axis, cut in enumerate(cuts):
@@ -401,20 +398,22 @@ def _padded(descending: np.ndarray, size: int) -> np.ndarray:
 
 def _tilde(
     marginal: np.ndarray, seq: ProjectorSequence, rank: int, cut: np.ndarray | slice, what: str
-) -> tuple[np.ndarray, _Spectrum]:
-    """The truncated, renormalized original marginal and its clamped spectrum.
+) -> tuple[_Marginal, np.ndarray | None]:
+    """The truncated, renormalized original marginal and its eigenvectors.
 
-    In the eigenbasis family the compressed marginal is the diagonal matrix
-    of the retained eigenvalues: it is returned as that diagonal, descending,
-    and its spectrum is the diagonal reversed, with vectors None. Any other
+    A family built by :meth:`ProjectorSequence.from_state` compresses the
+    marginal to the diagonal matrix of the retained eigenvalues, so its
+    spectrum is their renormalized values and its eigenvectors, read
+    ascending, are the standard basis reversed: returned as None. Any other
     family compresses the marginal and solves it.
     """
-    if seq.eigenvalues is None:
+    if seq._eigenvalues is None:
         tilde, _ = _renormalized(_conjugated(marginal, (seq.dim,), (cut,)), single("A", rank), what)
-        return tilde.entries, clamped_spectrum(tilde)
-    retained = seq.eigenvalues[:rank]
+        w, u = clamped_spectrum(tilde)
+        return _Marginal(w, tilde.entries), u
+    retained = seq._eigenvalues[:rank]
     diagonal = retained / _retained(float(retained.sum()), what)
-    return diagonal, (diagonal[::-1], None)
+    return _Marginal(diagonal[::-1], np.diag(diagonal)), None
 
 
 def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
@@ -427,19 +426,15 @@ def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
     """
     cut_a, cut_b = part.seq_a.compression(rank_a), part.seq_b.compression(rank_b)
     joint, lam, w_joint, own_a, own_b = _truncated(part, rank_a, rank_b, (cut_a, cut_b))
-    tilde_a, (w_tilde_a, u_tilde_a) = _tilde(
-        part.marginal_a, part.seq_a, rank_a, cut_a, "the target marginal"
-    )
-    tilde_b, (w_tilde_b, u_tilde_b) = _tilde(
-        part.marginal_b, part.seq_b, rank_b, cut_b, "the conditioning marginal"
-    )
+    tilde_a, u_a = _tilde(part.marginal_a, part.seq_a, rank_a, cut_a, "the target marginal")
+    tilde_b, u_b = _tilde(part.marginal_b, part.seq_b, rank_b, cut_b, "the conditioning marginal")
     w_a, w_b = own_a.eigenvalues, own_b.eigenvalues
     h_nk = _spectra_divergence(w_joint, w_a, w_a, w_b, w_b)
     h_tilde_nk = _spectra_divergence(
-        w_joint, own_a.weights(u_tilde_a), w_tilde_a, own_b.weights(u_tilde_b), w_tilde_b
+        w_joint, own_a.weights(u_a), tilde_a.eigenvalues, own_b.weights(u_b), tilde_b.eigenvalues
     )
     cond = _entropy_from_eigs(w_a) - h_nk
-    return _Step(joint, lam, tilde_a, tilde_b, h_nk, h_tilde_nk, cond)
+    return _Step(joint, lam, own_a, own_b, tilde_a, tilde_b, h_nk, h_tilde_nk, cond)
 
 
 def conditional_entropy_sweep(
@@ -530,17 +525,18 @@ def truncation_diagnostics(
     """
     rank_a, rank_b = as_integer(rank_a, "rank_a"), as_integer(rank_b, "rank_b")
     step = _step(_bipartite(rho, target, given, mode), rank_a, rank_b)
-    if step.joint.ndim == 2:
-        truncated = DensityMatrix(step.joint, SubsystemLayout([("A", rank_a), ("B", rank_b)]))
-        own = partial_trace(truncated, "A"), partial_trace(truncated, "B")
-    else:
-        own = _marginals(step.joint)
     # a divergence needs both marginals of its pair with eigenvectors; the step
     # solved the own marginals for values only, and in the eigenbasis family
     # solved no tilde marginal at all
-    tildes = (np.diag(t) if t.ndim == 1 else t for t in (step.tilde_a, step.tilde_b))
     divergence_a, divergence_b = (
-        relative_entropy(m, DensityMatrix(t, m.layout)) for m, t in zip(own, tildes)
+        relative_entropy(
+            DensityMatrix(own.density(), single("A", rank)),
+            DensityMatrix(tilde.density(), single("A", rank)),
+        )
+        for own, tilde, rank in (
+            (step.own_a, step.tilde_a, rank_a),
+            (step.own_b, step.tilde_b, rank_b),
+        )
     )
     return TruncationDiagnostics(
         rank_a=rank_a,

@@ -154,11 +154,6 @@ def assert_agrees(points, expected):
                 assert abs(value - ref) <= AGREEMENT, (point, row)
 
 
-def tilde_matrix(tilde):
-    """A step's tilde marginal as a matrix; the eigenbasis family keeps its diagonal."""
-    return np.diag(tilde) if tilde.ndim == 1 else tilde
-
-
 @pytest.mark.parametrize("mode", PROJECTOR_MODES)
 @pytest.mark.parametrize("name", sorted(STATES))
 def test_sweep_agrees_with_kron_complex_reference(name, mode, tmp_path):
@@ -301,7 +296,7 @@ def test_step_compression_equals_kron_route(make, mode):
         step = _step(part, n, k)
         joint, lam, tilde_a, tilde_b = kron_compressed(rho, basis_a, basis_b, n, k)
         assert abs(step.lam - lam) <= 1e-14
-        tildes = [(tilde_matrix(step.tilde_a), tilde_a), (tilde_matrix(step.tilde_b), tilde_b)]
+        tildes = [(step.tilde_a.density(), tilde_a), (step.tilde_b.density(), tilde_b)]
         for got, ref in [(step.joint, joint), *tildes]:
             if mode == "computational":  # a slice is exactly the 0/1 product
                 assert np.array_equal(got, ref)
@@ -332,8 +327,8 @@ def test_factored_step_equals_kron_route(make, mode):
         columns = step.joint.reshape(n * k, 1)
         assert abs(step.lam - lam) <= 1e-14
         assert np.max(np.abs(columns @ columns.conj().T - joint)) <= 1e-14
-        assert np.max(np.abs(tilde_matrix(step.tilde_a) - tilde_a)) <= 1e-14
-        assert np.max(np.abs(tilde_matrix(step.tilde_b) - tilde_b)) <= 1e-14
+        assert np.max(np.abs(step.tilde_a.density() - tilde_a)) <= 1e-14
+        assert np.max(np.abs(step.tilde_b.density() - tilde_b)) <= 1e-14
 
 
 @pytest.mark.parametrize("mode", PROJECTOR_MODES)
