@@ -70,7 +70,7 @@ def _rounded(total: float | np.ndarray) -> float | np.ndarray:
     An array of totals is rounded entry by entry.
     """
     if getattr(total, "ndim", 0):
-        return np.array([_rounded(t) for t in total.tolist()]).reshape(total.shape)
+        return np.where((total >= -NEG_CLAMP) & (total < 0.0), 0.0, total) + 0.0
     total = float(total)
     if -NEG_CLAMP <= total < 0.0:
         return 0.0

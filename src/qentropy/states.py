@@ -276,13 +276,21 @@ def clamped_spectrum(
         w, u = np.linalg.eigh(sym)
     else:
         w, u = np.linalg.eigvalsh(sym), None
+    return _clamped(w), u
+
+
+def _clamped(w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, or rows of them, with [-TAU_PSD, 0) clamped to 0.
+
+    The first row whose lowest eigenvalue lies below -TAU_PSD raises
+    :class:`InvalidStateError`.
+    """
     for lowest in w[..., 0].reshape(-1).tolist():
         if lowest < -TAU_PSD:
             raise InvalidStateError(
                 f"state has eigenvalue {lowest:.3e} below -{TAU_PSD:g}; not a density matrix"
             )
-    w = np.where(w < 0.0, 0.0, w)
-    return w, u
+    return np.where(w < 0.0, 0.0, w)
 
 
 def _support_groups(*spectra: np.ndarray) -> list[tuple[np.ndarray | slice, tuple[int, ...]]]:

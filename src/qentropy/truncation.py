@@ -16,17 +16,20 @@ and vanishes exactly when truncation commutes with taking marginals
 (e.g. rank-aligned truncation of a Schmidt-diagonal state).
 
 A sweep never forms the truncated state P rho P in the original space. It
-compresses each projected factor onto its retained subspace: replacing
+builds its basis once. The computational family keeps the state as it is;
+the eigenbasis family solves each full marginal once and rotates the state
+into the descending eigenbases, on its ket and bra indices, after which
+each marginal is the diagonal matrix of its eigenvalues. In either family
+the rank-n projector keeps the first n basis vectors, so a step compresses
+the state onto its retained subspace with the slice [:n, :k]: replacing
 P rho P by (V (x) W)^dagger rho (V (x) W) with isometries V, W changes no
 eigenvalue of the state, its marginals, or any product of them, so every
-entropy commutes with the compression while matrices shrink from
-d_A d_B to n k. The compression forms neither V (x) W nor a D x D projector:
-it conjugates the state one factor at a time on its (d_A, d_B, d_A, d_B)
-index form, and in the computational basis it is a plain slice.
+entropy commutes with the compression while matrices shrink from d_A d_B
+to n k.
 
 A pure state is never densified by a sweep. Its amplitudes, grouped as a
-factor F of shape (d_A, d_B, r) with rho = F F^dagger and r = 1, are
-compressed on their ket index alone; the weight is ||F_nk||^2 and the joint
+factor F of shape (d_A, d_B, r) with rho = F F^dagger and r = 1, are rotated
+and sliced on their ket index alone; the weight is ||F_nk||^2 and the joint
 eigenvalues come from the r x r Gram matrix F_nk^dagger F_nk, which has the
 same nonzero spectrum as F_nk F_nk^dagger.
 
@@ -38,17 +41,18 @@ A step solves only what two facts leave open:
   solved for eigenvalues only. For a pure factor (r = 1) both are the
   squared singular values of F_nk, zero-padded to n and to k (Schmidt), from
   one values-only SVD; the marginals are never formed.
-* In the eigenbasis family the truncated original marginal is diagonal: its
-  spectrum is the retained eigenvalues over their sum, and the weights of
-  the truncated state on it are its own marginals' diagonal (for a factor,
-  the squared row norms of F). In the computational family it is solved
-  once per side, and the weights are one matrix product.
+* A truncated original marginal whose leading block is diagonal, as in the
+  eigenbasis family and for every Schmidt-diagonal state in the
+  computational one, is read off its diagonal, and the weights of the
+  truncated state on it are its own marginals' diagonal (for a factor, the
+  squared row norms of F). Any other block is solved once per side, and the
+  weights are one matrix product.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -68,6 +72,7 @@ from .states import (
     PureState,
     State,
     SubsystemLayout,
+    _clamped,
     clamped_spectrum,
     partial_trace,
     single,
@@ -86,14 +91,13 @@ class ProjectorSequence:
     columns V_r, and P_r = V_r V_r^dagger. Because every isometry reuses the
     same leading columns, the family is increasing by construction:
     P_m P_n = P_min(m,n), and P equals the identity at full rank.
-    ``standard`` records whether the basis is exactly the computational one,
-    in which case compressing is indexing.
+
+    These are the two families a sweep truncates with, as explicit
+    projectors. A sweep does not build them: it rotates the state into its
+    basis once and slices (see :func:`conditional_entropy_sweep`).
     """
 
     basis: np.ndarray
-    standard: bool = field(init=False, repr=False, compare=False)
-    # the state's eigenvalues along the basis (descending), set by from_state
-    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=np.complex128, copy=True)
@@ -105,7 +109,6 @@ class ProjectorSequence:
             raise StructuralError(f"basis columns are not orthonormal (defect {gram_defect:.3e})")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
-        object.__setattr__(self, "standard", bool(np.array_equal(b, eye)))
 
     @property
     def dim(self) -> int:
@@ -117,11 +120,6 @@ class ProjectorSequence:
             raise PreconditionError(f"rank must be in [1, {self.dim}], got {rank}")
         return self.basis[:, :rank]
 
-    def compression(self, rank: int) -> np.ndarray | slice:
-        """The rank-r isometry as a map for :func:`_conjugated`: ``slice(r)`` if standard."""
-        v = self.isometry(rank)
-        return slice(v.shape[1]) if self.standard else v
-
     @classmethod
     def computational(cls, dim: int) -> "ProjectorSequence":
         """Projectors onto the first r computational (number) basis states."""
@@ -130,10 +128,7 @@ class ProjectorSequence:
     @classmethod
     def from_state(cls, rho: DensityMatrix) -> "ProjectorSequence":
         """Projectors onto the top-r eigenvectors of a state (descending eigenvalue)."""
-        w, u = clamped_spectrum(rho)
-        seq = cls(u[:, ::-1])
-        object.__setattr__(seq, "_eigenvalues", w[::-1])
-        return seq
+        return cls(clamped_spectrum(rho)[1][:, ::-1])
 
 
 def _retained(weight: float, what: str) -> float:
@@ -152,30 +147,6 @@ def _renormalized(
     """``m / Tr m`` as a state, and the weight ``Tr m``; degenerate weights raise."""
     weight = _retained(float(np.trace(m).real), what)
     return DensityMatrix(m / weight, layout), weight
-
-
-def _conjugated(
-    m: np.ndarray, dims: Sequence[int], maps: Sequence[np.ndarray | slice]
-) -> np.ndarray:
-    """``F^dagger m F`` for ``F = maps[0] (x) maps[1] (x) ...``, one factor at a time.
-
-    ``m`` acts on the product of spaces of dimensions ``dims``. ``maps[i]``
-    is a matrix with ``dims[i]`` rows, contracted with factor i's row and
-    column index of ``m``; or ``slice(r)``, the first r computational basis
-    vectors, which only indexes.
-    """
-    n = len(dims)
-    t = m.reshape(tuple(dims) * 2)
-    for i, f in enumerate(maps):
-        if isinstance(f, slice):
-            index = [slice(None)] * (2 * n)
-            index[i] = index[n + i] = f
-            t = t[tuple(index)]
-        else:
-            t = np.moveaxis(np.tensordot(f.conj(), t, axes=(0, i)), 0, i)
-            t = np.moveaxis(np.tensordot(t, f, axes=(n + i, 0)), -1, n + i)
-    side = math.prod(t.shape[:n])
-    return t.reshape(side, side)
 
 
 @dataclass(frozen=True)
@@ -235,26 +206,36 @@ def _validate_schedule(schedule: Sequence[tuple[int, int]]) -> list[tuple[int, i
 
 @dataclass(frozen=True)
 class _Bipartite:
-    """A state grouped into factors A (target) and B (given), plus what every step reuses.
+    """A state grouped into factors A (target) and B (given), in the basis a sweep slices.
 
-    ``joint`` is the grouped density matrix, or for a pure state its factor:
-    the amplitudes as an array F of shape (d_A, d_B, r), with rho = F F^dagger.
+    ``joint`` is the grouped density matrix with indices (a, b, a', b'), or
+    for a pure state its factor: the amplitudes as an array F of shape
+    (d_A, d_B, r), with rho = F F^dagger. ``marginal_a`` and ``marginal_b``
+    are its marginals in the same basis. A side's rank-n projector keeps its
+    first n basis vectors, so every truncation is a slice.
     """
 
     joint: np.ndarray
-    dims: tuple[int, int]
     marginal_a: np.ndarray
     marginal_b: np.ndarray
-    seq_a: ProjectorSequence
-    seq_b: ProjectorSequence
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.marginal_a.shape[0], self.marginal_b.shape[0]
 
 
 def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMode) -> _Bipartite:
-    """Collapse the bipartition to two factors; take its marginals and projector families once.
+    """Collapse the bipartition to two factors, in the basis of the projector family.
 
     Each group is made contiguous in its original internal order and then
     treated as one factor; target and given must disjointly cover the layout.
     A pure state keeps its amplitudes, as a factor with r = 1.
+
+    The computational family keeps the state as it is. The eigenbasis family
+    solves each marginal once and rotates the state into the descending
+    eigenbases, on its ket and bra indices, or a factor on its ket indices
+    alone; each marginal is then the diagonal matrix of its eigenvalues. A
+    real marginal has a real eigenbasis, so a real factor stays real.
     """
     if mode not in PROJECTOR_MODES:
         raise PreconditionError(f"unknown projector mode {mode!r}; have {PROJECTOR_MODES}")
@@ -266,18 +247,19 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
             # a real factor keeps each step's products and SVD real, as clamped_spectrum does
             amplitudes = amplitudes.real
         joint = amplitudes.reshape(math.prod(amplitudes.shape[: len(labels_a)]), -1, 1)
-        marginal_a, marginal_b = _marginals(joint)
+        marginals = _marginals(joint)
     else:
-        grouped, marginal_a, marginal_b = _grouped(rho, target, given)
-        joint = grouped.entries
+        grouped, *marginals = _grouped(rho, target, given)
+        joint = grouped.entries.reshape((marginals[0].dim, marginals[1].dim) * 2)
     if mode == "computational":
-        seq_a = ProjectorSequence.computational(marginal_a.dim)
-        seq_b = ProjectorSequence.computational(marginal_b.dim)
-    else:
-        seq_a = ProjectorSequence.from_state(marginal_a)
-        seq_b = ProjectorSequence.from_state(marginal_b)
-    dims = (marginal_a.dim, marginal_b.dim)
-    return _Bipartite(joint, dims, marginal_a.entries, marginal_b.entries, seq_a, seq_b)
+        return _Bipartite(joint, *(m.entries for m in marginals))
+    spectra = [clamped_spectrum(m) for m in marginals]
+    for axis, (_, u) in enumerate(spectra):
+        basis = u[:, ::-1]
+        joint = np.moveaxis(np.tensordot(basis.conj(), joint, axes=(0, axis)), 0, axis)
+        if joint.ndim == 4:  # a density matrix's bra index
+            joint = np.moveaxis(np.tensordot(joint, basis, axes=(2 + axis, 0)), -1, 2 + axis)
+    return _Bipartite(np.ascontiguousarray(joint), *(np.diag(w[::-1]) for w, _ in spectra))
 
 
 @dataclass(frozen=True)
@@ -297,16 +279,16 @@ class _Marginal:
         """The marginal as a matrix."""
         return self.matrix @ self.matrix.conj().T if self.root else self.matrix
 
-    def weights(self, u: np.ndarray | None) -> np.ndarray:
+    def weights(self, u: np.ndarray) -> np.ndarray:
         """The marginal's weight <u_a| m |u_a> on each column u_a of ``u``.
 
-        With None, the weights on the standard basis vectors in reverse
-        order, matching a spectrum read ascending off a descending diagonal.
+        A 1-D ``u`` lists standard basis vectors by index, and the weights
+        are the diagonal entries it names.
         """
         m = self.matrix
-        if u is None:
+        if u.ndim == 1:
             diagonal = np.einsum("ij,ij->i", m.conj(), m).real if self.root else m.diagonal().real
-            return diagonal[::-1]
+            return diagonal[u]
         if self.root:
             rotated = u.conj().T @ m
             return np.einsum("ai,ai->a", rotated.conj(), rotated).real
@@ -328,8 +310,9 @@ class _Step:
     each eigendirection of rho_A carries its own eigenvalue as weight, and
     for a pure factor both marginals have the squared singular values of F
     as spectrum (Schmidt). ``h_tilde_nk`` needs no solve of a tilde marginal
-    in the eigenbasis family, where it is the retained eigenvalues over
-    their sum, and the state's weights on it are its marginals' diagonal.
+    whose block is diagonal, as every block of the eigenbasis family is:
+    its spectrum is its diagonal, and the state's weights on it are its own
+    marginals' diagonal.
 
     A sweep holds each step, joint state included, until the next step has
     been computed: for a dense state at cutoff 30 that keeps the allocator
@@ -349,32 +332,28 @@ class _Step:
 
 
 def _truncated(
-    part: _Bipartite, rank_a: int, rank_b: int, cuts: tuple[np.ndarray | slice, ...]
+    part: _Bipartite, rank_a: int, rank_b: int
 ) -> tuple[np.ndarray, float, np.ndarray, _Marginal, _Marginal]:
-    """The state compressed to the cuts and renormalized, its weight, its
-    eigenvalues and its two marginals: the one part of a step that depends on
-    the representation.
+    """The state sliced to ranks (rank_a, rank_b) and renormalized, its weight,
+    its eigenvalues and its two marginals: the one part of a step that depends
+    on the representation.
 
-    A matrix is conjugated and solved for its eigenvalues only, and so are
-    its marginals. A factor is contracted on its ket index; the r x r Gram
-    matrix F^dagger F, the state of the purifying system, gives the nonzero
-    joint eigenvalues, and the singular values of F unfolded on each side
-    give the marginal spectra, one SVD serving both sides when r = 1.
+    A matrix is sliced on its ket and bra indices and solved for its
+    eigenvalues only, and so are its marginals. A factor is sliced on its ket
+    indices; the r x r Gram matrix F^dagger F, the state of the purifying
+    system, gives the nonzero joint eigenvalues, and the singular values of F
+    unfolded on each side give the marginal spectra, one SVD serving both
+    sides when r = 1.
     """
-    if part.joint.ndim == 2:  # a density matrix
+    if part.joint.ndim == 4:  # a density matrix
         layout = SubsystemLayout([("A", rank_a), ("B", rank_b)])
-        compressed = _conjugated(part.joint, part.dims, cuts)
-        truncated, lam = _renormalized(compressed, layout, "the state")
+        block = part.joint[:rank_a, :rank_b, :rank_a, :rank_b]
+        truncated, lam = _renormalized(block.reshape(layout.total_dim, -1), layout, "the state")
         w_joint = clamped_spectrum(truncated, vectors=False)[0]
         own = (partial_trace(truncated, label) for label in ("A", "B"))
         marginals = (_Marginal(clamped_spectrum(m, vectors=False)[0], m.entries) for m in own)
         return truncated.entries, lam, w_joint, *marginals
-    factor = part.joint
-    for axis, cut in enumerate(cuts):
-        if isinstance(cut, slice):
-            factor = factor[(slice(None),) * axis + (cut,)]
-        else:
-            factor = np.moveaxis(np.tensordot(cut.conj(), factor, axes=(0, axis)), 0, axis)
+    factor = part.joint[:rank_a, :rank_b]
     r = factor.shape[2]
     columns = factor.reshape(rank_a * rank_b, r)
     # Tr F^dagger F = ||F||^2, the weight of F F^dagger
@@ -396,38 +375,36 @@ def _padded(descending: np.ndarray, size: int) -> np.ndarray:
     return np.concatenate([np.zeros(size - descending.size), descending[::-1]])
 
 
-def _tilde(
-    marginal: np.ndarray, seq: ProjectorSequence, rank: int, cut: np.ndarray | slice, what: str
-) -> tuple[_Marginal, np.ndarray | None]:
+def _tilde(marginal: np.ndarray, rank: int, what: str) -> tuple[_Marginal, np.ndarray]:
     """The truncated, renormalized original marginal and its eigenvectors.
 
-    A family built by :meth:`ProjectorSequence.from_state` compresses the
-    marginal to the diagonal matrix of the retained eigenvalues, so its
-    spectrum is their renormalized values and its eigenvectors, read
-    ascending, are the standard basis reversed: returned as None. Any other
-    family compresses the marginal and solves it.
+    One rule, read off the marginal's leading block. A diagonal block needs
+    no solve: its spectrum is its diagonal in ascending order, and its
+    eigenvectors are standard basis vectors, returned as their indices. The
+    order is a stable sort of the reversed diagonal, so a descending
+    diagonal, as in the eigenbasis family, is read in exact reverse and its
+    ties keep that order. Any other block is solved once.
     """
-    if seq._eigenvalues is None:
-        tilde, _ = _renormalized(_conjugated(marginal, (seq.dim,), (cut,)), single("A", rank), what)
+    block = marginal[:rank, :rank]
+    tilde, _ = _renormalized(block, single("A", rank), what)
+    if np.count_nonzero(block) > np.count_nonzero(block.diagonal()):
         w, u = clamped_spectrum(tilde)
         return _Marginal(w, tilde.entries), u
-    retained = seq._eigenvalues[:rank]
-    diagonal = retained / _retained(float(retained.sum()), what)
-    return _Marginal(diagonal[::-1], np.diag(diagonal)), None
+    diagonal = tilde.entries.diagonal().real
+    order = rank - 1 - np.argsort(diagonal[::-1], kind="stable")
+    return _Marginal(_clamped(diagonal[order]), tilde.entries), order
 
 
 def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
-    """Compress to ranks (rank_a, rank_b) and evaluate both correlation terms.
+    """Slice to ranks (rank_a, rank_b) and evaluate both correlation terms.
 
-    The truncated-normalized state is compressed onto the retained subspace.
     Neither correlation term reads the joint state's eigenvectors or its own
-    marginals' eigenvectors, so those are solved for eigenvalues only; in the
-    eigenbasis family nothing else is solved.
+    marginals' eigenvectors, so those are solved for eigenvalues only; a
+    diagonal tilde marginal is not solved at all.
     """
-    cut_a, cut_b = part.seq_a.compression(rank_a), part.seq_b.compression(rank_b)
-    joint, lam, w_joint, own_a, own_b = _truncated(part, rank_a, rank_b, (cut_a, cut_b))
-    tilde_a, u_a = _tilde(part.marginal_a, part.seq_a, rank_a, cut_a, "the target marginal")
-    tilde_b, u_b = _tilde(part.marginal_b, part.seq_b, rank_b, cut_b, "the conditioning marginal")
+    joint, lam, w_joint, own_a, own_b = _truncated(part, rank_a, rank_b)
+    tilde_a, u_a = _tilde(part.marginal_a, rank_a, "the target marginal")
+    tilde_b, u_b = _tilde(part.marginal_b, rank_b, "the conditioning marginal")
     w_a, w_b = own_a.eigenvalues, own_b.eigenvalues
     h_nk = _spectra_divergence(w_joint, w_a, w_a, w_b, w_b)
     h_tilde_nk = _spectra_divergence(

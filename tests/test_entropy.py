@@ -8,6 +8,7 @@ import pytest
 from qentropy.catalog import bell, classical_correlated, ghz
 from qentropy.channels import conditional_entropy_via_coherent_info
 from qentropy.entropy import (
+    _rounded,
     conditional_entropy,
     conditional_entropy_standard,
     min_supported_eigenvalue,
@@ -30,6 +31,7 @@ from qentropy.states import (
     tensor,
     validate,
 )
+from qentropy.tolerances import NEG_CLAMP
 from qentropy.truncation import conditional_entropy_sweep
 
 LN2 = np.log(2.0)
@@ -432,6 +434,20 @@ class TestOneSpectrumPath:
                 grouped, rho_t, rho_g
             )
             assert conditional_entropy(rho, target, given) == expected
+
+
+    def test_a_stack_of_totals_rounds_as_each_total_alone(self):
+        # the round-off rule on an array is the scalar rule entry by entry,
+        # to the bit: tiny negatives and -0.0 become 0.0, the rest pass
+        totals = [-2 * NEG_CLAMP, -NEG_CLAMP, -NEG_CLAMP / 2, -0.0, 0.0, 5e-324, 0.25, -math.inf]
+        totals.append(math.nan)
+        stack = np.array(totals * 2).reshape(2, -1)
+        got = _rounded(stack)
+        expected = np.array([_rounded(t) for t in stack.ravel().tolist()]).reshape(stack.shape)
+        assert got.shape == stack.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert not np.signbit(got[np.isfinite(got) & (got == 0.0)]).any()
+        assert list(got[0, :3]) == [-2 * NEG_CLAMP, 0.0, 0.0]
 
 
 class TestMutualInformation:

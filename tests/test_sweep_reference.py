@@ -3,9 +3,9 @@
 The reference is the straightforward route the sweep's shortcuts replace: it
 compresses with ``np.kron(V, W)``, solves every matrix as complex Hermitian
 with eigenvectors, and feeds the same product-divergence formula. The
-shortcuts (slicing or per-factor contraction, real symmetric solves,
+shortcuts (one rotation into the basis, then slicing; real symmetric solves,
 values-only joint and own-marginal solves, the singular values of a pure
-factor, the eigenbasis family's unsolved tilde marginals) may move only
+factor, diagonal tilde marginals read off their diagonal) may move only
 rounding, bounded here by 1e-12 nats. A pure state is swept from its
 amplitudes; the reference densifies it first.
 """
@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from qentropy import truncation
 from qentropy.catalog import (
     bell,
     build_state,
@@ -32,6 +33,7 @@ from qentropy.states import (
     PureState,
     SubsystemLayout,
     as_density,
+    clamped_spectrum,
     random_density_matrix,
     random_pure_state,
     single,
@@ -61,6 +63,27 @@ def reference_bases(rho, mode, target="A", given="B"):
     if mode == "computational":
         return np.eye(marginal_a.dim), np.eye(marginal_b.dim)
     return tuple(complex_spectrum(m.entries)[1][:, ::-1] for m in (marginal_a, marginal_b))
+
+
+def sweep_bases(state, mode, target="A", given="B"):
+    """The bases a sweep of ``state`` slices in, from the eigensolves ``_bipartite``
+    makes: each marginal's eigenvectors in descending order, or the standard
+    bases when it solves none."""
+    solved = []
+
+    def recording(rho, vectors=True):
+        w, u = clamped_spectrum(rho, vectors)
+        solved.append(u)
+        return w, u
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(truncation, "clamped_spectrum", recording)
+        part = _bipartite(state, target, given, mode)
+    if mode == "computational":
+        assert not solved
+        return tuple(np.eye(dim) for dim in part.dims)
+    assert len(solved) == 2
+    return tuple(u[:, ::-1] for u in solved)
 
 
 def kron_compressed(rho, basis_a, basis_b, n, k, target="A", given="B"):
@@ -237,8 +260,7 @@ def test_skipped_steps_agree_with_kron_complex_reference(pure, mode):
     rho = as_density(psi)
     state = psi if pure else rho
     schedule = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
-    part = _bipartite(state, "A", "B", mode)
-    bases = (part.seq_a.basis, part.seq_b.basis)
+    bases = sweep_bases(state, mode)
     points = conditional_entropy_sweep(state, "A", "B", schedule, mode=mode)
     if mode == "computational":
         assert [p.skipped for p in points] == [True, True, False, False, False]
@@ -271,8 +293,7 @@ def test_eigenbasis_ties_at_the_cut_agree_with_kron_reference(name):
     # bases; the tilde marginals in them are diagonal whichever basis was chosen
     state = TIED_STATES[name]()
     rho = as_density(state)
-    part = _bipartite(state, "A", "B", "eigenbasis")
-    bases = (part.seq_a.basis, part.seq_b.basis)
+    bases = sweep_bases(state, "eigenbasis")
     schedule = full_schedule(rho)
     points = conditional_entropy_sweep(state, "A", "B", schedule, mode="eigenbasis")
     assert_agrees(points, reference_sweep(rho, schedule, "eigenbasis", bases=bases))
@@ -290,7 +311,7 @@ def test_eigenbasis_ties_at_the_cut_agree_with_kron_reference(name):
 def test_step_compression_equals_kron_route(make, mode):
     rho = make()
     part = _bipartite(rho, "A", "B", mode)
-    basis_a, basis_b = part.seq_a.basis, part.seq_b.basis
+    basis_a, basis_b = sweep_bases(rho, mode)
     dim_a, dim_b = part.dims
     for n, k in [(1, 1), (2, 3), (dim_a, 2), (dim_a, dim_b)]:
         step = _step(part, n, k)
@@ -317,13 +338,12 @@ def test_factored_step_equals_kron_route(make, mode):
     psi = make()
     rho = as_density(psi)
     part = _bipartite(psi, "A", "B", mode)
+    basis_a, basis_b = sweep_bases(psi, mode)
     dim_a, dim_b = part.dims
     for n, k in [(1, 1), (2, 3), (dim_a, 2), (dim_a, dim_b)]:
         step = _step(part, n, k)
         assert step.joint.shape == (n, k, 1)
-        joint, lam, tilde_a, tilde_b = kron_compressed(
-            rho, part.seq_a.basis, part.seq_b.basis, n, k
-        )
+        joint, lam, tilde_a, tilde_b = kron_compressed(rho, basis_a, basis_b, n, k)
         columns = step.joint.reshape(n * k, 1)
         assert abs(step.lam - lam) <= 1e-14
         assert np.max(np.abs(columns @ columns.conj().T - joint)) <= 1e-14
@@ -341,9 +361,58 @@ def test_factor_of_purifying_rank_two_equals_dense_step(mode):
     columns = factor.reshape(12, 2)
     rho = DensityMatrix(columns @ columns.conj().T, SubsystemLayout([("A", 3), ("B", 4)]))
     dense = _bipartite(rho, "A", "B", mode)
-    factored = dataclasses.replace(dense, joint=factor)
+    # the factor in the dense part's basis, rotated on its ket indices
+    basis_a, basis_b = sweep_bases(rho, mode)
+    rotated = np.einsum("ia,jb,ijr->abr", basis_a.conj(), basis_b.conj(), factor)
+    factored = dataclasses.replace(dense, joint=rotated)
     for n, k in [(1, 1), (2, 3), (3, 2), (3, 4)]:
         got, ref = _step(factored, n, k), _step(dense, n, k)
         assert abs(got.lam - ref.lam) <= 1e-14
         pairs = [(got.h_nk, ref.h_nk), (got.h_tilde_nk, ref.h_tilde_nk), (got.cond, ref.cond)]
         assert all(abs(value - expected) <= AGREEMENT for value, expected in pairs), (n, k)
+
+
+def schmidt_diagonal(coefficients):
+    """sum_i c_i |i, i> / ||c|| on labels A, B."""
+    dim = len(coefficients)
+    amp = np.zeros(dim * dim)
+    amp[np.arange(dim) * (dim + 1)] = coefficients
+    return PureState(amp / np.linalg.norm(amp), SubsystemLayout([("A", dim), ("B", dim)]))
+
+
+def unsorted_diagonal():
+    """A diagonal state on 3 x 4 whose marginals' diagonals are unsorted, each
+    with a zero inside (A = 1 and B = 2 carry no weight)."""
+    p = (np.random.default_rng(8).permutation(12) + 1.0).reshape(3, 4)
+    p[1, :] = p[:, 2] = 0.0
+    return DensityMatrix(np.diag(p.ravel() / p.sum()), SubsystemLayout([("A", 3), ("B", 4)]))
+
+
+# states whose marginals are diagonal in the computational basis, with the
+# bipartition each is swept across
+DIAGONAL_STATES = {
+    "unsorted-diagonal": (unsorted_diagonal, "A", "B"),
+    "unsorted-schmidt": (lambda: schmidt_diagonal([0.2, 0.0, 0.5, 0.1, 0.4]), "A", "B"),
+    # tied diagonals
+    "classical": (lambda: classical_correlated(3), "A", "B"),
+    # the BC marginal diag(1/2, 0, 0, 1/2) has zeros inside its diagonal
+    "ghz-A|BC": (lambda: ghz(3, 2), "A", ("B", "C")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGONAL_STATES))
+def test_diagonal_tilde_marginals_read_off_agree_with_kron_reference(name, monkeypatch):
+    # in the computational family each tilde marginal is a diagonal block,
+    # read off its diagonal: the sweep solves nothing with eigenvectors
+    make, target, given = DIAGONAL_STATES[name]
+    state = make()
+    rho = as_density(state)
+    schedule = full_schedule(rho, target, given)
+    expected = reference_sweep(rho, schedule, "computational", target, given)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("a diagonal tilde marginal was solved")
+
+    monkeypatch.setattr(np.linalg, "eigh", solve)
+    points = conditional_entropy_sweep(state, target, given, schedule)
+    assert_agrees(points, expected)

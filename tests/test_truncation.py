@@ -79,15 +79,6 @@ class TestProjectorSequence:
         top2 = seq.isometry(2)
         assert np.allclose(top2 @ top2.conj().T, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
 
-    def test_state_family_keeps_its_eigenvalues_along_the_basis(self):
-        rho = DensityMatrix(np.diag([0.1, 0.6, 0.3]), single("A", 3))
-        seq = ProjectorSequence.from_state(rho)
-        assert np.allclose(seq._eigenvalues, [0.6, 0.3, 0.1], atol=1e-15)
-        for w, v in zip(seq._eigenvalues, seq.basis.T):
-            assert np.allclose(rho.entries @ v, w * v, atol=1e-15)
-        assert ProjectorSequence.computational(3)._eigenvalues is None
-        assert ProjectorSequence(seq.basis)._eigenvalues is None
-
     def test_non_orthonormal_rejected(self):
         with pytest.raises(StructuralError):
             ProjectorSequence(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -276,6 +267,43 @@ class TestConditionalEntropySweep:
             assert eigh_sizes == {1: 3, 5: 1, 6: 1}
         else:  # each step solves its joint state (8, 12, 16) and its own marginals
             assert eigh_sizes == {2: 1, 3: 1, 4: 4, 5: 1, 6: 1, 8: 1, 12: 1, 16: 1}
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: tmsv(nbar=1.0, cutoff=30), lambda: build_state("tmsv:nbar=1,cutoff=8")],
+        ids=["factored-cutoff-30", "dense-cutoff-8"],
+    )
+    def test_computational_sweep_of_tmsv_solves_nothing_with_vectors(
+        self, make, vector_solve_sizes
+    ):
+        # tmsv's marginals are diagonal, so every tilde marginal is read off
+        # its diagonal block
+        state = make()
+        conditional_entropy_sweep(state, "A", "B", diagonal_schedule(1, state.layout.dims[0]))
+        assert vector_solve_sizes == {}
+
+    @pytest.mark.parametrize("pure", [True, False], ids=["factored", "dense"])
+    def test_eigenbasis_sweep_solves_and_rotates_once(self, pure, monkeypatch):
+        # one vector solve per side, and one rotation of each factor's ket
+        # (and a matrix's bra) index, however many steps follow
+        psi = random_pure_state(pair_layout(5, 6), seed=3)
+        state = psi if pure else as_density(psi)
+        calls = []
+        for name, module in (("eigh", np.linalg), ("tensordot", np)):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        counts = []
+        for schedule in ([(5, 6)], diagonal_schedule(1, 5) + [(5, 6)]):
+            calls.clear()
+            conditional_entropy_sweep(state, "A", "B", schedule, mode="eigenbasis")
+            counts.append(sorted(calls))
+        rotations = 2 if pure else 4
+        assert counts == [["eigh"] * 2 + ["tensordot"] * rotations] * 2
 
     def test_dense_step_solves_own_marginals_for_values_only(self, eigh_sizes, vector_solve_sizes):
         # own marginals (3, 4) values only; the tilde marginals, also 3 and 4,

@@ -89,6 +89,14 @@ INVOCATIONS: dict[str, list[str]] = {
         f"converge-{stem}": _converge(f"converge-{stem}", "--state", state, *_EIGEN)
         for stem, state in _EIGEN_STATES.items()
     },
+    # computational-mode sweeps whose original marginals are diagonal: tied
+    # (classical) and deep (tmsv) leading blocks
+    "converge-classical-computational": _converge(
+        "converge-classical-computational", "--state", "classical:dim=3", "--min-rank", "1"
+    ),
+    "converge-tmsv-deep": _converge(
+        "converge-tmsv-deep", "--state", "tmsv:nbar=10,cutoff=60", "--min-rank", "40"
+    ),
     "converge-ghz": _converge(
         "converge-ghz", "--state", "ghz:parties=3", "--target", "A", "--given", "B,C",
         "--min-rank", "1",
