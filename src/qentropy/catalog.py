@@ -315,7 +315,7 @@ def _build_state(spec: str) -> State:
         return entry.build(**params)
     except QEntropyError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad parameters for {name!r}: {exc}") from exc
 
 

@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .entropy import _entropy_from_eigs, _marginals, _product_divergence
+from .entropy import _entropy_from_eigs, _marginals, _product_divergence, _unfolded
 from .errors import InvalidChannelError, PreconditionError, StructuralError
 from .rng import complex_normal, generator
 from .states import (
@@ -38,6 +38,7 @@ from .states import (
     SubsystemLayout,
     ValidationReport,
     Violation,
+    _freeze,
     _support_groups,
     as_density,
     clamped_spectrum,
@@ -67,15 +68,11 @@ class KrausChannel:
         dim_in: int | None = None,
         dim_out: int | None = None,
     ):
-        ops = []
-        for k in kraus_ops:
-            a = np.array(k, dtype=np.complex128, copy=True)
-            if a.ndim not in (2, 3):
-                raise StructuralError(f"Kraus operator has {a.ndim} axes, expected 2 or 3")
-            a.setflags(write=False)
-            ops.append(a)
+        ops = [_freeze(k) for k in kraus_ops]
         if not ops:
             raise StructuralError("a channel needs at least one Kraus operator")
+        if ops[0].ndim not in (2, 3):
+            raise StructuralError(f"Kraus operator has {ops[0].ndim} axes, expected 2 or 3")
         out, inp = ops[0].shape[-2:]
         for a in ops:
             if a.shape != ops[0].shape:
@@ -262,7 +259,7 @@ def _information_and_spectrum(
         psi = _purification((w[rows], u[rows]))
         # F[b, i, j] = sum_a K_j[b, a] psi[a, i]
         factor = np.einsum("...jba,...ai->...bij", kraus[rows] if kraus.ndim == 4 else kraus, psi)
-        columns = factor.reshape(len(psi), -1, env)
+        columns = _unfolded(factor)[2]
         gram = DensityMatrix(columns.conj().swapaxes(-1, -2) @ columns, single("E", env))
         rho_b, rho_r = _marginals(factor)
         info[rows] = _product_divergence(

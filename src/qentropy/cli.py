@@ -8,9 +8,7 @@ Exit codes: 0 on success (all checks passed), 1 when a property check fails,
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
-import io
 import os
 import sys
 from datetime import datetime, timezone
@@ -31,7 +29,14 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .errors import QEntropyError
-from .fileio import dumps_document, load_channel, save_sweep_csv, sweep_rows, sweep_to_csv
+from .fileio import (
+    _csv_table,
+    dumps_document,
+    load_channel,
+    save_sweep_csv,
+    sweep_rows,
+    sweep_to_csv,
+)
 from .harness import CHECKS, report_to_dict, resolve_state, run_check, run_converge
 from .states import DensityMatrix
 from .truncation import PROJECTOR_MODES
@@ -113,17 +118,6 @@ def _emit(payload: str, out: str | None) -> None:
     sys.stdout.write(payload)
 
 
-def _reports_csv(reports: list[dict[str, Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_CSV_COLUMNS)
-    for rep in reports:
-        writer.writerow(
-            [repr(v) if isinstance(v, float) else v for v in (rep[c] for c in REPORT_CSV_COLUMNS)]
-        )
-    return buf.getvalue()
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     overrides = {
         key: getattr(args, key) for key in _CHECK_OVERRIDES if getattr(args, key) is not None
@@ -144,7 +138,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     dicts = [report_to_dict(rep) for rep in reports]
     all_pass = all(rep.passed for rep in reports)
     if args.format == "csv":
-        payload = _reports_csv(dicts)
+        payload = _csv_table(REPORT_CSV_COLUMNS, dicts)
     else:
         doc: dict[str, Any] = {"kind": "check", "all_pass": all_pass, "reports": dicts}
         if not args.no_timestamp:
@@ -379,7 +373,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (QEntropyError, OSError) as exc:
+    except (QEntropyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,11 @@ and never tests a projector norm.
 
 One spectrum path: each matrix is solved once by ``clamped_spectrum``, each
 spectrum is cut at the support once, every total passes one round-off rule,
-and every H(rho || first x second) is one spectra-level product divergence.
+and every H(rho || first x second) is one spectra-level product divergence,
+which mutual information, conditional entropy, channel information and the
+truncation sweep share. The public :func:`relative_entropy` compares two
+states of equal subsystem dimensions. A state held as a factor F, with
+rho = F F^dagger, is unfolded into rows and columns in one place.
 """
 
 from __future__ import annotations
@@ -93,11 +97,13 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """H(rho || sigma) = Tr rho (ln rho - ln sigma), in nats.
 
     Returns ``math.inf`` when rho's mass outside supp(sigma) exceeds
-    dim * ``TAU_SUPP``. Both arguments must live on spaces of the same dimension.
+    dim * ``TAU_SUPP``. Both arguments must have the same subsystem
+    dimensions, in the same order; their labels may differ.
     """
-    if rho.dim != sigma.dim:
+    if rho.layout.dims != sigma.layout.dims:
         raise StructuralError(
-            f"relative entropy needs equal dimensions, got {rho.dim} and {sigma.dim}"
+            f"relative entropy needs equal subsystem dimensions, got "
+            f"{rho.layout.dims} and {sigma.layout.dims}"
         )
     return _divergence(clamped_spectrum(rho), clamped_spectrum(sigma))
 
@@ -115,34 +121,6 @@ def _divergence(spec_rho: _Spectrum, spec_sigma: _Spectrum) -> float:
     return _rounded(float(np.sum(lam * np.log(lam)) - (lam @ overlap) @ np.log(mu)))
 
 
-def relative_entropy_vs_product(
-    rho: DensityMatrix, first: DensityMatrix, second: DensityMatrix
-) -> float:
-    """H(rho || first x second) with the product spectrum resolved per factor.
-
-    Mathematically identical to ``relative_entropy(rho, tensor(first, second))``:
-    supp(A x B) = supp(A) x supp(B) and ln(A x B) = ln A x I + I x ln B on the
-    support, so Tr rho ln(A x B) reduces to factor terms against rho's
-    marginals. Numerically it matters: genuine products of supported factor
-    eigenvalues can sit far below both the support cutoff and the joint
-    eigensolver's noise floor (e.g. 1e-9 * 1e-9), where the generic evaluation
-    cannot certify them. Deep Fock-cutoff sweeps need this to stay finite.
-
-    ``rho``'s subsystems must be exactly ``first``'s followed by ``second``'s.
-    Returns ``math.inf`` when rho's marginals put more than dim * ``TAU_SUPP``
-    of weight outside the factors' supports.
-    """
-    if rho.layout.subsystems != first.layout.subsystems + second.layout.subsystems:
-        raise StructuralError(
-            f"state subsystems {rho.layout.subsystems} must be the factors "
-            f"{first.layout.subsystems} + {second.layout.subsystems} in order"
-        )
-    red_first, red_second = (partial_trace(rho, f.layout.labels).entries for f in (first, second))
-    spec_first, spec_second = clamped_spectrum(first), clamped_spectrum(second)
-    w_rho = clamped_spectrum(rho)[0]
-    return _product_divergence(w_rho, red_first, red_second, spec_first, spec_second)
-
-
 def _product_divergence(
     w_rho: np.ndarray,
     red_first: np.ndarray,
@@ -150,8 +128,15 @@ def _product_divergence(
     spec_first: _Spectrum,
     spec_second: _Spectrum,
 ) -> float | np.ndarray:
-    """:func:`relative_entropy_vs_product` from rho's eigenvalues, its two marginals
+    """H(rho || first x second) from rho's eigenvalues, its two marginals
     ``red_first`` and ``red_second``, and the two factors' clamped spectra.
+
+    It equals ``relative_entropy(rho, tensor(first, second))`` with the product
+    spectrum resolved per factor: ln(A x B) = ln A x I + I x ln B on
+    supp(A) x supp(B), so the cross term reduces to factor terms against rho's
+    marginals. Products of supported factor eigenvalues can sit far below the
+    support cutoff (1e-9 * 1e-9), where a joint solve could not certify them;
+    deep Fock-cutoff sweeps need this to stay finite.
 
     The weight of each marginal on each factor eigendirection is read off the
     eigenvectors, and :func:`_spectra_divergence` does the rest. Every input
@@ -203,16 +188,26 @@ def _spectra_divergence(
     return _rounded(out.reshape(stack))
 
 
+def _unfolded(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The A rows (n, k r), B rows (k, n r) and columns (n k, r) of a factor F
+    of shape (..., n, k, r), with rho = F F^dagger: a side's marginal is R R^dagger
+    for its rows R, and the columns' Gram matrix has rho's nonzero spectrum."""
+    n, k, r = factor.shape[-3:]
+    stack = factor.shape[:-3]
+    return (
+        factor.reshape(stack + (n, k * r)),
+        np.swapaxes(factor, -3, -2).reshape(stack + (k, n * r)),
+        factor.reshape(stack + (n * k, r)),
+    )
+
+
 def _marginals(factor: np.ndarray) -> tuple[DensityMatrix, DensityMatrix]:
     """Both marginals of F F^dagger for a factor F of shape (n, k, r), or a stack
     of them: on its first index (labelled A) and its second (labelled B)."""
-    n, k, r = factor.shape[-3:]
-    stack = factor.shape[:-3]
-    f_a = factor.reshape(stack + (n, k * r))
-    f_b = np.swapaxes(factor, -3, -2).reshape(stack + (k, n * r))
+    f_a, f_b, _ = _unfolded(factor)
     return (
-        DensityMatrix(f_a @ f_a.conj().swapaxes(-1, -2), single("A", n)),
-        DensityMatrix(f_b @ f_b.conj().swapaxes(-1, -2), single("B", k)),
+        DensityMatrix(f_a @ f_a.conj().swapaxes(-1, -2), single("A", f_a.shape[-2])),
+        DensityMatrix(f_b @ f_b.conj().swapaxes(-1, -2), single("B", f_b.shape[-2])),
     )
 
 
@@ -282,7 +277,6 @@ def nats_to_bits(x: float) -> float:
 __all__ = [
     "von_neumann_entropy",
     "relative_entropy",
-    "relative_entropy_vs_product",
     "conditional_entropy",
     "conditional_entropy_standard",
     "mutual_information_states",

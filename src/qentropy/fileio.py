@@ -208,12 +208,15 @@ def save_channel(path: str | Path, channel: KrausChannel) -> None:
     Path(path).write_text(dumps_document(channel_to_document(channel)))
 
 
-def _csv_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_table(columns: Sequence[str], rows: Iterable[dict[str, Any]]) -> str:
+    """A header line and one line per row, the cells in ``columns`` order: a
+    float as its ``repr``, None as an empty cell, anything else as ``str``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in (row[c] for c in columns)])
+    return buf.getvalue()
 
 
 def sweep_rows(points: Iterable[SweepPoint]) -> list[dict[str, Any]]:
@@ -233,12 +236,7 @@ def sweep_rows(points: Iterable[SweepPoint]) -> list[dict[str, Any]]:
 
 
 def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in sweep_rows(points):
-        writer.writerow([_csv_cell(row[col]) for col in SWEEP_COLUMNS])
-    return buf.getvalue()
+    return _csv_table(SWEEP_COLUMNS, sweep_rows(points))
 
 
 def save_sweep_csv(path: str | Path, points: Sequence[SweepPoint]) -> None:

@@ -41,12 +41,14 @@ A step solves only what two facts leave open:
   solved for eigenvalues only. For a pure factor (r = 1) both are the
   squared singular values of F_nk, zero-padded to n and to k (Schmidt), from
   one values-only SVD; the marginals are never formed.
-* A truncated original marginal whose leading block is diagonal, as in the
-  eigenbasis family and for every Schmidt-diagonal state in the
-  computational one, is read off its diagonal, and the weights of the
-  truncated state on it are its own marginals' diagonal (for a factor, the
-  squared row norms of F). Any other block is solved once per side, and the
-  weights are one matrix product.
+* The form of each original marginal is decided once per sweep. One with
+  no off-diagonal nonzero, as in the eigenbasis family (its descending
+  eigenvalues) and for every Schmidt-diagonal state in the computational
+  one, is held as its diagonal: a step slices it, divides it by its own sum
+  and reads its spectrum off it, and the weights of the truncated state on
+  it are its own marginals' diagonal (for a factor, the squared row norms of
+  F). Any other marginal is held as a matrix, whose truncated block a step
+  solves once per side; the weights are then one matrix product.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .entropy import (
     _marginals,
     _rounded,
     _spectra_divergence,
+    _unfolded,
     relative_entropy,
 )
 from .errors import DegenerateTruncationError, PreconditionError, StructuralError, as_integer
@@ -73,6 +76,7 @@ from .states import (
     State,
     SubsystemLayout,
     _clamped,
+    _freeze,
     clamped_spectrum,
     partial_trace,
     single,
@@ -100,14 +104,13 @@ class ProjectorSequence:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.basis, dtype=np.complex128, copy=True)
+        b = _freeze(self.basis)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise StructuralError(f"basis must be a square matrix, got shape {b.shape}")
         eye = np.eye(b.shape[0])
         gram_defect = float(np.max(np.abs(b.conj().T @ b - eye)))
         if gram_defect > TAU_GRAM:
             raise StructuralError(f"basis columns are not orthonormal (defect {gram_defect:.3e})")
-        b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
     @property
@@ -211,8 +214,9 @@ class _Bipartite:
     ``joint`` is the grouped density matrix with indices (a, b, a', b'), or
     for a pure state its factor: the amplitudes as an array F of shape
     (d_A, d_B, r), with rho = F F^dagger. ``marginal_a`` and ``marginal_b``
-    are its marginals in the same basis. A side's rank-n projector keeps its
-    first n basis vectors, so every truncation is a slice.
+    are its marginals in the same basis: a 1-D diagonal when the marginal has
+    no off-diagonal nonzero, the matrix otherwise. A side's rank-n projector
+    keeps its first n basis vectors, so every truncation is a slice.
     """
 
     joint: np.ndarray
@@ -234,8 +238,9 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
     The computational family keeps the state as it is. The eigenbasis family
     solves each marginal once and rotates the state into the descending
     eigenbases, on its ket and bra indices, or a factor on its ket indices
-    alone; each marginal is then the diagonal matrix of its eigenvalues. A
-    real marginal has a real eigenbasis, so a real factor stays real.
+    alone; each marginal is then the diagonal of its descending
+    eigenvalues. A real marginal has a real eigenbasis, so a real factor
+    stays real.
     """
     if mode not in PROJECTOR_MODES:
         raise PreconditionError(f"unknown projector mode {mode!r}; have {PROJECTOR_MODES}")
@@ -252,14 +257,20 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
         grouped, *marginals = _grouped(rho, target, given)
         joint = grouped.entries.reshape((marginals[0].dim, marginals[1].dim) * 2)
     if mode == "computational":
-        return _Bipartite(joint, *(m.entries for m in marginals))
+        return _Bipartite(joint, *(_diagonal_or_matrix(m.entries) for m in marginals))
     spectra = [clamped_spectrum(m) for m in marginals]
     for axis, (_, u) in enumerate(spectra):
         basis = u[:, ::-1]
         joint = np.moveaxis(np.tensordot(basis.conj(), joint, axes=(0, axis)), 0, axis)
         if joint.ndim == 4:  # a density matrix's bra index
             joint = np.moveaxis(np.tensordot(joint, basis, axes=(2 + axis, 0)), -1, 2 + axis)
-    return _Bipartite(np.ascontiguousarray(joint), *(np.diag(w[::-1]) for w, _ in spectra))
+    return _Bipartite(np.ascontiguousarray(joint), *(w[::-1] for w, _ in spectra))
+
+
+def _diagonal_or_matrix(m: np.ndarray) -> np.ndarray:
+    """A marginal's diagonal when it has no off-diagonal nonzero, else the marginal."""
+    diagonal = m.diagonal()
+    return diagonal.copy() if np.count_nonzero(m) == np.count_nonzero(diagonal) else m
 
 
 @dataclass(frozen=True)
@@ -267,8 +278,9 @@ class _Marginal:
     """One marginal of a step, as the step reads it.
 
     ``eigenvalues`` is its clamped spectrum, ascending. ``matrix`` is the
-    marginal itself, or with ``root`` a matrix R whose marginal is R R^dagger:
-    a pure factor's amplitudes with that side's index as rows.
+    marginal itself, or its diagonal when 1-D, or with ``root`` a matrix R
+    whose marginal is R R^dagger: a pure factor's amplitudes with that side's
+    index as rows.
     """
 
     eigenvalues: np.ndarray
@@ -277,7 +289,9 @@ class _Marginal:
 
     def density(self) -> np.ndarray:
         """The marginal as a matrix."""
-        return self.matrix @ self.matrix.conj().T if self.root else self.matrix
+        if self.root:
+            return self.matrix @ self.matrix.conj().T
+        return np.diag(self.matrix) if self.matrix.ndim == 1 else self.matrix
 
     def weights(self, u: np.ndarray) -> np.ndarray:
         """The marginal's weight <u_a| m |u_a> on each column u_a of ``u``.
@@ -310,8 +324,8 @@ class _Step:
     each eigendirection of rho_A carries its own eigenvalue as weight, and
     for a pure factor both marginals have the squared singular values of F
     as spectrum (Schmidt). ``h_tilde_nk`` needs no solve of a tilde marginal
-    whose block is diagonal, as every block of the eigenbasis family is:
-    its spectrum is its diagonal, and the state's weights on it are its own
+    held as a diagonal, as every marginal of the eigenbasis family is: its
+    spectrum is its diagonal, and the state's weights on it are its own
     marginals' diagonal.
 
     A sweep holds each step, joint state included, until the next step has
@@ -355,12 +369,11 @@ def _truncated(
         return truncated.entries, lam, w_joint, *marginals
     factor = part.joint[:rank_a, :rank_b]
     r = factor.shape[2]
-    columns = factor.reshape(rank_a * rank_b, r)
+    columns = _unfolded(factor)[2]
     # Tr F^dagger F = ||F||^2, the weight of F F^dagger
     gram, lam = _renormalized(columns.conj().T @ columns, single("R", r), "the state")
     factor = factor / math.sqrt(lam)
-    rows_a = factor.reshape(rank_a, rank_b * r)
-    rows_b = np.swapaxes(factor, 0, 1).reshape(rank_b, rank_a * r)
+    rows_a, rows_b, _ = _unfolded(factor)
     s_a = np.linalg.svd(rows_a, compute_uv=False)
     s_b = s_a if r == 1 else np.linalg.svd(rows_b, compute_uv=False)
     marginals = (
@@ -378,21 +391,23 @@ def _padded(descending: np.ndarray, size: int) -> np.ndarray:
 def _tilde(marginal: np.ndarray, rank: int, what: str) -> tuple[_Marginal, np.ndarray]:
     """The truncated, renormalized original marginal and its eigenvectors.
 
-    One rule, read off the marginal's leading block. A diagonal block needs
-    no solve: its spectrum is its diagonal in ascending order, and its
-    eigenvectors are standard basis vectors, returned as their indices. The
-    order is a stable sort of the reversed diagonal, so a descending
-    diagonal, as in the eigenbasis family, is read in exact reverse and its
-    ties keep that order. Any other block is solved once.
+    A diagonal needs no solve: it is sliced and divided by its own sum in its
+    own dtype (a complex division rounds unlike a real one, and sweep outputs
+    are pinned to the bit), its spectrum is that slice in ascending order,
+    and its eigenvectors are standard basis vectors, returned as their
+    indices. The order is a stable sort of the reversed diagonal, so a
+    descending diagonal, as in the eigenbasis family, is read in exact
+    reverse and its ties keep that order. A matrix's block is renormalized
+    and solved once.
     """
-    block = marginal[:rank, :rank]
-    tilde, _ = _renormalized(block, single("A", rank), what)
-    if np.count_nonzero(block) > np.count_nonzero(block.diagonal()):
-        w, u = clamped_spectrum(tilde)
-        return _Marginal(w, tilde.entries), u
-    diagonal = tilde.entries.diagonal().real
-    order = rank - 1 - np.argsort(diagonal[::-1], kind="stable")
-    return _Marginal(_clamped(diagonal[order]), tilde.entries), order
+    if marginal.ndim == 1:
+        block = marginal[:rank]
+        diagonal = (block / _retained(float(block.sum().real), what)).real
+        order = rank - 1 - np.argsort(diagonal[::-1], kind="stable")
+        return _Marginal(_clamped(diagonal[order]), diagonal), order
+    tilde, _ = _renormalized(marginal[:rank, :rank], single("A", rank), what)
+    w, u = clamped_spectrum(tilde)
+    return _Marginal(w, tilde.entries), u
 
 
 def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
@@ -503,8 +518,8 @@ def truncation_diagnostics(
     rank_a, rank_b = as_integer(rank_a, "rank_a"), as_integer(rank_b, "rank_b")
     step = _step(_bipartite(rho, target, given, mode), rank_a, rank_b)
     # a divergence needs both marginals of its pair with eigenvectors; the step
-    # solved the own marginals for values only, and in the eigenbasis family
-    # solved no tilde marginal at all
+    # solved the own marginals for values only, and no tilde marginal held as
+    # a diagonal
     divergence_a, divergence_b = (
         relative_entropy(
             DensityMatrix(own.density(), single("A", rank)),

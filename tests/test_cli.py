@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via subprocess."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -412,6 +413,10 @@ class TestMalformedInput:
             ("compute", "entropy", "thermal:nbar=1,cutoff=2.9"),
             ("converge", "--state", "tmsv:nbar=1,cutoff=8.6", "--out", "unused"),
             ("check", "--property", "concavity", "--dims", "0,2"),
+            # sinh(1e3) overflows a float
+            ("compute", "condent", "tmsv:r=1e3,cutoff=4"),
+            # layouts (2, 2) and (4,): equal total dimension, different subsystems
+            ("compute", "relent", "bell", "thermal:nbar=1,cutoff=4"),
         ],
     )
     def test_exits_two_with_error_line(self, args):
@@ -420,6 +425,20 @@ class TestMalformedInput:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_out_of_memory_exits_two(self, monkeypatch, capsys):
+        # a builder whose array cannot be allocated, without allocating one
+        from qentropy import catalog, cli
+
+        def too_big(**params):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        entry = dataclasses.replace(catalog.CATALOG["bell"], build=too_big)
+        monkeypatch.setitem(catalog.CATALOG, "bell", entry)
+        assert cli.main(["compute", "entropy", "bell:dim=100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 74.5 GiB for an array\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "case", ["check-out-dir", "state-dir", "channel-dir", "non-utf8-state", "fractional-dims"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qentropy.channels import KrausChannel
 from qentropy.errors import InvalidStateError, StructuralError
 from qentropy.rng import generator
 from qentropy.states import (
@@ -23,6 +24,7 @@ from qentropy.states import (
     tensor,
     validate,
 )
+from qentropy.truncation import ProjectorSequence
 
 
 def diag_state(values, layout):
@@ -96,6 +98,23 @@ class TestDensityMatrix:
         dm = random_density_matrix(2, seed=5)
         with pytest.raises((ValueError, RuntimeError)):
             dm.entries[0, 0] = 9.0
+
+
+@pytest.mark.parametrize(
+    "build, read",
+    [
+        (lambda a: DensityMatrix(a, single("A", 2)), lambda obj: obj.entries),
+        (lambda a: KrausChannel([a]), lambda obj: obj.kraus_ops[0]),
+        (ProjectorSequence, lambda obj: obj.basis),
+    ],
+    ids=["density-matrix", "kraus-channel", "projector-sequence"],
+)
+def test_an_object_owns_a_frozen_copy_of_its_input(build, read):
+    source = np.eye(2, dtype=complex)
+    obj = build(source)
+    source[0, 1] = 7.0
+    assert np.array_equal(read(obj), np.eye(2))
+    assert not read(obj).flags.writeable
 
 
 class TestPureState:

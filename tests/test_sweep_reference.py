@@ -416,3 +416,28 @@ def test_diagonal_tilde_marginals_read_off_agree_with_kron_reference(name, monke
     monkeypatch.setattr(np.linalg, "eigh", solve)
     points = conditional_entropy_sweep(state, target, given, schedule)
     assert_agrees(points, expected)
+
+
+def leading_block_diagonal():
+    """A state on 5 x 4 whose marginals are diagonal on their leading indices
+    only (A = 0..2, B = 0, 1): a diagonal state there, mixed half and half
+    with a complex full-rank state on A = 3, 4 and B = 2, 3."""
+    head = np.zeros((5, 4))
+    head[:3, :2] = np.random.default_rng(6).dirichlet(np.ones(6)).reshape(3, 2)
+    tail = np.kron(np.eye(5)[:, 3:], np.eye(4)[:, 2:])
+    inner = random_density_matrix(4, seed=7).entries
+    entries = 0.5 * np.diag(head.ravel()) + 0.5 * tail @ inner @ tail.T
+    return DensityMatrix(entries, SubsystemLayout([("A", 5), ("B", 4)]))
+
+
+def test_leading_block_diagonal_marginals_agree_with_kron_reference(vector_solve_sizes):
+    # each marginal is diagonal in its leading block but not as a whole, so the
+    # sweep holds it as a matrix and solves its truncated block at every rank
+    rho = leading_block_diagonal()
+    schedule = full_schedule(rho)
+    expected = reference_sweep(rho, schedule, "computational")
+    vector_solve_sizes.clear()
+    points = conditional_entropy_sweep(rho, "A", "B", schedule)
+    assert_agrees(points, expected)
+    assert schedule == [(1, 1), (2, 2), (3, 3), (4, 4), (5, 4)]
+    assert vector_solve_sizes == {1: 2, 2: 2, 3: 2, 4: 3, 5: 1}

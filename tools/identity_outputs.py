@@ -29,6 +29,7 @@ PINNED_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_
 # the seeded input files, written by _write_inputs
 STATE_24X24 = "rand576.json"
 STATE_3PARTY = "rand24.json"
+STATE_LEADING = "leading5x4.json"
 CHANNEL = "channel.json"
 
 _TRIAL_PROPERTIES = (
@@ -97,6 +98,15 @@ INVOCATIONS: dict[str, list[str]] = {
     "converge-tmsv-deep": _converge(
         "converge-tmsv-deep", "--state", "tmsv:nbar=10,cutoff=60", "--min-rank", "40"
     ),
+    # marginals diagonal in their leading blocks only, so solved at every rank
+    "converge-leading-diagonal": _converge(
+        "converge-leading-diagonal", "--state", STATE_LEADING, "--min-rank", "1"
+    ),
+    # the sweep table as CSV on stdout
+    "converge-tmsv-csv": _converge(
+        "converge-tmsv-csv", "--state", "tmsv:nbar=2,cutoff=12", "--max-rank", "8",
+        "--format", "csv",
+    ),
     "converge-ghz": _converge(
         "converge-ghz", "--state", "ghz:parties=3", "--target", "A", "--given", "B,C",
         "--min-rank", "1",
@@ -127,15 +137,25 @@ INVOCATIONS: dict[str, list[str]] = {
 
 
 def _write_inputs() -> None:
+    import numpy as np
+
     from qentropy.channels import random_channel
     from qentropy.fileio import save_channel, save_state
-    from qentropy.states import SubsystemLayout, random_density_matrix
+    from qentropy.states import DensityMatrix, SubsystemLayout, random_density_matrix
 
     square = SubsystemLayout((("A", 24), ("B", 24)))
     save_state(STATE_24X24, random_density_matrix(576, seed=201, layout=square))
     three = SubsystemLayout((("A", 3), ("B", 4), ("C", 2)))
     save_state(STATE_3PARTY, random_density_matrix(24, seed=5, layout=three))
     save_channel(CHANNEL, random_channel(4, 3, 2, seed=11))
+    # a diagonal state on A = 0..2, B = 0..1, mixed half and half with a full-rank
+    # state on A = 3, 4 and B = 2, 3: each marginal is diagonal in its leading block
+    head = np.zeros((5, 4))
+    head[:3, :2] = np.random.default_rng(3).dirichlet(np.ones(6)).reshape(3, 2)
+    tail = np.kron(np.eye(5)[:, 3:], np.eye(4)[:, 2:])
+    inner = random_density_matrix(4, seed=13).entries
+    entries = 0.5 * np.diag(head.ravel()) + 0.5 * tail @ inner @ tail.T
+    save_state(STATE_LEADING, DensityMatrix(entries, SubsystemLayout((("A", 5), ("B", 4)))))
 
 
 def main(argv: list[str]) -> int:
