@@ -35,7 +35,6 @@ from .fileio import (
     load_channel,
     save_sweep_csv,
     sweep_rows,
-    sweep_to_csv,
 )
 from .harness import CHECKS, report_to_dict, resolve_state, run_check, run_converge
 from .states import DensityMatrix
@@ -173,8 +172,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     json_payload = dumps_document(doc)
     with open(base + ".json", "w") as fh:
         fh.write(json_payload)
-    save_sweep_csv(base + ".csv", points)
-    _emit(sweep_to_csv(points) if args.format == "csv" else json_payload, None)
+    csv_payload = save_sweep_csv(base + ".csv", points)
+    _emit(csv_payload if args.format == "csv" else json_payload, None)
     return 0
 
 

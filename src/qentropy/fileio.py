@@ -7,6 +7,19 @@ spaces, which at 576 x 576 more than halves the time to write them; any
 JSON layout reads back the same. Extended-real values serialize as the
 strings "inf", "-inf", and "nan" because JSON has no literals for them.
 
+Files are read a row at a time. The top-level object is parsed by json's
+Python parser, and each element of an array it holds (a row of ``data``, a
+matrix of ``kraus``) by json's C scanner, then turned into a float64 array
+at once; an element that does not convert stays a list. So at most one row
+of Python floats and pair lists is alive at a time, and loading a file
+peaks at about twice its size in memory (the text plus the arrays), where
+a whole-document ``json.loads`` peaked at about four times. json still
+parses every number, so the grammar, the duplicate-key rule (the last key
+wins) and the error messages are json's. The one place the result can
+differ from ``json.loads`` is an array nested inside ``labels`` or ``dims``:
+it too comes back as a float array, so such a label reads as that array's
+text, and such a dim is rejected with the array in the message.
+
 Sweep tables are written as CSV with a fixed column order:
 ``schedule_index,rank_A,rank_B,lambda,cond_entropy_nats,h_nk,h_tilde_nk,diff``.
 Floats are rendered with ``repr`` (shortest round-trip form), so identical
@@ -18,6 +31,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import json.decoder
+import json.scanner
 import math
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -53,6 +68,8 @@ def complex_to_pairs(arr: np.ndarray) -> list:
 def pairs_to_complex(data: Any, context: str) -> np.ndarray:
     try:
         arr = np.array(data, dtype=np.float64)
+    except OverflowError as exc:
+        raise ParseError(f"{context}: an entry is too large for a float ({exc})") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{context}: entries must be numeric [real, imag] pairs") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
@@ -180,12 +197,40 @@ def channel_from_document(doc: Any, context: str = "channel document") -> KrausC
     return KrausChannel(ops)
 
 
+class _RowDecoder(json.JSONDecoder):
+    """A JSON decoder that turns each element of an array held by an object
+    into a float64 array as soon as json's C scanner has parsed it (see the
+    module docstring); an element that is not an array, or does not convert,
+    is kept as parsed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        scan_element = json.scanner.make_scanner(json.JSONDecoder())
+
+        def scan_row(text: str, idx: int) -> tuple[Any, int]:
+            value, end = scan_element(text, idx)
+            if isinstance(value, list):
+                try:
+                    value = np.array(value, dtype=np.float64)
+                except (TypeError, ValueError, OverflowError):
+                    pass
+            return value, end
+
+        def parse_array(text_and_end: tuple[str, int], _scan: Any) -> tuple[list, int]:
+            return json.decoder.JSONArray(text_and_end, scan_row)
+
+        self.parse_array = parse_array
+        self.scan_once = json.scanner.py_make_scanner(self)
+
+
 def _load_json(path: str | Path, context: str) -> Any:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), cls=_RowDecoder)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{context}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # json.JSONDecodeError, an integer literal past Python's digit limit,
+        # or arrays nested deeper than the interpreter's recursion limit
         raise ParseError(f"{context}: not valid JSON ({exc})") from exc
 
 
@@ -239,8 +284,11 @@ def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
     return _csv_table(SWEEP_COLUMNS, sweep_rows(points))
 
 
-def save_sweep_csv(path: str | Path, points: Sequence[SweepPoint]) -> None:
-    Path(path).write_text(sweep_to_csv(points))
+def save_sweep_csv(path: str | Path, points: Sequence[SweepPoint]) -> str:
+    """Write the sweep table to ``path`` and return the text written."""
+    text = sweep_to_csv(points)
+    Path(path).write_text(text)
+    return text
 
 
 __all__ = [

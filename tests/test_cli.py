@@ -194,6 +194,27 @@ class TestConvergeCommand:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == ",".join(SWEEP_COLUMNS)
 
+    def test_csv_format_renders_the_table_once(self, tmp_path, monkeypatch, capsys):
+        # stdout prints the text save_sweep_csv wrote, not a second rendering;
+        # a cli that rendered the table again would call its own import of it
+        from qentropy import cli, fileio
+
+        calls = []
+        render = fileio.sweep_to_csv
+
+        def counted(points):
+            calls.append(1)
+            return render(points)
+
+        monkeypatch.setattr(fileio, "sweep_to_csv", counted)
+        monkeypatch.setattr(cli, "sweep_to_csv", counted, raising=False)
+        base = tmp_path / "run"
+        argv = ["converge", "--state", "tmsv:nbar=1,cutoff=6", "--min-rank", "3",
+                "--format", "csv", "--out", str(base)]  # fmt: skip
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == (tmp_path / "run.csv").read_text(encoding="utf-8")
+
     def test_state_file_input(self, tmp_path):
         path = tmp_path / "bell.json"
         from qentropy.catalog import bell
@@ -441,8 +462,10 @@ class TestMalformedInput:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "case", ["check-out-dir", "state-dir", "channel-dir", "non-utf8-state", "fractional-dims"]
-    )
+        "case",
+        ["check-out-dir", "state-dir", "channel-dir", "non-utf8-state", "fractional-dims",
+         "huge-entry", "huge-entry-converge"],
+    )  # fmt: skip
     def test_unusable_file_exits_two(self, tmp_path, case):
         state = {"kind": "density_matrix", "labels": ["A"], "dims": [2],
                  "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}  # fmt: skip
@@ -453,11 +476,16 @@ class TestMalformedInput:
         elif case == "fractional-dims":
             state["dims"] = [2.7]
             path.write_text(json.dumps(state), encoding="utf-8")
+        elif case.startswith("huge-entry"):
+            # an integer json reads but no float can hold
+            state["data"][0][0][0] = 10**400
+            path.write_text(json.dumps(state), encoding="utf-8")
         folder = str(tmp_path)
         args = {
             "check-out-dir": ("check", "--property", "bound", "--trials", "1", "--out", folder),
             "state-dir": ("compute", "entropy", folder),
             "channel-dir": ("compute", "cohinfo", "bell", "--channel", folder),
+            "huge-entry-converge": ("converge", "--state", str(path), "--out", folder + "/run"),
         }.get(case, ("compute", "entropy", str(path)))
         proc = run_cli(*args)
         assert proc.returncode == 2

@@ -24,6 +24,7 @@ from qentropy.states import (
     tensor,
     validate,
 )
+from qentropy.tolerances import TAU_PSD
 from qentropy.truncation import ProjectorSequence
 
 
@@ -173,6 +174,24 @@ class TestValidate:
     def test_random_states_valid_across_seeds(self):
         for seed in range(300):
             assert validate(random_density_matrix(3, seed=seed)).ok
+
+    @pytest.mark.parametrize("lowest", [-2.0, -0.75, -0.25, 0.0])
+    def test_psd_verdict_and_defect_match_the_eigensolve(self, lowest, eigh_sizes):
+        # a unit-trace state whose lowest eigenvalue is lowest * TAU_PSD; the
+        # Cholesky certificate settles the two upper cases without an eigensolve
+        n = 12
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        low = lowest * TAU_PSD
+        w = np.concatenate([[low], rng.dirichlet(np.ones(n - 1)) * (1 - low)])
+        m = (q * w) @ q.conj().T
+        reference = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
+        assert reference == pytest.approx(low, abs=1e-14)
+        eigh_sizes.clear()
+        report = validate(DensityMatrix(m, single("A", n)))
+        expected = [("positive_semidefinite", -reference)] if reference < -TAU_PSD else []
+        assert [(v.invariant, v.magnitude) for v in report.violations] == expected
+        assert sum(eigh_sizes.values()) == (1 if lowest < -0.5 else 0)
 
 
 class TestClampedSpectrum:

@@ -13,8 +13,10 @@ process, once per entry of :data:`INVOCATIONS`, with OUTDIR as the working
 directory and relative paths only, so no output embeds a directory name.
 The seeded input files are written first, by the same ``qentropy``. For
 invocation NAME it writes ``NAME.stdout`` and ``NAME.exit``; files named by
-``--out`` land in OUTDIR beside them. BLAS is pinned to one thread before
-numpy loads, so eigensolves round the same way on every run.
+``--out`` land in OUTDIR beside them. An invocation that raises instead of
+returning is recorded with exit code 1, as the command line would end, and
+its traceback goes to this tool's stderr. BLAS is pinned to one thread
+before numpy loads, so eigensolves round the same way on every run.
 """
 
 from __future__ import annotations
@@ -23,11 +25,14 @@ import contextlib
 import io
 import os
 import sys
+import traceback
 
 PINNED_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 # the seeded input files, written by _write_inputs
 STATE_24X24 = "rand576.json"
+STATE_24X24_INDENTED = "rand576-indent2.json"
+STATE_HUGE_INT = "huge-int.json"
 STATE_3PARTY = "rand24.json"
 STATE_LEADING = "leading5x4.json"
 CHANNEL = "channel.json"
@@ -118,6 +123,10 @@ INVOCATIONS: dict[str, list[str]] = {
     "converge-rand576": _converge(
         "converge-rand576", "--state", STATE_24X24, "--mode", "eigenbasis"
     ),
+    # the same state with a two-space indent: both layouts must load to the same entries
+    "converge-rand576-indent2": _converge(
+        "converge-rand576-indent2", "--state", STATE_24X24_INDENTED, "--mode", "eigenbasis"
+    ),
     "converge-rand24": _converge(
         "converge-rand24", "--state", STATE_3PARTY, "--target", "A,C", "--given", "B", *_EIGEN
     ),
@@ -125,6 +134,8 @@ INVOCATIONS: dict[str, list[str]] = {
     "compute-relent-werner": _compute("relent", "werner:p=0.3", "werner:p=0.6"),
     "compute-relent-bell": _compute("relent", "bell", "classical"),
     "compute-entropy-thermal": _compute("entropy", "thermal:nbar=2,cutoff=40"),
+    # an entry no float can hold: a parse error, not a traceback
+    "compute-entropy-huge-int": _compute("entropy", STATE_HUGE_INT),
     "compute-condent-rand24": _compute("condent", STATE_3PARTY, "--target", "B", "--given", "A,C"),
     "compute-mutinfo-rand24": _compute("mutinfo", STATE_3PARTY, "--target", "A", "--given", "B,C"),
     "compute-mutinfo-channel": _compute(
@@ -137,6 +148,8 @@ INVOCATIONS: dict[str, list[str]] = {
 
 
 def _write_inputs() -> None:
+    import json
+
     import numpy as np
 
     from qentropy.channels import random_channel
@@ -145,6 +158,15 @@ def _write_inputs() -> None:
 
     square = SubsystemLayout((("A", 24), ("B", 24)))
     save_state(STATE_24X24, random_density_matrix(576, seed=201, layout=square))
+    with open(STATE_24X24, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(STATE_24X24_INDENTED, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+    with open(STATE_HUGE_INT, "w", encoding="utf-8") as fh:
+        fh.write(
+            '{"kind":"density_matrix","labels":["A"],"dims":[2],'
+            f'"data":[[[{10**400},0],[0,0]],[[0,0],[0,0]]]}}\n'
+        )
     three = SubsystemLayout((("A", 3), ("B", 4), ("C", 2)))
     save_state(STATE_3PARTY, random_density_matrix(24, seed=5, layout=three))
     save_channel(CHANNEL, random_channel(4, 3, 2, seed=11))
@@ -173,8 +195,12 @@ def main(argv: list[str]) -> int:
     _write_inputs()
     for name, args in INVOCATIONS.items():
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = qentropy_main(args)
+        try:
+            with contextlib.redirect_stdout(out):
+                code = qentropy_main(args)
+        except Exception:
+            traceback.print_exc()
+            code = 1
         with open(f"{name}.stdout", "w", encoding="utf-8") as fh:
             fh.write(out.getvalue())
         with open(f"{name}.exit", "w", encoding="utf-8") as fh:
