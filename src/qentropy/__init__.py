@@ -6,6 +6,8 @@ finite-rank truncation convergence sweeps; and a randomized property-check
 harness with reproducible, replayable reports. All entropies are in nats.
 """
 
+import types as _types
+
 from .catalog import (
     CATALOG,
     bell,
@@ -83,68 +85,9 @@ from .truncation import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CATALOG",
-    "CHECKS",
-    "DegenerateTruncationError",
-    "DensityMatrix",
-    "InvalidChannelError",
-    "InvalidStateError",
-    "KrausChannel",
-    "ParseError",
-    "PreconditionError",
-    "ProjectorSequence",
-    "PropertyReport",
-    "PureState",
-    "QEntropyError",
-    "StructuralError",
-    "SubsystemLayout",
-    "SweepPoint",
-    "bell",
-    "build_state",
-    "channel_mutual_information",
-    "classical_correlated",
-    "coherent_information",
-    "complementary",
-    "conditional_entropy",
-    "conditional_entropy_standard",
-    "conditional_entropy_sweep",
-    "conditional_entropy_via_coherent_info",
-    "diagonal_schedule",
-    "g_function",
-    "ghz",
-    "load_channel",
-    "load_state",
-    "min_supported_eigenvalue",
-    "mutual_information_states",
-    "nats_to_bits",
-    "parse_state_spec",
-    "partial_trace",
-    "permute_subsystems",
-    "purify",
-    "random_channel",
-    "random_density_matrix",
-    "random_pure_state",
-    "relative_entropy",
-    "replay_report",
-    "report_to_dict",
-    "require_valid_channel",
-    "resolve_state",
-    "run_check",
-    "run_converge",
-    "run_suite",
-    "save_channel",
-    "save_state",
-    "stinespring",
-    "tensor",
-    "thermal_fock",
-    "thermal_tail_mass",
-    "tmsv",
-    "tmsv_tail_mass",
-    "trace_out_channel",
-    "truncation_diagnostics",
-    "validate",
-    "validate_channel",
-    "von_neumann_entropy",
-    "werner",
-]
+# the public names are exactly the ones imported above
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -1,9 +1,9 @@
 """Named reference states with closed-form entropic behavior.
 
 Builders return :class:`PureState` for pure families and
-:class:`DensityMatrix` otherwise; :func:`build_state` coerces everything to a
-density matrix for uniform consumption, while convergence sweeps take pure
-families as they are built, as amplitudes. Infinite families (thermal,
+:class:`DensityMatrix` otherwise, and :func:`build_state` returns what the
+family builds: every entropy and every sweep takes a pure family as its
+amplitudes, and densifies it nowhere. Infinite families (thermal,
 two-mode squeezed vacuum) are truncated at a Fock cutoff and renormalized;
 their analytic tail-mass helpers quantify what the truncation discarded,
 which is what convergence sweeps measure numerically.
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParseError, PreconditionError, QEntropyError, as_integer
-from .states import DensityMatrix, PureState, State, SubsystemLayout, as_density
+from .states import DensityMatrix, PureState, State, SubsystemLayout
 
 
 def g_function(nbar: float) -> float:
@@ -292,13 +292,13 @@ def parse_state_spec(spec: str) -> tuple[str, dict[str, int | float | str]]:
     return name, params
 
 
-def build_state(spec: str) -> DensityMatrix:
-    """Build a catalog state from its textual spec, validating name and parameters."""
-    return as_density(_build_state(spec))
+def build_state(spec: str) -> State:
+    """Build a catalog state from its textual spec, validating name and parameters.
 
-
-def _build_state(spec: str) -> State:
-    """:func:`build_state` without densifying: pure families stay :class:`PureState`."""
+    The state is the one its family builds: a :class:`PureState` for a pure
+    family, never densified; :func:`~.states.as_density` gives its density
+    matrix where one is needed.
+    """
     name, params = parse_state_spec(spec)
     if name not in CATALOG:
         raise ParseError(f"unknown state family {name!r}; have {sorted(CATALOG)}")

@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .entropy import _entropy_from_eigs, _marginals, _product_divergence, _unfolded
+from .entropy import _entropy_from_eigs, _marginals, _product_divergence
 from .errors import InvalidChannelError, PreconditionError, StructuralError
 from .rng import complex_normal, generator
 from .states import (
@@ -259,7 +259,7 @@ def _information_and_spectrum(
         psi = _purification((w[rows], u[rows]))
         # F[b, i, j] = sum_a K_j[b, a] psi[a, i]
         factor = np.einsum("...jba,...ai->...bij", kraus[rows] if kraus.ndim == 4 else kraus, psi)
-        columns = _unfolded(factor)[2]
+        columns = factor.reshape(factor.shape[:-3] + (-1, env))
         gram = DensityMatrix(columns.conj().swapaxes(-1, -2) @ columns, single("E", env))
         rho_b, rho_r = _marginals(factor)
         info[rows] = _product_divergence(

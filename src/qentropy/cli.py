@@ -37,7 +37,7 @@ from .fileio import (
     sweep_rows,
 )
 from .harness import CHECKS, report_to_dict, resolve_state, run_check, run_converge
-from .states import DensityMatrix
+from .states import State
 from .truncation import PROJECTOR_MODES
 
 # the optional inputs each quantity takes besides its state: every combination it accepts
@@ -185,7 +185,7 @@ def _describe(form: tuple[str, ...]) -> str:
 
 
 def _split_labels(
-    rho: DensityMatrix, args: argparse.Namespace
+    rho: State, args: argparse.Namespace
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     if args.target is not None:
         return _parse_labels(args.target), _parse_labels(args.given)

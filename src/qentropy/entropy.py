@@ -23,8 +23,11 @@ spectrum is cut at the support once, every total passes one round-off rule,
 and every H(rho || first x second) is one spectra-level product divergence,
 which mutual information, conditional entropy, channel information and the
 truncation sweep share. The public :func:`relative_entropy` compares two
-states of equal subsystem dimensions. A state held as a factor F, with
-rho = F F^dagger, is unfolded into rows and columns in one place.
+states of equal subsystem dimensions.
+
+One route per state: a pure state is never densified. Its amplitudes are a
+factor F, with rho = F F^dagger, and one function reads the spectra of every
+entropy and of every sweep step off F.
 """
 
 from __future__ import annotations
@@ -33,10 +36,12 @@ import math
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import DegenerateTruncationError, StructuralError
 from .states import (
     DensityMatrix,
     LabelSet,
+    PureState,
+    State,
     _support_groups,
     as_density,
     clamped_spectrum,
@@ -44,7 +49,7 @@ from .states import (
     permute_subsystems,
     single,
 )
-from .tolerances import NEG_CLAMP, TAU_SUPP
+from .tolerances import NEG_CLAMP, TAU_LAMBDA, TAU_SUPP
 
 _Spectrum = tuple[np.ndarray, np.ndarray]
 
@@ -81,8 +86,11 @@ def _rounded(total: float | np.ndarray) -> float | np.ndarray:
     return total + 0.0  # normalize -0.0
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """H(rho) = -Tr rho ln rho, in nats. Exactly 0.0 for pure states."""
+def von_neumann_entropy(rho: State) -> float:
+    """H(rho) = -Tr rho ln rho, in nats. Exactly 0.0 for pure states, read off
+    the renormalized 1 x 1 Gram matrix of their factor, [[1.0]]."""
+    if isinstance(rho, PureState):
+        return _entropy_from_eigs(_factor_spectra(rho.amplitudes[..., None, None])[2])
     return _entropy_from_eigs(clamped_spectrum(rho)[0])
 
 
@@ -188,57 +196,106 @@ def _spectra_divergence(
     return _rounded(out.reshape(stack))
 
 
-def _unfolded(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The A rows (n, k r), B rows (k, n r) and columns (n k, r) of a factor F
-    of shape (..., n, k, r), with rho = F F^dagger: a side's marginal is R R^dagger
-    for its rows R, and the columns' Gram matrix has rho's nonzero spectrum."""
+def _retained(weight: float, what: str) -> float:
+    """A retained weight, raised on if degenerate."""
+    if weight <= TAU_LAMBDA:
+        raise DegenerateTruncationError(
+            f"retained weight {weight:.3e} of {what} is at or below {TAU_LAMBDA:g}",
+            weight=weight,
+        )
+    return weight
+
+
+def _unfolded(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The A rows (n, k r) and B rows (k, n r) of a factor F of shape (..., n, k, r),
+    with rho = F F^dagger: a side's marginal is R R^dagger for its rows R."""
     n, k, r = factor.shape[-3:]
     stack = factor.shape[:-3]
     return (
         factor.reshape(stack + (n, k * r)),
         np.swapaxes(factor, -3, -2).reshape(stack + (k, n * r)),
-        factor.reshape(stack + (n * k, r)),
     )
 
 
 def _marginals(factor: np.ndarray) -> tuple[DensityMatrix, DensityMatrix]:
     """Both marginals of F F^dagger for a factor F of shape (n, k, r), or a stack
     of them: on its first index (labelled A) and its second (labelled B)."""
-    f_a, f_b, _ = _unfolded(factor)
+    f_a, f_b = _unfolded(factor)
     return (
         DensityMatrix(f_a @ f_a.conj().swapaxes(-1, -2), single("A", f_a.shape[-2])),
         DensityMatrix(f_b @ f_b.conj().swapaxes(-1, -2), single("B", f_b.shape[-2])),
     )
 
 
-def _grouped(
-    rho: DensityMatrix, first: LabelSet, second: LabelSet
-) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
-    """``rho`` regrouped as ``first`` then ``second``, each in layout order, and both marginals."""
+def _factor_spectra(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple, tuple]:
+    """F / ||F||, the weight ||F||^2, and the spectra of F F^dagger / ||F||^2 for a
+    factor F of shape (..., n, k, r): joint, then (spectrum, rows R) for A and B.
+
+    The r x r Gram matrix F^dagger F has the joint state's nonzero spectrum
+    (renormalized, a pure state's is [[1.0]]). Each side's marginal is
+    R R^dagger; its spectrum is the squared singular values of R, zero-padded,
+    one values-only SVD serving both sides when r = 1 (Schmidt). A stack
+    gives one of each per row.
+    """
+    n, k, r = factor.shape[-3:]
+    columns = factor.reshape(factor.shape[:-3] + (n * k, r))
+    gram = columns.conj().swapaxes(-1, -2) @ columns
+    # Tr F^dagger F = ||F||^2, the weight of F F^dagger
+    lam = np.trace(gram, axis1=-2, axis2=-1).real
+    _retained(float(lam.min()), "the state")
+    w_joint = clamped_spectrum(
+        DensityMatrix(gram / lam[..., None, None], single("R", r)), vectors=False
+    )[0]
+    factor = factor / np.sqrt(lam)[..., None, None, None]
+    rows_a, rows_b = _unfolded(factor)
+    s_a = np.linalg.svd(rows_a, compute_uv=False)
+    s_b = s_a if r == 1 else np.linalg.svd(rows_b, compute_uv=False)
+    return factor, lam, w_joint, (_padded(s_a**2, n), rows_a), (_padded(s_b**2, k), rows_b)
+
+
+def _padded(descending: np.ndarray, size: int) -> np.ndarray:
+    """Descending spectra listed ascending with zeros in front, to ``size`` entries."""
+    zeros = np.zeros(descending.shape[:-1] + (size - descending.shape[-1],))
+    return np.concatenate([zeros, descending[..., ::-1]], axis=-1)
+
+
+def _grouped(rho: State, first: LabelSet, second: LabelSet) -> DensityMatrix | np.ndarray:
+    """``rho`` grouped as ``first`` then ``second``, each in layout order: a density
+    matrix with its subsystems permuted, or a pure state's factor F of shape
+    (..., d_first, d_second, 1), rho = F F^dagger, real if no amplitude is complex."""
     labels_1, labels_2, _ = rho.layout.split(first, second)
-    grouped = permute_subsystems(rho, labels_1 + labels_2)
-    return grouped, partial_trace(grouped, labels_1), partial_trace(grouped, labels_2)
+    if isinstance(rho, DensityMatrix):
+        return permute_subsystems(rho, labels_1 + labels_2)
+    stack = rho.amplitudes.shape[:-1]
+    order = [len(stack) + rho.layout.index_of(label) for label in labels_1 + labels_2]
+    amplitudes = rho.amplitudes.reshape(stack + rho.layout.dims)
+    amplitudes = amplitudes.transpose([*range(len(stack)), *order])
+    if not np.count_nonzero(amplitudes.imag):
+        amplitudes = amplitudes.real
+    d_first = math.prod(rho.layout.dim_of(label) for label in labels_1)
+    return amplitudes.reshape(stack + (d_first, -1, 1))
 
 
-def _mutual_information(
-    rho: DensityMatrix, first: LabelSet, second: LabelSet
-) -> tuple[float, _Spectrum]:
-    """I(first:second) from the grouped state and its marginals, and the first one's spectrum."""
-    grouped, rho_1, rho_2 = _grouped(rho, first, second)
+def _mutual_information(rho: State, first: LabelSet, second: LabelSet) -> tuple[float, np.ndarray]:
+    """I(first:second), and the first marginal's clamped eigenvalues; a pure
+    state is read off its factor, as a sweep step reads it."""
+    grouped = _grouped(rho, first, second)
+    if isinstance(grouped, np.ndarray):
+        _, _, w_joint, (w_1, _), (w_2, _) = _factor_spectra(grouped)
+        return _spectra_divergence(w_joint, w_1, w_1, w_2, w_2), w_1
+    rho_1, rho_2 = partial_trace(grouped, first), partial_trace(grouped, second)
     spec_1 = clamped_spectrum(rho_1)
     w_joint = clamped_spectrum(grouped)[0]
-    info = _product_divergence(
-        w_joint, rho_1.entries, rho_2.entries, spec_1, clamped_spectrum(rho_2)
-    )
-    return info, spec_1
+    spec_2 = clamped_spectrum(rho_2)
+    return _product_divergence(w_joint, rho_1.entries, rho_2.entries, spec_1, spec_2), spec_1[0]
 
 
-def mutual_information_states(rho: DensityMatrix, part_x: LabelSet, part_y: LabelSet) -> float:
+def mutual_information_states(rho: State, part_x: LabelSet, part_y: LabelSet) -> float:
     """I(X:Y) = H(rho_XY || rho_X x rho_Y) for a bipartition of rho's subsystems."""
     return _mutual_information(rho, part_x, part_y)[0]
 
 
-def conditional_entropy(rho: DensityMatrix, target: LabelSet, given: LabelSet) -> float:
+def conditional_entropy(rho: State, target: LabelSet, given: LabelSet) -> float:
     """H(target | given) = H(rho_target) - H(rho || rho_given x rho_target).
 
     This is the relative-entropy form, which stays meaningful whenever the
@@ -252,8 +309,8 @@ def conditional_entropy(rho: DensityMatrix, target: LabelSet, given: LabelSet) -
     (d_target + d_given - 2) * ``TAU_SUPP``, inside the bound
     d_target * d_given * ``TAU_SUPP``.
     """
-    corr, spec_t = _mutual_information(rho, target, given)
-    return _entropy_from_eigs(spec_t[0]) - corr
+    corr, w_target = _mutual_information(rho, target, given)
+    return _entropy_from_eigs(w_target) - corr
 
 
 def conditional_entropy_standard(rho: DensityMatrix, target: LabelSet, given: LabelSet) -> float:

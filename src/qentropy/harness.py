@@ -38,7 +38,7 @@ from typing import Any, Callable, Sequence, TypeAlias
 
 import numpy as np
 
-from .catalog import _build_state, bell, build_state, ghz
+from .catalog import bell, build_state, ghz
 from .channels import (
     KrausChannel,
     complementary,
@@ -60,6 +60,7 @@ from .states import (
     PureState,
     State,
     SubsystemLayout,
+    as_density,
     ginibre_state,
     haar_pure_state,
     partial_trace,
@@ -75,25 +76,21 @@ from .truncation import (
 )
 
 
-def resolve_state(spec: str) -> DensityMatrix:
+def resolve_state(spec: str) -> State:
     """Build a state from a catalog spec string, or load it from a JSON file.
 
     Anything that names an existing file (or ends in .json) is treated as a
     state document and validated; everything else goes through the catalog
-    grammar ``name:key=value,...``.
+    grammar ``name:key=value,...`` and comes back as :func:`build_state`
+    builds it, so a pure family stays a :class:`~.states.PureState`.
     """
-    return _resolve(spec, build_state)
-
-
-def _resolve(spec: str, build: Callable[[str], State]) -> State:
-    """:func:`resolve_state`, with catalog specs built by ``build``."""
     if os.path.exists(spec) or spec.endswith(".json"):
         rho = load_state(spec)
         report = validate(rho)
         if not report.ok:
             raise InvalidStateError(f"{spec}: invalid state: {report.describe()}")
         return rho
-    return build(spec)
+    return build_state(spec)
 
 
 @dataclass(frozen=True)
@@ -456,7 +453,7 @@ def _run_continuity(config: _Config) -> PropertyReport:
     one trial and the report counts its steps; the schedule is deterministic,
     so the seed is carried only for config uniformity.
     """
-    rho0 = resolve_state(config["base"])
+    rho0 = as_density(resolve_state(config["base"]))
     labels = rho0.layout.labels
     if len(labels) < 2:
         raise PreconditionError(f"base state must be multipartite, got labels {labels}")
@@ -593,7 +590,7 @@ def run_converge(
     the schedule ends at full rank, otherwise one more step that the table
     does not list.
     """
-    rho = _resolve(state_spec, _build_state)
+    rho = resolve_state(state_spec)
     target_labels = rho.layout.normalize_labels(target)
     given_labels = rho.layout.normalize_labels(given)
     full = tuple(

@@ -29,9 +29,11 @@ to n k.
 
 A pure state is never densified by a sweep. Its amplitudes, grouped as a
 factor F of shape (d_A, d_B, r) with rho = F F^dagger and r = 1, are rotated
-and sliced on their ket index alone; the weight is ||F_nk||^2 and the joint
-eigenvalues come from the r x r Gram matrix F_nk^dagger F_nk, which has the
-same nonzero spectrum as F_nk F_nk^dagger.
+and sliced on their ket index alone; each slice is evaluated by the same
+factor arithmetic as the pure-state entropies (``entropy._factor_spectra``):
+the weight is ||F_nk||^2 and the joint eigenvalues come from the r x r Gram
+matrix F_nk^dagger F_nk, which has the same nonzero spectrum as
+F_nk F_nk^dagger.
 
 A step solves only what two facts leave open:
 
@@ -53,7 +55,6 @@ A step solves only what two facts leave open:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -61,18 +62,18 @@ import numpy as np
 
 from .entropy import (
     _entropy_from_eigs,
+    _factor_spectra,
     _grouped,
     _marginals,
+    _retained,
     _rounded,
     _spectra_divergence,
-    _unfolded,
     relative_entropy,
 )
 from .errors import DegenerateTruncationError, PreconditionError, StructuralError, as_integer
 from .states import (
     DensityMatrix,
     LabelSet,
-    PureState,
     State,
     SubsystemLayout,
     _clamped,
@@ -81,7 +82,7 @@ from .states import (
     partial_trace,
     single,
 )
-from .tolerances import TAU_GRAM, TAU_LAMBDA
+from .tolerances import TAU_GRAM
 
 ProjectorMode = Literal["computational", "eigenbasis"]
 PROJECTOR_MODES = ("computational", "eigenbasis")
@@ -132,16 +133,6 @@ class ProjectorSequence:
     def from_state(cls, rho: DensityMatrix) -> "ProjectorSequence":
         """Projectors onto the top-r eigenvectors of a state (descending eigenvalue)."""
         return cls(clamped_spectrum(rho)[1][:, ::-1])
-
-
-def _retained(weight: float, what: str) -> float:
-    """A retained weight, raised on if degenerate."""
-    if weight <= TAU_LAMBDA:
-        raise DegenerateTruncationError(
-            f"retained weight {weight:.3e} of {what} is at or below {TAU_LAMBDA:g}",
-            weight=weight,
-        )
-    return weight
 
 
 def _renormalized(
@@ -244,17 +235,11 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
     """
     if mode not in PROJECTOR_MODES:
         raise PreconditionError(f"unknown projector mode {mode!r}; have {PROJECTOR_MODES}")
-    if isinstance(rho, PureState):
-        labels_a, labels_b, _ = rho.layout.split(target, given)
-        order = [rho.layout.index_of(label) for label in labels_a + labels_b]
-        amplitudes = rho.amplitudes.reshape(rho.layout.dims).transpose(order)
-        if not np.count_nonzero(amplitudes.imag):
-            # a real factor keeps each step's products and SVD real, as clamped_spectrum does
-            amplitudes = amplitudes.real
-        joint = amplitudes.reshape(math.prod(amplitudes.shape[: len(labels_a)]), -1, 1)
-        marginals = _marginals(joint)
+    grouped = _grouped(rho, target, given)
+    if isinstance(grouped, np.ndarray):  # a factor
+        joint, marginals = grouped, _marginals(grouped)
     else:
-        grouped, *marginals = _grouped(rho, target, given)
+        marginals = [partial_trace(grouped, side) for side in (target, given)]
         joint = grouped.entries.reshape((marginals[0].dim, marginals[1].dim) * 2)
     if mode == "computational":
         return _Bipartite(joint, *(_diagonal_or_matrix(m.entries) for m in marginals))
@@ -354,10 +339,9 @@ def _truncated(
 
     A matrix is sliced on its ket and bra indices and solved for its
     eigenvalues only, and so are its marginals. A factor is sliced on its ket
-    indices; the r x r Gram matrix F^dagger F, the state of the purifying
-    system, gives the nonzero joint eigenvalues, and the singular values of F
-    unfolded on each side give the marginal spectra, one SVD serving both
-    sides when r = 1.
+    indices and read by ``entropy._factor_spectra``: the r x r Gram matrix
+    gives the nonzero joint eigenvalues, and one values-only SVD both
+    marginal spectra when r = 1.
     """
     if part.joint.ndim == 4:  # a density matrix
         layout = SubsystemLayout([("A", rank_a), ("B", rank_b)])
@@ -367,25 +351,8 @@ def _truncated(
         own = (partial_trace(truncated, label) for label in ("A", "B"))
         marginals = (_Marginal(clamped_spectrum(m, vectors=False)[0], m.entries) for m in own)
         return truncated.entries, lam, w_joint, *marginals
-    factor = part.joint[:rank_a, :rank_b]
-    r = factor.shape[2]
-    columns = _unfolded(factor)[2]
-    # Tr F^dagger F = ||F||^2, the weight of F F^dagger
-    gram, lam = _renormalized(columns.conj().T @ columns, single("R", r), "the state")
-    factor = factor / math.sqrt(lam)
-    rows_a, rows_b, _ = _unfolded(factor)
-    s_a = np.linalg.svd(rows_a, compute_uv=False)
-    s_b = s_a if r == 1 else np.linalg.svd(rows_b, compute_uv=False)
-    marginals = (
-        _Marginal(_padded(s**2, rank), rows, True)
-        for s, rows, rank in ((s_a, rows_a, rank_a), (s_b, rows_b, rank_b))
-    )
-    return factor, lam, clamped_spectrum(gram, vectors=False)[0], *marginals
-
-
-def _padded(descending: np.ndarray, size: int) -> np.ndarray:
-    """A descending spectrum listed ascending with zeros in front, to ``size`` entries."""
-    return np.concatenate([np.zeros(size - descending.size), descending[::-1]])
+    factor, lam, w_joint, *sides = _factor_spectra(part.joint[:rank_a, :rank_b])
+    return factor, float(lam), w_joint, *(_Marginal(w, rows, True) for w, rows in sides)
 
 
 def _tilde(marginal: np.ndarray, rank: int, what: str) -> tuple[_Marginal, np.ndarray]:

@@ -23,7 +23,7 @@ from qentropy.entropy import (
     von_neumann_entropy,
 )
 from qentropy.errors import ParseError, PreconditionError
-from qentropy.states import as_density, partial_trace, validate
+from qentropy.states import DensityMatrix, PureState, as_density, partial_trace, validate
 
 LN2 = np.log(2.0)
 
@@ -226,7 +226,7 @@ class TestCatalogRegistry:
         assert set(specs) == set(CATALOG)
         for name, spec in specs.items():
             state = build_state(spec)
-            report = validate(state)
+            report = validate(as_density(state))
             assert report.ok, f"{name}: {report.describe()}"
 
     def test_references_present(self):
@@ -282,10 +282,14 @@ class TestSpecGrammar:
 
 
 class TestBuildState:
-    def test_returns_density_matrix(self):
-        rho = build_state("bell:dim=3")
-        assert rho.layout.dims == (3, 3)
-        assert validate(rho).ok
+    def test_returns_the_state_its_family_builds(self):
+        # a pure family stays pure; a mixed one is a density matrix
+        psi = build_state("bell:dim=3")
+        assert isinstance(psi, PureState)
+        assert psi.layout.dims == (3, 3)
+        assert np.array_equal(psi.amplitudes, bell(3).amplitudes)
+        assert validate(as_density(psi)).ok
+        assert isinstance(build_state("werner:p=0.5"), DensityMatrix)
 
     def test_unknown_family(self):
         with pytest.raises(ParseError):
@@ -333,7 +337,7 @@ class TestBuildState:
     def test_integral_float_reads_as_integer(self, spec, exact):
         a, b = build_state(spec), build_state(exact)
         assert a.layout == b.layout
-        assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(as_density(a).entries, as_density(b).entries)
 
     @pytest.mark.parametrize(
         "call",

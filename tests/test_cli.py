@@ -374,6 +374,49 @@ class TestComputeCommand:
         assert out.read_text(encoding="utf-8") == proc.stdout
 
 
+def truncated_thermal_entropy(q, cutoff):
+    weights = q ** np.arange(cutoff)
+    weights /= weights.sum()
+    return float(-np.sum(weights * np.log(weights)))
+
+
+# pure catalog states and their marginal entropy S(A) across A | rest
+PURE_SPECS = {
+    "bell": LN2,
+    "ghz:parties=3": LN2,
+    "tmsv:nbar=1,cutoff=8": truncated_thermal_entropy(0.5, 8),
+}
+
+
+class TestPureStateCompute:
+    """``compute`` reads a pure catalog state off its amplitudes, in process."""
+
+    @staticmethod
+    def value(capsys, *args):
+        from qentropy import cli
+
+        assert cli.main(["compute", *args, "--no-timestamp"]) == 0
+        return json.loads(capsys.readouterr().out)["value"]
+
+    @pytest.mark.parametrize("spec", sorted(PURE_SPECS))
+    def test_entropy_is_exactly_zero(self, spec, capsys):
+        assert self.value(capsys, "entropy", spec) == 0.0
+
+    @pytest.mark.parametrize("spec", sorted(PURE_SPECS))
+    def test_no_quantity_densifies(self, spec, capsys, monkeypatch):
+        from qentropy.states import PureState
+
+        def densify(self):
+            raise AssertionError("a pure state was densified")
+
+        monkeypatch.setattr(PureState, "as_density", densify)
+        s_a = PURE_SPECS[spec]
+        assert self.value(capsys, "entropy", spec) == 0.0
+        assert abs(self.value(capsys, "condent", spec) + s_a) <= 1e-12
+        # the default split is A | rest, across which the state is pure
+        assert abs(self.value(capsys, "mutinfo", spec) - 2.0 * s_a) <= 1e-12
+
+
 class TestErrorReporting:
     def test_missing_state_file(self):
         proc = run_cli("compute", "entropy", "no-such-state.json")

@@ -56,9 +56,13 @@ def vs_product(rho, first, second):
 
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
-        for seed in range(20):
-            psi = random_pure_state(single("A", 4), seed=seed)
-            assert abs(von_neumann_entropy(psi)) <= 1e-10
+        # exactly 0.0, complex amplitudes too: the renormalized 1 x 1 Gram
+        # matrix of a pure state is [[1.0]]; a stack gives a 0.0 per row
+        layout = single("A", 4)
+        rows = [random_pure_state(layout, seed=seed).amplitudes for seed in range(20)]
+        for row in rows:
+            assert von_neumann_entropy(PureState(row, layout)) == 0.0
+        assert np.array_equal(von_neumann_entropy(PureState(np.stack(rows), layout)), np.zeros(20))
 
     def test_maximally_mixed(self):
         for d in (2, 3, 5):
@@ -296,6 +300,20 @@ class TestLossyTmsv:
 
 
 class TestConditionalEntropy:
+    @pytest.mark.parametrize(
+        "target, given", [(("A", "C"), "B"), ("B", ("A", "C")), ("C", ("A", "B"))]
+    )
+    def test_stacked_pure_state_groups_like_the_dense_route(self, target, given):
+        # the factor route regroups the amplitudes, across non-adjacent labels
+        # too, and a stack gives each row its own value to the bit
+        layout = SubsystemLayout([("A", 2), ("B", 3), ("C", 2)])
+        rows = [random_pure_state(layout, seed=seed).amplitudes for seed in range(4)]
+        stack = conditional_entropy(PureState(np.stack(rows), layout), target, given)
+        for row, value in zip(rows, stack):
+            psi = PureState(row, layout)
+            assert value == conditional_entropy(psi, target, given)
+            assert abs(value - conditional_entropy(psi.as_density(), target, given)) <= 1e-12
+
     def test_bell_pieces_and_value(self):
         rho = bell(2)
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-10)

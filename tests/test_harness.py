@@ -23,6 +23,7 @@ from qentropy.states import (
     DensityMatrix,
     PureState,
     SubsystemLayout,
+    as_density,
     random_density_matrix,
     single,
     tensor,
@@ -409,6 +410,15 @@ class TestFactoredConverge:
         base = doc["summary"]["base_cond_entropy_nats"]
         assert abs(base + truncated_geometric_entropy(q, 60, TAU_SUPP)) <= 1e-10
 
+    def test_pure_conditional_entropy_is_the_sweeps_full_rank_point(self, monkeypatch):
+        # one route: conditional_entropy reads a pure state off its factor as a
+        # sweep step does, so the two agree to the bit
+        no_densify(monkeypatch)
+        spec = "tmsv:nbar=10,cutoff=60"
+        doc = run_converge(spec, min_rank=59)
+        final = doc["summary"]["final_cond_entropy_nats"]
+        assert conditional_entropy(resolve_state(spec), "A", "B") == final
+
     @pytest.mark.parametrize(
         "spec, target, given, options",
         [
@@ -432,7 +442,8 @@ class TestFactoredConverge:
             layout = SubsystemLayout([("A", 3), ("B", 4), ("C", 2)])
             save_state(spec, random_density_matrix(24, seed=5, layout=layout))
         doc = run_converge(spec, target=target, given=given, **options)
-        expected = conditional_entropy(resolve_state(spec), target, given)
+        # the dense route, which keeps its own eigenvector solves
+        expected = conditional_entropy(as_density(resolve_state(spec)), target, given)
         assert abs(doc["summary"]["base_cond_entropy_nats"] - expected) <= 1e-12
         schedule = [tuple(pair) for pair in doc["config"]["schedule"]]
         assert [(p.rank_a, p.rank_b) for p in doc["points"]] == schedule

@@ -34,6 +34,7 @@ from qentropy.states import (
     SubsystemLayout,
     as_density,
     clamped_spectrum,
+    partial_trace,
     random_density_matrix,
     random_pure_state,
     single,
@@ -58,8 +59,14 @@ def complex_spectrum(m):
     return np.where(w < 0.0, 0.0, w), u
 
 
+def grouped_with_marginals(rho, target, given):
+    """A density matrix grouped as target then given, and its two marginals."""
+    grouped = _grouped(rho, target, given)
+    return grouped, partial_trace(grouped, target), partial_trace(grouped, given)
+
+
 def reference_bases(rho, mode, target="A", given="B"):
-    _, marginal_a, marginal_b = _grouped(rho, target, given)
+    _, marginal_a, marginal_b = grouped_with_marginals(rho, target, given)
     if mode == "computational":
         return np.eye(marginal_a.dim), np.eye(marginal_b.dim)
     return tuple(complex_spectrum(m.entries)[1][:, ::-1] for m in (marginal_a, marginal_b))
@@ -91,7 +98,7 @@ def kron_compressed(rho, basis_a, basis_b, n, k, target="A", given="B"):
 
     A degenerate weight gives None for the three states.
     """
-    grouped, marginal_a, marginal_b = _grouped(rho, target, given)
+    grouped, marginal_a, marginal_b = grouped_with_marginals(rho, target, given)
     iso_a, iso_b = basis_a[:, :n], basis_b[:, :k]
     iso = np.kron(iso_a, iso_b)
     joint = iso.conj().T @ grouped.entries @ iso
@@ -148,7 +155,7 @@ def file_state(tmp_path):
 
 
 STATES = {
-    "tmsv": lambda tmp_path: build_state("tmsv:nbar=1,cutoff=8"),
+    "tmsv": lambda tmp_path: as_density(build_state("tmsv:nbar=1,cutoff=8")),
     "thermal-thermal": lambda tmp_path: tensor(
         thermal_fock(0.5, 6), relabeled(thermal_fock(2.0, 6), "B")
     ),
@@ -159,7 +166,7 @@ STATES = {
 
 def full_schedule(rho, target="A", given="B"):
     """The diagonal schedule from rank 1, then full rank on both sides."""
-    dims = tuple(m.dim for m in _grouped(rho, target, given)[1:])
+    dims = tuple(m.dim for m in grouped_with_marginals(rho, target, given)[1:])
     schedule = diagonal_schedule(1, min(dims))
     if schedule[-1] != dims:
         schedule.append(dims)
@@ -303,7 +310,7 @@ def test_eigenbasis_ties_at_the_cut_agree_with_kron_reference(name):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: build_state("tmsv:nbar=1,cutoff=6"),
+        lambda: as_density(build_state("tmsv:nbar=1,cutoff=6")),
         lambda: random_density_matrix(12, seed=4, layout=SubsystemLayout([("A", 3), ("B", 4)])),
     ],
     ids=["real-tmsv", "complex-3x4"],

@@ -211,7 +211,7 @@ class TestConditionalEntropySweep:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: build_state("tmsv:nbar=1,cutoff=6"),
+            lambda: as_density(build_state("tmsv:nbar=1,cutoff=6")),
             lambda: random_density_matrix(30, seed=9, layout=pair_layout(5, 6)),
         ],
         ids=["real-tmsv", "complex-5x6"],
@@ -232,7 +232,7 @@ class TestConditionalEntropySweep:
         # truncating GHZ to |0>|00>, |1>|01> leaves trunc_A = |0><0|, rank 1 of 2;
         # support containment is read from marginal weights, so the joint state
         # is solved for its eigenvalues only
-        rho = build_state("ghz:parties=3")
+        rho = as_density(build_state("ghz:parties=3"))
         (point,) = conditional_entropy_sweep(rho, "A", ("B", "C"), [(2, 2)])
         assert vector_solve_sizes[4] == 0
         assert eigh_sizes[4] == 1
@@ -270,7 +270,10 @@ class TestConditionalEntropySweep:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: tmsv(nbar=1.0, cutoff=30), lambda: build_state("tmsv:nbar=1,cutoff=8")],
+        [
+            lambda: tmsv(nbar=1.0, cutoff=30),
+            lambda: as_density(build_state("tmsv:nbar=1,cutoff=8")),
+        ],
         ids=["factored-cutoff-30", "dense-cutoff-8"],
     )
     def test_computational_sweep_of_tmsv_solves_nothing_with_vectors(

@@ -144,6 +144,12 @@ INVOCATIONS: dict[str, list[str]] = {
     "compute-cohinfo-channel": _compute("cohinfo", "werner:p=0.5", "--channel", CHANNEL),
     # a pure input: its purification has a rank-1 reference
     "compute-cohinfo-pure": _compute("cohinfo", "bell", "--channel", CHANNEL),
+    # pure catalog states, read off their amplitudes; the cutoff stays small
+    # enough for a route that densifies the state to run as well
+    "compute-condent-tmsv": _compute("condent", "tmsv:nbar=1,cutoff=30"),
+    "compute-condent-bell3": _compute("condent", "bell:dim=3"),
+    "compute-entropy-bell": _compute("entropy", "bell"),
+    "compute-mutinfo-ghz": _compute("mutinfo", "ghz:parties=3", "--target", "A", "--given", "B,C"),
 }  # fmt: skip
 
 
