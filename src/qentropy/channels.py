@@ -296,7 +296,7 @@ def conditional_entropy_via_coherent_info(
     if top.min() < 1.0 - TAU_PURE:
         first = top[np.argmax(top < 1.0 - TAU_PURE)]
         raise PreconditionError(f"state must be pure; largest eigenvalue is {first:.12f}")
-    _, labels_g, rest = rho.layout.split(target, given, cover=False)
+    _, labels_g, rest = rho.layout.split(target, given)
     if not rest:
         raise PreconditionError(
             "need a nonempty remainder group to trace out; the pure state must "

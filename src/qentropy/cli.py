@@ -57,6 +57,7 @@ _INPUT_NAMES = {
 }
 # the check flags that override a single property's parameters
 _CHECK_OVERRIDES = ("trials", "tolerance", "dims", "env_dim", "base", "steps")
+_TRACED = "; labels in neither --target nor --given are traced out"
 
 REPORT_CSV_COLUMNS = (
     "property",
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     converge.add_argument("--target", default="A", help="comma list of target labels (default A)")
     converge.add_argument(
-        "--given", default="B", help="comma list of conditioning labels (default B)"
+        "--given", default="B", help=f"comma list of conditioning labels (default B){_TRACED}"
     )
     converge.add_argument("--min-rank", type=int, default=5, help="first retained rank (default 5)")
     converge.add_argument(
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("sigma", nargs="?", help="second state (relent only)")
     compute.add_argument("--channel", help="channel file (mutinfo/cohinfo)")
     compute.add_argument("--target", help="comma list of target labels")
-    compute.add_argument("--given", help="comma list of conditioning labels")
+    compute.add_argument("--given", help=f"comma list of conditioning labels{_TRACED}")
     compute.add_argument("--bits", action="store_true", help="report in bits instead of nats")
     compute.add_argument("--out", help="also write the payload to this file")
     compute.add_argument(

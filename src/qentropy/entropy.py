@@ -260,20 +260,21 @@ def _padded(descending: np.ndarray, size: int) -> np.ndarray:
 
 
 def _grouped(rho: State, first: LabelSet, second: LabelSet) -> DensityMatrix | np.ndarray:
-    """``rho`` grouped as ``first`` then ``second``, each in layout order: a density
-    matrix with its subsystems permuted, or a pure state's factor F of shape
-    (..., d_first, d_second, 1), rho = F F^dagger, real if no amplitude is complex."""
-    labels_1, labels_2, _ = rho.layout.split(first, second)
+    """``rho`` on ``first`` then ``second``, each in layout order, any other label
+    traced out: a density matrix reduced and permuted, or a pure state's factor F
+    of shape (..., d_first, d_second, d_rest), rho = F F^dagger, whose last axis runs
+    over the leftover labels (its purifier), real if no amplitude is complex."""
+    labels_1, labels_2, rest = rho.layout.split(first, second)
     if isinstance(rho, DensityMatrix):
-        return permute_subsystems(rho, labels_1 + labels_2)
+        return permute_subsystems(partial_trace(rho, labels_1 + labels_2), labels_1 + labels_2)
     stack = rho.amplitudes.shape[:-1]
-    order = [len(stack) + rho.layout.index_of(label) for label in labels_1 + labels_2]
+    order = [len(stack) + rho.layout.index_of(label) for label in labels_1 + labels_2 + rest]
     amplitudes = rho.amplitudes.reshape(stack + rho.layout.dims)
     amplitudes = amplitudes.transpose([*range(len(stack)), *order])
     if not np.count_nonzero(amplitudes.imag):
         amplitudes = amplitudes.real
-    d_first = math.prod(rho.layout.dim_of(label) for label in labels_1)
-    return amplitudes.reshape(stack + (d_first, -1, 1))
+    d_first, d_rest = (math.prod(map(rho.layout.dim_of, labels)) for labels in (labels_1, rest))
+    return amplitudes.reshape(stack + (d_first, -1, d_rest))
 
 
 def _mutual_information(rho: State, first: LabelSet, second: LabelSet) -> tuple[float, np.ndarray]:
@@ -291,7 +292,7 @@ def _mutual_information(rho: State, first: LabelSet, second: LabelSet) -> tuple[
 
 
 def mutual_information_states(rho: State, part_x: LabelSet, part_y: LabelSet) -> float:
-    """I(X:Y) = H(rho_XY || rho_X x rho_Y) for a bipartition of rho's subsystems."""
+    """I(X:Y) = H(rho_XY || rho_X x rho_Y); labels in neither set are traced out."""
     return _mutual_information(rho, part_x, part_y)[0]
 
 
@@ -301,27 +302,26 @@ def conditional_entropy(rho: State, target: LabelSet, given: LabelSet) -> float:
     This is the relative-entropy form, which stays meaningful whenever the
     correlation term is finite; it equals H(rho) - H(rho_given) when the
     joint entropy is finite (see :func:`conditional_entropy_standard`).
-    ``target`` and ``given`` must be disjoint and together cover the state's
-    subsystems; trace out anything else first. The correlation term is the
-    mutual information, and supp(rho) <= supp(rho_target) x supp(rho_given)
-    holds for every state, so the value is finite: the marginals leak only
-    the eigenvalues their own cut at ``TAU_SUPP`` drops, at most
-    (d_target + d_given - 2) * ``TAU_SUPP``, inside the bound
-    d_target * d_given * ``TAU_SUPP``.
+    Labels in neither set are traced out (a pure state's are its purifier).
+    The correlation term is the mutual information, and supp(rho) <=
+    supp(rho_target) x supp(rho_given) holds for every state, so the value is
+    finite: the marginals leak only the eigenvalues their own cut at
+    ``TAU_SUPP`` drops, at most (d_target + d_given - 2) * ``TAU_SUPP``, inside
+    the bound d_target * d_given * ``TAU_SUPP``.
     """
     corr, w_target = _mutual_information(rho, target, given)
     return _entropy_from_eigs(w_target) - corr
 
 
 def conditional_entropy_standard(rho: DensityMatrix, target: LabelSet, given: LabelSet) -> float:
-    """H(target | given) = H(rho) - H(rho_given), the entropy-difference form.
+    """H(target | given) = H(rho_target,given) - H(rho_given), the entropy-difference form.
 
-    Kept separate from :func:`conditional_entropy` so the two routes can be
-    compared; they agree whenever all entropies involved are finite.
+    Kept separate from :func:`conditional_entropy`, with its label rule, so the two
+    routes can be compared; they agree whenever all entropies involved are finite.
     """
-    _, labels_g, _ = rho.layout.split(target, given)
-    rho_g = partial_trace(rho, labels_g)
-    return von_neumann_entropy(rho) - von_neumann_entropy(rho_g)
+    labels_t, labels_g, _ = rho.layout.split(target, given)
+    rho_tg = partial_trace(rho, labels_t + labels_g)
+    return von_neumann_entropy(rho_tg) - von_neumann_entropy(partial_trace(rho, labels_g))
 
 
 def nats_to_bits(x: float) -> float:

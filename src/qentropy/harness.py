@@ -209,8 +209,8 @@ def _haar_pure(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
 def _duality_margin(state: PureState) -> tuple[float, dict[str, float]]:
     """H(C|A) + H(C|B) = 0 for pure states on A x B x C; margin -|sum|."""
     rho = state.as_density()
-    h_ca = conditional_entropy(partial_trace(rho, ("A", "C")), "C", "A")
-    h_cb = conditional_entropy(partial_trace(rho, ("B", "C")), "C", "B")
+    h_ca = conditional_entropy(rho, "C", "A")
+    h_cb = conditional_entropy(rho, "C", "B")
     return -abs(h_ca + h_cb), {"h_c_given_a": h_ca, "h_c_given_b": h_cb}
 
 
@@ -241,7 +241,7 @@ def _bound_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_N
 
 def _monotonicity_margin(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
     """H(A|BC) <= H(A|B) on A x B x C; margin H(A|B) - H(A|BC)."""
-    h_ab = conditional_entropy(partial_trace(rho, ("A", "B")), "A", "B")
+    h_ab = conditional_entropy(rho, "A", "B")
     h_abc = conditional_entropy(rho, "A", ("B", "C"))
     return h_ab - h_abc, {"h_a_given_b": h_ab, "h_a_given_bc": h_abc}
 
@@ -293,10 +293,10 @@ def _subadditivity_margin(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
       H(AB|CD) = H(A|CD) + H(B|CD) - (H(A|CD) - H(A|BCD)).
     """
     h_ab_cd = conditional_entropy(rho, ("A", "B"), ("C", "D"))
-    h_a_c = conditional_entropy(partial_trace(rho, ("A", "C")), "A", "C")
-    h_b_d = conditional_entropy(partial_trace(rho, ("B", "D")), "B", "D")
-    h_a_cd = conditional_entropy(partial_trace(rho, ("A", "C", "D")), "A", ("C", "D"))
-    h_b_cd = conditional_entropy(partial_trace(rho, ("B", "C", "D")), "B", ("C", "D"))
+    h_a_c = conditional_entropy(rho, "A", "C")
+    h_b_d = conditional_entropy(rho, "B", "D")
+    h_a_cd = conditional_entropy(rho, "A", ("C", "D"))
+    h_b_cd = conditional_entropy(rho, "B", ("C", "D"))
     h_a_bcd = conditional_entropy(rho, "A", ("B", "C", "D"))
     pairwise = h_a_c + h_b_d - h_ab_cd
     shared = h_a_cd + h_b_cd - h_ab_cd
@@ -591,12 +591,8 @@ def run_converge(
     does not list.
     """
     rho = resolve_state(state_spec)
-    target_labels = rho.layout.normalize_labels(target)
-    given_labels = rho.layout.normalize_labels(given)
-    full = tuple(
-        math.prod(rho.layout.dim_of(lab) for lab in labels)
-        for labels in (target_labels, given_labels)
-    )
+    target_labels, given_labels, _ = rho.layout.split(target, given)
+    full = tuple(math.prod(map(rho.layout.dim_of, side)) for side in (target_labels, given_labels))
     if schedule is None:
         top = min(full) if max_rank is None else as_integer(max_rank, "max_rank")
         schedule = diagonal_schedule(min(as_integer(min_rank, "min_rank"), top), top, stride)

@@ -81,12 +81,12 @@ class SubsystemLayout:
         return tuple(lab for lab in self.labels if lab in wanted)
 
     def split(
-        self, first: LabelSet, second: LabelSet, cover: bool = True
+        self, first: LabelSet, second: LabelSet
     ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
         """Resolve two disjoint, nonempty label sets and the labels left over.
 
-        Returns ``(first, second, rest)``, each in layout order. With
-        ``cover`` the two sets must cover the layout, so ``rest`` is empty.
+        Returns ``(first, second, rest)``, each in layout order. ``rest`` may
+        be empty or not: every entropy of a bipartition traces it out.
         """
         labels_1 = self.normalize_labels(first)
         labels_2 = self.normalize_labels(second)
@@ -96,8 +96,6 @@ class SubsystemLayout:
         if not labels_1 or not labels_2:
             raise StructuralError("both label sets must be nonempty")
         rest = tuple(lab for lab in self.labels if lab not in labels_1 + labels_2)
-        if cover and rest:
-            raise StructuralError(f"label sets must cover every subsystem; missing {list(rest)}")
         return labels_1, labels_2, rest
 
 

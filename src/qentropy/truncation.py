@@ -28,8 +28,9 @@ entropy commutes with the compression while matrices shrink from d_A d_B
 to n k.
 
 A pure state is never densified by a sweep. Its amplitudes, grouped as a
-factor F of shape (d_A, d_B, r) with rho = F F^dagger and r = 1, are rotated
-and sliced on their ket index alone; each slice is evaluated by the same
+factor F of shape (d_A, d_B, r) with rho = F F^dagger, r running over the
+labels in neither side (its purifier), are rotated and sliced on their ket
+indices alone; each slice is evaluated by the same
 factor arithmetic as the pure-state entropies (``entropy._factor_spectra``):
 the weight is ||F_nk||^2 and the joint eigenvalues come from the r x r Gram
 matrix F_nk^dagger F_nk, which has the same nonzero spectrum as
@@ -40,9 +41,9 @@ A step solves only what two facts leave open:
 * Against its own marginals a state needs no eigenvectors:
   Tr[rho_AB (ln rho_A (x) I)] = Tr rho_A ln rho_A, so ``h_nk`` weighs each
   eigendirection of rho_A by its eigenvalue, and the own marginals are
-  solved for eigenvalues only. For a pure factor (r = 1) both are the
-  squared singular values of F_nk, zero-padded to n and to k (Schmidt), from
-  one values-only SVD; the marginals are never formed.
+  solved for eigenvalues only. For a factor each is the squared singular
+  values of its side's rows of F_nk, zero-padded, one values-only SVD serving
+  both when r = 1 (Schmidt); the marginals are never formed.
 * The form of each original marginal is decided once per sweep. One with
   no off-diagonal nonzero, as in the eigenbasis family (its descending
   eigenvalues) and for every Schmidt-diagonal state in the computational
@@ -223,8 +224,8 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
     """Collapse the bipartition to two factors, in the basis of the projector family.
 
     Each group is made contiguous in its original internal order and then
-    treated as one factor; target and given must disjointly cover the layout.
-    A pure state keeps its amplitudes, as a factor with r = 1.
+    treated as one factor; labels in neither group are traced out, or for a
+    pure state, which keeps its amplitudes, become its factor's r axis.
 
     The computational family keeps the state as it is. The eigenbasis family
     solves each marginal once and rotates the state into the descending
@@ -307,8 +308,8 @@ class _Step:
     Two facts fix most of a step. ``h_nk`` needs no eigenvector of the
     state's own marginals: Tr[rho (ln rho_A (x) I)] = Tr rho_A ln rho_A, so
     each eigendirection of rho_A carries its own eigenvalue as weight, and
-    for a pure factor both marginals have the squared singular values of F
-    as spectrum (Schmidt). ``h_tilde_nk`` needs no solve of a tilde marginal
+    for a factor each marginal's spectrum is the squared singular values of
+    its side's rows of F. ``h_tilde_nk`` needs no solve of a tilde marginal
     held as a diagonal, as every marginal of the eigenbasis family is: its
     spectrum is its diagonal, and the state's weights on it are its own
     marginals' diagonal.
@@ -411,8 +412,8 @@ def conditional_entropy_sweep(
     As the ranks grow, ``cond_entropy_nats`` converges to the conditional
     entropy of the full state; at full rank it reproduces it identically.
     Degenerate steps are recorded with null entropies, not raised. ``rho``
-    may be a density matrix or a pure state; a pure state is swept from its
-    amplitudes and never densified.
+    may be a density matrix or a pure state, grouped as in
+    :func:`~.entropy.conditional_entropy`; a pure state is never densified.
     """
     pairs = _validate_schedule(schedule)
     part = _bipartite(rho, target, given, mode)

@@ -386,6 +386,13 @@ PURE_SPECS = {
     "ghz:parties=3": LN2,
     "tmsv:nbar=1,cutoff=8": truncated_thermal_entropy(0.5, 8),
 }
+# spec and label options -> (H(target|given), I(target:given)). The default
+# split is A | rest, across which the state is pure; with --target C --given A,
+# GHZ's B purifies the classically correlated pair C, A
+PURE_CASES = {
+    **{spec: (-s_a, 2.0 * s_a) for spec, s_a in PURE_SPECS.items()},
+    "ghz:parties=3 --target C --given A": (0.0, LN2),
+}
 
 
 class TestPureStateCompute:
@@ -402,19 +409,19 @@ class TestPureStateCompute:
     def test_entropy_is_exactly_zero(self, spec, capsys):
         assert self.value(capsys, "entropy", spec) == 0.0
 
-    @pytest.mark.parametrize("spec", sorted(PURE_SPECS))
-    def test_no_quantity_densifies(self, spec, capsys, monkeypatch):
+    @pytest.mark.parametrize("case", sorted(PURE_CASES))
+    def test_no_quantity_densifies(self, case, capsys, monkeypatch):
         from qentropy.states import PureState
 
         def densify(self):
             raise AssertionError("a pure state was densified")
 
         monkeypatch.setattr(PureState, "as_density", densify)
-        s_a = PURE_SPECS[spec]
+        spec, *labels = case.split()
+        h_cond, info = PURE_CASES[case]
         assert self.value(capsys, "entropy", spec) == 0.0
-        assert abs(self.value(capsys, "condent", spec) + s_a) <= 1e-12
-        # the default split is A | rest, across which the state is pure
-        assert abs(self.value(capsys, "mutinfo", spec) - 2.0 * s_a) <= 1e-12
+        assert abs(self.value(capsys, "condent", spec, *labels) - h_cond) <= 1e-12
+        assert abs(self.value(capsys, "mutinfo", spec, *labels) - info) <= 1e-12
 
 
 class TestErrorReporting:

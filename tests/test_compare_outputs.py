@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,3 +153,19 @@ def test_a_file_on_one_side_only_fails(tmp_path, capsys):
 def test_usage_error_exits_2(tmp_path, capsys):
     assert compare_outputs.main([str(tmp_path)]) == 2
     assert compare_outputs.main([str(tmp_path), str(tmp_path / "missing")]) == 2
+
+
+def test_a_reader_that_closes_early_ends_it_quietly(tmp_path):
+    # like diff piped into head: the listing outgrows the pipe, the reader
+    # stops after one line, and the tool must not print a traceback
+    files = {f"identical-output-file-{i:05d}.stdout": "{}\n" for i in range(3000)}
+    old, new = _write(tmp_path / "old", files), _write(tmp_path / "new", files)
+    proc = subprocess.Popen(
+        [sys.executable, str(TOOL), old, new], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    proc.wait(timeout=60)
+    assert stderr == b"", stderr.decode()

@@ -33,7 +33,7 @@ from qentropy.states import (
     validate,
 )
 from qentropy.tolerances import NEG_CLAMP
-from qentropy.truncation import conditional_entropy_sweep
+from qentropy.truncation import PROJECTOR_MODES, conditional_entropy_sweep, truncation_diagnostics
 
 LN2 = np.log(2.0)
 
@@ -403,13 +403,14 @@ class TestConditionalEntropy:
             -h_c, abs=1e-9
         )
 
-    def test_labels_must_cover_state(self):
+    def test_overlap_rejected_and_rest_traced_out(self):
         layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))
         rho = random_density_matrix(8, seed=23, layout=layout)
         with pytest.raises(StructuralError):
-            conditional_entropy(rho, target="A", given="B")  # C unassigned
-        with pytest.raises(StructuralError):
             conditional_entropy(rho, target=("A", "B"), given=("B", "C"))  # overlap
+        # C is in neither set: the value is that of rho_AB, to the bit
+        reduced = partial_trace(rho, ("A", "B"))
+        assert conditional_entropy(rho, "A", "B") == conditional_entropy(reduced, "A", "B")
 
     def test_near_kernel_weight_below_support_cutoff(self):
         # amplitude mass below the support threshold is cut from both marginals,
@@ -524,31 +525,105 @@ class TestUnitConversion:
         assert nats_to_bits(0.0) == 0.0
 
 
+PURIFIED = SubsystemLayout([("A", 2), ("B", 3), ("C", 2)])
+# each pair leaves one label out, which a pure state's factor keeps as its r axis
+PURIFIER_PAIRS = [("A", "B"), ("B", "A"), ("C", "A"), ("B", "C")]
+
+
+def no_densify(monkeypatch):
+    def densify(self):
+        raise AssertionError("PureState.as_density was called")
+
+    monkeypatch.setattr(PureState, "as_density", densify)
+
+
+class TestPurifierRoute:
+    """A pure state's labels outside target and given become its factor's
+    purifier axis. Every quantity agrees with the dense route, which traces
+    them out, and with the channel route, within 1e-12."""
+
+    STATES = [random_pure_state(PURIFIED, seed=seed) for seed in range(4)]
+    STACK = PureState(np.stack([psi.amplitudes for psi in STATES]), PURIFIED)
+    # densified before the tests forbid it
+    DENSE = [psi.as_density() for psi in [*STATES, STACK]]
+
+    @pytest.mark.parametrize("target, given", PURIFIER_PAIRS)
+    def test_entropies_agree_with_dense_and_channel_routes(self, target, given, monkeypatch):
+        no_densify(monkeypatch)
+        for state, rho in zip([*self.STATES, self.STACK], self.DENSE):
+            h_channel = conditional_entropy_via_coherent_info(rho, target, given)
+            # I(T:G) = H(T) - H(T|G)
+            i_channel = von_neumann_entropy(partial_trace(rho, target)) - h_channel
+            h = conditional_entropy(state, target, given)
+            i = mutual_information_states(state, target, given)
+            assert np.all(np.abs(h - conditional_entropy(rho, target, given)) <= 1e-12)
+            assert np.all(np.abs(h - h_channel) <= 1e-12)
+            assert np.all(np.abs(i - mutual_information_states(rho, target, given)) <= 1e-12)
+            assert np.all(np.abs(i - i_channel) <= 1e-12)
+
+    @pytest.mark.parametrize("mode", PROJECTOR_MODES)
+    @pytest.mark.parametrize("target, given", PURIFIER_PAIRS)
+    def test_sweep_and_diagnostics_agree_with_dense_and_channel_routes(
+        self, target, given, mode, monkeypatch
+    ):
+        no_densify(monkeypatch)
+        full = (PURIFIED.dim_of(target), PURIFIED.dim_of(given))
+        ranks = [(n, k) for n in range(1, full[0] + 1) for k in range(1, full[1] + 1)]
+        fields = ("h_nk", "h_tilde_nk", "marginal_a_divergence", "marginal_b_divergence")
+        for psi, rho in zip(self.STATES, self.DENSE):
+            (point,) = conditional_entropy_sweep(psi, target, given, [full], mode)
+            (reference,) = conditional_entropy_sweep(rho, target, given, [full], mode)
+            for field in ("lam", "cond_entropy_nats", "h_nk", "h_tilde_nk", "diff"):
+                assert abs(getattr(point, field) - getattr(reference, field)) <= 1e-12
+            h_channel = conditional_entropy_via_coherent_info(rho, target, given)
+            assert abs(point.cond_entropy_nats - h_channel) <= 1e-12
+            for n, k in ranks:
+                got = truncation_diagnostics(psi, target, given, n, k, mode)
+                reference = truncation_diagnostics(rho, target, given, n, k, mode)
+                for field in fields:
+                    assert abs(getattr(got, field) - getattr(reference, field)) <= 1e-12
+                assert got.residual <= 1e-12
+
+
+CHANNEL_ROUTE = "conditional_entropy_via_coherent_info"
+BIPARTITION_ROUTES = {
+    "conditional_entropy": conditional_entropy,
+    "mutual_information_states": mutual_information_states,
+    "conditional_entropy_sweep": lambda rho, t, g: conditional_entropy_sweep(
+        rho, t, g, schedule=[(1, 1)]
+    ),
+    CHANNEL_ROUTE: conditional_entropy_via_coherent_info,
+}
+BIPARTITION_CASES = {
+    "overlap": ("A", ("A", "B")),
+    "empty": ((), "B"),
+    "unknown": ("A", "Z"),
+    # only the channel route needs a remainder to trace out
+    "remainder": ("A", ("B", "C")),
+}
+
+
 class TestBipartitionErrors:
     """Every route resolves its two label sets through the same layout rule."""
 
-    ROUTES = {
-        "conditional_entropy": (conditional_entropy, "cover"),
-        "mutual_information_states": (mutual_information_states, "cover"),
-        "conditional_entropy_sweep": (
-            lambda rho, t, g: conditional_entropy_sweep(rho, t, g, schedule=[(1, 1)]),
-            "cover",
-        ),
-        "conditional_entropy_via_coherent_info": (conditional_entropy_via_coherent_info, "rest"),
-    }
-
-    @pytest.mark.parametrize("route", sorted(ROUTES))
-    @pytest.mark.parametrize("case", ["overlap", "empty", "unknown", "remainder"])
-    def test_rejected(self, route, case):
-        fn, rule = self.ROUTES[route]
+    @pytest.mark.parametrize(
+        "case, route",
+        [
+            pytest.param(case, route, id=f"{case}-{route}")
+            for case in BIPARTITION_CASES
+            for route in sorted(BIPARTITION_ROUTES)
+            if case != "remainder" or route == CHANNEL_ROUTE
+        ],
+    )
+    def test_rejected(self, case, route):
         rho = ghz(parties=3, dim=2).as_density()
-        target, given = {
-            "overlap": ("A", ("A", "B")),
-            "empty": ((), "B"),
-            "unknown": ("A", "Z"),
-            # covering routes need no remainder; the channel route needs one
-            "remainder": ("A", "B") if rule == "cover" else ("A", ("B", "C")),
-        }[case]
-        error = PreconditionError if (case, rule) == ("remainder", "rest") else StructuralError
+        error = PreconditionError if case == "remainder" else StructuralError
         with pytest.raises(error):
-            fn(rho, target, given)
+            BIPARTITION_ROUTES[route](rho, *BIPARTITION_CASES[case])
+
+    @pytest.mark.parametrize("route", sorted(set(BIPARTITION_ROUTES) - {CHANNEL_ROUTE}))
+    def test_other_routes_trace_the_remainder_out(self, route):
+        # C is in neither set: every other route reads rho_AB, to the bit
+        rho = ghz(parties=3, dim=2).as_density()
+        fn = BIPARTITION_ROUTES[route]
+        assert fn(rho, "A", "B") == fn(partial_trace(rho, ("A", "B")), "A", "B")

@@ -29,6 +29,7 @@ from qentropy.states import (
     tensor,
 )
 from qentropy.tolerances import TAU_SUPP
+from qentropy.truncation import conditional_entropy_sweep
 
 LN2 = np.log(2.0)
 
@@ -419,6 +420,21 @@ class TestFactoredConverge:
         final = doc["summary"]["final_cond_entropy_nats"]
         assert conditional_entropy(resolve_state(spec), "A", "B") == final
 
+    @pytest.mark.parametrize("mode", ["computational", "eigenbasis"])
+    def test_purifier_sweep_matches_the_dense_sweep(self, mode, monkeypatch):
+        # C is in neither set: the factor keeps it as its r axis, the dense
+        # route traces it out
+        dense = conditional_entropy_sweep(
+            as_density(resolve_state("ghz:parties=3")), "A", "B", [(1, 1), (2, 2)], mode
+        )
+        no_densify(monkeypatch)
+        doc = run_converge("ghz:parties=3", target="A", given="B", min_rank=1, mode=mode)
+        assert len(doc["points"]) == len(dense) == 2
+        for point, reference in zip(doc["points"], dense):
+            assert (point.rank_a, point.rank_b) == (reference.rank_a, reference.rank_b)
+            for field in ("lam", "cond_entropy_nats", "h_nk", "h_tilde_nk", "diff"):
+                assert abs(getattr(point, field) - getattr(reference, field)) <= 1e-12
+
     @pytest.mark.parametrize(
         "spec, target, given, options",
         [
@@ -432,6 +448,11 @@ class TestFactoredConverge:
             ("classical", "A", "B", {"min_rank": 1, "mode": "eigenbasis"}),
             ("FILE", ("A", "C"), "B", {"min_rank": 1, "mode": "eigenbasis"}),
             ("FILE", ("A", "C"), "B", {"schedule": [(1, 1), (3, 2)]}),
+            # labels in neither set: traced out of a density matrix, a pure
+            # state's purifier
+            ("FILE", "B", "A", {"min_rank": 1}),
+            ("ghz:parties=3", "A", "B", {"min_rank": 1}),
+            ("ghz:parties=3", "C", "A", {"min_rank": 1, "mode": "eigenbasis"}),
         ],
     )
     def test_base_value_is_the_full_state_conditional_entropy(

@@ -67,16 +67,17 @@ class TestSplit:
 
     def test_returns_layout_order_and_rest(self):
         assert self.LAYOUT.split(("C", "A"), "B") == (("A", "C"), ("B",), ())
-        assert self.LAYOUT.split("C", "A", cover=False) == (("C",), ("A",), ("B",))
+        # labels in neither set are returned as the rest, not rejected
+        assert self.LAYOUT.split("C", "A") == (("C",), ("A",), ("B",))
 
     @pytest.mark.parametrize(
-        "first, second, cover",
-        [("A", ("A", "B"), False), ((), "B", False), ("A", "Z", False), ("A", "B", True)],
-        ids=["overlap", "empty", "unknown", "uncovered"],
+        "first, second",
+        [("A", ("A", "B")), ((), "B"), ("A", "Z")],
+        ids=["overlap", "empty", "unknown"],
     )
-    def test_rejected(self, first, second, cover):
+    def test_rejected(self, first, second):
         with pytest.raises(StructuralError):
-            self.LAYOUT.split(first, second, cover=cover)
+            self.LAYOUT.split(first, second)
 
 
 class TestDensityMatrix:

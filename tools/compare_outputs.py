@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import signal
 import sys
 from pathlib import Path
 from typing import Any
@@ -152,4 +153,6 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    # end quietly, as diff does, when a reader such as head closes the pipe early
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main(sys.argv[1:]))

@@ -120,6 +120,15 @@ INVOCATIONS: dict[str, list[str]] = {
         "converge-ghz-eigen", "--state", "ghz:parties=3", "--target", "A", "--given", "B,C",
         *_EIGEN,
     ),
+    # C in neither set: the pure state's purifier
+    "converge-ghz-purifier": _converge(
+        "converge-ghz-purifier", "--state", "ghz:parties=3", "--target", "A", "--given", "B",
+        "--min-rank", "1",
+    ),
+    "converge-ghz-purifier-eigen": _converge(
+        "converge-ghz-purifier-eigen", "--state", "ghz:parties=3", "--target", "A", "--given",
+        "B", *_EIGEN,
+    ),
     "converge-rand576": _converge(
         "converge-rand576", "--state", STATE_24X24, "--mode", "eigenbasis"
     ),
@@ -137,6 +146,10 @@ INVOCATIONS: dict[str, list[str]] = {
     # an entry no float can hold: a parse error, not a traceback
     "compute-entropy-huge-int": _compute("entropy", STATE_HUGE_INT),
     "compute-condent-rand24": _compute("condent", STATE_3PARTY, "--target", "B", "--given", "A,C"),
+    # C in neither set: traced out of the density matrix
+    "compute-condent-rand24-rest": _compute(
+        "condent", STATE_3PARTY, "--target", "B", "--given", "A"
+    ),
     "compute-mutinfo-rand24": _compute("mutinfo", STATE_3PARTY, "--target", "A", "--given", "B,C"),
     "compute-mutinfo-channel": _compute(
         "mutinfo", "werner:p=0.5", "--channel", CHANNEL, "--out", "compute-mutinfo-channel.json"
@@ -150,6 +163,10 @@ INVOCATIONS: dict[str, list[str]] = {
     "compute-condent-bell3": _compute("condent", "bell:dim=3"),
     "compute-entropy-bell": _compute("entropy", "bell"),
     "compute-mutinfo-ghz": _compute("mutinfo", "ghz:parties=3", "--target", "A", "--given", "B,C"),
+    # B in neither set: the pure state's purifier
+    "compute-condent-ghz-purifier": _compute(
+        "condent", "ghz:parties=3", "--target", "C", "--given", "A"
+    ),
 }  # fmt: skip
 
 
