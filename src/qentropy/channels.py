@@ -9,10 +9,12 @@ swapped.
 
 Channel information never forms a dense output state. The input's
 purification is kept as its (d_in, rank) amplitude matrix psi, and the output
-of (channel x id_R) as the factor F[b, i, j] = sum_a K_j[b, a] psi[a, i], with
-rho_BR = sum_j F[:, :, j] F[:, :, j]^dagger. The marginals on B and R come
-from F, and the nonzero eigenvalues of rho_BR from the env x env Gram matrix
-F^dagger F, so no matrix of size d_out * rank is solved.
+of (channel x id_R) as the factor F[b, i, j] = sum_a K_j[b, a] psi[a, i] of a
+pure state on B, R and the environment, read as every pure state is
+(``entropy._factor_spectra``): the env x env Gram matrix F^dagger F gives
+rho_BR's nonzero eigenvalues, and values-only SVDs of F its marginals', so no
+matrix of size d_out * rank is solved. That arithmetic renormalizes F, so
+channel information takes trace-preserving channels only.
 
 A channel may be a stack: Kraus operators of shape (N, d_out, d_in), one
 channel per row. Channel information of a stack of N states through a stack
@@ -27,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .entropy import _entropy_from_eigs, _marginals, _product_divergence
+from .entropy import _entropy_from_eigs, _factor_spectra, _spectra_divergence
 from .errors import InvalidChannelError, PreconditionError, StructuralError
 from .rng import complex_normal, generator
 from .states import (
@@ -43,7 +45,6 @@ from .states import (
     as_density,
     clamped_spectrum,
     partial_trace,
-    single,
 )
 from .tolerances import TAU_PURE, TAU_SUPP, TAU_TRACE
 
@@ -233,9 +234,9 @@ def _purification(spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 def channel_mutual_information(state: State, channel: KrausChannel) -> float:
     """Mutual information between channel output and a purifying reference.
 
-    Purifies the input, sends the system half through the channel, and
-    returns H(rho_BR || rho_B x rho_R) in nats for the joint output/reference
-    state. The value does not depend on which purification is used.
+    Purifies the input, sends the system half through the trace-preserving
+    channel, and returns H(rho_BR || rho_B x rho_R) in nats for the joint
+    output/reference state, whichever purification is used.
     """
     return _information_and_spectrum(as_density(state), channel)[0]
 
@@ -243,15 +244,17 @@ def channel_mutual_information(state: State, channel: KrausChannel) -> float:
 def _information_and_spectrum(
     rho: DensityMatrix, channel: KrausChannel
 ) -> tuple[float | np.ndarray, np.ndarray]:
-    """:func:`channel_mutual_information` from the output factor, and the
-    clamped eigenvalues of rho it purified. The rows of a stack are grouped
-    by rank, so each row's factor has exactly its own rank's columns."""
+    """:func:`channel_mutual_information` from the output factor, read as a pure
+    state's mutual information is, and the clamped eigenvalues of rho it
+    purified. The rows of a stack are grouped by rank, so each row's factor has
+    exactly its own rank's columns."""
     if rho.dim != channel.dim_in:
         raise StructuralError(
             f"channel expects input dimension {channel.dim_in}, state has {rho.dim}"
         )
+    require_valid_channel(channel)
     w, u = clamped_spectrum(rho)
-    stack, dim, env = w.shape[:-1], rho.dim, channel.env_dim
+    stack, dim = w.shape[:-1], rho.dim
     w, u = w.reshape(-1, dim), u.reshape(-1, dim, dim)
     kraus = np.stack(channel.kraus_ops, axis=-3)  # ([N,] env, out, in)
     info = np.empty(len(w))
@@ -259,22 +262,15 @@ def _information_and_spectrum(
         psi = _purification((w[rows], u[rows]))
         # F[b, i, j] = sum_a K_j[b, a] psi[a, i]
         factor = np.einsum("...jba,...ai->...bij", kraus[rows] if kraus.ndim == 4 else kraus, psi)
-        columns = factor.reshape(factor.shape[:-3] + (-1, env))
-        gram = DensityMatrix(columns.conj().swapaxes(-1, -2) @ columns, single("E", env))
-        rho_b, rho_r = _marginals(factor)
-        info[rows] = _product_divergence(
-            clamped_spectrum(gram, vectors=False)[0],
-            rho_b.entries,
-            rho_r.entries,
-            clamped_spectrum(rho_b),
-            clamped_spectrum(rho_r),
-        )
+        _, _, w_joint, (w_b, _), (w_r, _) = _factor_spectra(factor)
+        info[rows] = _spectra_divergence(w_joint, w_b, w_b, w_r, w_r)
     info = info.reshape(stack)
     return (info if stack else float(info)), w.reshape(stack + (dim,))
 
 
 def coherent_information(state: State, channel: KrausChannel) -> float:
-    """I_c(rho, Phi) = I(rho, Phi) - H(rho), in nats; rho is solved once for both terms."""
+    """I_c(rho, Phi) = I(rho, Phi) - H(rho), in nats, for a trace-preserving
+    channel; rho is solved once for both terms."""
     mi, eigenvalues = _information_and_spectrum(as_density(state), channel)
     return mi - _entropy_from_eigs(eigenvalues)
 

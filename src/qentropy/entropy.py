@@ -27,7 +27,7 @@ states of equal subsystem dimensions.
 
 One route per state: a pure state is never densified. Its amplitudes are a
 factor F, with rho = F F^dagger, and one function reads the spectra of every
-entropy and of every sweep step off F.
+entropy, of every sweep step and of every channel output off F.
 """
 
 from __future__ import annotations

@@ -208,9 +208,8 @@ def _haar_pure(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
 
 def _duality_margin(state: PureState) -> tuple[float, dict[str, float]]:
     """H(C|A) + H(C|B) = 0 for pure states on A x B x C; margin -|sum|."""
-    rho = state.as_density()
-    h_ca = conditional_entropy(rho, "C", "A")
-    h_cb = conditional_entropy(rho, "C", "B")
+    h_ca = conditional_entropy(state, "C", "A")
+    h_cb = conditional_entropy(state, "C", "B")
     return -abs(h_ca + h_cb), {"h_c_given_a": h_ca, "h_c_given_b": h_cb}
 
 
@@ -223,10 +222,9 @@ def _duality_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[
     return [("product", (PureState(product_amp, layout),))]
 
 
-def _bound_margin(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
+def _bound_margin(rho: State) -> tuple[float, dict[str, float]]:
     """|H(C|A)| <= H(rho_C) on A x C; margin H(rho_C) - |H(C|A)|."""
-    target = rho.layout.labels[-1]
-    given = rho.layout.labels[0]
+    given, target = rho.layout.labels
     h_c = von_neumann_entropy(partial_trace(rho, target))
     h_cond = conditional_entropy(rho, target, given)
     return h_c - abs(h_cond), {"h_target": h_c, "cond_entropy": h_cond}
@@ -236,10 +234,10 @@ def _bound_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_N
     # both saturate: a maximally entangled pair from below, a product from above
     first = ginibre_state(rng, _part(layout, "A"))
     product = tensor(first, ginibre_state(rng, _part(layout, "C")))
-    return [("bell", (bell(2).as_density(),)), ("product", (product,))]
+    return [("bell", (bell(2),)), ("product", (product,))]
 
 
-def _monotonicity_margin(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
+def _monotonicity_margin(rho: State) -> tuple[float, dict[str, float]]:
     """H(A|BC) <= H(A|B) on A x B x C; margin H(A|B) - H(A|BC)."""
     h_ab = conditional_entropy(rho, "A", "B")
     h_abc = conditional_entropy(rho, "A", ("B", "C"))
@@ -250,10 +248,7 @@ def _monotonicity_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> 
     # GHZ, where the gap is exactly ln 2, and a trivial (1-dimensional)
     # conditioner, where the two sides are equal
     trivial = SubsystemLayout(_part(layout, "A", "B").subsystems + (("C", 1),))
-    return [
-        ("ghz", (ghz(3, 2).as_density(),)),
-        ("trivial-conditioner", (ginibre_state(rng, trivial),)),
-    ]
+    return [("ghz", (ghz(3, 2),)), ("trivial-conditioner", (ginibre_state(rng, trivial),))]
 
 
 def _concavity_margin(
@@ -315,9 +310,7 @@ def _subadditivity_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) ->
     return [("product", (tensor(ac, bd),))]
 
 
-def _coherent_duality_margin(
-    rho: DensityMatrix, channel: KrausChannel
-) -> tuple[float, dict[str, float]]:
+def _coherent_duality_margin(rho: State, channel: KrausChannel) -> tuple[float, dict[str, float]]:
     """I_c(rho, channel) + I_c(rho, complementary channel) = 0; margin -|sum|."""
     ic = coherent_information(rho, channel)
     ic_comp = coherent_information(rho, complementary(channel))
@@ -337,8 +330,8 @@ def _coherent_duality_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config)
     # the identity channel (terms H(rho) and -H(rho)) and a pure input (both vanish)
     single_a = _part(layout, "A")
     identity = (ginibre_state(rng, single_a), KrausChannel([np.eye(single_a.total_dim)]))
-    pure = haar_pure_state(rng, single_a).as_density()
-    return [("identity-channel", identity), ("pure-state", (pure, _channel(rng, layout, config)))]
+    pure = (haar_pure_state(rng, single_a), _channel(rng, layout, config))
+    return [("identity-channel", identity), ("pure-state", pure)]
 
 
 def _formula_standard_margin(rho: DensityMatrix) -> tuple[float, dict[str, float]]:

@@ -339,14 +339,24 @@ def tensor(rho: State, sigma: State) -> DensityMatrix:
 
 
 def partial_trace(rho: State, keep: LabelSet) -> DensityMatrix:
-    """Reduced state on ``keep`` (kept subsystems stay in their original order)."""
-    rho = as_density(rho)
+    """Reduced state on ``keep`` (kept subsystems stay in their original order).
+
+    A pure state's is M M^dagger for its amplitudes M grouped as (kept,
+    traced), so a pure state is densified only when nothing is traced out.
+    """
     kept = rho.layout.normalize_labels(keep)
     if not kept:
         raise StructuralError("partial_trace needs a nonempty set of kept labels")
     if len(kept) == len(rho.layout.labels):
-        return rho
+        return as_density(rho)
     dims = rho.layout.dims
+    layout = SubsystemLayout([(label, rho.layout.dim_of(label)) for label in kept])
+    if isinstance(rho, PureState):
+        stack = rho.amplitudes.shape[:-1]
+        traced = [len(stack) + i for i, label in enumerate(rho.layout.labels) if label not in kept]
+        m = np.moveaxis(rho.amplitudes.reshape(stack + dims), traced, range(-len(traced), 0))
+        m = m.reshape(stack + (layout.total_dim, -1))
+        return DensityMatrix(m @ m.conj().swapaxes(-1, -2), layout)
     n = len(dims)
     if 2 * n > len(_EINSUM_LETTERS):
         raise StructuralError(f"too many subsystems for partial trace: {n}")
@@ -364,11 +374,8 @@ def partial_trace(rho: State, keep: LabelSet) -> DensityMatrix:
     spec = "..." + "".join(bra) + "".join(ket) + "->..." + "".join(b for b, _ in out) + "".join(
         k for _, k in out
     )
-    kept_dims = [rho.layout.dim_of(label) for label in kept]
-    d = int(np.prod(kept_dims))
-    reduced = np.einsum(spec, tensor_form).reshape(stack + (d, d))
-    layout = SubsystemLayout([(label, rho.layout.dim_of(label)) for label in kept])
-    return DensityMatrix(reduced, layout)
+    d = layout.total_dim
+    return DensityMatrix(np.einsum(spec, tensor_form).reshape(stack + (d, d)), layout)
 
 
 def permute_subsystems(rho: State, new_order: Sequence[str]) -> DensityMatrix:

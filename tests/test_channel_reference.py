@@ -102,12 +102,17 @@ def test_input_labelled_like_the_reference():
     )
 
 
-def test_factored_route_solves_no_output_sized_matrix(eigh_sizes, vector_solve_sizes):
+def test_factored_route_solves_no_output_sized_matrix(solve_calls):
     # input rank 2 of 4, a 4 -> 3 channel with 5 Kraus operators: the dense
     # output state would be 6 x 6; the factor route solves the input (4), the
-    # 5 x 5 Gram matrix values-only, and the marginals on B (3) and R (2)
+    # 5 x 5 Gram matrix values only, and the marginals on B (3) and R (2) as
+    # values-only SVDs of the factor's unfoldings, 3 x (2 * 5) and 2 x (3 * 5)
     rho = DensityMatrix(np.diag([0.7, 0.3, 0.0, 0.0]), single("A", 4))
     channel = random_channel(4, 3, 5, seed=2)
     channel_mutual_information(rho, channel)
-    assert eigh_sizes == {4: 1, 5: 1, 3: 1, 2: 1}
-    assert vector_solve_sizes == {4: 1, 3: 1, 2: 1}
+    assert solve_calls == [
+        ("eigh", (4, 4), False),
+        ("eigvalsh", (1, 5, 5), True),
+        ("svd", (1, 3, 10), True),
+        ("svd", (1, 2, 15), True),
+    ]

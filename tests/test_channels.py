@@ -306,7 +306,8 @@ class TestCoherentInformation:
 
     def test_solves_its_input_once(self, eigh_sizes):
         # rank 2 of 4 and a 4 -> 3 channel with two Kraus operators: the other
-        # solves are the 2 x 2 Gram matrix and the marginals on B (3) and R (2)
+        # solves are the 2 x 2 Gram matrix, values only, and the SVDs that give
+        # the marginal spectra on B and R
         rho = DensityMatrix(np.diag([0.6, 0.4, 0.0, 0.0]), single("A", 4))
         ch = random_channel(4, 3, 2, seed=8)
         val = coherent_information(rho, ch)
@@ -319,6 +320,27 @@ class TestCoherentInformation:
             ch = random_channel(3, 3, 3, seed=seed + 200)
             total = coherent_information(rho, ch) + coherent_information(rho, complementary(ch))
             assert total == pytest.approx(0.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("measure", [channel_mutual_information, coherent_information])
+class TestNonTracePreservingChannel:
+    # the output factor is renormalized, so a channel that loses trace would
+    # read as the trace-preserving channel it is a multiple of
+    def test_rejected(self, measure):
+        rho = random_density_matrix(2, seed=1)
+        with pytest.raises(InvalidChannelError, match=r"trace_preserving \(defect 7\.500e-01\)"):
+            measure(rho, KrausChannel([0.5 * np.eye(2)]))
+
+    def test_stack_with_one_bad_row_rejected(self, measure):
+        good = random_channel(2, 2, 2, seed=3)
+        bad = KrausChannel([0.5 * k for k in good.kraus_ops])
+        rows = [random_density_matrix(2, seed=seed).entries for seed in range(3)]
+        rho = DensityMatrix(np.stack(rows), single("A", 2))
+        goods = KrausChannel(np.stack([good.kraus_ops] * 3, axis=1))
+        assert measure(rho, goods).shape == (3,)
+        stack = KrausChannel(np.stack([good.kraus_ops, bad.kraus_ops, good.kraus_ops], axis=1))
+        with pytest.raises(InvalidChannelError):
+            measure(rho, stack)
 
 
 class TestConditionalEntropyViaCoherentInfo:

@@ -172,6 +172,15 @@ class TestFixedTrials:
         assert len(ghz_records) == 1
         assert ghz_records[0]["margin"] == pytest.approx(LN2, abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["duality", "bound", "monotonicity"])
+    def test_pure_trials_are_read_off_their_factor(self, name, monkeypatch):
+        # the Haar states, the Bell pair and GHZ are handed over as built
+        expected = report_to_dict(run_check(name))
+        no_densify(monkeypatch)
+        report = run_check(name)
+        assert report.passed
+        assert report_to_dict(report) == expected
+
     def test_coherent_duality_identity_channel_record(self):
         report = run_check("coherent-duality", trials=5)
         names = {r["trial"] for r in report.records}

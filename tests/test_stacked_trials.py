@@ -8,6 +8,7 @@ stacked spectrum, purification and channel paths.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -118,28 +119,33 @@ class TestStackCap:
         assert report_to_dict(run_check(name, seed=3, trials=17)) == expected
 
     @pytest.mark.parametrize("cap", [None, 5])
-    def test_bound_solves_each_matrix_once_per_stack(self, monkeypatch, eigh_sizes, cap):
+    def test_bound_solves_each_matrix_once_per_stack(self, monkeypatch, solve_calls, cap):
         if cap is not None:
             monkeypatch.setattr(harness, "_STACK_CAP", cap)
         run_check("bound", trials=64)
         stacks = math.ceil(64 / harness._STACK_CAP)
-        # per stack: H(rho_C), and H(C|A)'s two 3 x 3 marginals and 9 x 9 joint;
-        # the fixed trials add a Bell pair (2 x 2 marginals, 4 x 4 joint) and
-        # one product state on the default 3 x 3
-        assert eigh_sizes == {2: 3, 4: 1, 3: 3 * (stacks + 1), 9: stacks + 1}
+        # per stack: H(rho_C), and H(C|A)'s two 3 x 3 marginals and 9 x 9 joint,
+        # for the random trials and one product state on the default 3 x 3; the
+        # pure Bell pair adds its 2 x 2 marginal for H(rho_C), and for H(C|A) its
+        # factor's 1 x 1 Gram matrix, values only, and one SVD of its 2 x 2 rows
+        assert Counter((name, shape[-1]) for name, shape, _ in solve_calls) == {
+            ("eigh", 3): 3 * (stacks + 1),
+            ("eigh", 9): stacks + 1,
+            ("eigh", 2): 1,
+            ("eigvalsh", 1): 1,
+            ("svd", 2): 1,
+        }
+        assert [shape for name, shape, _ in solve_calls if name != "eigh"] == [(1, 1, 1), (1, 2, 2)]
 
-    def test_fixed_trials_keep_their_real_solves(self, monkeypatch):
-        kinds = []
-        eigh = np.linalg.eigh
-
-        def recording(a, *args, **kwargs):
-            kinds.append((np.shape(a)[-1], np.iscomplexobj(a)))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording)
+    def test_fixed_trials_keep_their_real_solves(self, solve_calls):
         run_check("bound", trials=3)
-        # the real Bell pair is the only trial with 2 x 2 marginals
-        assert {kind for kind in kinds if kind[0] in (2, 4)} == {(2, False), (4, False)}
+        # the real Bell pair is the only trial with 2 x 2 marginals, and the only
+        # one read off a factor
+        assert {call for call in solve_calls if call[1][-1] in (1, 2)} == {
+            ("eigh", (1, 2, 2), False),
+            ("eigvalsh", (1, 1, 1), False),
+            ("svd", (1, 2, 2), False),
+        }
 
 
 def _stack(*states):
@@ -178,7 +184,7 @@ class TestPerRow:
             assert np.array_equal(psi[row, :, :rank], alone)
             assert not psi[row, :, rank:].any()
 
-    def test_channel_information_of_rows_with_different_ranks(self, eigh_sizes):
+    def test_channel_information_of_rows_with_different_ranks(self, solve_calls):
         states = (
             random_density_matrix(3, seed=4),
             random_pure_state(single("A", 3), seed=5).as_density(),
@@ -186,8 +192,18 @@ class TestPerRow:
         )
         channel = random_channel(3, 2, 2, seed=7)
         info, w = _information_and_spectrum(_stack(*states), channel)
-        # the rank-1 row's reference marginal is solved at its own rank, not padded
-        assert eigh_sizes[1] == 1
+        # the input is solved once; each rank's factor (1, 2, rank, 2) is read at
+        # its own rank, not padded: its 2 x 2 Gram matrix values only, and one SVD
+        # of each unfolding, B rows (2, 2 rank) and R rows (rank, 4)
+        assert solve_calls == [("eigh", (3, 3, 3), True)] + [
+            call
+            for rank in (3, 1, 2)
+            for call in (
+                ("eigvalsh", (1, 2, 2), True),
+                ("svd", (1, 2, 2 * rank), True),
+                ("svd", (1, rank, 4), True),
+            )
+        ]
         for row, state in enumerate(states):
             info_alone, w_alone = _information_and_spectrum(state, channel)
             assert info[row] == info_alone

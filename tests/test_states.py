@@ -277,6 +277,22 @@ class TestPartialTrace:
         red = partial_trace(rho, keep=("A",))
         assert np.allclose(red.entries, expected, atol=1e-14)
 
+    @pytest.mark.parametrize("keep", [("A",), ("B",), ("C",), ("A", "C"), ("C", "B")])
+    def test_pure_state_reduced_from_its_amplitudes(self, keep, monkeypatch):
+        layout = SubsystemLayout((("A", 2), ("B", 3), ("C", 2)))
+        states = [random_pure_state(layout, seed=seed) for seed in range(3)]
+        stack = PureState(np.stack([psi.amplitudes for psi in states]), layout)
+        expected = [partial_trace(psi.as_density(), keep) for psi in [*states, stack]]
+
+        def densify(self):
+            raise AssertionError("a pure state was densified")
+
+        monkeypatch.setattr(PureState, "as_density", densify)
+        for psi, dense in zip([*states, stack], expected):
+            red = partial_trace(psi, keep)
+            assert red.layout == dense.layout
+            assert np.allclose(red.entries, dense.entries, rtol=0.0, atol=1e-15)
+
     def test_keep_preserves_layout_order(self):
         layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))
         rho = random_density_matrix(8, seed=13, layout=layout)
