@@ -234,8 +234,8 @@ def _factor_spectra(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     The r x r Gram matrix F^dagger F has the joint state's nonzero spectrum
     (renormalized, a pure state's is [[1.0]]). Each side's marginal is
     R R^dagger; its spectrum is the squared singular values of R, zero-padded,
-    one values-only SVD serving both sides when r = 1 (Schmidt). A stack
-    gives one of each per row.
+    one values-only SVD serving both sides when r = 1 (a Schmidt-diagonal
+    factor needs none: :func:`_schmidt_spectra`). A stack gives one of each per row.
     """
     n, k, r = factor.shape[-3:]
     columns = factor.reshape(factor.shape[:-3] + (n * k, r))
@@ -251,6 +251,33 @@ def _factor_spectra(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     s_a = np.linalg.svd(rows_a, compute_uv=False)
     s_b = s_a if r == 1 else np.linalg.svd(rows_b, compute_uv=False)
     return factor, lam, w_joint, (_padded(s_a**2, n), rows_a), (_padded(s_b**2, k), rows_b)
+
+
+def _schmidt_coefficients(factor: np.ndarray) -> np.ndarray | None:
+    """The diagonal c_i = F[..., i, i, 0] of a factor of shape (..., n, k, 1) with no
+    off-diagonal nonzero, its Schmidt coefficients; None for any other factor."""
+    if factor.shape[-1] != 1:
+        return None
+    diagonal = np.diagonal(factor[..., 0], axis1=-2, axis2=-1)
+    return diagonal.copy() if np.count_nonzero(factor) == np.count_nonzero(diagonal) else None
+
+
+def _schmidt_spectra(
+    coefficients: np.ndarray, n: int, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple, tuple]:
+    """:func:`_factor_spectra` of the n x k factor with diagonal ``coefficients`` c
+    and no other nonzero, read off c with no solve: the joint spectrum is [1.0],
+    each marginal is diag(|c_i|^2) / ||c||^2, and its diagonal stands for the rows.
+    """
+    squares = (coefficients.conj() * coefficients).real
+    lam = squares.sum(axis=-1)
+    _retained(float(lam.min()), "the state")
+    # diag(|c_i|^2) / lam on the longer side; the shorter side's is its head
+    p = np.zeros(lam.shape + (max(n, k),))
+    p[..., : squares.shape[-1]] = squares / lam[..., None]
+    ascending = np.sort(p, axis=-1)
+    sides = ((ascending[..., p.shape[-1] - size :], p[..., :size]) for size in (n, k))
+    return coefficients / np.sqrt(lam)[..., None], lam, np.ones(lam.shape + (1,)), *sides
 
 
 def _padded(descending: np.ndarray, size: int) -> np.ndarray:
@@ -279,10 +306,15 @@ def _grouped(rho: State, first: LabelSet, second: LabelSet) -> DensityMatrix | n
 
 def _mutual_information(rho: State, first: LabelSet, second: LabelSet) -> tuple[float, np.ndarray]:
     """I(first:second), and the first marginal's clamped eigenvalues; a pure
-    state is read off its factor, as a sweep step reads it."""
+    state is read off its factor, as a sweep step reads it. A stack is read off
+    Schmidt coefficients only if every row is Schmidt-diagonal; else every row
+    takes :func:`_factor_spectra`, which may move such a row in the last bit."""
     grouped = _grouped(rho, first, second)
     if isinstance(grouped, np.ndarray):
-        _, _, w_joint, (w_1, _), (w_2, _) = _factor_spectra(grouped)
+        c = _schmidt_coefficients(grouped)
+        n, k = grouped.shape[-3:-1]
+        spectra = _factor_spectra(grouped) if c is None else _schmidt_spectra(c, n, k)
+        _, _, w_joint, (w_1, _), (w_2, _) = spectra
         return _spectra_divergence(w_joint, w_1, w_1, w_2, w_2), w_1
     rho_1, rho_2 = partial_trace(grouped, first), partial_trace(grouped, second)
     spec_1 = clamped_spectrum(rho_1)
@@ -309,8 +341,14 @@ def conditional_entropy(rho: State, target: LabelSet, given: LabelSet) -> float:
     ``TAU_SUPP`` drops, at most (d_target + d_given - 2) * ``TAU_SUPP``, inside
     the bound d_target * d_given * ``TAU_SUPP``.
     """
+    return _conditional_entropy(rho, target, given)[0]
+
+
+def _conditional_entropy(rho: State, target: LabelSet, given: LabelSet) -> tuple[float, float]:
+    """:func:`conditional_entropy`, and H(rho_target) from the same solve."""
     corr, w_target = _mutual_information(rho, target, given)
-    return _entropy_from_eigs(w_target) - corr
+    h_target = _entropy_from_eigs(w_target)
+    return h_target - corr, h_target
 
 
 def conditional_entropy_standard(rho: DensityMatrix, target: LabelSet, given: LabelSet) -> float:

@@ -48,9 +48,9 @@ from .channels import (
     purify,
 )
 from .entropy import (
+    _conditional_entropy,
     conditional_entropy,
     conditional_entropy_standard,
-    von_neumann_entropy,
 )
 from .errors import InvalidStateError, PreconditionError, as_integer
 from .fileio import load_state
@@ -63,7 +63,6 @@ from .states import (
     as_density,
     ginibre_state,
     haar_pure_state,
-    partial_trace,
     tensor,
     validate,
 )
@@ -225,8 +224,7 @@ def _duality_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[
 def _bound_margin(rho: State) -> tuple[float, dict[str, float]]:
     """|H(C|A)| <= H(rho_C) on A x C; margin H(rho_C) - |H(C|A)|."""
     given, target = rho.layout.labels
-    h_c = von_neumann_entropy(partial_trace(rho, target))
-    h_cond = conditional_entropy(rho, target, given)
+    h_cond, h_c = _conditional_entropy(rho, target, given)
     return h_c - abs(h_cond), {"h_target": h_c, "cond_entropy": h_cond}
 
 

@@ -34,7 +34,9 @@ indices alone; each slice is evaluated by the same
 factor arithmetic as the pure-state entropies (``entropy._factor_spectra``):
 the weight is ||F_nk||^2 and the joint eigenvalues come from the r x r Gram
 matrix F_nk^dagger F_nk, which has the same nonzero spectrum as
-F_nk F_nk^dagger.
+F_nk F_nk^dagger. A Schmidt-diagonal factor (r = 1, no off-diagonal nonzero,
+as a TMSV in either family) is held as its coefficients c: a step reads its
+weight, the joint spectrum [1.0] and both marginals off the slice c[:min(n, k)].
 
 A step solves only what two facts leave open:
 
@@ -43,7 +45,8 @@ A step solves only what two facts leave open:
   eigendirection of rho_A by its eigenvalue, and the own marginals are
   solved for eigenvalues only. For a factor each is the squared singular
   values of its side's rows of F_nk, zero-padded, one values-only SVD serving
-  both when r = 1 (Schmidt); the marginals are never formed.
+  both when r = 1 and none for Schmidt coefficients, whose marginals are
+  |c_i|^2; the marginals are never formed.
 * The form of each original marginal is decided once per sweep. One with
   no off-diagonal nonzero, as in the eigenbasis family (its descending
   eigenvalues) and for every Schmidt-diagonal state in the computational
@@ -68,6 +71,8 @@ from .entropy import (
     _marginals,
     _retained,
     _rounded,
+    _schmidt_coefficients,
+    _schmidt_spectra,
     _spectra_divergence,
     relative_entropy,
 )
@@ -205,7 +210,8 @@ class _Bipartite:
 
     ``joint`` is the grouped density matrix with indices (a, b, a', b'), or
     for a pure state its factor: the amplitudes as an array F of shape
-    (d_A, d_B, r), with rho = F F^dagger. ``marginal_a`` and ``marginal_b``
+    (d_A, d_B, r), with rho = F F^dagger, or when that is Schmidt-diagonal its
+    coefficients F[i, i, 0]. ``marginal_a`` and ``marginal_b``
     are its marginals in the same basis: a 1-D diagonal when the marginal has
     no off-diagonal nonzero, the matrix otherwise. A side's rank-n projector
     keeps its first n basis vectors, so every truncation is a slice.
@@ -232,7 +238,8 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
     eigenbases, on its ket and bra indices, or a factor on its ket indices
     alone; each marginal is then the diagonal of its descending
     eigenvalues. A real marginal has a real eigenbasis, so a real factor
-    stays real.
+    stays real. In either family a factor then Schmidt-diagonal is held as
+    its coefficients.
     """
     if mode not in PROJECTOR_MODES:
         raise PreconditionError(f"unknown projector mode {mode!r}; have {PROJECTOR_MODES}")
@@ -243,14 +250,18 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
         marginals = [partial_trace(grouped, side) for side in (target, given)]
         joint = grouped.entries.reshape((marginals[0].dim, marginals[1].dim) * 2)
     if mode == "computational":
-        return _Bipartite(joint, *(_diagonal_or_matrix(m.entries) for m in marginals))
-    spectra = [clamped_spectrum(m) for m in marginals]
-    for axis, (_, u) in enumerate(spectra):
-        basis = u[:, ::-1]
-        joint = np.moveaxis(np.tensordot(basis.conj(), joint, axes=(0, axis)), 0, axis)
-        if joint.ndim == 4:  # a density matrix's bra index
-            joint = np.moveaxis(np.tensordot(joint, basis, axes=(2 + axis, 0)), -1, 2 + axis)
-    return _Bipartite(np.ascontiguousarray(joint), *(w[::-1] for w, _ in spectra))
+        held = [_diagonal_or_matrix(m.entries) for m in marginals]
+    else:
+        spectra = [clamped_spectrum(m) for m in marginals]
+        held = [w[::-1] for w, _ in spectra]
+        for axis, (_, u) in enumerate(spectra):
+            basis = u[:, ::-1]
+            joint = np.moveaxis(np.tensordot(basis.conj(), joint, axes=(0, axis)), 0, axis)
+            if joint.ndim == 4:  # a density matrix's bra index
+                joint = np.moveaxis(np.tensordot(joint, basis, axes=(2 + axis, 0)), -1, 2 + axis)
+        joint = np.ascontiguousarray(joint)
+    coefficients = _schmidt_coefficients(joint) if joint.ndim == 3 else None
+    return _Bipartite(joint if coefficients is None else coefficients, *held)
 
 
 def _diagonal_or_matrix(m: np.ndarray) -> np.ndarray:
@@ -264,9 +275,9 @@ class _Marginal:
     """One marginal of a step, as the step reads it.
 
     ``eigenvalues`` is its clamped spectrum, ascending. ``matrix`` is the
-    marginal itself, or its diagonal when 1-D, or with ``root`` a matrix R
-    whose marginal is R R^dagger: a pure factor's amplitudes with that side's
-    index as rows.
+    marginal itself, or its diagonal when 1-D (as for Schmidt coefficients),
+    or with ``root`` a matrix R whose marginal is R R^dagger: a pure factor's
+    amplitudes with that side's index as rows.
     """
 
     eigenvalues: np.ndarray
@@ -286,6 +297,8 @@ class _Marginal:
         are the diagonal entries it names.
         """
         m = self.matrix
+        if m.ndim == 1:  # Schmidt coefficients' diagonal: so is the tilde marginal
+            return m[u]
         if u.ndim == 1:
             diagonal = np.einsum("ij,ij->i", m.conj(), m).real if self.root else m.diagonal().real
             return diagonal[u]
@@ -299,9 +312,9 @@ class _Marginal:
 class _Step:
     """A compressed truncated-normalized state with weight ``lam``, and what it yields.
 
-    ``joint`` is the state in its part's representation: a matrix, or a
-    factor F with state F F^dagger. ``own_*`` are the state's marginals and
-    ``tilde_*`` the truncated, renormalized original marginals. ``cond`` is
+    ``joint`` is the state in its part's representation: a matrix, a factor F
+    with state F F^dagger, or Schmidt coefficients. ``own_*`` are the state's
+    marginals and ``tilde_*`` the truncated, renormalized original marginals. ``cond`` is
     the state's H(A|B), from the spectrum of the target marginal that
     ``h_nk`` used.
 
@@ -309,10 +322,10 @@ class _Step:
     state's own marginals: Tr[rho (ln rho_A (x) I)] = Tr rho_A ln rho_A, so
     each eigendirection of rho_A carries its own eigenvalue as weight, and
     for a factor each marginal's spectrum is the squared singular values of
-    its side's rows of F. ``h_tilde_nk`` needs no solve of a tilde marginal
-    held as a diagonal, as every marginal of the eigenbasis family is: its
-    spectrum is its diagonal, and the state's weights on it are its own
-    marginals' diagonal.
+    its side's rows of F (|c_i|^2 for Schmidt coefficients). ``h_tilde_nk``
+    needs no solve of a tilde marginal held as a diagonal, as every marginal
+    of the eigenbasis family is: its spectrum is its diagonal, and the
+    state's weights on it are its own marginals' diagonal.
 
     A sweep holds each step, joint state included, until the next step has
     been computed: for a dense state at cutoff 30 that keeps the allocator
@@ -342,7 +355,8 @@ def _truncated(
     eigenvalues only, and so are its marginals. A factor is sliced on its ket
     indices and read by ``entropy._factor_spectra``: the r x r Gram matrix
     gives the nonzero joint eigenvalues, and one values-only SVD both
-    marginal spectra when r = 1.
+    marginal spectra when r = 1. Schmidt coefficients c are sliced to
+    c[:min(n, k)] and read by ``entropy._schmidt_spectra``, which solves nothing.
     """
     if part.joint.ndim == 4:  # a density matrix
         layout = SubsystemLayout([("A", rank_a), ("B", rank_b)])
@@ -352,8 +366,12 @@ def _truncated(
         own = (partial_trace(truncated, label) for label in ("A", "B"))
         marginals = (_Marginal(clamped_spectrum(m, vectors=False)[0], m.entries) for m in own)
         return truncated.entries, lam, w_joint, *marginals
-    factor, lam, w_joint, *sides = _factor_spectra(part.joint[:rank_a, :rank_b])
-    return factor, float(lam), w_joint, *(_Marginal(w, rows, True) for w, rows in sides)
+    if part.joint.ndim == 1:  # Schmidt coefficients
+        spectra = _schmidt_spectra(part.joint[: min(rank_a, rank_b)], rank_a, rank_b)
+    else:
+        spectra = _factor_spectra(part.joint[:rank_a, :rank_b])
+    factor, lam, w_joint, *sides = spectra
+    return factor, float(lam), w_joint, *(_Marginal(w, m, factor.ndim == 3) for w, m in sides)
 
 
 def _tilde(marginal: np.ndarray, rank: int, what: str) -> tuple[_Marginal, np.ndarray]:

@@ -29,7 +29,7 @@ from qentropy.states import (
     tensor,
 )
 from qentropy.tolerances import TAU_SUPP
-from qentropy.truncation import conditional_entropy_sweep
+from qentropy.truncation import PROJECTOR_MODES, conditional_entropy_sweep
 
 LN2 = np.log(2.0)
 
@@ -394,11 +394,28 @@ def no_densify(monkeypatch):
 
 
 class TestFactoredConverge:
-    def test_tmsv_cutoff_30_solves_nothing_above_30(self, eigh_sizes, monkeypatch):
+    @pytest.mark.parametrize("mode", PROJECTOR_MODES)
+    @pytest.mark.parametrize("spec", ["tmsv:nbar=1,cutoff=30", "tmsv:nbar=10,cutoff=400"])
+    def test_schmidt_diagonal_sweep_solves_nothing_per_step(
+        self, spec, mode, solve_calls, monkeypatch
+    ):
+        # a TMSV is held as its Schmidt coefficients: no step forms a Gram
+        # matrix or runs an SVD, and no tilde marginal is solved; the eigenbasis
+        # family solves each full marginal once, for the basis it rotates into
         no_densify(monkeypatch)
-        doc = run_converge("tmsv:nbar=1,cutoff=30")
+        doc = run_converge(spec, mode=mode)
         assert doc["summary"]["skipped_steps"] == 0
-        assert eigh_sizes and max(eigh_sizes) <= 30
+        dim = resolve_state(spec).layout.dim_of("A")
+        basis = [("eigh", (dim, dim), False)] * 2 if mode == "eigenbasis" else []
+        assert solve_calls == basis
+
+    @pytest.mark.parametrize("spec", ["tmsv:nbar=1,cutoff=30", "tmsv:nbar=10,cutoff=400"])
+    def test_schmidt_diagonal_conditional_entropy_solves_nothing(
+        self, spec, solve_calls, monkeypatch
+    ):
+        no_densify(monkeypatch)
+        conditional_entropy(resolve_state(spec), "A", "B")
+        assert solve_calls == []
 
     def test_tmsv_cutoff_60_matches_truncated_geometric_entropies(self, monkeypatch):
         # the dense route would solve a 3600 x 3600 joint state at every step

@@ -30,6 +30,7 @@ from qentropy.harness import report_to_dict, run_check
 from qentropy.rng import generator, trial_seed
 from qentropy.states import (
     DensityMatrix,
+    PureState,
     SubsystemLayout,
     clamped_spectrum,
     random_density_matrix,
@@ -124,32 +125,27 @@ class TestStackCap:
             monkeypatch.setattr(harness, "_STACK_CAP", cap)
         run_check("bound", trials=64)
         stacks = math.ceil(64 / harness._STACK_CAP)
-        # per stack: H(rho_C), and H(C|A)'s two 3 x 3 marginals and 9 x 9 joint,
-        # for the random trials and one product state on the default 3 x 3; the
-        # pure Bell pair adds its 2 x 2 marginal for H(rho_C), and for H(C|A) its
-        # factor's 1 x 1 Gram matrix, values only, and one SVD of its 2 x 2 rows
+        # per stack: H(C|A)'s two 3 x 3 marginals and 9 x 9 joint, whose target
+        # spectrum also gives H(rho_C), for the random trials and one product
+        # state on the default 3 x 3; the pure Bell pair is read off its Schmidt
+        # coefficients and solves nothing
         assert Counter((name, shape[-1]) for name, shape, _ in solve_calls) == {
-            ("eigh", 3): 3 * (stacks + 1),
+            ("eigh", 3): 2 * (stacks + 1),
             ("eigh", 9): stacks + 1,
-            ("eigh", 2): 1,
-            ("eigvalsh", 1): 1,
-            ("svd", 2): 1,
         }
-        assert [shape for name, shape, _ in solve_calls if name != "eigh"] == [(1, 1, 1), (1, 2, 2)]
 
-    def test_fixed_trials_keep_their_real_solves(self, solve_calls):
+    def test_the_bell_pair_is_read_off_its_schmidt_coefficients(self, solve_calls):
         run_check("bound", trials=3)
-        # the real Bell pair is the only trial with 2 x 2 marginals, and the only
-        # one read off a factor
-        assert {call for call in solve_calls if call[1][-1] in (1, 2)} == {
-            ("eigh", (1, 2, 2), False),
-            ("eigvalsh", (1, 1, 1), False),
-            ("svd", (1, 2, 2), False),
-        }
+        # the Bell pair is the only trial with 2 x 2 marginals, and solves none
+        assert {call[1][-1] for call in solve_calls} == {3, 9}
 
 
 def _stack(*states):
     return DensityMatrix(np.stack([s.entries for s in states]), states[0].layout)
+
+
+def _pure_stack(*states):
+    return PureState(np.stack([s.amplitudes.astype(complex) for s in states]), states[0].layout)
 
 
 class TestPerRow:
@@ -211,6 +207,26 @@ class TestPerRow:
         assert list(coherent_information(_stack(*states), channel)) == [
             coherent_information(state, channel) for state in states
         ]
+
+    def test_pure_stack_is_read_off_schmidt_coefficients_only_if_every_row_is(
+        self, solve_calls
+    ):
+        layout = bell(3).layout
+        c = np.array([1.0, 1j]) @ generator(8).standard_normal((2, 3))
+        diagonal = PureState(np.diag(c / np.linalg.norm(c)).ravel(), layout)
+        haar = random_pure_state(layout, seed=5)
+        # rows all Schmidt-diagonal: read off their coefficients, as each alone
+        rows = (bell(3), diagonal)
+        stacked = conditional_entropy(_pure_stack(*rows), "A", "B")
+        assert solve_calls == []
+        assert list(stacked) == [conditional_entropy(row, "A", "B") for row in rows]
+        # one other row sends the whole stack through the factor's SVD, which
+        # may move a Schmidt-diagonal row in the last bit
+        rows = (bell(3), haar)
+        stacked = conditional_entropy(_pure_stack(*rows), "A", "B")
+        assert [name for name, _, _ in solve_calls] == ["eigvalsh", "svd"]
+        assert stacked[1] == conditional_entropy(haar, "A", "B")
+        assert stacked[0] == pytest.approx(-math.log(3.0), abs=1e-15)
 
     def test_stack_mixing_real_and_complex_rows_is_solved_as_complex(self):
         real = bell(2).as_density()

@@ -12,6 +12,7 @@ amplitudes; the reference densifies it first.
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -332,16 +333,26 @@ def test_step_compression_equals_kron_route(make, mode):
                 assert np.max(np.abs(got - ref)) <= 1e-14
 
 
+def held_factor(joint, n, k):
+    """The n x k factor F, of shape (n, k, 1), that a pure step holds: itself, or
+    the Schmidt-diagonal factor whose diagonal is the held coefficients."""
+    if joint.ndim == 3:
+        return joint
+    factor = np.zeros((n, k, 1), dtype=joint.dtype)
+    factor[np.arange(joint.size), np.arange(joint.size), 0] = joint
+    return factor
+
+
 @pytest.mark.parametrize("mode", PROJECTOR_MODES)
 @pytest.mark.parametrize(
-    "make",
+    "make, schmidt",
     [
-        lambda: tmsv(nbar=1.0, cutoff=6),
-        lambda: random_pure_state(SubsystemLayout([("A", 3), ("B", 4)]), seed=4),
+        (lambda: tmsv(nbar=1.0, cutoff=6), True),
+        (lambda: random_pure_state(SubsystemLayout([("A", 3), ("B", 4)]), seed=4), False),
     ],
     ids=["real-tmsv", "complex-3x4"],
 )
-def test_factored_step_equals_kron_route(make, mode):
+def test_factored_step_equals_kron_route(make, schmidt, mode):
     psi = make()
     rho = as_density(psi)
     part = _bipartite(psi, "A", "B", mode)
@@ -349,9 +360,10 @@ def test_factored_step_equals_kron_route(make, mode):
     dim_a, dim_b = part.dims
     for n, k in [(1, 1), (2, 3), (dim_a, 2), (dim_a, dim_b)]:
         step = _step(part, n, k)
-        assert step.joint.shape == (n, k, 1)
+        # a Schmidt-diagonal factor is held as its coefficients, in either family
+        assert step.joint.shape == ((min(n, k),) if schmidt else (n, k, 1))
         joint, lam, tilde_a, tilde_b = kron_compressed(rho, basis_a, basis_b, n, k)
-        columns = step.joint.reshape(n * k, 1)
+        columns = held_factor(step.joint, n, k).reshape(n * k, 1)
         assert abs(step.lam - lam) <= 1e-14
         assert np.max(np.abs(columns @ columns.conj().T - joint)) <= 1e-14
         assert np.max(np.abs(step.tilde_a.density() - tilde_a)) <= 1e-14
@@ -379,12 +391,87 @@ def test_factor_of_purifying_rank_two_equals_dense_step(mode):
         assert all(abs(value - expected) <= AGREEMENT for value, expected in pairs), (n, k)
 
 
-def schmidt_diagonal(coefficients):
-    """sum_i c_i |i, i> / ||c|| on labels A, B."""
-    dim = len(coefficients)
-    amp = np.zeros(dim * dim)
-    amp[np.arange(dim) * (dim + 1)] = coefficients
-    return PureState(amp / np.linalg.norm(amp), SubsystemLayout([("A", dim), ("B", dim)]))
+def random_schmidt_coefficients(size, seed):
+    """Complex Schmidt coefficients with zeros among them, the first included."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=size) + 1j * rng.normal(size=size)
+    c[[0, size // 2]] = 0.0
+    return c
+
+
+def schmidt_diagonal(coefficients, dim_a=None, dim_b=None):
+    """sum_i c_i |i, i> / ||c|| on labels A, B, with d_A and d_B (default len(c))
+    at least len(c)."""
+    size = len(coefficients)
+    dim_a, dim_b = dim_a or size, dim_b or size
+    amp = np.zeros((dim_a, dim_b), dtype=np.result_type(np.asarray(coefficients), float))
+    amp[np.arange(size), np.arange(size)] = coefficients
+    amp = amp.ravel()
+    return PureState(amp / np.linalg.norm(amp), SubsystemLayout([("A", dim_a), ("B", dim_b)]))
+
+
+SCHMIDT_CASES = {
+    # d_A != d_B, both ways, and rank_a != rank_b
+    "5x7": (5, 5, 7, [(1, 1), (1, 4), (2, 4), (3, 5), (4, 5), (5, 6), (5, 7)]),
+    "6x4": (4, 6, 4, [(1, 2), (2, 2), (3, 2), (4, 3), (5, 4), (6, 4)]),
+    # fewer coefficients than both dimensions: a zero-padded factor
+    "3-in-5x4": (3, 5, 4, [(1, 1), (2, 2), (2, 4), (4, 4), (5, 4)]),
+}
+SWEEP_FIELDS = ("lam", "cond_entropy_nats", "h_nk", "h_tilde_nk", "diff")
+
+
+@pytest.mark.parametrize("mode", PROJECTOR_MODES)
+@pytest.mark.parametrize("case", sorted(SCHMIDT_CASES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_held_schmidt_coefficients_agree_with_the_general_factor_route(
+    case, seed, mode, monkeypatch, solve_calls
+):
+    # the general route runs on the held part with its joint replaced by the
+    # (d_A, d_B, 1) factor that has the held coefficients on its diagonal
+    size, dim_a, dim_b, schedule = SCHMIDT_CASES[case]
+    state = schmidt_diagonal(random_schmidt_coefficients(size, seed), dim_a, dim_b)
+    part = _bipartite(state, "A", "B", mode)
+    assert part.joint.ndim == 1
+    solve_calls.clear()
+    held = conditional_entropy_sweep(state, "A", "B", schedule, mode)
+    # the held route solves nothing per step, and only the eigenbasis it rotates into
+    assert Counter(name for name, _, _ in solve_calls) == (
+        {"eigh": 2} if mode == "eigenbasis" else {}
+    )
+    solve_calls.clear()
+    general_part = dataclasses.replace(part, joint=held_factor(part.joint, *part.dims))
+    monkeypatch.setattr(truncation, "_bipartite", lambda *args: general_part)
+    general = conditional_entropy_sweep(state, "A", "B", schedule, mode)
+    # the general route: a 1 x 1 Gram solve and an SVD at each step it keeps
+    steps = sum(not p.skipped for p in general)
+    assert Counter(name for name, _, _ in solve_calls) == {"eigvalsh": steps, "svd": steps}
+    if mode == "computational":  # c_0 = 0: the rank-(1, k) steps keep no weight
+        assert held[0].skipped and held[0].lam == 0.0
+    for point, reference in zip(held, general, strict=True):
+        assert point.skipped == reference.skipped
+        assert (point.rank_a, point.rank_b) == (reference.rank_a, reference.rank_b)
+        for field in SWEEP_FIELDS:
+            value, expected = getattr(point, field), getattr(reference, field)
+            if expected is None:
+                assert value is None
+            else:
+                assert abs(value - expected) <= 1e-14, (case, field, point, reference)
+
+
+def test_a_non_diagonal_rank_one_factor_keeps_its_svd(solve_calls):
+    # a pure state with off-diagonal amplitudes is held as its factor: one
+    # 1 x 1 Gram solve and one SVD of its A rows per step
+    psi = random_pure_state(SubsystemLayout([("A", 3), ("B", 4)]), seed=4)
+    assert _bipartite(psi, "A", "B", "computational").joint.shape == (3, 4, 1)
+    conditional_entropy_sweep(psi, "A", "B", [(1, 1), (2, 3), (3, 4)])
+    assert [(name, shape) for name, shape, _ in solve_calls if name != "eigh"] == [
+        ("eigvalsh", (1, 1)),
+        ("svd", (1, 1)),
+        ("eigvalsh", (1, 1)),
+        ("svd", (2, 3)),
+        ("eigvalsh", (1, 1)),
+        ("svd", (3, 4)),
+    ]
 
 
 def unsorted_diagonal():

@@ -103,6 +103,12 @@ INVOCATIONS: dict[str, list[str]] = {
     "converge-tmsv-deep": _converge(
         "converge-tmsv-deep", "--state", "tmsv:nbar=10,cutoff=60", "--min-rank", "40"
     ),
+    # the Schmidt-diagonal factor held as its coefficients, in the eigenbasis
+    # family after its rotation
+    "converge-tmsv-deep-eigen": _converge(
+        "converge-tmsv-deep-eigen", "--state", "tmsv:nbar=10,cutoff=400", "--mode",
+        "eigenbasis", "--min-rank", "395",
+    ),
     # marginals diagonal in their leading blocks only, so solved at every rank
     "converge-leading-diagonal": _converge(
         "converge-leading-diagonal", "--state", STATE_LEADING, "--min-rank", "1"
@@ -160,6 +166,8 @@ INVOCATIONS: dict[str, list[str]] = {
     # pure catalog states, read off their amplitudes; the cutoff stays small
     # enough for a route that densifies the state to run as well
     "compute-condent-tmsv": _compute("condent", "tmsv:nbar=1,cutoff=30"),
+    # a deep one, read off its Schmidt coefficients alone
+    "compute-condent-tmsv-deep": _compute("condent", "tmsv:nbar=10,cutoff=400"),
     "compute-condent-bell3": _compute("condent", "bell:dim=3"),
     "compute-entropy-bell": _compute("entropy", "bell"),
     "compute-mutinfo-ghz": _compute("mutinfo", "ghz:parties=3", "--target", "A", "--given", "B,C"),
