@@ -8,7 +8,8 @@ operators off the same isometry with the roles of output and environment
 swapped.
 
 Channel information never forms a dense output state. The input's
-purification is kept as its (d_in, rank) amplitude matrix psi, and the output
+purification is kept as its (d_in, rank) amplitude matrix psi (a pure
+input's is its own amplitude column, so it is never densified), and the output
 of (channel x id_R) as the factor F[b, i, j] = sum_a K_j[b, a] psi[a, i] of a
 pure state on B, R and the environment, read as every pure state is
 (``entropy._factor_spectra``): the env x env Gram matrix F^dagger F gives
@@ -236,42 +237,61 @@ def channel_mutual_information(state: State, channel: KrausChannel) -> float:
 
     Purifies the input, sends the system half through the trace-preserving
     channel, and returns H(rho_BR || rho_B x rho_R) in nats for the joint
-    output/reference state, whichever purification is used.
+    output/reference state, whichever purification is used. A pure input is
+    its own purification and is never densified.
     """
-    return _information_and_spectrum(as_density(state), channel)[0]
+    return _information_and_spectrum(state, channel)[0]
 
 
 def _information_and_spectrum(
-    rho: DensityMatrix, channel: KrausChannel
+    state: State, channel: KrausChannel
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """:func:`channel_mutual_information` from the output factor, read as a pure
-    state's mutual information is, and the clamped eigenvalues of rho it
-    purified. The rows of a stack are grouped by rank, so each row's factor has
-    exactly its own rank's columns."""
-    if rho.dim != channel.dim_in:
+    state's mutual information is, and the clamped eigenvalues of the input it
+    purified. A pure input is its own purification, its amplitudes as a
+    (dim, 1) column, with spectrum [0, ..., 0, 1] and no solve. A density
+    matrix is solved once, and the rows of a stack are grouped by rank, so
+    each row's factor has exactly its own rank's columns."""
+    if not isinstance(state, PureState):
+        state = as_density(state)
+    if state.dim != channel.dim_in:
         raise StructuralError(
-            f"channel expects input dimension {channel.dim_in}, state has {rho.dim}"
+            f"channel expects input dimension {channel.dim_in}, state has {state.dim}"
         )
     require_valid_channel(channel)
-    w, u = clamped_spectrum(rho)
-    stack, dim = w.shape[:-1], rho.dim
-    w, u = w.reshape(-1, dim), u.reshape(-1, dim, dim)
     kraus = np.stack(channel.kraus_ops, axis=-3)  # ([N,] env, out, in)
+    if isinstance(state, PureState):
+        amplitudes = state.amplitudes
+        if np.min(np.linalg.norm(amplitudes, axis=-1)) ** 2 <= TAU_SUPP:
+            raise PreconditionError("cannot purify the zero matrix")
+        w = np.zeros(amplitudes.shape)
+        w[..., -1] = 1.0
+        return _output_information(kraus, amplitudes[..., None]), w
+    w, u = clamped_spectrum(state)
+    stack, dim = w.shape[:-1], state.dim
+    w, u = w.reshape(-1, dim), u.reshape(-1, dim, dim)
     info = np.empty(len(w))
     for rows, _ in _support_groups(w):
         psi = _purification((w[rows], u[rows]))
-        # F[b, i, j] = sum_a K_j[b, a] psi[a, i]
-        factor = np.einsum("...jba,...ai->...bij", kraus[rows] if kraus.ndim == 4 else kraus, psi)
-        _, _, w_joint, (w_b, _), (w_r, _) = _factor_spectra(factor)
-        info[rows] = _spectra_divergence(w_joint, w_b, w_b, w_r, w_r)
+        info[rows] = _output_information(kraus[rows] if kraus.ndim == 4 else kraus, psi)
     info = info.reshape(stack)
     return (info if stack else float(info)), w.reshape(stack + (dim,))
 
 
+def _output_information(kraus: np.ndarray, psi: np.ndarray) -> float | np.ndarray:
+    """H(rho_BR || rho_B x rho_R) for the channel with Kraus operators ``kraus``
+    (env, out, in) applied to the purification with amplitudes ``psi``
+    (in, rank); either may carry a leading stack axis."""
+    # F[b, i, j] = sum_a K_j[b, a] psi[a, i]
+    factor = np.einsum("...jba,...ai->...bij", kraus, psi)
+    _, _, w_joint, (w_b, _), (w_r, _) = _factor_spectra(factor)
+    return _spectra_divergence(w_joint, w_b, w_b, w_r, w_r)
+
+
 def coherent_information(state: State, channel: KrausChannel) -> float:
     """I_c(rho, Phi) = I(rho, Phi) - H(rho), in nats, for a trace-preserving
-    channel; rho is solved once for both terms."""
-    mi, eigenvalues = _information_and_spectrum(as_density(state), channel)
+    channel; rho is solved once for both terms, and a pure rho not at all."""
+    mi, eigenvalues = _information_and_spectrum(state, channel)
     return mi - _entropy_from_eigs(eigenvalues)
 
 
@@ -286,20 +306,32 @@ def conditional_entropy_via_coherent_info(
     given+remainder marginal. This is an independent route to the same number
     as :func:`qentropy.entropy.conditional_entropy` and is kept separate so
     the two can be cross-checked.
+
+    A :class:`~.states.PureState` is taken as built, never densified: it is
+    pure when its squared norm is within ``TAU_PURE`` of 1, row by row, and
+    its given+remainder marginal is reduced from its amplitudes. A density
+    matrix is pure when its largest eigenvalue, from one values-only solve,
+    is at least 1 - ``TAU_PURE``.
     """
-    rho = as_density(state)
-    top = clamped_spectrum(rho, vectors=False)[0][..., -1].reshape(-1)
-    if top.min() < 1.0 - TAU_PURE:
-        first = top[np.argmax(top < 1.0 - TAU_PURE)]
-        raise PreconditionError(f"state must be pure; largest eigenvalue is {first:.12f}")
-    _, labels_g, rest = rho.layout.split(target, given)
+    if isinstance(state, PureState):
+        squares = np.linalg.norm(state.amplitudes, axis=-1).reshape(-1) ** 2
+        off = np.abs(squares - 1.0) > TAU_PURE
+        if off.any():
+            first = squares[np.argmax(off)]
+            raise PreconditionError(f"state must be pure; squared norm is {first:.12f}")
+    else:
+        top = clamped_spectrum(state, vectors=False)[0][..., -1].reshape(-1)
+        if top.min() < 1.0 - TAU_PURE:
+            first = top[np.argmax(top < 1.0 - TAU_PURE)]
+            raise PreconditionError(f"state must be pure; largest eigenvalue is {first:.12f}")
+    _, labels_g, rest = state.layout.split(target, given)
     if not rest:
         raise PreconditionError(
             "need a nonempty remainder group to trace out; the pure state must "
             "extend beyond target and conditioning subsystems"
         )
-    kept = rho.layout.normalize_labels(labels_g + rest)
-    rho_gr = partial_trace(rho, kept)
+    kept = state.layout.normalize_labels(labels_g + rest)
+    rho_gr = partial_trace(state, kept)
     trace_rest = trace_out_channel(rho_gr.layout, keep=labels_g)
     return -coherent_information(rho_gr, trace_rest)
 

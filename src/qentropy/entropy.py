@@ -87,10 +87,12 @@ def _rounded(total: float | np.ndarray) -> float | np.ndarray:
 
 
 def von_neumann_entropy(rho: State) -> float:
-    """H(rho) = -Tr rho ln rho, in nats. Exactly 0.0 for pure states, read off
-    the renormalized 1 x 1 Gram matrix of their factor, [[1.0]]."""
+    """H(rho) = -Tr rho ln rho, in nats. Exactly 0.0 for a pure state (zeros for
+    a stack) once its weight passes the degenerate-weight check, with no solve."""
     if isinstance(rho, PureState):
-        return _entropy_from_eigs(_factor_spectra(rho.amplitudes[..., None, None])[2])
+        weight = np.linalg.norm(rho.amplitudes, axis=-1) ** 2
+        _retained(float(weight.min()), "the state")
+        return np.zeros(weight.shape) if weight.ndim else 0.0
     return _entropy_from_eigs(clamped_spectrum(rho)[0])
 
 

@@ -12,10 +12,10 @@ The trial-based checks are entries of one table (layout labels, defaults,
 named fixed trials, per-trial draw, margin) run by one runner; the
 continuity check follows a deterministic schedule as one trial. The runner
 draws each trial from its own seed, then evaluates the trials in stacks:
-consecutive random trials, up to a fixed cap, go through the margin in one
-call with every state stacked on a leading axis, and each named fixed trial
-is a stack of its own. A stack yields the same per-trial margins as
-evaluating its trials one by one.
+consecutive random trials, as many as a fixed budget of matrix entries
+holds, go through the margin in one call with every state stacked on a
+leading axis, and each named fixed trial is a stack of its own. A stack
+yields the same per-trial margins as evaluating its trials one by one.
 
 Each check declares its parameters and their defaults once, and
 :func:`run_check` is the only place that fills, validates, coerces and
@@ -26,7 +26,7 @@ Reproducibility contract: trial i uses seed ``master_seed XOR i``, every
 report embeds its full effective config, and re-running a config reproduces
 the report exactly (see :func:`replay_report`). Stacking is not part of the
 config: it changes no arithmetic, so a report does not depend on the stack
-cap.
+size.
 """
 
 from __future__ import annotations
@@ -386,9 +386,15 @@ _TRIAL_CHECKS: dict[str, _TrialCheck] = {
 }  # fmt: skip
 
 
-# the most random trials evaluated in one stack: the stacks' memory stays
-# small while the per-call cost is paid once per stack
-_STACK_CAP = 16
+# the complex entries one stack of random trials may hold, D x D per trial on
+# a D-dimensional layout: the per-call cost is paid once per stack, and a
+# stack's matrices stay small whatever the check's dimension
+_STACK_ENTRIES = 4096
+
+
+def _stack_size(layout: SubsystemLayout) -> int:
+    """How many random trials of a check on ``layout`` one stack evaluates."""
+    return max(1, _STACK_ENTRIES // layout.total_dim**2)
 
 
 def _stacked(column: Sequence[Any]) -> Any:
@@ -422,10 +428,10 @@ def _run_trials(config: _Config) -> PropertyReport:
     results = []
     for label, args in check.fixed(generator(seed), layout, config):
         results += _evaluate(check, [(label, seed)], [args])
-    for start in range(0, config["trials"], _STACK_CAP):
+    size = _stack_size(layout)
+    for start in range(0, config["trials"], size):
         named = [
-            (str(i), trial_seed(seed, i))
-            for i in range(start, min(start + _STACK_CAP, config["trials"]))
+            (str(i), trial_seed(seed, i)) for i in range(start, min(start + size, config["trials"]))
         ]
         drawn = [check.draw(generator(ts), layout, config) for _, ts in named]
         results += _evaluate(check, named, drawn)

@@ -15,7 +15,8 @@ must for every state, while a real leak above that scale reads as infinite.
 TAU_HERM = 1e-10    # max |rho - rho^dagger|
 TAU_TRACE = 1e-10   # |Tr rho - 1|
 TAU_PSD = 1e-9      # eigenvalues below -TAU_PSD are a hard error
-TAU_PURE = 1e-8     # a pure state's largest eigenvalue is at least 1 - TAU_PURE
+TAU_PURE = 1e-8     # a pure density matrix's largest eigenvalue is at least
+                    # 1 - TAU_PURE; a PureState's squared norm is within it of 1
 
 # Relative-entropy support handling
 TAU_SUPP = 1e-11       # eigenvalues <= this count as zero; dim * this bounds leaked mass

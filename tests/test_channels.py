@@ -24,6 +24,7 @@ from qentropy.entropy import (
 from qentropy.errors import InvalidChannelError, PreconditionError, StructuralError
 from qentropy.states import (
     DensityMatrix,
+    PureState,
     SubsystemLayout,
     as_density,
     partial_trace,
@@ -35,6 +36,7 @@ from qentropy.states import (
 )
 
 LN2 = np.log(2.0)
+LAYOUT_2_3_4 = SubsystemLayout((("A", 2), ("B", 3), ("C", 4)))
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -260,6 +262,48 @@ class TestPurify:
             purify(zero)
 
 
+class TestPureInput:
+    # a pure input is its own purification: its amplitudes as a (D, 1) column
+
+    @pytest.mark.parametrize("measure", [channel_mutual_information, coherent_information])
+    def test_agrees_with_the_density_route(self, measure):
+        for seed in range(10):
+            psi = random_pure_state(single("A", 4), seed=seed)
+            channel = random_channel(4, 3, 2, seed=seed + 20)
+            assert abs(measure(psi, channel) - measure(psi.as_density(), channel)) <= 1e-12
+
+    def test_bell_pair_is_never_densified(self, solve_calls):
+        # one Kraus pair on the 4-dimensional Bell pair: the 2 x 2 Gram matrix,
+        # values only, and the two unfoldings' SVDs, (3, 2) and (1, 6)
+        channel = random_channel(4, 3, 2, seed=1)
+        value = channel_mutual_information(bell(2), channel)
+        assert [(name, shape) for name, shape, _ in solve_calls] == [
+            ("eigvalsh", (2, 2)),
+            ("svd", (3, 2)),
+            ("svd", (1, 6)),
+        ]
+        assert abs(value - channel_mutual_information(as_density(bell(2)), channel)) <= 1e-12
+
+    def test_coherent_information_subtracts_an_exact_zero(self):
+        psi = random_pure_state(single("A", 3), seed=2)
+        channel = random_channel(3, 3, 2, seed=4)
+        assert coherent_information(psi, channel) == channel_mutual_information(psi, channel)
+
+    def test_stack_matches_its_rows(self):
+        layout = single("A", 3)
+        rows = [random_pure_state(layout, seed=seed) for seed in range(3)]
+        stack = PureState(np.stack([row.amplitudes for row in rows]), layout)
+        channel = random_channel(3, 2, 2, seed=5)
+        assert list(coherent_information(stack, channel)) == [
+            coherent_information(row, channel) for row in rows
+        ]
+
+    def test_zero_input_rejected(self):
+        zero = PureState(np.zeros(2), single("A", 2))
+        with pytest.raises(PreconditionError, match="cannot purify the zero matrix"):
+            channel_mutual_information(zero, identity_channel(2))
+
+
 class TestChannelMutualInformation:
     def test_identity_on_maximally_mixed(self):
         val = channel_mutual_information(maximally_mixed(2), identity_channel(2))
@@ -331,6 +375,11 @@ class TestNonTracePreservingChannel:
         with pytest.raises(InvalidChannelError, match=r"trace_preserving \(defect 7\.500e-01\)"):
             measure(rho, KrausChannel([0.5 * np.eye(2)]))
 
+    def test_pure_input_rejected(self, measure):
+        psi = random_pure_state(single("A", 2), seed=1)
+        with pytest.raises(InvalidChannelError, match=r"trace_preserving \(defect 7\.500e-01\)"):
+            measure(psi, KrausChannel([0.5 * np.eye(2)]))
+
     def test_stack_with_one_bad_row_rejected(self, measure):
         good = random_channel(2, 2, 2, seed=3)
         bad = KrausChannel([0.5 * k for k in good.kraus_ops])
@@ -378,13 +427,41 @@ class TestConditionalEntropyViaCoherentInfo:
         )
         assert via_channel == pytest.approx(direct, abs=1e-7)
 
-    def test_purity_check_solves_for_values_only(self, eigh_sizes, vector_solve_sizes):
-        # the pure state is 24 x 24; only its largest eigenvalue is read
-        layout = SubsystemLayout((("A", 2), ("B", 3), ("C", 4)))
-        psi = random_pure_state(layout, seed=3)
+    def test_pure_state_solves_no_matrix_of_its_dimension(self, eigh_sizes):
+        # the pure state lives on 24 dimensions; its purity is read off its norm
+        # and its A x B marginal is reduced from its amplitudes
+        psi = random_pure_state(LAYOUT_2_3_4, seed=3)
         conditional_entropy_via_coherent_info(psi, target="C", given="A")
+        assert eigh_sizes[24] == 0
+
+    def test_density_input_gets_one_values_only_purity_solve(
+        self, eigh_sizes, vector_solve_sizes
+    ):
+        # a 24 x 24 density matrix: only its largest eigenvalue is read
+        rho = random_pure_state(LAYOUT_2_3_4, seed=3).as_density()
+        conditional_entropy_via_coherent_info(rho, target="C", given="A")
         assert eigh_sizes[24] == 1
         assert vector_solve_sizes[24] == 0
+
+    def test_pure_and_density_inputs_agree(self):
+        for seed in range(10):
+            psi = random_pure_state(LAYOUT_2_3_4, seed=seed)
+            pure = conditional_entropy_via_coherent_info(psi, target="C", given="A")
+            dense = conditional_entropy_via_coherent_info(psi.as_density(), "C", "A")
+            assert abs(pure - dense) <= 1e-12
+
+    @pytest.mark.parametrize("squared_norm", [0.9, 1.1])
+    def test_pure_state_off_unit_norm_rejected(self, squared_norm):
+        psi = random_pure_state(LAYOUT_2_3_4, seed=3)
+        scaled = PureState(np.sqrt(squared_norm) * psi.amplitudes, psi.layout)
+        with pytest.raises(PreconditionError, match=f"squared norm is {squared_norm:.12f}"):
+            conditional_entropy_via_coherent_info(scaled, target="C", given="A")
+
+    def test_stack_with_one_short_row_rejected(self):
+        psi = random_pure_state(LAYOUT_2_3_4, seed=3).amplitudes
+        stack = PureState(np.stack([psi, np.sqrt(0.9) * psi, psi]), LAYOUT_2_3_4)
+        with pytest.raises(PreconditionError, match=r"squared norm is 0\.9000"):
+            conditional_entropy_via_coherent_info(stack, target="C", given="A")
 
     def test_mixed_state_rejected(self):
         layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))

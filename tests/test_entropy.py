@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qentropy.catalog import bell, classical_correlated, ghz
+from qentropy.catalog import bell, build_state, classical_correlated, ghz
 from qentropy.channels import conditional_entropy_via_coherent_info
 from qentropy.entropy import (
     _product_divergence,
@@ -18,7 +18,7 @@ from qentropy.entropy import (
     relative_entropy,
     von_neumann_entropy,
 )
-from qentropy.errors import PreconditionError, StructuralError
+from qentropy.errors import DegenerateTruncationError, PreconditionError, StructuralError
 from qentropy.states import (
     DensityMatrix,
     PureState,
@@ -55,14 +55,27 @@ def vs_product(rho, first, second):
 
 
 class TestVonNeumannEntropy:
-    def test_pure_state_zero(self):
-        # exactly 0.0, complex amplitudes too: the renormalized 1 x 1 Gram
-        # matrix of a pure state is [[1.0]]; a stack gives a 0.0 per row
+    def test_pure_state_zero(self, solve_calls):
+        # exactly 0.0, complex amplitudes too, with no solve: a stack gives a
+        # 0.0 per row
         layout = single("A", 4)
         rows = [random_pure_state(layout, seed=seed).amplitudes for seed in range(20)]
         for row in rows:
             assert von_neumann_entropy(PureState(row, layout)) == 0.0
         assert np.array_equal(von_neumann_entropy(PureState(np.stack(rows), layout)), np.zeros(20))
+        assert solve_calls == []
+
+    def test_deep_pure_state_solves_nothing(self, solve_calls):
+        # a 160000-dimensional TMSV: no SVD of its amplitude column
+        assert von_neumann_entropy(build_state("tmsv:nbar=10,cutoff=400")) == 0.0
+        assert solve_calls == []
+
+    def test_zero_pure_state_is_degenerate(self):
+        # the weight check the sweep's steps pass: a zero row of a stack raises
+        layout = single("A", 2)
+        stack = PureState(np.array([[1.0, 0.0], [0.0, 0.0]]), layout)
+        with pytest.raises(DegenerateTruncationError, match="of the state"):
+            von_neumann_entropy(stack)
 
     def test_maximally_mixed(self):
         for d in (2, 3, 5):

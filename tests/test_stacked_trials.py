@@ -3,11 +3,13 @@
 The reference is the runner the stacks replace: every fixed and random trial
 goes through its check's margin on its own, unstacked args. Stacking changes
 no arithmetic, so reports must be equal, not merely close. The remaining
-tests pin the stack cap's effect on solves and the per-row behaviour of the
-stacked spectrum, purification and channel paths.
+tests pin the entry budget's stack sizes, their effect on solves and memory,
+and the per-row behaviour of the stacked spectrum, purification and channel
+paths.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -100,6 +102,14 @@ class TestAgainstReference:
         assert report_to_dict(report) == report_to_dict(reference_report(report.config))
 
     @pytest.mark.parametrize("name", TRIAL_CHECKS)
+    def test_report_is_equal_past_one_default_stack(self, name):
+        # one full stack at the default budget and a last stack of one trial
+        check = harness._TRIAL_CHECKS[name]
+        trials = harness._stack_size(SubsystemLayout(zip(check.labels, check.dims))) + 1
+        report = run_check(name, seed=7, trials=trials)
+        assert report_to_dict(report) == report_to_dict(reference_report(report.config))
+
+    @pytest.mark.parametrize("name", TRIAL_CHECKS)
     def test_report_is_equal_on_another_shape(self, name):
         report = run_check(name, seed=5, trials=17, **OTHER_SHAPES[name])
         assert report_to_dict(report) == report_to_dict(reference_report(report.config))
@@ -111,20 +121,46 @@ class TestAgainstReference:
         assert as_tuples(trials) == as_tuples(reference_trials(report.config))
 
 
-class TestStackCap:
+class TestStackBudget:
+    def test_default_stack_sizes(self):
+        sizes = {
+            name: harness._stack_size(SubsystemLayout(zip(check.labels, check.dims)))
+            for name, check in harness._TRIAL_CHECKS.items()
+        }
+        # 4096 entries over D x D per trial
+        assert sizes == {
+            "duality": 64,
+            "bound": 50,
+            "coherent-duality": 50,
+            "monotonicity": 64,
+            "concavity": 113,
+            "subadditivity": 16,
+            "formula-standard": 113,
+            "formula-coherent": 113,
+        }
+
+    def test_a_budget_below_one_trial_still_stacks_one(self, monkeypatch):
+        monkeypatch.setattr(harness, "_STACK_ENTRIES", 1)
+        assert harness._stack_size(SubsystemLayout([("A", 5)])) == 1
+
     @pytest.mark.parametrize("name", TRIAL_CHECKS)
-    @pytest.mark.parametrize("cap", [1, 5])
-    def test_reports_do_not_depend_on_the_cap(self, monkeypatch, name, cap):
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_reports_do_not_depend_on_the_stack_size(self, monkeypatch, name, size):
         expected = report_to_dict(run_check(name, seed=3, trials=17))
-        monkeypatch.setattr(harness, "_STACK_CAP", cap)
+        # a tiny budget: `size` trials on the check's default layout
+        dim = math.prod(harness._TRIAL_CHECKS[name].dims)
+        monkeypatch.setattr(harness, "_STACK_ENTRIES", size * dim**2)
         assert report_to_dict(run_check(name, seed=3, trials=17)) == expected
 
-    @pytest.mark.parametrize("cap", [None, 5])
-    def test_bound_solves_each_matrix_once_per_stack(self, monkeypatch, solve_calls, cap):
-        if cap is not None:
-            monkeypatch.setattr(harness, "_STACK_CAP", cap)
+    @pytest.mark.parametrize("budget", [None, 5 * 81])
+    def test_bound_solves_each_matrix_once_per_stack(self, monkeypatch, solve_calls, budget):
+        if budget is not None:
+            monkeypatch.setattr(harness, "_STACK_ENTRIES", budget)
         run_check("bound", trials=64)
-        stacks = math.ceil(64 / harness._STACK_CAP)
+        # 64 trials on the default 3 x 3: two stacks (50 and 14) at the default
+        # budget, thirteen at five trials each
+        stacks = math.ceil(64 / harness._stack_size(SubsystemLayout([("A", 3), ("C", 3)])))
+        assert stacks == (2 if budget is None else 13)
         # per stack: H(C|A)'s two 3 x 3 marginals and 9 x 9 joint, whose target
         # spectrum also gives H(rho_C), for the random trials and one product
         # state on the default 3 x 3; the pure Bell pair is read off its Schmidt
@@ -138,6 +174,28 @@ class TestStackCap:
         run_check("bound", trials=3)
         # the Bell pair is the only trial with 2 x 2 marginals, and solves none
         assert {call[1][-1] for call in solve_calls} == {3, 9}
+
+    def test_formula_coherent_solves_no_purification_sized_matrix(self, solve_calls):
+        # the purifications of the 6 x 6 draws live on 2 x 3 x 6 = 36 dimensions
+        # and are taken as built: no 36 x 36 projector is solved, and the largest
+        # eigensolve is the 12 x 12 marginal on A and the reference
+        run_check("formula-coherent")
+        assert all(36 not in shape for _, shape, _ in solve_calls)
+        assert max(shape[-1] for name, shape, _ in solve_calls if name != "svd") == 12
+
+    @pytest.mark.parametrize("name", sorted(harness.CHECKS))
+    def test_each_default_check_peaks_below_1_5_mb(self, name):
+        # larger stacks must not creep into the suite's peak memory: the largest
+        # peak, formula-coherent's, is about 1.4 MB at seed 1
+        # a short run first, so first-use imports are not counted
+        run_check(name, seed=1, **({"trials": 1} if name in harness._TRIAL_CHECKS else {}))
+        tracemalloc.start()
+        try:
+            run_check(name, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 def _stack(*states):

@@ -75,16 +75,17 @@ INVOCATIONS: dict[str, list[str]] = {
     "check-continuity-bell": _check("--property", "continuity", "--base", "bell"),
     "check-duality-dims": _check("--property", "duality", "--dims", "3,2,2"),
     "check-coherent-env": _check("--property", "coherent-duality", "--env-dim", "2"),
-    # 17 trials leave a partial last stack, on shapes other than the defaults
+    # a partial last stack, on shapes other than the defaults: 4096 // D^2
+    # trials per stack, 113 at D = 6 and 256 at D = 4
     "check-formula-coherent-stack": _check(
-        "--property", "formula-coherent", "--trials", "17", "--dims", "3,2", "--seed", "5"
+        "--property", "formula-coherent", "--trials", "120", "--dims", "3,2", "--seed", "5"
     ),
     "check-coherent-duality-stack": _check(
-        "--property", "coherent-duality", "--trials", "17", "--dims", "2,3", "--env-dim", "2",
+        "--property", "coherent-duality", "--trials", "120", "--dims", "2,3", "--env-dim", "2",
         "--seed", "5",
     ),
     "check-subadditivity-stack": _check(
-        "--property", "subadditivity", "--trials", "17", "--dims", "1,2,2,1", "--seed", "5"
+        "--property", "subadditivity", "--trials", "260", "--dims", "1,2,2,1", "--seed", "5"
     ),
     "converge-tmsv": _converge("converge-tmsv"),
     "converge-tmsv-short": _converge(
