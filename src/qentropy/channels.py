@@ -42,6 +42,7 @@ from .states import (
     ValidationReport,
     Violation,
     _freeze,
+    _regrouped,
     _support_groups,
     as_density,
     clamped_spectrum,
@@ -165,25 +166,9 @@ def trace_out_channel(layout: SubsystemLayout, keep: LabelSet) -> KrausChannel:
         raise StructuralError("trace_out_channel needs a nonempty kept label set")
     if not traced:
         raise StructuralError("trace_out_channel needs at least one traced subsystem")
-    dims = layout.dims
-    d = layout.total_dim
-    kept_pos = [layout.index_of(lab) for lab in kept]
-    traced_pos = [layout.index_of(lab) for lab in traced]
-    kept_dims = [dims[p] for p in kept_pos]
-    traced_dims = [dims[p] for p in traced_pos]
-    d_keep = int(np.prod(kept_dims))
-    d_traced = int(np.prod(traced_dims))
-
-    multi = np.array(np.unravel_index(np.arange(d), dims))
-    kept_flat = np.ravel_multi_index(tuple(multi[kept_pos]), kept_dims)
-    traced_flat = np.ravel_multi_index(tuple(multi[traced_pos]), traced_dims)
-    ops = []
-    for t in range(d_traced):
-        k = np.zeros((d_keep, d), dtype=np.complex128)
-        cols = np.nonzero(traced_flat == t)[0]
-        k[kept_flat[cols], cols] = 1.0
-        ops.append(k)
-    return KrausChannel(ops)
+    # row x of the identity, regrouped: rows[x, k, t] = 1 iff x indexes |k>|t>
+    rows = _regrouped(np.eye(layout.total_dim), layout, (kept, traced), 1)
+    return KrausChannel(rows[:, :, t].T for t in range(rows.shape[-1]))
 
 
 def purify(rho: DensityMatrix, reference_label: str = "R") -> PureState:
@@ -310,8 +295,8 @@ def conditional_entropy_via_coherent_info(
     A :class:`~.states.PureState` is taken as built, never densified: it is
     pure when its squared norm is within ``TAU_PURE`` of 1, row by row, and
     its given+remainder marginal is reduced from its amplitudes. A density
-    matrix is pure when its largest eigenvalue, from one values-only solve,
-    is at least 1 - ``TAU_PURE``.
+    matrix is pure when its trace is within ``TAU_TRACE`` of 1 and its largest
+    eigenvalue, from one values-only solve, is at least 1 - ``TAU_PURE``.
     """
     if isinstance(state, PureState):
         squares = np.linalg.norm(state.amplitudes, axis=-1).reshape(-1) ** 2
@@ -320,6 +305,10 @@ def conditional_entropy_via_coherent_info(
             first = squares[np.argmax(off)]
             raise PreconditionError(f"state must be pure; squared norm is {first:.12f}")
     else:
+        trace = np.trace(as_density(state).entries, axis1=-2, axis2=-1).reshape(-1)
+        off = np.abs(trace - 1.0) > TAU_TRACE
+        if off.any():
+            raise PreconditionError(f"state must be pure; trace is {trace[np.argmax(off)]:.12f}")
         top = clamped_spectrum(state, vectors=False)[0][..., -1].reshape(-1)
         if top.min() < 1.0 - TAU_PURE:
             first = top[np.argmax(top < 1.0 - TAU_PURE)]
@@ -330,8 +319,7 @@ def conditional_entropy_via_coherent_info(
             "need a nonempty remainder group to trace out; the pure state must "
             "extend beyond target and conditioning subsystems"
         )
-    kept = state.layout.normalize_labels(labels_g + rest)
-    rho_gr = partial_trace(state, kept)
+    rho_gr = partial_trace(state, labels_g + rest)
     trace_rest = trace_out_channel(rho_gr.layout, keep=labels_g)
     return -coherent_information(rho_gr, trace_rest)
 

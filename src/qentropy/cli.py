@@ -162,12 +162,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         mode=args.mode,
     )
     points = result["points"]
-    doc: dict[str, Any] = {
-        "kind": "sweep",
-        "config": result["config"],
-        "summary": result["summary"],
-        "points": sweep_rows(points),
-    }
+    doc: dict[str, Any] = {**result, "points": sweep_rows(points)}
     if not args.no_timestamp:
         doc["timestamp"] = _timestamp()
     json_payload = dumps_document(doc)

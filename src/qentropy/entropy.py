@@ -42,11 +42,12 @@ from .states import (
     LabelSet,
     PureState,
     State,
+    _reduced,
+    _regrouped,
     _support_groups,
     as_density,
     clamped_spectrum,
     partial_trace,
-    permute_subsystems,
     single,
 )
 from .tolerances import NEG_CLAMP, TAU_LAMBDA, TAU_SUPP
@@ -295,15 +296,11 @@ def _grouped(rho: State, first: LabelSet, second: LabelSet) -> DensityMatrix | n
     over the leftover labels (its purifier), real if no amplitude is complex."""
     labels_1, labels_2, rest = rho.layout.split(first, second)
     if isinstance(rho, DensityMatrix):
-        return permute_subsystems(partial_trace(rho, labels_1 + labels_2), labels_1 + labels_2)
-    stack = rho.amplitudes.shape[:-1]
-    order = [len(stack) + rho.layout.index_of(label) for label in labels_1 + labels_2 + rest]
-    amplitudes = rho.amplitudes.reshape(stack + rho.layout.dims)
-    amplitudes = amplitudes.transpose([*range(len(stack)), *order])
+        return _reduced(rho, labels_1 + labels_2)
+    amplitudes = rho.amplitudes
     if not np.count_nonzero(amplitudes.imag):
         amplitudes = amplitudes.real
-    d_first, d_rest = (math.prod(map(rho.layout.dim_of, labels)) for labels in (labels_1, rest))
-    return amplitudes.reshape(stack + (d_first, -1, d_rest))
+    return _regrouped(amplitudes, rho.layout, (labels_1, labels_2, rest), 1)
 
 
 def _mutual_information(rho: State, first: LabelSet, second: LabelSet) -> tuple[float, np.ndarray]:

@@ -5,11 +5,15 @@ subsystems are ordered, and a basis vector of the composite space is indexed
 row-major over that order, i.e. ``|i_0, i_1, ..., i_{N-1}>`` maps to the flat
 index ``i_0 * d_1 * ... * d_{N-1} + ... + i_{N-1}``. This is exactly the
 ordering of ``numpy.kron`` applied left to right.
+
+``_regrouped`` is the one place the convention is applied: partial traces,
+permutations, the label groups of every bipartition and the trace-out channel
+all regroup the composite index through it.
 """
 
 from __future__ import annotations
 
-import string
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
@@ -22,53 +26,43 @@ from .tolerances import TAU_HERM, TAU_PSD, TAU_SUPP, TAU_TRACE
 
 LabelSet = Union[str, Iterable[str]]
 
-_EINSUM_LETTERS = string.ascii_lowercase + string.ascii_uppercase
-
 
 @dataclass(frozen=True)
 class SubsystemLayout:
-    """Ordered, labeled tensor factorization of a Hilbert space."""
+    """Ordered, labeled tensor factorization of a Hilbert space.
+
+    ``labels`` and ``dims`` are the two columns of ``subsystems``, split once.
+    """
 
     subsystems: tuple[tuple[str, int], ...]
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, subsystems: Iterable[tuple[str, int]]):
         subs = tuple((str(label), int(dim)) for label, dim in subsystems)
         if not subs:
             raise StructuralError("layout needs at least one subsystem")
-        labels = [label for label, _ in subs]
+        labels, dims = zip(*subs)
         if len(set(labels)) != len(labels):
-            raise StructuralError(f"duplicate subsystem labels in {labels}")
+            raise StructuralError(f"duplicate subsystem labels in {list(labels)}")
         for label, dim in subs:
             if dim < 1:
                 raise StructuralError(f"subsystem {label!r} has dimension {dim} < 1")
         object.__setattr__(self, "subsystems", subs)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.subsystems)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.subsystems)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
 
     @property
     def total_dim(self) -> int:
-        out = 1
-        for _, dim in self.subsystems:
-            out *= dim
-        return out
+        return math.prod(self.dims)
 
     def dim_of(self, label: str) -> int:
-        for name, dim in self.subsystems:
-            if name == label:
-                return dim
-        raise StructuralError(f"unknown subsystem label {label!r}; have {self.labels}")
+        return self.dims[self.index_of(label)]
 
     def index_of(self, label: str) -> int:
-        for i, (name, _) in enumerate(self.subsystems):
-            if name == label:
-                return i
-        raise StructuralError(f"unknown subsystem label {label!r}; have {self.labels}")
+        if label not in self.labels:
+            raise StructuralError(f"unknown subsystem label {label!r}; have {self.labels}")
+        return self.labels.index(label)
 
     def normalize_labels(self, labels: LabelSet) -> tuple[str, ...]:
         """Resolve a label or iterable of labels to layout order; reject unknowns."""
@@ -338,65 +332,65 @@ def tensor(rho: State, sigma: State) -> DensityMatrix:
     return DensityMatrix(np.kron(rho.entries, sigma.entries), layout)
 
 
+def _regrouped(
+    a: np.ndarray, layout: SubsystemLayout, groups: Sequence[Sequence[str]], sides: int
+) -> np.ndarray:
+    """Amplitudes (..., D) (``sides=1``) or a matrix (..., D, D) (``sides=2``) on
+    ``layout``, with its subsystem axes put in the order of the label ``groups``
+    and each group flattened to one axis: (..., d_g1, d_g2, ...) per side.
+    Every label lies in exactly one group; an empty group is an axis of size 1.
+
+    The one place the composite index convention is applied.
+    """
+    stack = a.shape[: a.ndim - sides]
+    n = len(layout.subsystems)
+    order = [layout.index_of(label) for group in groups for label in group]
+    axes = [*range(len(stack))]
+    axes += [len(stack) + side * n + i for side in range(sides) for i in order]
+    sizes = tuple(math.prod(layout.dim_of(label) for label in group) for group in groups)
+    try:
+        tensor_form = a.reshape(stack + layout.dims * sides)
+    except ValueError as exc:
+        raise StructuralError(f"cannot regroup a layout of {n} subsystems: {exc}") from exc
+    return tensor_form.transpose(axes).reshape(stack + sizes * sides)
+
+
+def _reduced(rho: State, kept: Sequence[str]) -> DensityMatrix:
+    """``rho`` on the labels ``kept``, in that order, every other label traced out.
+
+    A pure state's is M M^dagger for its amplitudes M grouped as (kept, traced),
+    so it is densified only when ``kept`` is its whole layout, in order.
+    """
+    if tuple(kept) == rho.layout.labels:
+        return as_density(rho)
+    traced = tuple(label for label in rho.layout.labels if label not in kept)
+    layout = SubsystemLayout((label, rho.layout.dim_of(label)) for label in kept)
+    if isinstance(rho, PureState):
+        m = _regrouped(rho.amplitudes, rho.layout, (kept, traced), 1)
+        return DensityMatrix(m @ m.conj().swapaxes(-1, -2), layout)
+    m = _regrouped(rho.entries, rho.layout, (kept, traced) if traced else (kept,), 2)
+    return DensityMatrix(np.einsum("...itjt->...ij", m) if traced else m, layout)
+
+
 def partial_trace(rho: State, keep: LabelSet) -> DensityMatrix:
     """Reduced state on ``keep`` (kept subsystems stay in their original order).
 
-    A pure state's is M M^dagger for its amplitudes M grouped as (kept,
-    traced), so a pure state is densified only when nothing is traced out.
+    A pure state is densified only when nothing is traced out.
     """
     kept = rho.layout.normalize_labels(keep)
     if not kept:
         raise StructuralError("partial_trace needs a nonempty set of kept labels")
-    if len(kept) == len(rho.layout.labels):
-        return as_density(rho)
-    dims = rho.layout.dims
-    layout = SubsystemLayout([(label, rho.layout.dim_of(label)) for label in kept])
-    if isinstance(rho, PureState):
-        stack = rho.amplitudes.shape[:-1]
-        traced = [len(stack) + i for i, label in enumerate(rho.layout.labels) if label not in kept]
-        m = np.moveaxis(rho.amplitudes.reshape(stack + dims), traced, range(-len(traced), 0))
-        m = m.reshape(stack + (layout.total_dim, -1))
-        return DensityMatrix(m @ m.conj().swapaxes(-1, -2), layout)
-    n = len(dims)
-    if 2 * n > len(_EINSUM_LETTERS):
-        raise StructuralError(f"too many subsystems for partial trace: {n}")
-    stack = rho.entries.shape[:-2]
-    tensor_form = rho.entries.reshape(stack + dims + dims)
-    bra = list(_EINSUM_LETTERS[:n])
-    ket = list(_EINSUM_LETTERS[n : 2 * n])
-    out = []
-    kept_set = set(kept)
-    for i, label in enumerate(rho.layout.labels):
-        if label in kept_set:
-            out.append((bra[i], ket[i]))
-        else:
-            ket[i] = bra[i]
-    spec = "..." + "".join(bra) + "".join(ket) + "->..." + "".join(b for b, _ in out) + "".join(
-        k for _, k in out
-    )
-    d = layout.total_dim
-    return DensityMatrix(np.einsum(spec, tensor_form).reshape(stack + (d, d)), layout)
+    return _reduced(rho, kept)
 
 
 def permute_subsystems(rho: State, new_order: Sequence[str]) -> DensityMatrix:
     """Reorder tensor factors; ``new_order`` must be a permutation of the labels."""
     rho = as_density(rho)
-    if tuple(new_order) == rho.layout.labels:
-        return rho
     if sorted(new_order) != sorted(rho.layout.labels):
         raise StructuralError(
             f"{list(new_order)} is not a permutation of {list(rho.layout.labels)}"
         )
-    dims = rho.layout.dims
-    n = len(dims)
-    stack = rho.entries.shape[:-2]
-    lead = list(range(len(stack)))
-    perm = [len(stack) + rho.layout.index_of(label) for label in new_order]
-    tensor_form = rho.entries.reshape(stack + dims + dims)
-    shuffled = tensor_form.transpose(lead + perm + [n + p for p in perm])
-    d = rho.layout.total_dim
-    layout = SubsystemLayout([(label, rho.layout.dim_of(label)) for label in new_order])
-    return DensityMatrix(shuffled.reshape(stack + (d, d)), layout)
+    return _reduced(rho, tuple(new_order))
 
 
 def ginibre_state(

@@ -201,6 +201,18 @@ class TestTraceOutChannel:
             direct = partial_trace(rho, keep=keep)
             assert np.allclose(ch.apply(rho).entries, direct.entries, atol=1e-12)
 
+    def test_kraus_operators_follow_the_index_rule(self):
+        # |a, b, c> has row-major index 6a + 2b + c; K_b sends it to |a, c>, index 2a + c
+        layout = SubsystemLayout((("A", 2), ("B", 3), ("C", 2)))
+        ch = trace_out_channel(layout, keep=("A", "C"))
+        assert ch.env_dim == 3
+        for b, kraus in enumerate(ch.kraus_ops):
+            expected = np.zeros((4, 12))
+            for a in range(2):
+                for c in range(2):
+                    expected[2 * a + c, 6 * a + 2 * b + c] = 1.0
+            assert np.array_equal(kraus, expected)
+
     def test_is_trace_preserving(self):
         layout = SubsystemLayout((("A", 2), ("B", 4)))
         ch = trace_out_channel(layout, keep=("A",))
@@ -462,6 +474,14 @@ class TestConditionalEntropyViaCoherentInfo:
         stack = PureState(np.stack([psi, np.sqrt(0.9) * psi, psi]), LAYOUT_2_3_4)
         with pytest.raises(PreconditionError, match=r"squared norm is 0\.9000"):
             conditional_entropy_via_coherent_info(stack, target="C", given="A")
+
+    def test_density_off_unit_trace_rejected(self):
+        # 1.5 rho of a pure rho has largest eigenvalue 1.5, above 1 - TAU_PURE
+        layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))
+        rho = random_pure_state(layout, seed=0).as_density()
+        scaled = DensityMatrix(1.5 * rho.entries, layout)
+        with pytest.raises(PreconditionError, match=r"trace is 1\.5000"):
+            conditional_entropy_via_coherent_info(scaled, target="C", given="A")
 
     def test_mixed_state_rejected(self):
         layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))

@@ -10,7 +10,7 @@ import pytest
 
 from qentropy.channels import KrausChannel
 from qentropy.fileio import SWEEP_COLUMNS, save_channel, save_state
-from qentropy.states import DensityMatrix, single
+from qentropy.states import DensityMatrix, SubsystemLayout, single
 
 LN2 = np.log(2.0)
 
@@ -591,6 +591,42 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {args[1]} takes ")
         assert captured.out == ""
+
+    @staticmethod
+    def many_subsystems(tmp_path, n):
+        # the trivial state on n one-dimensional subsystems A, B, S2, ...
+        layout = SubsystemLayout((lab, 1) for lab in ["A", "B", *(f"S{i}" for i in range(2, n))])
+        path = tmp_path / f"many{n}.json"
+        save_state(path, DensityMatrix(np.ones((1, 1)), layout))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["compute", "converge"])
+    def test_more_subsystems_than_numpy_axes_exit_two(self, tmp_path, capsys, command):
+        # 40 subsystems make 80 matrix axes, past numpy's 64
+        from qentropy import cli
+
+        path = self.many_subsystems(tmp_path, 40)
+        argv = {
+            "compute": ["compute", "condent", path],
+            "converge": ["converge", "--state", path, "--out", str(tmp_path / "run")],
+        }[command]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "40 subsystems" in captured.err
+        assert captured.out == ""
+
+    def test_twenty_seven_subsystems_run(self, tmp_path, capsys):
+        # 54 matrix axes, within numpy's 64
+        from qentropy import cli
+
+        path = self.many_subsystems(tmp_path, 27)
+        assert cli.main(["compute", "condent", path, "--no-timestamp"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.0
+        run = str(tmp_path / "run")
+        assert cli.main(["converge", "--state", path, "--no-timestamp", "--out", run]) == 0
+        (point,) = json.loads(capsys.readouterr().out)["points"]
+        assert point["cond_entropy_nats"] == 0.0
 
     def test_non_finite_state_file(self, tmp_path):
         path = tmp_path / "nan.json"

@@ -35,6 +35,7 @@ STATE_24X24_INDENTED = "rand576-indent2.json"
 STATE_HUGE_INT = "huge-int.json"
 STATE_3PARTY = "rand24.json"
 STATE_LEADING = "leading5x4.json"
+STATE_MANY_SUBSYSTEMS = "many40.json"
 CHANNEL = "channel.json"
 
 _TRIAL_PROPERTIES = (
@@ -176,6 +177,8 @@ INVOCATIONS: dict[str, list[str]] = {
     "compute-condent-ghz-purifier": _compute(
         "condent", "ghz:parties=3", "--target", "C", "--given", "A"
     ),
+    # more matrix axes than numpy has: an error line, not a traceback
+    "compute-condent-many-subsystems": _compute("condent", STATE_MANY_SUBSYSTEMS),
 }  # fmt: skip
 
 
@@ -210,6 +213,8 @@ def _write_inputs() -> None:
     inner = random_density_matrix(4, seed=13).entries
     entries = 0.5 * np.diag(head.ravel()) + 0.5 * tail @ inner @ tail.T
     save_state(STATE_LEADING, DensityMatrix(entries, SubsystemLayout((("A", 5), ("B", 4)))))
+    many = SubsystemLayout((f"S{i}", 1) for i in range(40))
+    save_state(STATE_MANY_SUBSYSTEMS, DensityMatrix(np.ones((1, 1)), many))
 
 
 def main(argv: list[str]) -> int:
