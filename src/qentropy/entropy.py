@@ -9,21 +9,21 @@ membership is decided against fixed absolute tolerances, never by comparing
 floating-point numbers to exact zero.
 
 One support rule: containment supp(rho) <= supp(sigma) is read from the
-leaked mass Tr[(I - P_sigma) rho], computed from numbers each formula already
-has, and fails once that mass exceeds dim * ``TAU_SUPP``, the most that
-cutting a dim-dimensional spectrum at ``TAU_SUPP`` can drop. For every state
-supp(rho_XY) <= supp(rho_X) x supp(rho_Y) holds (Holevo-Shirokov): a marginal
-leaks only the eigenvalues its own cut drops, so mutual information and
-conditional entropy of a valid state are always finite, while a real leak
-above the cut reads as ``math.inf``. The rule never reads joint eigenvectors
-and never tests a projector norm.
+leaked mass Tr[(I - P_sigma) rho], the weight of rho on the eigendirections
+of sigma below ``TAU_SUPP``, and fails once that mass exceeds dim *
+``TAU_SUPP``, the most that cutting a dim-dimensional spectrum at
+``TAU_SUPP`` can drop. For every state supp(rho_XY) <= supp(rho_X) x
+supp(rho_Y) holds (Holevo-Shirokov), so mutual information and conditional
+entropy of a valid state are always finite, while a real leak above the cut
+reads as ``math.inf``. The rule never reads rho's eigenvectors.
 
-One spectrum path: each matrix is solved once by ``clamped_spectrum``, each
-spectrum is cut at the support once, every total passes one round-off rule,
-and every H(rho || first x second) is one spectra-level product divergence,
-which mutual information, conditional entropy, channel information and the
-truncation sweep share. The public :func:`relative_entropy` compares two
-states of equal subsystem dimensions.
+One spectrum path: each matrix is solved once by ``clamped_spectrum``, and
+every divergence, :func:`relative_entropy` included, is one call of
+``_spectra_divergence``, H(rho || A x B) from rho's eigenvalues, the two
+factors' eigenvalues and rho's weights on their eigendirections: the one
+place the support cut, the leak test against dim * ``TAU_SUPP`` and the
+round-off rule meet. A relative entropy against sigma is the same
+divergence against sigma x 1.
 
 One route per state: a pure state is never densified. Its amplitudes are a
 factor F, with rho = F F^dagger, and one function reads the spectra of every
@@ -52,9 +52,6 @@ from .states import (
 )
 from .tolerances import NEG_CLAMP, TAU_LAMBDA, TAU_SUPP
 
-_Spectrum = tuple[np.ndarray, np.ndarray]
-
-
 def _entropy_from_eigs(w: np.ndarray) -> float | np.ndarray:
     """-sum w ln w over the support of an ascending spectrum, or of each row of a stack.
 
@@ -67,11 +64,6 @@ def _entropy_from_eigs(w: np.ndarray) -> float | np.ndarray:
         support = rows[idx, rows.shape[-1] - kept :]
         total[idx] = -np.add.reduce(support * np.log(support), axis=-1)
     return _rounded(total.reshape(w.shape[:-1]))
-
-
-def _leaks(mass: float | np.ndarray, dim: int) -> bool | np.ndarray:
-    """The one support rule: leaked mass beyond what the support cut can drop."""
-    return mass > dim * TAU_SUPP
 
 
 def _rounded(total: float | np.ndarray) -> float | np.ndarray:
@@ -99,7 +91,7 @@ def von_neumann_entropy(rho: State) -> float:
 
 def min_supported_eigenvalue(rho: DensityMatrix) -> float:
     """Smallest eigenvalue above the support cutoff; 0.0 for the zero matrix."""
-    w, _ = clamped_spectrum(rho)
+    w, _ = clamped_spectrum(rho, vectors=False)
     support = w[w > TAU_SUPP]
     return float(support.min()) if support.size else 0.0
 
@@ -116,47 +108,18 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
             f"relative entropy needs equal subsystem dimensions, got "
             f"{rho.layout.dims} and {sigma.layout.dims}"
         )
-    return _divergence(clamped_spectrum(rho), clamped_spectrum(sigma))
+    rho = as_density(rho)
+    w_rho = clamped_spectrum(rho, vectors=False)[0]
+    w_sigma, v = clamped_spectrum(sigma)
+    # H(rho || sigma x 1): the factor 1 adds exactly 0 to the cross term
+    one = np.ones(1)
+    return _spectra_divergence(w_rho, _weights(v, rho.entries), w_sigma, one, one)
 
 
-def _divergence(spec_rho: _Spectrum, spec_sigma: _Spectrum) -> float:
-    """:func:`relative_entropy` from the two clamped spectra."""
-    (w_r, u_r), (w_s, v_s) = spec_rho, spec_sigma
-    r_mask, s_mask = w_r > TAU_SUPP, w_s > TAU_SUPP
-    lam, mu = w_r[r_mask], w_s[s_mask]
-    # overlap[i, j] = |<u_i | v_j>|^2 over the two supports
-    overlap = np.abs(u_r[:, r_mask].conj().T @ v_s[:, s_mask]) ** 2
-    # Tr[(I - P_sigma) rho] = sum_i lam_i ||(I - P_sigma) u_i||^2
-    if _leaks(lam @ (1.0 - overlap.sum(axis=1)), w_r.size):
-        return math.inf
-    return _rounded(float(np.sum(lam * np.log(lam)) - (lam @ overlap) @ np.log(mu)))
-
-
-def _product_divergence(
-    w_rho: np.ndarray,
-    red_first: np.ndarray,
-    red_second: np.ndarray,
-    spec_first: _Spectrum,
-    spec_second: _Spectrum,
-) -> float | np.ndarray:
-    """H(rho || first x second) from rho's eigenvalues, its two marginals
-    ``red_first`` and ``red_second``, and the two factors' clamped spectra.
-
-    It equals ``relative_entropy(rho, tensor(first, second))`` with the product
-    spectrum resolved per factor: ln(A x B) = ln A x I + I x ln B on
-    supp(A) x supp(B), so the cross term reduces to factor terms against rho's
-    marginals. Products of supported factor eigenvalues can sit far below the
-    support cutoff (1e-9 * 1e-9), where a joint solve could not certify them;
-    deep Fock-cutoff sweeps need this to stay finite.
-
-    The weight of each marginal on each factor eigendirection is read off the
-    eigenvectors, and :func:`_spectra_divergence` does the rest. Every input
-    may carry a leading stack axis; the value is then one per row.
-    """
-    (w_a, u_a), (w_b, u_b) = spec_first, spec_second
-    p_a = np.einsum("...ia,...ij,...ja->...a", u_a.conj(), red_first, u_a).real
-    p_b = np.einsum("...ia,...ij,...ja->...a", u_b.conj(), red_second, u_b).real
-    return _spectra_divergence(w_rho, p_a, w_a, p_b, w_b)
+def _weights(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The weight <u_a| m |u_a> of ``m`` on each column u_a of ``u``; both may
+    carry a leading stack axis."""
+    return np.einsum("...ia,...ij,...ja->...a", u.conj(), m, u).real
 
 
 def _spectra_divergence(
@@ -173,6 +136,9 @@ def _spectra_divergence(
     marginal weights the cross term needs anyway, against the dimension of
     rho's space, and rho's eigenvectors are never used: ``w_rho`` may come
     from a values-only solve, and may list only the nonzero eigenvalues.
+    Products of supported factor eigenvalues can sit far below the support
+    cutoff (1e-9 * 1e-9), where a joint solve could not certify them; deep
+    Fock-cutoff sweeps need this to stay finite.
 
     Every input may carry a leading stack axis; the value is then one per
     row. Spectra are ascending, so each support is the top of its spectrum.
@@ -194,7 +160,7 @@ def _spectra_divergence(
         )[:, 0, 0]
         lam = w_rho[rows, d_rho - k_rho :]
         value = np.add.reduce(lam * np.log(lam), axis=-1) - cross
-        value[_leaks(leaked, d_a * d_b)] = math.inf
+        value[leaked > d_a * d_b * TAU_SUPP] = math.inf
         out[rows] = value
     return _rounded(out.reshape(stack))
 
@@ -316,10 +282,12 @@ def _mutual_information(rho: State, first: LabelSet, second: LabelSet) -> tuple[
         _, _, w_joint, (w_1, _), (w_2, _) = spectra
         return _spectra_divergence(w_joint, w_1, w_1, w_2, w_2), w_1
     rho_1, rho_2 = partial_trace(grouped, first), partial_trace(grouped, second)
-    spec_1 = clamped_spectrum(rho_1)
+    w_1, u_1 = clamped_spectrum(rho_1)
+    # with vectors though only values are read: perfbench pins eigh == clamped_spectrum calls
     w_joint = clamped_spectrum(grouped)[0]
-    spec_2 = clamped_spectrum(rho_2)
-    return _product_divergence(w_joint, rho_1.entries, rho_2.entries, spec_1, spec_2), spec_1[0]
+    w_2, u_2 = clamped_spectrum(rho_2)
+    p_1, p_2 = _weights(u_1, rho_1.entries), _weights(u_2, rho_2.entries)
+    return _spectra_divergence(w_joint, p_1, w_1, p_2, w_2), w_1
 
 
 def mutual_information_states(rho: State, part_x: LabelSet, part_y: LabelSet) -> float:

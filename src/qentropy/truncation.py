@@ -12,49 +12,17 @@ state. Two correlation terms are recorded per step:
 
 Their difference equals the sum of the relative entropies between the two
 marginal pairs (see :func:`truncation_diagnostics`), so it is nonnegative
-and vanishes exactly when truncation commutes with taking marginals
-(e.g. rank-aligned truncation of a Schmidt-diagonal state).
+and vanishes exactly when truncation commutes with taking marginals.
 
-A sweep never forms the truncated state P rho P in the original space. It
-builds its basis once. The computational family keeps the state as it is;
-the eigenbasis family solves each full marginal once and rotates the state
-into the descending eigenbases, on its ket and bra indices, after which
-each marginal is the diagonal matrix of its eigenvalues. In either family
-the rank-n projector keeps the first n basis vectors, so a step compresses
-the state onto its retained subspace with the slice [:n, :k]: replacing
-P rho P by (V (x) W)^dagger rho (V (x) W) with isometries V, W changes no
-eigenvalue of the state, its marginals, or any product of them, so every
-entropy commutes with the compression while matrices shrink from d_A d_B
-to n k.
-
-A pure state is never densified by a sweep. Its amplitudes, grouped as a
-factor F of shape (d_A, d_B, r) with rho = F F^dagger, r running over the
-labels in neither side (its purifier), are rotated and sliced on their ket
-indices alone; each slice is evaluated by the same
-factor arithmetic as the pure-state entropies (``entropy._factor_spectra``):
-the weight is ||F_nk||^2 and the joint eigenvalues come from the r x r Gram
-matrix F_nk^dagger F_nk, which has the same nonzero spectrum as
-F_nk F_nk^dagger. A Schmidt-diagonal factor (r = 1, no off-diagonal nonzero,
-as a TMSV in either family) is held as its coefficients c: a step reads its
-weight, the joint spectrum [1.0] and both marginals off the slice c[:min(n, k)].
-
-A step solves only what two facts leave open:
-
-* Against its own marginals a state needs no eigenvectors:
-  Tr[rho_AB (ln rho_A (x) I)] = Tr rho_A ln rho_A, so ``h_nk`` weighs each
-  eigendirection of rho_A by its eigenvalue, and the own marginals are
-  solved for eigenvalues only. For a factor each is the squared singular
-  values of its side's rows of F_nk, zero-padded, one values-only SVD serving
-  both when r = 1 and none for Schmidt coefficients, whose marginals are
-  |c_i|^2; the marginals are never formed.
-* The form of each original marginal is decided once per sweep. One with
-  no off-diagonal nonzero, as in the eigenbasis family (its descending
-  eigenvalues) and for every Schmidt-diagonal state in the computational
-  one, is held as its diagonal: a step slices it, divides it by its own sum
-  and reads its spectrum off it, and the weights of the truncated state on
-  it are its own marginals' diagonal (for a factor, the squared row norms of
-  F). Any other marginal is held as a matrix, whose truncated block a step
-  solves once per side; the weights are then one matrix product.
+A sweep puts the state once into the basis of its projector family: the
+computational basis as it is, or the descending eigenbases of the full
+marginals. A rank-n projector keeps the first n basis vectors, so a step is
+the slice [:n, :k]; compressing by isometries changes no eigenvalue, so every
+entropy commutes with it. A pure state is held as its factor F of shape
+(d_A, d_B, r), rho = F F^dagger, r running over the labels in neither side,
+or as its Schmidt coefficients when F is diagonal, and is never densified.
+Each term of a step is one ``entropy._spectra_divergence``, and a step solves
+for eigenvectors only where a term reads them (see :class:`_Step`).
 """
 
 from __future__ import annotations
@@ -84,6 +52,7 @@ from .states import (
     SubsystemLayout,
     _clamped,
     _freeze,
+    _regrouped,
     clamped_spectrum,
     partial_trace,
     single,
@@ -243,12 +212,13 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
     """
     if mode not in PROJECTOR_MODES:
         raise PreconditionError(f"unknown projector mode {mode!r}; have {PROJECTOR_MODES}")
-    grouped = _grouped(rho, target, given)
+    labels_t, labels_g, _ = rho.layout.split(target, given)
+    grouped = _grouped(rho, labels_t, labels_g)
     if isinstance(grouped, np.ndarray):  # a factor
         joint, marginals = grouped, _marginals(grouped)
     else:
-        marginals = [partial_trace(grouped, side) for side in (target, given)]
-        joint = grouped.entries.reshape((marginals[0].dim, marginals[1].dim) * 2)
+        marginals = [partial_trace(grouped, side) for side in (labels_t, labels_g)]
+        joint = _regrouped(grouped.entries, grouped.layout, (labels_t, labels_g), 2)
     if mode == "computational":
         held = [_diagonal_or_matrix(m.entries) for m in marginals]
     else:
@@ -503,9 +473,8 @@ def truncation_diagnostics(
     """
     rank_a, rank_b = as_integer(rank_a, "rank_a"), as_integer(rank_b, "rank_b")
     step = _step(_bipartite(rho, target, given, mode), rank_a, rank_b)
-    # a divergence needs both marginals of its pair with eigenvectors; the step
-    # solved the own marginals for values only, and no tilde marginal held as
-    # a diagonal
+    # each pair is solved again: the tilde marginal with vectors, its own
+    # marginal for values
     divergence_a, divergence_b = (
         relative_entropy(
             DensityMatrix(own.density(), single("A", rank)),

@@ -8,8 +8,8 @@ import pytest
 from qentropy.catalog import bell, build_state, classical_correlated, ghz
 from qentropy.channels import conditional_entropy_via_coherent_info
 from qentropy.entropy import (
-    _product_divergence,
     _rounded,
+    _spectra_divergence,
     conditional_entropy,
     conditional_entropy_standard,
     min_supported_eigenvalue,
@@ -47,11 +47,15 @@ def pair_layout(da, db):
 
 
 def vs_product(rho, first, second):
-    """H(rho || first x second) by the product divergence; rho's subsystems
-    are first's followed by second's."""
-    red_first, red_second = (partial_trace(rho, f.layout.labels).entries for f in (first, second))
-    spectra = clamped_spectrum(first), clamped_spectrum(second)
-    return _product_divergence(clamped_spectrum(rho)[0], red_first, red_second, *spectra)
+    """H(rho || first x second) by the spectra divergence, with the weights of
+    rho's marginals on each factor's eigenvectors; rho's subsystems are
+    first's followed by second's."""
+    args = []
+    for factor in (first, second):
+        w, u = clamped_spectrum(factor)
+        red = partial_trace(rho, factor.layout.labels).entries
+        args += [np.einsum("ia,ij,ja->a", u.conj(), red, u).real, w]
+    return _spectra_divergence(clamped_spectrum(rho)[0], *args)
 
 
 class TestVonNeumannEntropy:
@@ -116,6 +120,11 @@ class TestMinSupportedEigenvalue:
         psi = PureState(np.array([1.0, 0.0]), single("A", 2))
         assert min_supported_eigenvalue(psi) == pytest.approx(1.0, abs=1e-12)
 
+    def test_solves_for_values_only(self, eigh_sizes, vector_solve_sizes):
+        min_supported_eigenvalue(random_density_matrix(5, seed=4))
+        assert eigh_sizes == {5: 1}
+        assert vector_solve_sizes == {}
+
 
 class TestRelativeEntropy:
     def test_self_distance_zero(self):
@@ -165,6 +174,13 @@ class TestRelativeEntropy:
                 partial_trace(rho, keep=("A",)), partial_trace(sigma, keep=("A",))
             )
             assert reduced <= full + 1e-8
+
+    def test_solves_sigma_with_vectors_and_rho_for_values(self, solve_calls):
+        layout = pair_layout(2, 3)
+        rho = random_density_matrix(6, seed=3, layout=layout)
+        sigma = random_density_matrix(6, seed=4, layout=layout)
+        relative_entropy(rho, sigma)
+        assert sorted(call[:2] for call in solve_calls) == [("eigh", (6, 6)), ("eigvalsh", (6, 6))]
 
     def test_dimension_mismatch(self):
         with pytest.raises(StructuralError):

@@ -2,7 +2,7 @@
 
 The reference is the straightforward route the sweep's shortcuts replace: it
 compresses with ``np.kron(V, W)``, solves every matrix as complex Hermitian
-with eigenvectors, and feeds the same product-divergence formula. The
+with eigenvectors, and feeds the same spectra divergence. The
 shortcuts (one rotation into the basis, then slicing; real symmetric solves,
 values-only joint and own-marginal solves, the singular values of a pure
 factor, diagonal tilde marginals read off their diagonal) may move only
@@ -27,7 +27,7 @@ from qentropy.catalog import (
     tmsv,
     werner,
 )
-from qentropy.entropy import _entropy_from_eigs, _grouped, _product_divergence
+from qentropy.entropy import _entropy_from_eigs, _grouped, _spectra_divergence
 from qentropy.fileio import load_state, save_state
 from qentropy.states import (
     DensityMatrix,
@@ -116,6 +116,15 @@ def kron_compressed(rho, basis_a, basis_b, n, k, target="A", given="B"):
     )
 
 
+def product_divergence(w_joint, red_a, red_b, spec_a, spec_b):
+    """H(joint || A x B) from the joint eigenvalues, the joint's marginals and
+    the factors' spectra: each marginal's weight on each factor eigenvector."""
+    args = []
+    for red, (w, u) in ((red_a, spec_a), (red_b, spec_b)):
+        args += [np.einsum("ia,ij,ja->a", u.conj(), red, u).real, w]
+    return _spectra_divergence(w_joint, *args)
+
+
 def reference_sweep(rho, schedule, mode, target="A", given="B", bases=None):
     """(lam, cond, h_nk, h_tilde_nk, diff) per step, by the kron and complex-solve route.
 
@@ -135,8 +144,8 @@ def reference_sweep(rho, schedule, mode, target="A", given="B", bases=None):
         red_a, red_b = np.einsum("abcb->ac", t), np.einsum("abad->bd", t)
         spec_a, spec_b = complex_spectrum(red_a), complex_spectrum(red_b)
         w_joint = complex_spectrum(joint)[0]
-        h_nk = _product_divergence(w_joint, red_a, red_b, spec_a, spec_b)
-        h_tilde_nk = _product_divergence(
+        h_nk = product_divergence(w_joint, red_a, red_b, spec_a, spec_b)
+        h_tilde_nk = product_divergence(
             w_joint, red_a, red_b, complex_spectrum(tilde_a), complex_spectrum(tilde_b)
         )
         cond = -math.inf if math.isinf(h_nk) else _entropy_from_eigs(spec_a[0]) - h_nk

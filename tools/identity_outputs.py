@@ -150,6 +150,10 @@ INVOCATIONS: dict[str, list[str]] = {
     "compute-condent-werner": _compute("condent", "werner:p=0.5"),
     "compute-relent-werner": _compute("relent", "werner:p=0.3", "werner:p=0.6"),
     "compute-relent-bell": _compute("relent", "bell", "classical"),
+    # orthogonal supports: the leak verdict reads inf
+    "compute-relent-orthogonal": _compute("relent", "bell", "werner:p=1"),
+    # one state from its two files: a values-only solve of rho at dimension 576
+    "compute-relent-rand576-self": _compute("relent", STATE_24X24, STATE_24X24_INDENTED),
     "compute-entropy-thermal": _compute("entropy", "thermal:nbar=2,cutoff=40"),
     # an entry no float can hold: a parse error, not a traceback
     "compute-entropy-huge-int": _compute("entropy", STATE_HUGE_INT),
