@@ -72,11 +72,6 @@ def bell(dim: int = 2) -> PureState:
     return PureState(amp, layout)
 
 
-def _singlet() -> PureState:
-    layout = SubsystemLayout([("A", 2), ("B", 2)])
-    return PureState(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0), layout)
-
-
 def ghz(parties: int = 3, dim: int = 2) -> PureState:
     """(|0..0> + .. + |d-1..d-1>)/sqrt(d) on ``parties`` subsystems labeled A, B, C, ..."""
     parties, dim = as_integer(parties, "parties"), as_integer(dim, "dim")
@@ -110,9 +105,9 @@ def werner(p: float = 0.5) -> DensityMatrix:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise PreconditionError(f"mixing parameter must lie in [0, 1], got {p}")
-    singlet = _singlet().as_density()
-    m = p * singlet.entries + (1.0 - p) * np.eye(4) / 4.0
-    return DensityMatrix(m, singlet.layout)
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    m = p * (singlet[:, None] * singlet) + (1.0 - p) * np.eye(4) / 4.0
+    return DensityMatrix(m, SubsystemLayout([("A", 2), ("B", 2)]))
 
 
 def thermal_fock(nbar: float = 1.0, cutoff: int = 30) -> DensityMatrix:

@@ -17,7 +17,7 @@ rho_BR's nonzero eigenvalues, and values-only SVDs of F its marginals', so no
 matrix of size d_out * rank is solved. That arithmetic renormalizes F, so
 channel information takes trace-preserving channels only.
 
-A channel may be a stack: Kraus operators of shape (N, d_out, d_in), one
+A channel may be a stack: Kraus operators (env, N, d_out, d_in), one
 channel per row. Channel information of a stack of N states through a stack
 of N channels, or through one channel, is evaluated in one call, one value
 per row.
@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .entropy import _entropy_from_eigs, _factor_spectra, _spectra_divergence
-from .errors import InvalidChannelError, PreconditionError, StructuralError
+from .errors import InvalidChannelError, PreconditionError, StructuralError, as_integer
 from .rng import complex_normal, generator
 from .states import (
     DensityMatrix,
@@ -55,40 +55,30 @@ from .tolerances import TAU_PURE, TAU_SUPP, TAU_TRACE
 class KrausChannel:
     """Completely positive map given by Kraus operators of a common shape.
 
-    ``env_dim`` (the number of Kraus operators) is the dimension of the
-    Stinespring environment. Construction checks structure only; whether the
-    map is trace preserving is measured by :func:`validate_channel`. Kraus
-    operators of shape (N, d_out, d_in) make a stack of N channels.
+    ``kraus_ops`` is one frozen complex128 array (env, d_out, d_in), or (env, N,
+    d_out, d_in) for a stack of N channels, copied from any iterable of the
+    operators. ``dim_in``, ``dim_out`` and ``env_dim``, the Stinespring
+    environment's dimension, are read off its shape. Construction checks
+    structure only; whether the map is trace preserving is measured by
+    :func:`validate_channel`.
     """
 
-    kraus_ops: tuple[np.ndarray, ...]
-    dim_in: int
-    dim_out: int
+    kraus_ops: np.ndarray
 
-    def __init__(
-        self,
-        kraus_ops: Iterable[np.ndarray],
-        dim_in: int | None = None,
-        dim_out: int | None = None,
-    ):
-        ops = [_freeze(k) for k in kraus_ops]
-        if not ops:
-            raise StructuralError("a channel needs at least one Kraus operator")
-        if ops[0].ndim not in (2, 3):
-            raise StructuralError(f"Kraus operator has {ops[0].ndim} axes, expected 2 or 3")
-        out, inp = ops[0].shape[-2:]
-        for a in ops:
-            if a.shape != ops[0].shape:
-                raise StructuralError(
-                    f"Kraus operators disagree in shape: {a.shape} vs {ops[0].shape}"
-                )
-        if dim_in is not None and int(dim_in) != inp:
-            raise StructuralError(f"dim_in {dim_in} does not match Kraus shape {(out, inp)}")
-        if dim_out is not None and int(dim_out) != out:
-            raise StructuralError(f"dim_out {dim_out} does not match Kraus shape {(out, inp)}")
-        object.__setattr__(self, "kraus_ops", tuple(ops))
-        object.__setattr__(self, "dim_in", inp)
-        object.__setattr__(self, "dim_out", out)
+    def __init__(self, kraus_ops: Iterable[np.ndarray]):
+        ops = list(kraus_ops)
+        shapes = sorted({np.shape(k) for k in ops})
+        if len(shapes) != 1 or len(shapes[0]) not in (2, 3):
+            raise StructuralError(f"need Kraus operators of one shape, 2 or 3 axes; got {shapes}")
+        object.__setattr__(self, "kraus_ops", _freeze(ops))
+
+    @property
+    def dim_in(self) -> int:
+        return self.kraus_ops.shape[-1]
+
+    @property
+    def dim_out(self) -> int:
+        return self.kraus_ops.shape[-2]
 
     @property
     def env_dim(self) -> int:
@@ -107,9 +97,7 @@ class KrausChannel:
             raise StructuralError(
                 f"channel expects input dimension {self.dim_in}, state has {rho.dim}"
             )
-        out = np.zeros((self.dim_out, self.dim_out), dtype=np.complex128)
-        for k in self.kraus_ops:
-            out += k @ rho.entries @ k.conj().T
+        out = sum(k @ rho.entries @ k.conj().swapaxes(-1, -2) for k in self.kraus_ops)
         return DensityMatrix(out, SubsystemLayout([(out_label, self.dim_out)]))
 
 
@@ -136,9 +124,7 @@ def stinespring(channel: KrausChannel) -> np.ndarray:
     ``Phi(rho) = Tr_E V rho V^dagger``.
     """
     require_valid_channel(channel)
-    stacked = np.stack(channel.kraus_ops)  # (env, out, in)
-    env, out, inp = stacked.shape
-    return stacked.transpose(1, 0, 2).reshape(out * env, inp)
+    return channel.kraus_ops.swapaxes(0, 1).reshape(-1, channel.dim_in)
 
 
 def complementary(channel: KrausChannel) -> KrausChannel:
@@ -149,8 +135,8 @@ def complementary(channel: KrausChannel) -> KrausChannel:
     environment via ``(K~_e)[j, a] = (K_j)[e, a]``.
     """
     require_valid_channel(channel)
-    stacked = np.stack(channel.kraus_ops)  # (env, [N,] out, in)
-    return KrausChannel(list(np.swapaxes(stacked, 0, -2)))  # (out, [N,] env, in)
+    # (env, [N,] out, in) -> (out, [N,] env, in)
+    return KrausChannel(np.swapaxes(channel.kraus_ops, 0, -2))
 
 
 def trace_out_channel(layout: SubsystemLayout, keep: LabelSet) -> KrausChannel:
@@ -168,7 +154,7 @@ def trace_out_channel(layout: SubsystemLayout, keep: LabelSet) -> KrausChannel:
         raise StructuralError("trace_out_channel needs at least one traced subsystem")
     # row x of the identity, regrouped: rows[x, k, t] = 1 iff x indexes |k>|t>
     rows = _regrouped(np.eye(layout.total_dim), layout, (kept, traced), 1)
-    return KrausChannel(rows[:, :, t].T for t in range(rows.shape[-1]))
+    return KrausChannel(rows.transpose(2, 1, 0))
 
 
 def purify(rho: DensityMatrix, reference_label: str = "R") -> PureState:
@@ -244,7 +230,7 @@ def _information_and_spectrum(
             f"channel expects input dimension {channel.dim_in}, state has {state.dim}"
         )
     require_valid_channel(channel)
-    kraus = np.stack(channel.kraus_ops, axis=-3)  # ([N,] env, out, in)
+    kraus = np.moveaxis(channel.kraus_ops, 0, -3)  # ([N,] env, out, in)
     if isinstance(state, PureState):
         amplitudes = state.amplitudes
         if np.min(np.linalg.norm(amplitudes, axis=-1)) ** 2 <= TAU_SUPP:
@@ -335,7 +321,8 @@ def haar_channel(
     slices of the resulting isometry. Requires ``dim_out * env_dim >= dim_in``
     so an isometry exists.
     """
-    dim_in, dim_out, env_dim = int(dim_in), int(dim_out), int(env_dim)
+    dim_in, dim_out = as_integer(dim_in, "dim_in"), as_integer(dim_out, "dim_out")
+    env_dim = as_integer(env_dim, "env_dim")
     if min(dim_in, dim_out, env_dim) < 1:
         raise StructuralError("dimensions and environment dimension must be positive")
     if dim_out * env_dim < dim_in:
@@ -347,8 +334,7 @@ def haar_channel(
     diag = np.diagonal(r).copy()
     diag[np.abs(diag) < TAU_SUPP] = 1.0
     v = q * (diag.conjugate() / np.abs(diag))
-    blocks = v.reshape(dim_out, env_dim, dim_in)
-    return KrausChannel([blocks[:, j, :] for j in range(env_dim)])
+    return KrausChannel(v.reshape(dim_out, env_dim, dim_in).swapaxes(0, 1))
 
 
 def random_channel(dim_in: int, dim_out: int, env_dim: int, seed: int = 0) -> KrausChannel:

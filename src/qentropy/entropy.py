@@ -44,11 +44,11 @@ from .states import (
     State,
     _reduced,
     _regrouped,
+    _spectrum,
     _support_groups,
     as_density,
     clamped_spectrum,
     partial_trace,
-    single,
 )
 from .tolerances import NEG_CLAMP, TAU_LAMBDA, TAU_SUPP
 
@@ -186,16 +186,6 @@ def _unfolded(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _marginals(factor: np.ndarray) -> tuple[DensityMatrix, DensityMatrix]:
-    """Both marginals of F F^dagger for a factor F of shape (n, k, r), or a stack
-    of them: on its first index (labelled A) and its second (labelled B)."""
-    f_a, f_b = _unfolded(factor)
-    return (
-        DensityMatrix(f_a @ f_a.conj().swapaxes(-1, -2), single("A", f_a.shape[-2])),
-        DensityMatrix(f_b @ f_b.conj().swapaxes(-1, -2), single("B", f_b.shape[-2])),
-    )
-
-
 def _factor_spectra(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple, tuple]:
     """F / ||F||, the weight ||F||^2, and the spectra of F F^dagger / ||F||^2 for a
     factor F of shape (..., n, k, r): joint, then (spectrum, rows R) for A and B.
@@ -212,9 +202,7 @@ def _factor_spectra(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     # Tr F^dagger F = ||F||^2, the weight of F F^dagger
     lam = np.trace(gram, axis1=-2, axis2=-1).real
     _retained(float(lam.min()), "the state")
-    w_joint = clamped_spectrum(
-        DensityMatrix(gram / lam[..., None, None], single("R", r)), vectors=False
-    )[0]
+    w_joint = _spectrum(gram / lam[..., None, None], vectors=False)[0]
     factor = factor / np.sqrt(lam)[..., None, None, None]
     rows_a, rows_b = _unfolded(factor)
     s_a = np.linalg.svd(rows_a, compute_uv=False)
@@ -344,5 +332,4 @@ __all__ = [
     "mutual_information_states",
     "min_supported_eigenvalue",
     "nats_to_bits",
-    "as_density",
 ]

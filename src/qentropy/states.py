@@ -9,6 +9,12 @@ ordering of ``numpy.kron`` applied left to right.
 ``_regrouped`` is the one place the convention is applied: partial traces,
 permutations, the label groups of every bipartition and the trace-out channel
 all regroup the composite index through it.
+
+One ownership rule: states at the API, arrays inside. A public constructor
+(:class:`DensityMatrix`, :class:`PureState`, ``channels.KrausChannel``) owns
+a frozen complex128 copy of what it is handed. Inside, matrices stay arrays,
+solved by ``_spectrum``; a state is built only to be handed to a caller, or
+to a public function that serves as an independent route.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidStateError, StructuralError
+from .errors import InvalidStateError, StructuralError, as_integer
 from .rng import complex_normal, generator
 from .tolerances import TAU_HERM, TAU_PSD, TAU_SUPP, TAU_TRACE
 
@@ -39,7 +45,7 @@ class SubsystemLayout:
     dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, subsystems: Iterable[tuple[str, int]]):
-        subs = tuple((str(label), int(dim)) for label, dim in subsystems)
+        subs = tuple((str(lab), as_integer(n, f"dimension of {lab!r}")) for lab, n in subsystems)
         if not subs:
             raise StructuralError("layout needs at least one subsystem")
         labels, dims = zip(*subs)
@@ -254,10 +260,14 @@ def validate(rho: DensityMatrix) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def clamped_spectrum(
-    rho: State, vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigendecomposition with hygiene applied.
+def clamped_spectrum(rho: State, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_spectrum` of a state's density matrix, or of a stack of them."""
+    return _spectrum(as_density(rho).entries, vectors)
+
+
+def _spectrum(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigendecomposition of a hermitian array (d, d), or a stack (N, d, d), real
+    or complex, with hygiene applied: the body of :func:`clamped_spectrum`.
 
     Symmetrizes, then clamps eigenvalues in [-TAU_PSD, 0] to 0. Anything
     below -TAU_PSD is not noise and raises :class:`InvalidStateError`.
@@ -267,13 +277,13 @@ def clamped_spectrum(
 
     A matrix without imaginary part is solved as a real symmetric one, about
     7x faster at dimension 900: its eigenvalues agree with the complex solve
-    to rounding, and its eigenvectors come out real.
+    to rounding, and its eigenvectors come out real, as they do for a real
+    array, which gives the same bits as a complex one with its entries.
 
     A stack of N matrices is one solve with a leading axis on both outputs;
     it is solved as real only when no row has an imaginary part, and the
     first row with an eigenvalue below -TAU_PSD raises.
     """
-    m = as_density(rho).entries
     # (m + m^dagger) / 2 built in one temporary: a stack of large states sets
     # the memory peak here
     if np.count_nonzero(m.imag):
@@ -403,8 +413,7 @@ def ginibre_state(
     Consumes the generator, so several draws per trial stay on one stream.
     """
     dim = layout.total_dim
-    if rank is None:
-        rank = dim
+    rank = dim if rank is None else as_integer(rank, "rank")
     if not 1 <= rank <= dim:
         raise StructuralError(f"rank must be in [1, {dim}], got {rank}")
     g = complex_normal(rng, (dim, rank))
@@ -419,7 +428,7 @@ def random_density_matrix(
     layout: SubsystemLayout | None = None,
 ) -> DensityMatrix:
     """Seeded Ginibre-induced random state; deterministic for a fixed seed."""
-    dim = int(dim)
+    dim = as_integer(dim, "dim")
     if layout is None:
         layout = single("A", dim)
     elif layout.total_dim != dim:

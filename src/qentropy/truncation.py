@@ -36,12 +36,12 @@ from .entropy import (
     _entropy_from_eigs,
     _factor_spectra,
     _grouped,
-    _marginals,
     _retained,
     _rounded,
     _schmidt_coefficients,
     _schmidt_spectra,
     _spectra_divergence,
+    _unfolded,
     relative_entropy,
 )
 from .errors import DegenerateTruncationError, PreconditionError, StructuralError, as_integer
@@ -49,12 +49,11 @@ from .states import (
     DensityMatrix,
     LabelSet,
     State,
-    SubsystemLayout,
     _clamped,
     _freeze,
     _regrouped,
+    _spectrum,
     clamped_spectrum,
-    partial_trace,
     single,
 )
 from .tolerances import TAU_GRAM
@@ -110,12 +109,10 @@ class ProjectorSequence:
         return cls(clamped_spectrum(rho)[1][:, ::-1])
 
 
-def _renormalized(
-    m: np.ndarray, layout: SubsystemLayout, what: str
-) -> tuple[DensityMatrix, float]:
-    """``m / Tr m`` as a state, and the weight ``Tr m``; degenerate weights raise."""
+def _renormalized(m: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """``m / Tr m`` and the weight ``Tr m``; degenerate weights raise."""
     weight = _retained(float(np.trace(m).real), what)
-    return DensityMatrix(m / weight, layout), weight
+    return m / weight, weight
 
 
 @dataclass(frozen=True)
@@ -212,17 +209,19 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
     """
     if mode not in PROJECTOR_MODES:
         raise PreconditionError(f"unknown projector mode {mode!r}; have {PROJECTOR_MODES}")
-    labels_t, labels_g, _ = rho.layout.split(target, given)
-    grouped = _grouped(rho, labels_t, labels_g)
-    if isinstance(grouped, np.ndarray):  # a factor
-        joint, marginals = grouped, _marginals(grouped)
+    labels_t, labels_g, rest = rho.layout.split(target, given)
+    if isinstance(rho, DensityMatrix):
+        # (a, b, r, a', b', r'), the leftover labels r traced out
+        joint = _regrouped(rho.entries, rho.layout, (labels_t, labels_g, rest), 2)
+        joint = np.einsum("abrcdr->abcd", joint) if rest else joint[:, :, 0, :, :, 0]
+        marginals = _axis_traces(joint)
     else:
-        marginals = [partial_trace(grouped, side) for side in (labels_t, labels_g)]
-        joint = _regrouped(grouped.entries, grouped.layout, (labels_t, labels_g), 2)
+        joint = _grouped(rho, labels_t, labels_g)
+        marginals = [rows @ rows.conj().swapaxes(-1, -2) for rows in _unfolded(joint)]
     if mode == "computational":
-        held = [_diagonal_or_matrix(m.entries) for m in marginals]
+        held = [_diagonal_or_matrix(m) for m in marginals]
     else:
-        spectra = [clamped_spectrum(m) for m in marginals]
+        spectra = [_spectrum(m) for m in marginals]
         held = [w[::-1] for w, _ in spectra]
         for axis, (_, u) in enumerate(spectra):
             basis = u[:, ::-1]
@@ -232,6 +231,11 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
         joint = np.ascontiguousarray(joint)
     coefficients = _schmidt_coefficients(joint) if joint.ndim == 3 else None
     return _Bipartite(joint if coefficients is None else coefficients, *held)
+
+
+def _axis_traces(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both marginals of a matrix with indices (a, b, a', b'): its traces over b and over a."""
+    return np.einsum("itjt->ij", block), np.einsum("titj->ij", block)
 
 
 def _diagonal_or_matrix(m: np.ndarray) -> np.ndarray:
@@ -322,20 +326,19 @@ def _truncated(
     on the representation.
 
     A matrix is sliced on its ket and bra indices and solved for its
-    eigenvalues only, and so are its marginals. A factor is sliced on its ket
-    indices and read by ``entropy._factor_spectra``: the r x r Gram matrix
-    gives the nonzero joint eigenvalues, and one values-only SVD both
-    marginal spectra when r = 1. Schmidt coefficients c are sliced to
+    eigenvalues only, and so are its marginals, its axis traces. A factor is
+    sliced on its ket indices and read by ``entropy._factor_spectra``: the
+    r x r Gram matrix gives the nonzero joint eigenvalues, and one values-only
+    SVD both marginal spectra when r = 1. Schmidt coefficients c are sliced to
     c[:min(n, k)] and read by ``entropy._schmidt_spectra``, which solves nothing.
     """
     if part.joint.ndim == 4:  # a density matrix
-        layout = SubsystemLayout([("A", rank_a), ("B", rank_b)])
         block = part.joint[:rank_a, :rank_b, :rank_a, :rank_b]
-        truncated, lam = _renormalized(block.reshape(layout.total_dim, -1), layout, "the state")
-        w_joint = clamped_spectrum(truncated, vectors=False)[0]
-        own = (partial_trace(truncated, label) for label in ("A", "B"))
-        marginals = (_Marginal(clamped_spectrum(m, vectors=False)[0], m.entries) for m in own)
-        return truncated.entries, lam, w_joint, *marginals
+        truncated, lam = _renormalized(block.reshape(rank_a * rank_b, -1), "the state")
+        w_joint = _spectrum(truncated, vectors=False)[0]
+        own = _axis_traces(truncated.reshape(block.shape))
+        marginals = (_Marginal(_spectrum(m, vectors=False)[0], m) for m in own)
+        return truncated, lam, w_joint, *marginals
     if part.joint.ndim == 1:  # Schmidt coefficients
         spectra = _schmidt_spectra(part.joint[: min(rank_a, rank_b)], rank_a, rank_b)
     else:
@@ -348,22 +351,22 @@ def _tilde(marginal: np.ndarray, rank: int, what: str) -> tuple[_Marginal, np.nd
     """The truncated, renormalized original marginal and its eigenvectors.
 
     A diagonal needs no solve: it is sliced and divided by its own sum in its
-    own dtype (a complex division rounds unlike a real one, and sweep outputs
-    are pinned to the bit), its spectrum is that slice in ascending order,
-    and its eigenvectors are standard basis vectors, returned as their
-    indices. The order is a stable sort of the reversed diagonal, so a
-    descending diagonal, as in the eigenbasis family, is read in exact
-    reverse and its ties keep that order. A matrix's block is renormalized
-    and solved once.
+    own dtype, real for a real factor (a complex division multiplies by the
+    reciprocal, and sweep outputs are pinned to the bit), its spectrum is
+    that slice in ascending order, and its eigenvectors are standard basis
+    vectors, returned as their indices. The order is a stable sort of the
+    reversed diagonal, so a descending diagonal, as in the eigenbasis family,
+    is read in exact reverse and its ties keep that order. A matrix's block
+    is renormalized and solved once.
     """
     if marginal.ndim == 1:
         block = marginal[:rank]
         diagonal = (block / _retained(float(block.sum().real), what)).real
         order = rank - 1 - np.argsort(diagonal[::-1], kind="stable")
         return _Marginal(_clamped(diagonal[order]), diagonal), order
-    tilde, _ = _renormalized(marginal[:rank, :rank], single("A", rank), what)
-    w, u = clamped_spectrum(tilde)
-    return _Marginal(w, tilde.entries), u
+    tilde, _ = _renormalized(marginal[:rank, :rank], what)
+    w, u = _spectrum(tilde)
+    return _Marginal(w, tilde), u
 
 
 def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:

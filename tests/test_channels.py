@@ -21,7 +21,7 @@ from qentropy.entropy import (
     mutual_information_states,
     von_neumann_entropy,
 )
-from qentropy.errors import InvalidChannelError, PreconditionError, StructuralError
+from qentropy.errors import InvalidChannelError, ParseError, PreconditionError, StructuralError
 from qentropy.states import (
     DensityMatrix,
     PureState,
@@ -93,15 +93,34 @@ class TestKrausChannel:
         with pytest.raises(StructuralError):
             KrausChannel([np.eye(2), np.eye(3)])
 
-    def test_declared_dims_crosschecked(self):
-        with pytest.raises(StructuralError):
-            KrausChannel([np.eye(2)], dim_in=3)
-        with pytest.raises(StructuralError):
-            KrausChannel([np.eye(2)], dim_out=3)
-
     def test_empty_rejected(self):
         with pytest.raises(StructuralError):
             KrausChannel([])
+
+    @pytest.mark.parametrize("kind", ["list", "generator", "array"])
+    def test_operators_are_one_frozen_array(self, kind):
+        ops = np.stack([np.eye(3), np.diag([1.0, 0.0, 0.0])])
+        given = {"list": list(ops), "generator": (k for k in ops), "array": ops}[kind]
+        ch = KrausChannel(given)
+        assert isinstance(ch.kraus_ops, np.ndarray)
+        assert ch.kraus_ops.dtype == np.complex128 and ch.kraus_ops.shape == (2, 3, 3)
+        assert not ch.kraus_ops.flags.writeable
+        assert np.array_equal(ch.kraus_ops, ops)
+        assert (ch.env_dim, ch.dim_out, ch.dim_in) == (2, 3, 3)
+        assert len(ch.kraus_ops) == 2 and np.array_equal(ch.kraus_ops[1], ops[1])
+
+    def test_a_stack_is_one_array_with_its_stack_axis(self):
+        channels = [random_channel(3, 2, 2, seed=seed) for seed in range(4)]
+        stack = KrausChannel(np.stack([c.kraus_ops for c in channels], axis=1))
+        assert stack.kraus_ops.shape == (2, 4, 2, 3)
+        assert (stack.env_dim, stack.dim_out, stack.dim_in) == (2, 2, 3)
+        comp = complementary(stack)
+        assert comp.kraus_ops.shape == (2, 4, 2, 3)  # (out, N, env, in)
+        rho = random_density_matrix(3, seed=5)
+        out = stack.apply(rho)
+        for row, single_channel in enumerate(channels):
+            assert np.array_equal(comp.kraus_ops[:, row], complementary(single_channel).kraus_ops)
+            assert np.allclose(out.entries[row], single_channel.apply(rho).entries, atol=1e-14)
 
     def test_rectangular_kraus(self):
         # isometry embedding a qubit into a qutrit
@@ -518,6 +537,13 @@ class TestRandomChannel:
         (k,) = ch.kraus_ops
         assert np.allclose(k.conj().T @ k, np.eye(3), atol=1e-10)
         assert np.allclose(k @ k.conj().T, np.eye(3), atol=1e-10)
+
+    def test_dimensions_follow_the_integer_rule(self):
+        ch = random_channel(np.int64(3), 2.0, np.int32(2), seed=7)
+        assert (ch.dim_in, ch.dim_out, ch.env_dim) == (3, 2, 2)
+        for dims in ((2.9, 2, 2), (2, 2.5, 2), (2, 2, 2.5), (True, 2, 2)):
+            with pytest.raises(ParseError):
+                random_channel(*dims, seed=0)
 
     def test_too_small_dilation_rejected(self):
         with pytest.raises(StructuralError):

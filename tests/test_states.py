@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qentropy.channels import KrausChannel
-from qentropy.errors import InvalidStateError, StructuralError
+from qentropy.errors import InvalidStateError, ParseError, StructuralError
 from qentropy.rng import generator
 from qentropy.states import (
     DensityMatrix,
     PureState,
     SubsystemLayout,
+    _spectrum,
     as_density,
     clamped_spectrum,
     ginibre_state,
@@ -60,6 +61,14 @@ class TestSubsystemLayout:
         assert layout.normalize_labels("B") == ("B",)
         with pytest.raises(StructuralError):
             layout.normalize_labels(("A", "A"))
+
+    def test_dimensions_follow_the_integer_rule(self):
+        layout = SubsystemLayout([("A", 2.0), ("B", np.int64(3)), ("C", np.float64(4.0))])
+        assert layout.dims == (2, 3, 4)
+        assert all(type(dim) is int for dim in layout.dims)
+        for bad in (2.5, True, "2", None):
+            with pytest.raises(ParseError):
+                SubsystemLayout([("A", bad)])
 
 
 class TestSplit:
@@ -229,6 +238,39 @@ class TestClampedSpectrum:
             assert np.max(np.abs(w_only - w_ref)) <= 1e-12
 
 
+class TestArraySpectrum:
+    """``_spectrum`` is the body of ``clamped_spectrum``: the same bits on the array."""
+
+    @staticmethod
+    def cases():
+        real = random_density_matrix(6, seed=1).entries.real  # the real part of a state
+        stack = np.stack([random_density_matrix(6, seed=seed).entries for seed in range(3)])
+        return {
+            "real": real,
+            "complex": random_density_matrix(6, seed=2).entries,
+            "real-stack": stack.real.copy(),
+            "complex-stack": stack,
+        }
+
+    @pytest.mark.parametrize("case", ["real", "complex", "real-stack", "complex-stack"])
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_matches_the_public_function_bit_for_bit(self, case, vectors):
+        m = self.cases()[case]
+        w, u = _spectrum(m, vectors)
+        w_ref, u_ref = clamped_spectrum(DensityMatrix(m, single("A", 6)), vectors)
+        assert w.tobytes() == w_ref.tobytes()
+        if vectors:
+            assert u.dtype == u_ref.dtype and u.tobytes() == u_ref.tobytes()
+        else:
+            assert u is None and u_ref is None
+
+    def test_reads_an_array_and_leaves_it_alone(self):
+        m = random_density_matrix(4, seed=3).entries.copy()
+        before = m.copy()
+        _spectrum(m)
+        assert np.array_equal(m, before)
+
+
 class TestTensor:
     def test_hand_worked_diagonal_product(self):
         a = diag_state([0.5, 0.5], single("A", 2))
@@ -378,6 +420,16 @@ class TestRandomStates:
             random_density_matrix(3, rank=4)
         with pytest.raises(StructuralError):
             random_density_matrix(3, rank=0)
+
+    def test_dimension_and_rank_follow_the_integer_rule(self):
+        assert random_density_matrix(4.0, rank=np.int64(2), seed=1).dim == 4
+        assert random_density_matrix(np.int32(3), rank=2.0, seed=1).dim == 3
+        with pytest.raises(ParseError):
+            random_density_matrix(4.7)
+        with pytest.raises(ParseError):
+            random_density_matrix(4, rank=2.6)
+        with pytest.raises(ParseError):
+            ginibre_state(generator(0), single("A", 3), rank=1.5)
 
     def test_full_rank_generic(self):
         rho = random_density_matrix(4, seed=6)

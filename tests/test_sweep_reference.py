@@ -33,8 +33,8 @@ from qentropy.states import (
     DensityMatrix,
     PureState,
     SubsystemLayout,
+    _spectrum,
     as_density,
-    clamped_spectrum,
     partial_trace,
     random_density_matrix,
     random_pure_state,
@@ -79,13 +79,13 @@ def sweep_bases(state, mode, target="A", given="B"):
     bases when it solves none."""
     solved = []
 
-    def recording(rho, vectors=True):
-        w, u = clamped_spectrum(rho, vectors)
+    def recording(m, vectors=True):
+        w, u = _spectrum(m, vectors)
         solved.append(u)
         return w, u
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(truncation, "clamped_spectrum", recording)
+        patch.setattr(truncation, "_spectrum", recording)
         part = _bipartite(state, target, given, mode)
     if mode == "computational":
         assert not solved

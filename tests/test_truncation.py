@@ -1,5 +1,7 @@
 """Tests for finite-rank truncation, convergence sweeps, and gap diagnostics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,49 @@ class TestTruncatedState:
         rho = random_density_matrix(4, seed=1, layout=pair_layout(2, 2))
         with pytest.raises(StructuralError):
             conditional_entropy_sweep(rho, "Z", "B", [(1, 1)])
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """A Counter of DensityMatrix, PureState and SubsystemLayout constructions made
+    from here on."""
+    counts: Counter = Counter()
+    for cls, method in (
+        (DensityMatrix, "__post_init__"),
+        (PureState, "__post_init__"),
+        (SubsystemLayout, "__init__"),
+    ):
+        original = getattr(cls, method)
+
+        def counted(self, *args, _cls=cls, _original=original, **kwargs):
+            counts[_cls.__name__] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, method, counted)
+    return counts
+
+
+class TestArraysInside:
+    """A sweep works on arrays: neither the split into factors nor a step builds a
+    state object or a layout."""
+
+    LAYOUT = SubsystemLayout([("A", 2), ("B", 3), ("C", 2)])
+    GROUPS = [("A", "B"), (("A", "C"), "B"), ("C", "A")]
+
+    @pytest.mark.parametrize("mode", PROJECTOR_MODES)
+    @pytest.mark.parametrize("groups", GROUPS, ids=["in-order", "reordered", "rest-first"])
+    @pytest.mark.parametrize("kind", ["dense", "factor"])
+    def test_bipartite_and_step_construct_nothing(self, kind, groups, mode, constructions):
+        if kind == "dense":
+            state = random_density_matrix(12, seed=4, layout=self.LAYOUT)
+        else:
+            state = random_pure_state(self.LAYOUT, seed=4)
+        constructions.clear()
+        part = _bipartite(state, *groups, mode)
+        assert part.joint.ndim == (4 if kind == "dense" else 3)
+        step = _step(part, 1, 2)
+        assert np.isfinite(step.h_tilde_nk)
+        assert not constructions
 
 
 class TestTmsvWeightOracle:

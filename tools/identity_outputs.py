@@ -147,6 +147,12 @@ INVOCATIONS: dict[str, list[str]] = {
     "converge-rand24": _converge(
         "converge-rand24", "--state", STATE_3PARTY, "--target", "A,C", "--given", "B", *_EIGEN
     ),
+    # computational mode on reordered labels: marginals with off-diagonal entries,
+    # traced off the grouped block and solved by the tilde step
+    "converge-rand24-computational": _converge(
+        "converge-rand24-computational", "--state", STATE_3PARTY, "--target", "A,C",
+        "--given", "B", "--min-rank", "1"
+    ),
     "compute-condent-werner": _compute("condent", "werner:p=0.5"),
     "compute-relent-werner": _compute("relent", "werner:p=0.3", "werner:p=0.6"),
     "compute-relent-bell": _compute("relent", "bell", "classical"),
