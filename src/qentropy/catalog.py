@@ -1,22 +1,24 @@
 """Named reference states with closed-form entropic behavior.
 
-Builders return :class:`PureState` for pure families and
-:class:`DensityMatrix` otherwise, and :func:`build_state` returns what the
+A pure family's builder returns a :class:`PureState`, any other a
+:class:`DensityMatrix`, and :func:`build_state` returns what the
 family builds: every entropy and every sweep takes a pure family as its
 amplitudes, and densifies it nowhere. Infinite families (thermal,
 two-mode squeezed vacuum) are truncated at a Fock cutoff and renormalized;
 their analytic tail-mass helpers quantify what the truncation discarded,
 which is what convergence sweeps measure numerically.
 
-Catalog grammar for the command line: ``name:key=value,key=value`` with
-integer, float, or bare-string values, e.g. ``tmsv:nbar=1,cutoff=30``.
+:data:`CATALOG` maps each family name to its builder. Catalog grammar for
+the command line: ``name:key=value,key=value`` with integer, float, or
+bare-string values, e.g. ``tmsv:nbar=1,cutoff=30``; the accepted keys are
+the builder's parameters.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import string
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -62,7 +64,8 @@ def tmsv_tail_mass(nbar: float, cutoff: int) -> float:
 
 
 def bell(dim: int = 2) -> PureState:
-    """Maximally entangled state (1/sqrt(d)) sum_i |ii> on labels A, B."""
+    """Maximally entangled state (1/sqrt(d)) sum_i |ii> on labels A, B:
+    H(A) = ln d, H(A|B) = -ln d and I(A:B) = 2 ln d."""
     dim = as_integer(dim, "dim")
     if dim < 2:
         raise PreconditionError(f"local dimension must be at least 2, got {dim}")
@@ -73,7 +76,8 @@ def bell(dim: int = 2) -> PureState:
 
 
 def ghz(parties: int = 3, dim: int = 2) -> PureState:
-    """(|0..0> + .. + |d-1..d-1>)/sqrt(d) on ``parties`` subsystems labeled A, B, C, ..."""
+    """(|0..0> + .. + |d-1..d-1>)/sqrt(d) on ``parties`` subsystems labeled A, B, C, ...:
+    pairwise marginals are classical, so H(C|A) = 0, while H(A|rest) = -ln d."""
     parties, dim = as_integer(parties, "parties"), as_integer(dim, "dim")
     if parties < 2:
         raise PreconditionError(f"need at least 2 parties, got {parties}")
@@ -89,7 +93,8 @@ def ghz(parties: int = 3, dim: int = 2) -> PureState:
 
 
 def classical_correlated(dim: int = 2) -> DensityMatrix:
-    """Uniform classical correlation sum_i |ii><ii| / d on labels A, B."""
+    """Uniform classical correlation sum_i |ii><ii| / d on labels A, B:
+    H(A|B) = 0 and I(A:B) = ln d."""
     dim = as_integer(dim, "dim")
     if dim < 2:
         raise PreconditionError(f"local dimension must be at least 2, got {dim}")
@@ -101,7 +106,11 @@ def classical_correlated(dim: int = 2) -> DensityMatrix:
 
 
 def werner(p: float = 0.5) -> DensityMatrix:
-    """Singlet fraction mixture p |psi-><psi-| + (1-p) I/4 on labels A, B, p in [0, 1]."""
+    """Singlet fraction mixture p |psi-><psi-| + (1-p) I/4 on labels A, B, p in [0, 1].
+
+    The joint spectrum is (1+3p)/4 once and (1-p)/4 three times; H(A|B) runs
+    from ln 2 at p = 0 to -ln 2 at p = 1.
+    """
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise PreconditionError(f"mixing parameter must lie in [0, 1], got {p}")
@@ -115,7 +124,8 @@ def thermal_fock(nbar: float = 1.0, cutoff: int = 30) -> DensityMatrix:
 
     Occupation probabilities are geometric, p_n proportional to q^n with
     q = nbar / (nbar + 1). Single subsystem labeled A. The discarded tail of
-    the untruncated distribution is :func:`thermal_tail_mass`.
+    the untruncated distribution is :func:`thermal_tail_mass`, and the entropy
+    tends to g(nbar) (:func:`g_function`) as the cutoff grows.
     """
     nbar, cutoff = float(nbar), as_integer(cutoff, "cutoff")
     if nbar < 0:
@@ -147,7 +157,9 @@ def tmsv(nbar: float | None = None, r: float | None = None, cutoff: int = 30) ->
     tanh^n r; parameterize by either the squeezing r or the mean occupation
     per mode nbar = sinh^2 r. Truncation keeps n < cutoff and renormalizes,
     so the result is exactly pure; its marginals equal the truncated thermal
-    state at the same nbar. Labels A, B.
+    state at the same nbar. Labels A, B. Untruncated, the Schmidt weights are
+    (1 - t^2) t^(2n) with t = tanh r and H(A|B) = -g(nbar) (:func:`g_function`);
+    :func:`tmsv_tail_mass` is the weight the cutoff discards.
     """
     occ = _nbar_from_params(nbar, r)
     cutoff = as_integer(cutoff, "cutoff")
@@ -164,93 +176,13 @@ def tmsv(nbar: float | None = None, r: float | None = None, cutoff: int = 30) ->
     return PureState(amp, layout)
 
 
-Builder = Callable[..., State]
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A named family: builder, accepted parameters, and analytic references.
-
-    ``references`` records closed-form values as formula strings so tests and
-    readers can see where expected numbers come from; ``tail_mass`` (when the
-    family is an infinite-dimensional surrogate) maps builder parameters to
-    the probability mass the cutoff discarded, which justifies comparison
-    tolerances.
-    """
-
-    name: str
-    description: str
-    build: Builder
-    params: tuple[str, ...]
-    references: dict[str, str] = field(default_factory=dict)
-    tail_mass: Callable[..., float] | None = None
-
-
-CATALOG: dict[str, CatalogEntry] = {
-    e.name: e
-    for e in [
-        CatalogEntry(
-            "bell",
-            "maximally entangled pair (1/sqrt(d)) sum |ii>",
-            bell,
-            ("dim",),
-            references={
-                "marginal_entropy": "ln d",
-                "cond_entropy(A|B)": "-ln d",
-                "mutual_information": "2 ln d",
-            },
-        ),
-        CatalogEntry(
-            "ghz",
-            "multipartite GHZ state",
-            ghz,
-            ("parties", "dim"),
-            references={
-                "cond_entropy(C|A)": "0 (classical pairwise marginals)",
-                "cond_entropy(A|rest)": "-ln d at full conditioning",
-            },
-        ),
-        CatalogEntry(
-            "classical",
-            "uniform classically correlated pair",
-            classical_correlated,
-            ("dim",),
-            references={"cond_entropy(A|B)": "0", "mutual_information": "ln d"},
-        ),
-        CatalogEntry(
-            "werner",
-            "singlet/maximally-mixed mixture",
-            werner,
-            ("p",),
-            references={
-                "cond_entropy(A|B) at p=1": "-ln 2",
-                "cond_entropy(A|B) at p=0": "ln 2",
-                "joint spectrum": "(1+3p)/4 once, (1-p)/4 three times",
-            },
-        ),
-        CatalogEntry(
-            "thermal",
-            "truncated thermal state",
-            thermal_fock,
-            ("nbar", "cutoff"),
-            references={
-                "entropy (cutoff -> inf)": "g(nbar) = (nbar+1) ln(nbar+1) - nbar ln nbar",
-            },
-            tail_mass=thermal_tail_mass,
-        ),
-        CatalogEntry(
-            "tmsv",
-            "truncated two-mode squeezed vacuum",
-            tmsv,
-            ("nbar", "r", "cutoff"),
-            references={
-                "cond_entropy(A|B) (cutoff -> inf)": "-g(nbar)",
-                "marginal": "thermal at nbar = sinh^2 r",
-                "schmidt_weights": "(1 - t^2) t^(2n) with t = tanh r",
-            },
-            tail_mass=tmsv_tail_mass,
-        ),
-    ]
+CATALOG: dict[str, Callable[..., State]] = {
+    "bell": bell,
+    "ghz": ghz,
+    "classical": classical_correlated,
+    "werner": werner,
+    "thermal": thermal_fock,
+    "tmsv": tmsv,
 }
 
 
@@ -297,17 +229,16 @@ def build_state(spec: str) -> State:
     name, params = parse_state_spec(spec)
     if name not in CATALOG:
         raise ParseError(f"unknown state family {name!r}; have {sorted(CATALOG)}")
-    entry = CATALOG[name]
-    unknown = set(params) - set(entry.params)
+    builder = CATALOG[name]
+    accepts = list(inspect.signature(builder).parameters)
+    unknown = set(params) - set(accepts)
     if unknown:
-        raise ParseError(
-            f"unknown parameters {sorted(unknown)} for {name!r}; accepts {list(entry.params)}"
-        )
+        raise ParseError(f"unknown parameters {sorted(unknown)} for {name!r}; accepts {accepts}")
     non_finite = [k for k, v in params.items() if isinstance(v, float) and not math.isfinite(v)]
     if non_finite:
         raise ParseError(f"non-finite parameters {non_finite} for {name!r} in {spec!r}")
     try:
-        return entry.build(**params)
+        return builder(**params)
     except QEntropyError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
@@ -315,7 +246,6 @@ def build_state(spec: str) -> State:
 
 
 __all__ = [
-    "CatalogEntry",
     "CATALOG",
     "bell",
     "ghz",

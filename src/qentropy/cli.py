@@ -21,11 +21,11 @@ from .channels import (
     require_valid_channel,
 )
 from .entropy import (
+    _min_supported,
+    _relative_entropy,
     conditional_entropy,
-    min_supported_eigenvalue,
     nats_to_bits,
     mutual_information_states,
-    relative_entropy,
     von_neumann_entropy,
 )
 from .errors import QEntropyError
@@ -218,8 +218,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     elif quantity == "relent":
         sigma = resolve_state(args.sigma)
         inputs["sigma"] = args.sigma
-        value = relative_entropy(rho, sigma)
-        extras["min_supported_sigma_eigenvalue"] = min_supported_eigenvalue(sigma)
+        value, w_sigma = _relative_entropy(rho, sigma)
+        extras["min_supported_sigma_eigenvalue"] = _min_supported(w_sigma)
     elif quantity == "cohinfo":
         value = coherent_information(rho, channel)
     elif args.channel is not None:

@@ -17,13 +17,17 @@ supp(rho_Y) holds (Holevo-Shirokov), so mutual information and conditional
 entropy of a valid state are always finite, while a real leak above the cut
 reads as ``math.inf``. The rule never reads rho's eigenvectors.
 
-One spectrum path: each matrix is solved once by ``clamped_spectrum``, and
-every divergence, :func:`relative_entropy` included, is one call of
-``_spectra_divergence``, H(rho || A x B) from rho's eigenvalues, the two
-factors' eigenvalues and rho's weights on their eigendirections: the one
-place the support cut, the leak test against dim * ``TAU_SUPP`` and the
-round-off rule meet. A relative entropy against sigma is the same
-divergence against sigma x 1.
+One spectrum path: each matrix is solved once, by ``states._spectrum``. A
+state handed in goes through its public wrapper ``clamped_spectrum``, an
+internal array (a Gram matrix) through ``_spectrum`` itself; the dense
+branch of ``_mutual_information`` solves its marginals as states, with
+vectors, so that perfbench's count of ``eigh`` calls equals its count of
+``clamped_spectrum`` calls. Every divergence, :func:`relative_entropy`
+included, is one call of ``_spectra_divergence``, H(rho || A x B) from
+rho's eigenvalues, the two factors' eigenvalues and rho's weights on their
+eigendirections: the one place the support cut, the leak test against
+dim * ``TAU_SUPP`` and the round-off rule meet. A relative entropy against
+sigma is the same divergence against sigma x 1.
 
 One route per state: a pure state is never densified. Its amplitudes are a
 factor F, with rho = F F^dagger, and one function reads the spectra of every
@@ -91,7 +95,11 @@ def von_neumann_entropy(rho: State) -> float:
 
 def min_supported_eigenvalue(rho: DensityMatrix) -> float:
     """Smallest eigenvalue above the support cutoff; 0.0 for the zero matrix."""
-    w, _ = clamped_spectrum(rho, vectors=False)
+    return _min_supported(clamped_spectrum(rho, vectors=False)[0])
+
+
+def _min_supported(w: np.ndarray) -> float:
+    """Smallest entry of a spectrum above ``TAU_SUPP``; 0.0 if there is none."""
     support = w[w > TAU_SUPP]
     return float(support.min()) if support.size else 0.0
 
@@ -103,6 +111,11 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     dim * ``TAU_SUPP``. Both arguments must have the same subsystem
     dimensions, in the same order; their labels may differ.
     """
+    return _relative_entropy(rho, sigma)[0]
+
+
+def _relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[float, np.ndarray]:
+    """:func:`relative_entropy`, and sigma's clamped eigenvalues from the same solve."""
     if rho.layout.dims != sigma.layout.dims:
         raise StructuralError(
             f"relative entropy needs equal subsystem dimensions, got "
@@ -113,7 +126,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     w_sigma, v = clamped_spectrum(sigma)
     # H(rho || sigma x 1): the factor 1 adds exactly 0 to the cross term
     one = np.ones(1)
-    return _spectra_divergence(w_rho, _weights(v, rho.entries), w_sigma, one, one)
+    return _spectra_divergence(w_rho, _weights(v, rho.entries), w_sigma, one, one), w_sigma
 
 
 def _weights(u: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -34,6 +34,8 @@ import json
 import json.decoder
 import json.scanner
 import math
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -47,6 +49,7 @@ from .truncation import SweepPoint
 STATE_KIND = "density_matrix"
 CHANNEL_KIND = "channel"
 
+# one column per SweepPoint field, in field order
 SWEEP_COLUMNS = (
     "schedule_index",
     "rank_A",
@@ -264,20 +267,11 @@ def _csv_table(columns: Sequence[str], rows: Iterable[dict[str, Any]]) -> str:
     return buf.getvalue()
 
 
+_point_fields = attrgetter(*(f.name for f in fields(SweepPoint)))
+
+
 def sweep_rows(points: Iterable[SweepPoint]) -> list[dict[str, Any]]:
-    return [
-        {
-            "schedule_index": p.schedule_index,
-            "rank_A": p.rank_a,
-            "rank_B": p.rank_b,
-            "lambda": p.lam,
-            "cond_entropy_nats": p.cond_entropy_nats,
-            "h_nk": p.h_nk,
-            "h_tilde_nk": p.h_tilde_nk,
-            "diff": p.diff,
-        }
-        for p in points
-    ]
+    return [dict(zip(SWEEP_COLUMNS, _point_fields(p), strict=True)) for p in points]
 
 
 def sweep_to_csv(points: Sequence[SweepPoint]) -> str:

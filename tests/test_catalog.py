@@ -1,5 +1,7 @@
 """Tests for the named-state catalog, the spec grammar, and truncation tail masses."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -229,18 +231,37 @@ class TestCatalogRegistry:
             report = validate(as_density(state))
             assert report.ok, f"{name}: {report.describe()}"
 
-    def test_references_present(self):
-        for name, entry in CATALOG.items():
-            assert entry.description
-            assert entry.references
-            for key, value in entry.references.items():
-                assert isinstance(key, str) and key
-                assert isinstance(value, str) and value
+    def test_catalog_maps_names_to_builders(self):
+        assert CATALOG == {
+            "bell": bell,
+            "ghz": ghz,
+            "classical": classical_correlated,
+            "werner": werner,
+            "thermal": thermal_fock,
+            "tmsv": tmsv,
+        }
 
-    def test_tail_mass_only_for_truncated_families(self):
-        assert CATALOG["thermal"].tail_mass is not None
-        assert CATALOG["tmsv"].tail_mass is not None
-        assert CATALOG["bell"].tail_mass is None
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("bell", "unknown parameters ['bogus'] for 'bell'; accepts ['dim']"),
+            ("ghz", "unknown parameters ['bogus'] for 'ghz'; accepts ['parties', 'dim']"),
+            ("classical", "unknown parameters ['bogus'] for 'classical'; accepts ['dim']"),
+            ("werner", "unknown parameters ['bogus'] for 'werner'; accepts ['p']"),
+            ("thermal", "unknown parameters ['bogus'] for 'thermal'; accepts ['nbar', 'cutoff']"),
+            ("tmsv", "unknown parameters ['bogus'] for 'tmsv'; accepts ['nbar', 'r', 'cutoff']"),
+        ],
+    )
+    def test_accepted_keys_are_the_builder_parameters(self, name, message):
+        with pytest.raises(ParseError) as info:
+            build_state(f"{name}:bogus=1")
+        assert str(info.value) == message
+        keyword = [
+            p.name
+            for p in inspect.signature(CATALOG[name]).parameters.values()
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        ]
+        assert message.endswith(f"accepts {keyword}")
 
 
 class TestSpecGrammar:

@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface via subprocess."""
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -312,6 +311,32 @@ class TestComputeCommand:
         assert doc["value"] == "inf"
         assert doc["min_supported_sigma_eigenvalue"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_relent_solves_each_state_once(self, tmp_path, monkeypatch, capsys):
+        # rho values-only, sigma with vectors; sigma's smallest supported
+        # eigenvalue is read off the spectrum the divergence used
+        from qentropy import cli
+        from qentropy.states import random_density_matrix
+
+        rho = tmp_path / "rand576.json"
+        sigma = tmp_path / "rand576-indent2.json"
+        square = SubsystemLayout((("A", 24), ("B", 24)))
+        save_state(rho, random_density_matrix(576, seed=201, layout=square))
+        sigma.write_text(json.dumps(json.loads(rho.read_text()), indent=2), encoding="utf-8")
+        solves = []
+        for kind in ("eigh", "eigvalsh"):
+
+            def counted(m, *args, _kind=kind, _solve=getattr(np.linalg, kind), **kwargs):
+                solves.append((_kind, m.shape))
+                return _solve(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, kind, counted)
+        argv = ["compute", "relent", str(rho), str(sigma), "--no-timestamp"]
+        assert cli.main(argv) == 0
+        assert sorted(solves) == [("eigh", (576, 576)), ("eigvalsh", (576, 576))]
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["value"] == pytest.approx(0.0, abs=1e-10)
+        assert doc["min_supported_sigma_eigenvalue"] > 0
+
     def test_relent_needs_sigma(self):
         proc = run_cli("compute", "relent", "bell")
         assert proc.returncode == 2
@@ -501,11 +526,10 @@ class TestMalformedInput:
         # a builder whose array cannot be allocated, without allocating one
         from qentropy import catalog, cli
 
-        def too_big(**params):
+        def too_big(dim=2):
             raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
-        entry = dataclasses.replace(catalog.CATALOG["bell"], build=too_big)
-        monkeypatch.setitem(catalog.CATALOG, "bell", entry)
+        monkeypatch.setitem(catalog.CATALOG, "bell", too_big)
         assert cli.main(["compute", "entropy", "bell:dim=100000"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: Unable to allocate 74.5 GiB for an array\n"

@@ -1,5 +1,6 @@
 """Tests for on-disk state/channel documents, JSON hygiene, and sweep CSV output."""
 
+import dataclasses
 import json
 import math
 
@@ -271,6 +272,19 @@ class TestChannelDocuments:
 
 
 class TestSweepSerialization:
+    def test_one_column_per_point_field_in_order(self):
+        names = [f.name for f in dataclasses.fields(SweepPoint)]
+        assert dict(zip(SWEEP_COLUMNS, names, strict=True)) == {
+            "schedule_index": "schedule_index",
+            "rank_A": "rank_a",
+            "rank_B": "rank_b",
+            "lambda": "lam",
+            "cond_entropy_nats": "cond_entropy_nats",
+            "h_nk": "h_nk",
+            "h_tilde_nk": "h_tilde_nk",
+            "diff": "diff",
+        }
+
     def test_rows_match_columns(self):
         rows = sweep_rows(sample_points())
         for row in rows:

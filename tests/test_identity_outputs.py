@@ -37,8 +37,8 @@ def test_paths_are_relative_and_outputs_do_not_collide():
             assert os.sep not in args.out
             outs.append(args.out)
     assert len(outs) == len(set(outs))
-    # the tool's own files are NAME.stdout and NAME.exit
-    assert not {o.rsplit(".", 1)[-1] for o in outs} & {"stdout", "exit"}
+    # the tool's own files are NAME.stdout, NAME.stderr and NAME.exit
+    assert not {o.rsplit(".", 1)[-1] for o in outs} & {"stdout", "stderr", "exit"}
 
 
 def test_loading_the_tool_leaves_the_environment_alone():

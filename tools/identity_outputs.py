@@ -12,10 +12,11 @@ Runs ``qentropy.cli.main`` of the ``qentropy`` found on ``sys.path`` in this
 process, once per entry of :data:`INVOCATIONS`, with OUTDIR as the working
 directory and relative paths only, so no output embeds a directory name.
 The seeded input files are written first, by the same ``qentropy``. For
-invocation NAME it writes ``NAME.stdout`` and ``NAME.exit``; files named by
-``--out`` land in OUTDIR beside them. An invocation that raises instead of
-returning is recorded with exit code 1, as the command line would end, and
-its traceback goes to this tool's stderr. BLAS is pinned to one thread
+invocation NAME it writes ``NAME.stdout``, ``NAME.stderr`` and ``NAME.exit``,
+so an exit-2 ``error:`` line is compared too; files named by ``--out`` land
+in OUTDIR beside them. An invocation that raises instead of returning is
+recorded with exit code 1, as the command line would end, and its traceback
+goes to this tool's own stderr. BLAS is pinned to one thread
 before numpy loads, so eigensolves round the same way on every run.
 """
 
@@ -189,6 +190,12 @@ INVOCATIONS: dict[str, list[str]] = {
     ),
     # more matrix axes than numpy has: an error line, not a traceback
     "compute-condent-many-subsystems": _compute("condent", STATE_MANY_SUBSYSTEMS),
+    # the catalog's error lines: a key its builder does not take, a family it
+    # does not have, and both parameterizations of the squeezing at once
+    "compute-entropy-bell-unknown-key": _compute("entropy", "bell:cutoff=3"),
+    "compute-condent-tmsv-unknown-key": _compute("condent", "tmsv:nbar=1,eta=0.7"),
+    "compute-entropy-unknown-family": _compute("entropy", "squeezed-cat"),
+    "compute-condent-tmsv-nbar-and-r": _compute("condent", "tmsv:nbar=1,r=1"),
 }  # fmt: skip
 
 
@@ -241,17 +248,18 @@ def main(argv: list[str]) -> int:
     os.chdir(argv[0])
     _write_inputs()
     for name, args in INVOCATIONS.items():
-        out = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         try:
-            with contextlib.redirect_stdout(out):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = qentropy_main(args)
         except Exception:
+            # raised after the redirects closed: the traceback is the tool's own
             traceback.print_exc()
             code = 1
-        with open(f"{name}.stdout", "w", encoding="utf-8") as fh:
-            fh.write(out.getvalue())
-        with open(f"{name}.exit", "w", encoding="utf-8") as fh:
-            fh.write(f"{code}\n")
+        outputs = {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": f"{code}\n"}
+        for suffix, text in outputs.items():
+            with open(f"{name}.{suffix}", "w", encoding="utf-8") as fh:
+                fh.write(text)
     return 0
 
 
