@@ -226,10 +226,14 @@ def _factor_spectra(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _schmidt_coefficients(factor: np.ndarray) -> np.ndarray | None:
     """The diagonal c_i = F[..., i, i, 0] of a factor of shape (..., n, k, 1) with no
     off-diagonal nonzero, its Schmidt coefficients; None for any other factor."""
-    if factor.shape[-1] != 1:
-        return None
-    diagonal = np.diagonal(factor[..., 0], axis1=-2, axis2=-1)
-    return diagonal.copy() if np.count_nonzero(factor) == np.count_nonzero(diagonal) else None
+    return _diagonal(factor[..., 0]) if factor.shape[-1] == 1 else None
+
+
+def _diagonal(m: np.ndarray) -> np.ndarray | None:
+    """A copy of the diagonal of ``m``, or of each matrix in a stack, when ``m``
+    has no off-diagonal nonzero; None otherwise."""
+    diagonal = np.diagonal(m, axis1=-2, axis2=-1)
+    return diagonal.copy() if np.count_nonzero(m) == np.count_nonzero(diagonal) else None
 
 
 def _schmidt_spectra(

@@ -593,11 +593,9 @@ def run_converge(
     if schedule is None:
         top = min(full) if max_rank is None else as_integer(max_rank, "max_rank")
         schedule = diagonal_schedule(min(as_integer(min_rank, "min_rank"), top), top, stride)
-    pairs = _validate_schedule(schedule)
-    last = pairs[-1]
-    # a schedule that stops short of full rank gets one more step; one that
-    # runs past it is left for the sweep to reject
-    extra = [full] if last != full and last[0] <= full[0] and last[1] <= full[1] else []
+    pairs = _validate_schedule(schedule, full)
+    # a schedule that stops short of full rank gets one more step
+    extra = [full] if pairs[-1] != full else []
     points = conditional_entropy_sweep(rho, target_labels, given_labels, pairs + extra, mode=mode)
     base_value = points[-1].cond_entropy_nats
     points = points[: len(pairs)]

@@ -11,8 +11,10 @@ state. Two correlation terms are recorded per step:
   renormalized marginals of the ORIGINAL state.
 
 Their difference equals the sum of the relative entropies between the two
-marginal pairs (see :func:`truncation_diagnostics`), so it is nonnegative
-and vanishes exactly when truncation commutes with taking marginals.
+marginal pairs, so it is nonnegative and vanishes exactly when truncation
+commutes with taking marginals. :func:`truncation_diagnostics` reads both
+divergences off the step's own spectra and weights, through the same kernel;
+the tests check them against a dense ``relative_entropy`` of each pair.
 
 A sweep puts the state once into the basis of its projector family: the
 computational basis as it is, or the descending eigenbases of the full
@@ -33,6 +35,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .entropy import (
+    _diagonal,
     _entropy_from_eigs,
     _factor_spectra,
     _grouped,
@@ -42,7 +45,6 @@ from .entropy import (
     _schmidt_spectra,
     _spectra_divergence,
     _unfolded,
-    relative_entropy,
 )
 from .errors import DegenerateTruncationError, PreconditionError, StructuralError, as_integer
 from .states import (
@@ -54,7 +56,6 @@ from .states import (
     _regrouped,
     _spectrum,
     clamped_spectrum,
-    single,
 )
 from .tolerances import TAU_GRAM
 
@@ -153,9 +154,12 @@ def diagonal_schedule(min_rank: int, max_rank: int, stride: int = 1) -> list[tup
     return [(n, n) for n in range(min_rank, max_rank + 1, stride)]
 
 
-def _validate_schedule(schedule: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+def _validate_schedule(
+    schedule: Sequence[tuple[int, int]], dims: tuple[int, int]
+) -> list[tuple[int, int]]:
     """The schedule as int pairs, read by :func:`~.errors.as_integer`; it must
-    be nonempty, positive and strictly increasing."""
+    be nonempty, positive, strictly increasing and within the factor
+    dimensions ``dims``. The one rank rule, for sweeps and diagnostics alike."""
     if not schedule:
         raise PreconditionError("schedule must contain at least one rank pair")
     pairs = [(as_integer(n, "rank"), as_integer(k, "rank")) for n, k in schedule]
@@ -166,6 +170,11 @@ def _validate_schedule(schedule: Sequence[tuple[int, int]]) -> list[tuple[int, i
         if n2 < n1 or k2 < k1 or (n1, k1) == (n2, k2):
             raise PreconditionError(
                 f"schedule must be increasing; ({n2}, {k2}) does not advance ({n1}, {k1})"
+            )
+    for n, k in pairs:
+        if n > dims[0] or k > dims[1]:
+            raise PreconditionError(
+                f"rank pair ({n}, {k}) exceeds factor dimensions ({dims[0]}, {dims[1]})"
             )
     return pairs
 
@@ -219,7 +228,7 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
         joint = _grouped(rho, labels_t, labels_g)
         marginals = [rows @ rows.conj().swapaxes(-1, -2) for rows in _unfolded(joint)]
     if mode == "computational":
-        held = [_diagonal_or_matrix(m) for m in marginals]
+        held = [m if (diagonal := _diagonal(m)) is None else diagonal for m in marginals]
     else:
         spectra = [_spectrum(m) for m in marginals]
         held = [w[::-1] for w, _ in spectra]
@@ -238,12 +247,6 @@ def _axis_traces(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("itjt->ij", block), np.einsum("titj->ij", block)
 
 
-def _diagonal_or_matrix(m: np.ndarray) -> np.ndarray:
-    """A marginal's diagonal when it has no off-diagonal nonzero, else the marginal."""
-    diagonal = m.diagonal()
-    return diagonal.copy() if np.count_nonzero(m) == np.count_nonzero(diagonal) else m
-
-
 @dataclass(frozen=True)
 class _Marginal:
     """One marginal of a step, as the step reads it.
@@ -257,12 +260,6 @@ class _Marginal:
     eigenvalues: np.ndarray
     matrix: np.ndarray
     root: bool = False
-
-    def density(self) -> np.ndarray:
-        """The marginal as a matrix."""
-        if self.root:
-            return self.matrix @ self.matrix.conj().T
-        return np.diag(self.matrix) if self.matrix.ndim == 1 else self.matrix
 
     def weights(self, u: np.ndarray) -> np.ndarray:
         """The marginal's weight <u_a| m |u_a> on each column u_a of ``u``.
@@ -287,10 +284,12 @@ class _Step:
     """A compressed truncated-normalized state with weight ``lam``, and what it yields.
 
     ``joint`` is the state in its part's representation: a matrix, a factor F
-    with state F F^dagger, or Schmidt coefficients. ``own_*`` are the state's
-    marginals and ``tilde_*`` the truncated, renormalized original marginals. ``cond`` is
-    the state's H(A|B), from the spectrum of the target marginal that
-    ``h_nk`` used.
+    with state F F^dagger, or Schmidt coefficients. ``own_*`` and ``tilde_*``
+    are the ascending eigenvalues of the state's marginals and of the
+    truncated, renormalized original marginals, and ``p_*`` the own
+    marginals' weights on the tilde eigendirections, in the same order.
+    ``cond`` is the state's H(A|B), from the spectrum ``own_a`` that ``h_nk``
+    used.
 
     Two facts fix most of a step. ``h_nk`` needs no eigenvector of the
     state's own marginals: Tr[rho (ln rho_A (x) I)] = Tr rho_A ln rho_A, so
@@ -309,10 +308,12 @@ class _Step:
 
     joint: np.ndarray
     lam: float
-    own_a: _Marginal
-    own_b: _Marginal
-    tilde_a: _Marginal
-    tilde_b: _Marginal
+    own_a: np.ndarray
+    own_b: np.ndarray
+    tilde_a: np.ndarray
+    tilde_b: np.ndarray
+    p_a: np.ndarray
+    p_b: np.ndarray
     h_nk: float
     h_tilde_nk: float
     cond: float
@@ -347,8 +348,9 @@ def _truncated(
     return factor, float(lam), w_joint, *(_Marginal(w, m, factor.ndim == 3) for w, m in sides)
 
 
-def _tilde(marginal: np.ndarray, rank: int, what: str) -> tuple[_Marginal, np.ndarray]:
-    """The truncated, renormalized original marginal and its eigenvectors.
+def _tilde(marginal: np.ndarray, rank: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The truncated, renormalized original marginal's eigenvalues, ascending,
+    and its eigenvectors.
 
     A diagonal needs no solve: it is sliced and divided by its own sum in its
     own dtype, real for a real factor (a complex division multiplies by the
@@ -363,10 +365,8 @@ def _tilde(marginal: np.ndarray, rank: int, what: str) -> tuple[_Marginal, np.nd
         block = marginal[:rank]
         diagonal = (block / _retained(float(block.sum().real), what)).real
         order = rank - 1 - np.argsort(diagonal[::-1], kind="stable")
-        return _Marginal(_clamped(diagonal[order]), diagonal), order
-    tilde, _ = _renormalized(marginal[:rank, :rank], what)
-    w, u = _spectrum(tilde)
-    return _Marginal(w, tilde), u
+        return _clamped(diagonal[order]), order
+    return _spectrum(_renormalized(marginal[:rank, :rank], what)[0])
 
 
 def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
@@ -380,12 +380,11 @@ def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:
     tilde_a, u_a = _tilde(part.marginal_a, rank_a, "the target marginal")
     tilde_b, u_b = _tilde(part.marginal_b, rank_b, "the conditioning marginal")
     w_a, w_b = own_a.eigenvalues, own_b.eigenvalues
+    p_a, p_b = own_a.weights(u_a), own_b.weights(u_b)
     h_nk = _spectra_divergence(w_joint, w_a, w_a, w_b, w_b)
-    h_tilde_nk = _spectra_divergence(
-        w_joint, own_a.weights(u_a), tilde_a.eigenvalues, own_b.weights(u_b), tilde_b.eigenvalues
-    )
+    h_tilde_nk = _spectra_divergence(w_joint, p_a, tilde_a, p_b, tilde_b)
     cond = _entropy_from_eigs(w_a) - h_nk
-    return _Step(joint, lam, own_a, own_b, tilde_a, tilde_b, h_nk, h_tilde_nk, cond)
+    return _Step(joint, lam, w_a, w_b, tilde_a, tilde_b, p_a, p_b, h_nk, h_tilde_nk, cond)
 
 
 def conditional_entropy_sweep(
@@ -406,14 +405,8 @@ def conditional_entropy_sweep(
     may be a density matrix or a pure state, grouped as in
     :func:`~.entropy.conditional_entropy`; a pure state is never densified.
     """
-    pairs = _validate_schedule(schedule)
     part = _bipartite(rho, target, given, mode)
-    dim_a, dim_b = part.dims
-    for n, k in pairs:
-        if n > dim_a or k > dim_b:
-            raise PreconditionError(
-                f"rank pair ({n}, {k}) exceeds factor dimensions ({dim_a}, {dim_b})"
-            )
+    pairs = _validate_schedule(schedule, part.dims)
     points = []
     for index, (rank_a, rank_b) in enumerate(pairs):
         try:
@@ -436,7 +429,10 @@ class TruncationDiagnostics:
     ``h_tilde_nk - h_nk`` equals ``marginal_a_divergence + marginal_b_divergence``
     up to rounding: expanding both relative entropies against the common
     truncated state leaves exactly the divergences between its marginals and
-    the truncated-renormalized original marginals.
+    the truncated-renormalized original marginals. Each divergence is read
+    off the step's own spectra and weights by the one divergence kernel, so
+    nothing is solved beyond the step; the tests check each against a dense
+    ``relative_entropy`` of the two marginals.
     """
 
     rank_a: int
@@ -467,7 +463,7 @@ def truncation_diagnostics(
     """Evaluate h_nk, h_tilde_nk, and the two marginal divergences at one point.
 
     ``rho`` may be a density matrix or a pure state, evaluated as in
-    :func:`conditional_entropy_sweep`.
+    :func:`conditional_entropy_sweep`, whose rank rule the ranks follow.
 
     The divergences are finite because each projected original marginal
     dominates the corresponding marginal of the projected state: for the
@@ -475,26 +471,15 @@ def truncation_diagnostics(
     <= P rho_A P as operators, so supports are contained.
     """
     rank_a, rank_b = as_integer(rank_a, "rank_a"), as_integer(rank_b, "rank_b")
-    step = _step(_bipartite(rho, target, given, mode), rank_a, rank_b)
-    # each pair is solved again: the tilde marginal with vectors, its own
-    # marginal for values
-    divergence_a, divergence_b = (
-        relative_entropy(
-            DensityMatrix(own.density(), single("A", rank)),
-            DensityMatrix(tilde.density(), single("A", rank)),
-        )
-        for own, tilde, rank in (
-            (step.own_a, step.tilde_a, rank_a),
-            (step.own_b, step.tilde_b, rank_b),
-        )
-    )
+    part = _bipartite(rho, target, given, mode)
+    _validate_schedule([(rank_a, rank_b)], part.dims)
+    step = _step(part, rank_a, rank_b)
+    # D(own || tilde) as relative_entropy reads it: the divergence against tilde x 1
+    one = np.ones(1)
+    divergence_a = _spectra_divergence(step.own_a, step.p_a, step.tilde_a, one, one)
+    divergence_b = _spectra_divergence(step.own_b, step.p_b, step.tilde_b, one, one)
     return TruncationDiagnostics(
-        rank_a=rank_a,
-        rank_b=rank_b,
-        h_nk=step.h_nk,
-        h_tilde_nk=step.h_tilde_nk,
-        marginal_a_divergence=divergence_a,
-        marginal_b_divergence=divergence_b,
+        rank_a, rank_b, step.h_nk, step.h_tilde_nk, divergence_a, divergence_b
     )
 
 

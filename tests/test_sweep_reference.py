@@ -27,7 +27,8 @@ from qentropy.catalog import (
     tmsv,
     werner,
 )
-from qentropy.entropy import _entropy_from_eigs, _grouped, _spectra_divergence
+from qentropy.entropy import _entropy_from_eigs, _grouped, _spectra_divergence, relative_entropy
+from qentropy.errors import DegenerateTruncationError
 from qentropy.fileio import load_state, save_state
 from qentropy.states import (
     DensityMatrix,
@@ -48,6 +49,7 @@ from qentropy.truncation import (
     _step,
     conditional_entropy_sweep,
     diagonal_schedule,
+    truncation_diagnostics,
 )
 
 AGREEMENT = 1e-12  # nats
@@ -114,6 +116,13 @@ def kron_compressed(rho, basis_a, basis_b, n, k, target="A", given="B"):
         tilde_a / np.trace(tilde_a).real,
         tilde_b / np.trace(tilde_b).real,
     )
+
+
+def held_tilde(marginal, rank):
+    """The truncated, renormalized original marginal as a matrix, from the
+    part's held marginal: a 1-D diagonal or the matrix, sliced to ``rank``."""
+    block = np.diag(marginal[:rank]) if marginal.ndim == 1 else marginal[:rank, :rank]
+    return block / np.trace(block).real
 
 
 def product_divergence(w_joint, red_a, red_b, spec_a, spec_b):
@@ -334,12 +343,16 @@ def test_step_compression_equals_kron_route(make, mode):
         step = _step(part, n, k)
         joint, lam, tilde_a, tilde_b = kron_compressed(rho, basis_a, basis_b, n, k)
         assert abs(step.lam - lam) <= 1e-14
-        tildes = [(step.tilde_a.density(), tilde_a), (step.tilde_b.density(), tilde_b)]
+        tildes = [
+            (held_tilde(part.marginal_a, n), tilde_a),
+            (held_tilde(part.marginal_b, k), tilde_b),
+        ]
         for got, ref in [(step.joint, joint), *tildes]:
             if mode == "computational":  # a slice is exactly the 0/1 product
                 assert np.array_equal(got, ref)
             else:
                 assert np.max(np.abs(got - ref)) <= 1e-14
+        assert_tilde_spectra(step, tilde_a, tilde_b)
 
 
 def held_factor(joint, n, k):
@@ -375,8 +388,52 @@ def test_factored_step_equals_kron_route(make, schmidt, mode):
         columns = held_factor(step.joint, n, k).reshape(n * k, 1)
         assert abs(step.lam - lam) <= 1e-14
         assert np.max(np.abs(columns @ columns.conj().T - joint)) <= 1e-14
-        assert np.max(np.abs(step.tilde_a.density() - tilde_a)) <= 1e-14
-        assert np.max(np.abs(step.tilde_b.density() - tilde_b)) <= 1e-14
+        assert np.max(np.abs(held_tilde(part.marginal_a, n) - tilde_a)) <= 1e-14
+        assert np.max(np.abs(held_tilde(part.marginal_b, k) - tilde_b)) <= 1e-14
+        assert_tilde_spectra(step, tilde_a, tilde_b)
+
+
+def assert_tilde_spectra(step, tilde_a, tilde_b):
+    """The step's tilde eigenvalues are those of the kron route's tilde marginals."""
+    for got, ref in [(step.tilde_a, tilde_a), (step.tilde_b, tilde_b)]:
+        assert np.max(np.abs(got - complex_spectrum(ref)[0])) <= 1e-14
+
+
+# a dense, a factored and a Schmidt-diagonal state on 4 x 5
+LAYOUT_4_5 = SubsystemLayout([("A", 4), ("B", 5)])
+DIAGNOSED_STATES = {
+    "dense": lambda: random_density_matrix(20, seed=8, layout=LAYOUT_4_5),
+    "factor": lambda: random_pure_state(LAYOUT_4_5, seed=8),
+    "schmidt": lambda: schmidt_diagonal(random_schmidt_coefficients(4, 3), 4, 5),
+}
+
+
+@pytest.mark.parametrize("mode", PROJECTOR_MODES)
+@pytest.mark.parametrize("name", sorted(DIAGNOSED_STATES))
+def test_marginal_divergences_agree_with_dense_relative_entropy(name, mode):
+    # the diagnostics read each divergence off the step's spectra; the
+    # reference rebuilds each own and tilde marginal densely by the kron route
+    # and solves the pair through relative_entropy
+    state = DIAGNOSED_STATES[name]()
+    rho = as_density(state)
+    basis_a, basis_b = sweep_bases(state, mode)
+    dim_a, dim_b = rho.layout.dim_of("A"), rho.layout.dim_of("B")
+    for n, k in [(n, k) for n in range(1, dim_a + 1) for k in range(1, dim_b + 1)]:
+        joint, _, tilde_a, tilde_b = kron_compressed(rho, basis_a, basis_b, n, k)
+        if joint is None:
+            with pytest.raises(DegenerateTruncationError):
+                truncation_diagnostics(state, "A", "B", n, k, mode)
+            continue
+        diag = truncation_diagnostics(state, "A", "B", n, k, mode)
+        t = joint.reshape(n, k, n, k)
+        pairs = [
+            (np.einsum("abcb->ac", t), tilde_a, diag.marginal_a_divergence),
+            (np.einsum("abad->bd", t), tilde_b, diag.marginal_b_divergence),
+        ]
+        for own, tilde, got in pairs:
+            layout = single("A", len(own))
+            expected = relative_entropy(DensityMatrix(own, layout), DensityMatrix(tilde, layout))
+            assert abs(got - expected) <= AGREEMENT, (n, k, got, expected)
 
 
 @pytest.mark.parametrize("mode", PROJECTOR_MODES)

@@ -486,13 +486,42 @@ class TestTruncationDiagnostics:
             assert (diag.h_nk, diag.h_tilde_nk) == (point.h_nk, point.h_tilde_nk)
 
     def test_solves_both_marginal_pairs_with_vectors(self, eigh_sizes, vector_solve_sizes):
-        # the step solves the own marginals (3, 4) for values and the tilde
-        # marginals with vectors; each marginal divergence then solves its
-        # own marginal for values and its tilde marginal with vectors
+        # exactly the step's solves: the joint state (12) and the own marginals
+        # (3, 4) for values, the tilde marginals with vectors; each marginal
+        # divergence is read off those spectra and solves nothing more
         rho = random_density_matrix(30, seed=9, layout=pair_layout(5, 6))
         truncation_diagnostics(rho, "A", "B", 3, 4)
-        assert vector_solve_sizes == {3: 2, 4: 2}
-        assert eigh_sizes == {3: 4, 4: 4, 12: 1}
+        assert vector_solve_sizes == {3: 1, 4: 1}
+        assert eigh_sizes == {3: 2, 4: 2, 12: 1}
+
+    RANK_RULE_STATES = {
+        "dense": lambda: random_density_matrix(20, seed=3, layout=pair_layout(4, 5)),
+        "factor": lambda: random_pure_state(pair_layout(4, 5), seed=3),
+        "schmidt": lambda: tmsv(nbar=1.0, cutoff=5),
+    }
+
+    @pytest.mark.parametrize("mode", PROJECTOR_MODES)
+    @pytest.mark.parametrize("name", sorted(RANK_RULE_STATES))
+    def test_impossible_ranks_follow_the_sweep_rank_rule(self, name, mode):
+        # an impossible rank pair raises the sweep's error, never a number
+        state = self.RANK_RULE_STATES[name]()
+        dim_a, dim_b = _bipartite(state, "A", "B", mode).dims
+        expected = {
+            (0, 2): "ranks must be positive, got (0, 2)",
+            (-1, 2): "ranks must be positive, got (-1, 2)",
+            (dim_a + 1, 2): f"rank pair ({dim_a + 1}, 2) exceeds factor dimensions "
+            f"({dim_a}, {dim_b})",
+            (2, dim_b + 1): f"rank pair (2, {dim_b + 1}) exceeds factor dimensions "
+            f"({dim_a}, {dim_b})",
+        }
+        for ranks, message in expected.items():
+            for evaluate in (
+                lambda: truncation_diagnostics(state, "A", "B", *ranks, mode=mode),
+                lambda: conditional_entropy_sweep(state, "A", "B", [ranks], mode),
+            ):
+                with pytest.raises(PreconditionError) as raised:
+                    evaluate()
+                assert str(raised.value) == message
 
     @pytest.mark.parametrize("mode", PROJECTOR_MODES)
     @pytest.mark.parametrize("pure", [True, False], ids=["factored", "dense"])
