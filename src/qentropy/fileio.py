@@ -106,17 +106,6 @@ def json_ready(value: Any) -> Any:
     return value
 
 
-def json_real(value: Any) -> float:
-    """Inverse of the non-finite float encoding used by :func:`json_ready`."""
-    if value == "inf":
-        return math.inf
-    if value == "-inf":
-        return -math.inf
-    if value == "nan":
-        return math.nan
-    return float(value)
-
-
 def dumps_document(obj: Any) -> str:
     return json.dumps(json_ready(obj), indent=2, sort_keys=True) + "\n"
 
@@ -290,7 +279,6 @@ __all__ = [
     "complex_to_pairs",
     "pairs_to_complex",
     "json_ready",
-    "json_real",
     "dumps_document",
     "state_to_document",
     "state_from_document",

@@ -8,19 +8,17 @@ are raw slack values with no tolerance folded in: for an inequality
 ``-tolerance``, so equalities and boundary saturations pass while genuine
 violations fail.
 
-The trial-based checks are entries of one table (layout labels, defaults,
-named fixed trials, per-trial draw, margin) run by one runner; the
-continuity check follows a deterministic schedule as one trial. The runner
-draws each trial from its own seed, then evaluates the trials in stacks:
-consecutive random trials, as many as a fixed budget of matrix entries
-holds, go through the margin in one call with every state stacked on a
-leading axis, and each named fixed trial is a stack of its own. A stack
-yields the same per-trial margins as evaluating its trials one by one.
-
-Each check declares its parameters and their defaults once, and
+Every check is one entry of a table, run by one runner: the entry declares
+its parameters and their defaults, its named fixed trials, its random draw
+and its margin. A trial is a list of points, each one tuple of margin args:
+a random trial is one point, drawn from its own seed, and a named fixed
+trial is one point or, like the continuity check's schedule, many, which
+the entry folds into the trial's margin. The runner evaluates points in
+stacks, as many as a fixed budget of matrix entries holds, every state
+stacked on a leading axis; a stack yields the same margins as its points
+one by one. A report's ``trials`` counts the points evaluated.
 :func:`run_check` is the only place that fills, validates, coerces and
-records them: it builds the report's config and hands it to the check.
-Every report is built by one assembler.
+records parameters, and one assembler builds every report.
 
 Reproducibility contract: trial i uses seed ``master_seed XOR i``, every
 report embeds its full effective config, and re-running a config reproduces
@@ -33,8 +31,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence, TypeAlias
+from dataclasses import dataclass
+from itertools import islice
+from typing import Any, Callable, Iterator, Sequence, TypeAlias
 
 import numpy as np
 
@@ -125,6 +124,7 @@ class _Trial:
     seed: int
     margin: float
     values: dict[str, Any]
+    points: int = 1
 
 
 def _assemble(config: dict[str, Any], trials: Sequence[_Trial]) -> PropertyReport:
@@ -144,7 +144,7 @@ def _assemble(config: dict[str, Any], trials: Sequence[_Trial]) -> PropertyRepor
     tolerance = config["tolerance"]
     return PropertyReport(
         property=config["property"],
-        trials=len(trials),
+        trials=sum(t.points for t in trials),
         seed=config["seed"],
         tolerance=tolerance,
         worst_margin=float(worst.margin),
@@ -159,38 +159,35 @@ def _assemble(config: dict[str, Any], trials: Sequence[_Trial]) -> PropertyRepor
 _Rng: TypeAlias = "np.random.Generator"  # a string, so importing does not load numpy.random
 _Config = dict[str, Any]
 _Args = tuple[Any, ...]
-_Named = tuple[str, _Args]
+_Named = tuple[str, list[_Args]]
+
+
+def _one_point(points: Sequence[_Trial]) -> tuple[float, dict[str, Any]]:
+    (point,) = points
+    return point.margin, point.values
 
 
 @dataclass(frozen=True)
 class _TrialCheck:
-    """One trial-based property check, as data.
+    """One property check, as data.
 
-    ``fixed(rng, layout, config)`` lists the named fixed trials as
-    ``(label, args)`` pairs, drawing from ``generator(seed)`` in order;
-    ``draw(rng, layout, config)`` gives random trial i's args from its own
-    ``generator(trial_seed(seed, i))``; ``margin(*args)`` returns the raw
-    slack and the values recorded with it. The runner calls ``margin`` on
-    stacks, each arg stacked across trials (:func:`_stacked`), and gets one
-    slack and one of each value per trial; on one trial's own args it
-    returns plain numbers. The layout pairs ``labels`` with the effective
-    dims.
+    ``parameters`` maps each parameter the check takes to its default, in
+    config order. ``fixed(rng, layout, config)`` lists the named fixed trials
+    as ``(label, points)`` pairs, drawing from ``generator(seed)`` in order,
+    and ``fold(points)`` gives a named trial's margin and values from its
+    evaluated points. ``draw(rng, layout, config)`` gives random trial i's
+    point from ``generator(trial_seed(seed, i))``. ``margin(*args)`` returns
+    the raw slack and the values recorded with it, one of each per point
+    when every arg is stacked across points (:func:`_stacked`). The layout
+    pairs ``labels`` with the ``dims`` parameter, and is None without it.
     """
 
-    labels: tuple[str, ...]
-    dims: tuple[int, ...]
-    trials: int
-    tolerance: float
-    margin: Callable[..., tuple[float, dict[str, Any]]]
-    draw: Callable[[_Rng, SubsystemLayout, _Config], _Args]
+    parameters: dict[str, Any]
+    margin: Callable[..., tuple[Any, dict[str, Any]]]
+    labels: tuple[str, ...] = ()
+    draw: Callable[[_Rng, SubsystemLayout, _Config], _Args] | None = None
     fixed: Callable[[_Rng, SubsystemLayout, _Config], list[_Named]] = lambda rng, layout, cfg: []
-    env_dim: int | None = None
-
-    def defaults(self) -> dict[str, Any]:
-        out = {"dims": self.dims, "trials": self.trials, "seed": 0, "tolerance": self.tolerance}
-        if self.env_dim is not None:
-            out["env_dim"] = self.env_dim
-        return out
+    fold: Callable[[Sequence[_Trial]], tuple[float, dict[str, Any]]] = _one_point
 
 
 def _part(layout: SubsystemLayout, *labels: str) -> SubsystemLayout:
@@ -218,7 +215,7 @@ def _duality_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[
     product_amp = parts[0].amplitudes
     for part in parts[1:]:
         product_amp = np.kron(product_amp, part.amplitudes)
-    return [("product", (PureState(product_amp, layout),))]
+    return [("product", [(PureState(product_amp, layout),)])]
 
 
 def _bound_margin(rho: State) -> tuple[float, dict[str, float]]:
@@ -232,7 +229,7 @@ def _bound_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_N
     # both saturate: a maximally entangled pair from below, a product from above
     first = ginibre_state(rng, _part(layout, "A"))
     product = tensor(first, ginibre_state(rng, _part(layout, "C")))
-    return [("bell", (bell(2),)), ("product", (product,))]
+    return [("bell", [(bell(2),)]), ("product", [(product,)])]
 
 
 def _monotonicity_margin(rho: State) -> tuple[float, dict[str, float]]:
@@ -246,7 +243,7 @@ def _monotonicity_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> 
     # GHZ, where the gap is exactly ln 2, and a trivial (1-dimensional)
     # conditioner, where the two sides are equal
     trivial = SubsystemLayout(_part(layout, "A", "B").subsystems + (("C", 1),))
-    return [("ghz", (ghz(3, 2),)), ("trivial-conditioner", (ginibre_state(rng, trivial),))]
+    return [("ghz", [(ghz(3, 2),)]), ("trivial-conditioner", [(ginibre_state(rng, trivial),)])]
 
 
 def _concavity_margin(
@@ -274,7 +271,7 @@ def _concavity_draw(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Arg
 def _concavity_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Named]:
     # the equality cases alpha = 0 and rho1 = rho2
     first, second = ginibre_state(rng, layout), ginibre_state(rng, layout)
-    return [("alpha-zero", (first, second, 0.0)), ("equal-states", (first, first, 0.37))]
+    return [("alpha-zero", [(first, second, 0.0)]), ("equal-states", [(first, first, 0.37)])]
 
 
 def _subadditivity_margin(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
@@ -305,7 +302,7 @@ def _subadditivity_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) ->
     # rho_AC x rho_BD, the equality case of the pairwise relation
     ac = ginibre_state(rng, _part(layout, "A", "C"))
     bd = ginibre_state(rng, _part(layout, "B", "D"))
-    return [("product", (tensor(ac, bd),))]
+    return [("product", [(tensor(ac, bd),)])]
 
 
 def _coherent_duality_margin(rho: State, channel: KrausChannel) -> tuple[float, dict[str, float]]:
@@ -329,7 +326,7 @@ def _coherent_duality_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config)
     single_a = _part(layout, "A")
     identity = (ginibre_state(rng, single_a), KrausChannel([np.eye(single_a.total_dim)]))
     pure = (haar_pure_state(rng, single_a), _channel(rng, layout, config))
-    return [("identity-channel", identity), ("pure-state", pure)]
+    return [("identity-channel", [identity]), ("pure-state", [pure])]
 
 
 def _formula_standard_margin(rho: DensityMatrix) -> tuple[float, dict[str, float]]:
@@ -349,56 +346,92 @@ def _formula_coherent_margin(rho: DensityMatrix) -> tuple[float, dict[str, float
     return -abs(direct - via_channel), {"direct": direct, "channel_route": via_channel}
 
 
+def _continuity_margin(base: DensityMatrix, eps: float, h_base: float) -> tuple[float, dict]:
+    """Minus |H(target|given)(mixed) - h_base|, for the base mixed with the maximally
+    mixed state at weight eps; the first label is the target and the rest given."""
+    weight = np.asarray(eps)[..., None, None]
+    dim = base.layout.total_dim
+    mixed = DensityMatrix((1.0 - weight) * base.entries + weight * (np.eye(dim) / dim), base.layout)
+    labels = base.layout.labels
+    deviation = abs(conditional_entropy(mixed, labels[0], labels[1:]) - h_base)
+    return -deviation, {"eps": eps, "base_cond_entropy": h_base}
+
+
+def _continuity_fixed(rng: _Rng, layout: None, config: _Config) -> list[_Named]:
+    # the base (a catalog spec or a state file) at eps = 2^-n for n = 1..steps;
+    # the schedule is deterministic, so the seed is carried only for config uniformity
+    base = as_density(resolve_state(config["base"]))
+    labels = base.layout.labels
+    if len(labels) < 2:
+        raise PreconditionError(f"base state must be multipartite, got labels {labels}")
+    h_base = conditional_entropy(base, labels[0], labels[1:])
+    return [("schedule", [(base, 2.0**-n, h_base) for n in range(1, config["steps"] + 1)])]
+
+
+def _continuity_fold(points: Sequence[_Trial]) -> tuple[float, dict[str, Any]]:
+    """Continuity along the schedule: the worse of minus the final deviation, so
+    the deviation must end below tolerance, and the smallest consecutive
+    decrease, so any rise beyond tolerance also fails."""
+    deviations = [[p.values["eps"], -p.margin] for p in points]
+    shrink = min(prev - nxt for (_, prev), (_, nxt) in zip(deviations, deviations[1:]))
+    values = {"base_cond_entropy": points[0].values["base_cond_entropy"], "deviations": deviations}
+    return min(-deviations[-1][1], shrink), values
+
+
 _TRIAL_CHECKS: dict[str, _TrialCheck] = {
     "duality": _TrialCheck(
-        labels=("A", "B", "C"), dims=(2, 2, 2), trials=500, tolerance=1e-7,
-        margin=_duality_margin, draw=_haar_pure, fixed=_duality_fixed,
+        {"dims": (2, 2, 2), "trials": 500, "seed": 0, "tolerance": 1e-7}, _duality_margin,
+        labels=("A", "B", "C"), draw=_haar_pure, fixed=_duality_fixed,
     ),
     "bound": _TrialCheck(
-        labels=("A", "C"), dims=(3, 3), trials=1000, tolerance=1e-8,
-        margin=_bound_margin, draw=_ginibre, fixed=_bound_fixed,
+        {"dims": (3, 3), "trials": 1000, "seed": 0, "tolerance": 1e-8}, _bound_margin,
+        labels=("A", "C"), draw=_ginibre, fixed=_bound_fixed,
     ),
     "coherent-duality": _TrialCheck(
-        labels=("A", "B"), dims=(3, 3), trials=300, tolerance=1e-7, env_dim=3,
-        margin=_coherent_duality_margin, draw=_coherent_duality_draw,
+        {"dims": (3, 3), "trials": 300, "seed": 0, "tolerance": 1e-7, "env_dim": 3},
+        _coherent_duality_margin, labels=("A", "B"), draw=_coherent_duality_draw,
         fixed=_coherent_duality_fixed,
     ),
     "monotonicity": _TrialCheck(
-        labels=("A", "B", "C"), dims=(2, 2, 2), trials=500, tolerance=1e-8,
-        margin=_monotonicity_margin, draw=_ginibre, fixed=_monotonicity_fixed,
+        {"dims": (2, 2, 2), "trials": 500, "seed": 0, "tolerance": 1e-8}, _monotonicity_margin,
+        labels=("A", "B", "C"), draw=_ginibre, fixed=_monotonicity_fixed,
     ),
     "concavity": _TrialCheck(
-        labels=("A", "B"), dims=(2, 3), trials=500, tolerance=1e-8,
-        margin=_concavity_margin, draw=_concavity_draw, fixed=_concavity_fixed,
+        {"dims": (2, 3), "trials": 500, "seed": 0, "tolerance": 1e-8}, _concavity_margin,
+        labels=("A", "B"), draw=_concavity_draw, fixed=_concavity_fixed,
     ),
     "subadditivity": _TrialCheck(
-        labels=("A", "B", "C", "D"), dims=(2, 2, 2, 2), trials=300, tolerance=1e-7,
-        margin=_subadditivity_margin, draw=_ginibre, fixed=_subadditivity_fixed,
+        {"dims": (2, 2, 2, 2), "trials": 300, "seed": 0, "tolerance": 1e-7}, _subadditivity_margin,
+        labels=("A", "B", "C", "D"), draw=_ginibre, fixed=_subadditivity_fixed,
     ),
     "formula-standard": _TrialCheck(
-        labels=("A", "C"), dims=(2, 3), trials=500, tolerance=1e-8,
-        margin=_formula_standard_margin, draw=_ginibre,
+        {"dims": (2, 3), "trials": 500, "seed": 0, "tolerance": 1e-8}, _formula_standard_margin,
+        labels=("A", "C"), draw=_ginibre,
     ),
     "formula-coherent": _TrialCheck(
-        labels=("A", "C"), dims=(2, 3), trials=500, tolerance=1e-7,
-        margin=_formula_coherent_margin, draw=_ginibre,
+        {"dims": (2, 3), "trials": 500, "seed": 0, "tolerance": 1e-7}, _formula_coherent_margin,
+        labels=("A", "C"), draw=_ginibre,
+    ),
+    "continuity": _TrialCheck(
+        {"base": "werner:p=0.5", "steps": 20, "seed": 0, "tolerance": 1e-6}, _continuity_margin,
+        fixed=_continuity_fixed, fold=_continuity_fold,
     ),
 }  # fmt: skip
 
 
-# the complex entries one stack of random trials may hold, D x D per trial on
-# a D-dimensional layout: the per-call cost is paid once per stack, and a
-# stack's matrices stay small whatever the check's dimension
+# the complex entries one stack may hold, D x D per point on a D-dimensional
+# layout: the per-call cost is paid once per stack, and a stack's matrices
+# stay small whatever the check's dimension or the schedule's length
 _STACK_ENTRIES = 4096
 
 
 def _stack_size(layout: SubsystemLayout) -> int:
-    """How many random trials of a check on ``layout`` one stack evaluates."""
+    """How many points on ``layout`` one stack evaluates."""
     return max(1, _STACK_ENTRIES // layout.total_dim**2)
 
 
 def _stacked(column: Sequence[Any]) -> Any:
-    """One margin argument across several trials, stacked on a leading axis."""
+    """One margin argument across several points, stacked on a leading axis."""
     first = column[0]
     if isinstance(first, DensityMatrix):
         return DensityMatrix(np.stack([arg.entries for arg in column]), first.layout)
@@ -410,63 +443,37 @@ def _stacked(column: Sequence[Any]) -> Any:
 
 
 def _evaluate(
-    check: _TrialCheck, named: Sequence[tuple[str, int]], drawn: Sequence[_Args]
+    check: _TrialCheck, named: Sequence[tuple[str, int]], args: Iterator[_Args], size: int
 ) -> list[_Trial]:
-    """The trials ``named`` by (label, seed), whose args are ``drawn``, as one stack."""
-    margins, values = check.margin(*map(_stacked, zip(*drawn)))
-    return [
-        _Trial(label, ts, float(margins[row]), {k: float(v[row]) for k, v in values.items()})
-        for row, (label, ts) in enumerate(named)
-    ]
+    """The points ``named`` by (label, seed), in stacks of ``size``, args read from ``args``."""
+    evaluated = []
+    for start in range(0, len(named), size):
+        stack = named[start : start + size]
+        margins, values = check.margin(*map(_stacked, zip(*islice(args, len(stack)))))
+        evaluated += [
+            _Trial(label, ts, float(margins[row]), {k: float(v[row]) for k, v in values.items()})
+            for row, (label, ts) in enumerate(stack)
+        ]
+    return evaluated
 
 
 def _run_trials(config: _Config) -> PropertyReport:
     """Run a table entry: its fixed trials, then random trial i from ``trial_seed(seed, i)``."""
     check = _TRIAL_CHECKS[config["property"]]
     seed = config["seed"]
-    layout = SubsystemLayout(zip(check.labels, config["dims"], strict=True))
+    dims = config.get("dims")
+    layout = None if dims is None else SubsystemLayout(zip(check.labels, dims, strict=True))
     results = []
-    for label, args in check.fixed(generator(seed), layout, config):
-        results += _evaluate(check, [(label, seed)], [args])
-    size = _stack_size(layout)
-    for start in range(0, config["trials"], size):
-        named = [
-            (str(i), trial_seed(seed, i)) for i in range(start, min(start + size, config["trials"]))
-        ]
-        drawn = [check.draw(generator(ts), layout, config) for _, ts in named]
-        results += _evaluate(check, named, drawn)
+    for label, points in check.fixed(generator(seed), layout, config):
+        # a named trial's points stack by the layout of their first arg
+        size = _stack_size(points[0][0].layout)
+        evaluated = _evaluate(check, [(label, seed)] * len(points), iter(points), size)
+        results.append(_Trial(label, seed, *check.fold(evaluated), points=len(points)))
+    if check.draw is not None:
+        named = [(str(i), trial_seed(seed, i)) for i in range(config["trials"])]
+        drawn = (check.draw(generator(ts), layout, config) for _, ts in named)
+        results += _evaluate(check, named, drawn, _stack_size(layout))
     return _assemble(config, results)
-
-
-def _run_continuity(config: _Config) -> PropertyReport:
-    """Conditional entropy is continuous along a shrinking mixing schedule.
-
-    Mixes the base state (a catalog spec or a state file) with the maximally
-    mixed state at eps = 2^-n for n = 1..steps and tracks
-    |H(target|given)(mixed) - H(target|given)(base)|. The margin is the worse
-    of (a) minus the final deviation, so the check passes only if the
-    deviation ends below tolerance, and (b) the smallest consecutive
-    decrease, so any rise beyond tolerance also fails. The whole schedule is
-    one trial and the report counts its steps; the schedule is deterministic,
-    so the seed is carried only for config uniformity.
-    """
-    rho0 = as_density(resolve_state(config["base"]))
-    labels = rho0.layout.labels
-    if len(labels) < 2:
-        raise PreconditionError(f"base state must be multipartite, got labels {labels}")
-    target, given = labels[0], labels[1:]
-    dim = rho0.layout.total_dim
-    sigma = np.eye(dim) / dim
-    h_base = conditional_entropy(rho0, target, given)
-    deviations = []
-    for n in range(1, config["steps"] + 1):
-        eps = 2.0**-n
-        mixed = DensityMatrix((1.0 - eps) * rho0.entries + eps * sigma, rho0.layout)
-        deviations.append([eps, abs(conditional_entropy(mixed, target, given) - h_base)])
-    shrink = min(prev - nxt for (_, prev), (_, nxt) in zip(deviations, deviations[1:]))
-    values = {"base_cond_entropy": h_base, "deviations": deviations}
-    trial = _Trial("schedule", config["seed"], min(-deviations[-1][1], shrink), values)
-    return replace(_assemble(config, [trial]), trials=config["steps"])
 
 
 def report_to_dict(report: PropertyReport) -> dict[str, Any]:
@@ -487,16 +494,8 @@ def report_to_dict(report: PropertyReport) -> dict[str, Any]:
 
 
 # each entry runs a complete config, as run_check builds it
-CHECKS: dict[str, Callable[[_Config], PropertyReport]] = {
-    **{name: _run_trials for name in _TRIAL_CHECKS},
-    "continuity": _run_continuity,
-}
-
-# the parameters each check takes, with their defaults
-_PARAMETERS: dict[str, _Config] = {
-    **{name: check.defaults() for name, check in _TRIAL_CHECKS.items()},
-    "continuity": {"base": "werner:p=0.5", "steps": 20, "seed": 0, "tolerance": 1e-6},
-}
+CHECKS: dict[str, Callable[[_Config], PropertyReport]] = dict.fromkeys(_TRIAL_CHECKS, _run_trials)
+_PARAMETERS = {name: check.parameters for name, check in _TRIAL_CHECKS.items()}
 # one coercion per parameter, applied to defaults and overrides alike; it is
 # passed the value and the parameter's name
 _COERCE: dict[str, Callable[[Any, str], Any]] = {

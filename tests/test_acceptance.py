@@ -23,7 +23,8 @@ from qentropy.harness import (
     run_check,
     run_converge,
 )
-from qentropy.states import DensityMatrix, single
+from qentropy.rng import generator
+from qentropy.states import DensityMatrix, SubsystemLayout, ginibre_state, single
 from qentropy.truncation import truncation_diagnostics
 
 TWO_LN2 = 2.0 * np.log(2.0)
@@ -186,28 +187,45 @@ def test_criterion_08_truncation_convergence_and_thermal_oracle():
     assert runtime < 60.0
 
 
-def test_criterion_09_truncation_gap_decomposition():
-    rho = tmsv(nbar=1.0, cutoff=30).as_density()
+def dense_divergence_misses(rho, dims, ranks):
+    """Each marginal divergence of truncation_diagnostics at each (rank_a, rank_b)
+    in ``ranks``, against a dense relative entropy; returns the diagnostics, the
+    divergences and their misses."""
+    dim_a, dim_b = dims
     # the dense reference: a rank-r computational projector keeps the first r
-    # Fock states, so it compresses (a, b, a', b') by slicing
-    block = rho.entries.reshape(30, 30, 30, 30)
+    # basis states, so it compresses (a, b, a', b') by slicing
+    block = rho.entries.reshape(dim_a, dim_b, dim_a, dim_b)
     marginals = np.einsum("abcb->ac", block), np.einsum("abad->bd", block)
-    residuals = []
-    diffs = []
-    misses = []
-    for rank in range(5, 31):
-        diag = truncation_diagnostics(rho, "A", "B", rank_a=rank, rank_b=rank)
-        residuals.append(diag.residual)
-        diffs.append(diag.diff)
-        kept = block[:rank, :rank, :rank, :rank]
+    diagnostics, divergences, misses = [], [], []
+    for rank_a, rank_b in ranks:
+        diag = truncation_diagnostics(rho, "A", "B", rank_a=rank_a, rank_b=rank_b)
+        diagnostics.append(diag)
+        kept = block[:rank_a, :rank_b, :rank_a, :rank_b]
         kept = kept / np.einsum("abab->", kept)
         owns = np.einsum("abcb->ac", kept), np.einsum("abad->bd", kept)
-        divergences = diag.marginal_a_divergence, diag.marginal_b_divergence
-        for own, marginal, got in zip(owns, marginals, divergences):
+        got = diag.marginal_a_divergence, diag.marginal_b_divergence
+        for own, marginal, value, rank in zip(owns, marginals, got, (rank_a, rank_b)):
             tilde = marginal[:rank, :rank] / np.trace(marginal[:rank, :rank])
             layout = single("A", rank)
             dense = relative_entropy(DensityMatrix(own, layout), DensityMatrix(tilde, layout))
-            misses.append(abs(got - dense))
+            divergences.append(value)
+            misses.append(abs(value - dense))
+    return diagnostics, divergences, misses
+
+
+def test_criterion_09_truncation_gap_decomposition():
+    rho = tmsv(nbar=1.0, cutoff=30).as_density()
+    diagnostics, _, misses = dense_divergence_misses(
+        rho, (30, 30), [(rank, rank) for rank in range(5, 31)]
+    )
+    residuals = [diag.residual for diag in diagnostics]
+    diffs = [diag.diff for diag in diagnostics]
+    # the Schmidt-aligned TMSV has every divergence 0, so the dense comparison
+    # also runs at every rank of a seeded full-rank mixed state, where they are not
+    mixed = ginibre_state(generator(1), SubsystemLayout([("A", 4), ("B", 5)]))
+    ranks = [(rank_a, rank_b) for rank_a in range(1, 5) for rank_b in range(1, 6)]
+    _, mixed_divergences, mixed_misses = dense_divergence_misses(mixed, (4, 5), ranks)
+    misses += mixed_misses
     # the diffs are zero to rounding on this Schmidt-aligned sweep, so the
     # decrease is asserted up to a 1e-10 noise floor
     decreasing = all(b <= a + 1e-10 for a, b in zip(diffs, diffs[1:]))
@@ -216,6 +234,7 @@ def test_criterion_09_truncation_gap_decomposition():
         and decreasing
         and abs(diffs[-1]) <= 1e-8
         and max(misses) <= 1e-12
+        and max(mixed_divergences) > 1e-3
     )
     announce(
         9,
@@ -223,10 +242,12 @@ def test_criterion_09_truncation_gap_decomposition():
         f"H~_nk - H_nk matches the two marginal relative-entropy terms within "
         f"1e-8 at every step (max residual {max(residuals):.3e}); gap decreases "
         f"toward 0 (final {diffs[-1]:.3e}); each term within 1e-12 of a dense "
-        f"relative entropy (max {max(misses):.3e})",
+        f"relative entropy (max {max(misses):.3e}; mixed-state terms up to "
+        f"{max(mixed_divergences):.3e})",
     )
     assert max(residuals) <= 1e-8
     assert max(misses) <= 1e-12
+    assert max(mixed_divergences) > 1e-3
     assert decreasing
     assert abs(diffs[-1]) <= 1e-8
 

@@ -18,7 +18,6 @@ from qentropy.fileio import (
     complex_to_pairs,
     dumps_document,
     json_ready,
-    json_real,
     load_channel,
     load_state,
     pairs_to_complex,
@@ -76,12 +75,6 @@ class TestJsonHygiene:
     def test_non_finite_floats_become_strings(self):
         doc = json_ready({"a": math.inf, "b": -math.inf, "c": math.nan})
         assert doc == {"a": "inf", "b": "-inf", "c": "nan"}
-
-    def test_json_real_inverts(self):
-        assert json_real("inf") == math.inf
-        assert json_real("-inf") == -math.inf
-        assert math.isnan(json_real("nan"))
-        assert json_real(1.5) == 1.5
 
     def test_numpy_scalars_normalized(self):
         doc = json_ready({"i": np.int64(3), "f": np.float64(0.25), "b": np.bool_(True)})

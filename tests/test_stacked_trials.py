@@ -1,13 +1,15 @@
 """Stacked trials: the runner's stacks against a one-trial-at-a-time reference.
 
 The reference is the runner the stacks replace: every fixed and random trial
-goes through its check's margin on its own, unstacked args. Stacking changes
-no arithmetic, so reports must be equal, not merely close. The remaining
-tests pin the entry budget's stack sizes, their effect on solves and memory,
-and the per-row behaviour of the stacked spectrum, purification and channel
+goes through its check's margin on its own, unstacked args, and the
+continuity schedule is evaluated one eps at a time. Stacking changes no
+arithmetic, so reports must be equal, not merely close. The remaining tests
+pin the entry budget's stack sizes, their effect on solves and memory, and
+the per-row behaviour of the stacked spectrum, purification and channel
 paths.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -28,19 +30,22 @@ from qentropy.channels import (
 )
 from qentropy.entropy import conditional_entropy
 from qentropy.errors import InvalidChannelError, InvalidStateError
-from qentropy.harness import report_to_dict, run_check
+from qentropy.fileio import save_state
+from qentropy.harness import report_to_dict, resolve_state, run_check
 from qentropy.rng import generator, trial_seed
 from qentropy.states import (
     DensityMatrix,
     PureState,
     SubsystemLayout,
+    as_density,
     clamped_spectrum,
     random_density_matrix,
     random_pure_state,
     single,
 )
 
-TRIAL_CHECKS = sorted(harness._TRIAL_CHECKS)
+# the checks with random trials; continuity has one named trial, its schedule
+TRIAL_CHECKS = sorted(name for name, check in harness._TRIAL_CHECKS.items() if check.draw)
 
 # one shape per check other than its default
 OTHER_SHAPES = {
@@ -62,7 +67,7 @@ def reference_trials(config):
     layout = SubsystemLayout(zip(check.labels, config["dims"], strict=True))
     trials = [
         harness._Trial(label, seed, *check.margin(*args))
-        for label, args in check.fixed(generator(seed), layout, config)
+        for label, (args,) in check.fixed(generator(seed), layout, config)
     ]
     for i in range(config["trials"]):
         ts = trial_seed(seed, i)
@@ -73,6 +78,50 @@ def reference_trials(config):
 
 def reference_report(config):
     return harness._assemble(config, reference_trials(config))
+
+
+def reference_continuity(config):
+    """The continuity report, the base mixed and solved at one eps at a time."""
+    rho0 = as_density(resolve_state(config["base"]))
+    target, given = rho0.layout.labels[0], rho0.layout.labels[1:]
+    dim = rho0.layout.total_dim
+    sigma = np.eye(dim) / dim
+    h_base = conditional_entropy(rho0, target, given)
+    deviations = []
+    for n in range(1, config["steps"] + 1):
+        eps = 2.0**-n
+        mixed = DensityMatrix((1.0 - eps) * rho0.entries + eps * sigma, rho0.layout)
+        deviations.append([eps, abs(conditional_entropy(mixed, target, given) - h_base)])
+    shrink = min(prev - nxt for (_, prev), (_, nxt) in zip(deviations, deviations[1:]))
+    values = {"base_cond_entropy": h_base, "deviations": deviations}
+    trial = harness._Trial("schedule", config["seed"], min(-deviations[-1][1], shrink), values)
+    return dataclasses.replace(harness._assemble(config, [trial]), trials=config["steps"])
+
+
+@pytest.fixture(scope="module")
+def file_base(tmp_path_factory):
+    """A saved full-rank state on A:2 x B:3 x C:4."""
+    path = tmp_path_factory.mktemp("continuity") / "rand2x3x4.json"
+    layout = SubsystemLayout([("A", 2), ("B", 3), ("C", 4)])
+    save_state(path, random_density_matrix(24, seed=5, layout=layout))
+    return str(path)
+
+
+def continuity_base(name, file_base):
+    return file_base if name == "file" else name
+
+
+def record_entropy_shapes(monkeypatch):
+    """The shape of every state the harness hands to conditional_entropy."""
+    shapes = []
+    entropy = harness.conditional_entropy
+
+    def recording(rho, target, given):
+        shapes.append(rho.entries.shape)
+        return entropy(rho, target, given)
+
+    monkeypatch.setattr(harness, "conditional_entropy", recording)
+    return shapes
 
 
 def stacked_trials(monkeypatch, name, **overrides):
@@ -105,7 +154,8 @@ class TestAgainstReference:
     def test_report_is_equal_past_one_default_stack(self, name):
         # one full stack at the default budget and a last stack of one trial
         check = harness._TRIAL_CHECKS[name]
-        trials = harness._stack_size(SubsystemLayout(zip(check.labels, check.dims))) + 1
+        layout = SubsystemLayout(zip(check.labels, check.parameters["dims"]))
+        trials = harness._stack_size(layout) + 1
         report = run_check(name, seed=7, trials=trials)
         assert report_to_dict(report) == report_to_dict(reference_report(report.config))
 
@@ -121,11 +171,53 @@ class TestAgainstReference:
         assert as_tuples(trials) == as_tuples(reference_trials(report.config))
 
 
+class TestContinuityAgainstReference:
+    @pytest.mark.parametrize("base", ["werner:p=0.5", "bell", "file"])
+    @pytest.mark.parametrize("steps", [2, 20, 60])
+    @pytest.mark.parametrize("one_point_stacks", [False, True])
+    def test_report_is_equal(self, monkeypatch, file_base, base, steps, one_point_stacks):
+        base = continuity_base(base, file_base)
+        if one_point_stacks:
+            dim = resolve_state(base).layout.total_dim
+            monkeypatch.setattr(harness, "_STACK_ENTRIES", dim**2)
+        report = run_check("continuity", base=base, steps=steps)
+        assert report.trials == steps
+        assert report_to_dict(report) == report_to_dict(reference_continuity(report.config))
+
+    @pytest.mark.parametrize(
+        "base, points, expected",
+        [
+            # the default budget: 4096 // 4^2 = 256 points hold all 20, 4096 // 24^2 = 7
+            ("werner:p=0.5", None, [20]),
+            ("file", None, [7, 7, 6]),
+            # budgets of one and three points on the base's layout
+            ("werner:p=0.5", 1, [1] * 20),
+            ("file", 1, [1] * 20),
+            ("werner:p=0.5", 3, [3] * 6 + [2]),
+            ("file", 3, [3] * 6 + [2]),
+        ],
+    )
+    def test_no_stack_exceeds_the_budget(self, monkeypatch, file_base, base, points, expected):
+        base = continuity_base(base, file_base)
+        dim = resolve_state(base).layout.total_dim
+        if points is not None:
+            monkeypatch.setattr(harness, "_STACK_ENTRIES", points * dim**2)
+        shapes = record_entropy_shapes(monkeypatch)
+        run_check("continuity", base=base, steps=20)
+        # the base alone, then the schedule's stacks in order
+        assert shapes[0] == (dim, dim)
+        assert all(shape[1:] == (dim, dim) for shape in shapes[1:])
+        stacks = [shape[0] for shape in shapes[1:]]
+        assert stacks == expected
+        assert max(stacks) * dim**2 <= harness._STACK_ENTRIES
+
+
 class TestStackBudget:
     def test_default_stack_sizes(self):
         sizes = {
-            name: harness._stack_size(SubsystemLayout(zip(check.labels, check.dims)))
+            name: harness._stack_size(SubsystemLayout(zip(check.labels, check.parameters["dims"])))
             for name, check in harness._TRIAL_CHECKS.items()
+            if check.draw
         }
         # 4096 entries over D x D per trial
         assert sizes == {
@@ -148,7 +240,7 @@ class TestStackBudget:
     def test_reports_do_not_depend_on_the_stack_size(self, monkeypatch, name, size):
         expected = report_to_dict(run_check(name, seed=3, trials=17))
         # a tiny budget: `size` trials on the check's default layout
-        dim = math.prod(harness._TRIAL_CHECKS[name].dims)
+        dim = math.prod(harness._TRIAL_CHECKS[name].parameters["dims"])
         monkeypatch.setattr(harness, "_STACK_ENTRIES", size * dim**2)
         assert report_to_dict(run_check(name, seed=3, trials=17)) == expected
 
@@ -188,7 +280,7 @@ class TestStackBudget:
         # larger stacks must not creep into the suite's peak memory: the largest
         # peak, formula-coherent's, is about 1.4 MB at seed 1
         # a short run first, so first-use imports are not counted
-        run_check(name, seed=1, **({"trials": 1} if name in harness._TRIAL_CHECKS else {}))
+        run_check(name, seed=1, **({"trials": 1} if "trials" in harness._PARAMETERS[name] else {}))
         tracemalloc.start()
         try:
             run_check(name, seed=1)

@@ -27,7 +27,9 @@ def test_loading_the_tool_leaves_the_environment_alone():
     assert dict(os.environ) == before
 
 
-@pytest.mark.parametrize("name", sorted(harness._TRIAL_CHECKS))
+@pytest.mark.parametrize(
+    "name", sorted(name for name, check in harness._TRIAL_CHECKS.items() if check.draw)
+)
 def test_a_small_run_writes_every_trial(tmp_path, name):
     path = _load_tool().write_trials(str(tmp_path), name, 7, trials=3)
     assert os.listdir(tmp_path) == [f"{name}-seed7.json"]
@@ -46,4 +48,18 @@ def test_a_small_run_writes_every_trial(tmp_path, name):
     for record in report.records:
         assert written[record["trial"]] == json.loads(json.dumps(record))
     # the assembler is restored
+    assert harness._assemble.__name__ == "_assemble"
+
+
+def test_the_continuity_run_writes_its_schedule(tmp_path):
+    path = _load_tool().write_trials(str(tmp_path), "continuity", 7, steps=3)
+    assert os.listdir(tmp_path) == ["continuity-seed7.json"]
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    report = harness.run_check("continuity", seed=7, steps=3)
+    assert doc["config"] == json.loads(json.dumps(report.config))
+    # one trial, the schedule, recorded by the report as it was written
+    (trial,) = doc["trials"]
+    assert [trial] == json.loads(json.dumps(list(report.records)))
+    assert [eps for eps, _ in trial["deviations"]] == [0.5, 0.25, 0.125]
     assert harness._assemble.__name__ == "_assemble"

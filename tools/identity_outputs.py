@@ -75,6 +75,9 @@ INVOCATIONS: dict[str, list[str]] = {
         for prop in _TRIAL_PROPERTIES
     },
     "check-continuity-bell": _check("--property", "continuity", "--base", "bell"),
+    # a full-rank file base on 24 dims: the schedule runs in stacks of 4096 // 24^2 = 7
+    "check-continuity-rand24": _check("--property", "continuity", "--base", STATE_3PARTY),
+    "check-continuity-steps60": _check("--property", "continuity", "--steps", "60"),
     "check-duality-dims": _check("--property", "duality", "--dims", "3,2,2"),
     "check-coherent-env": _check("--property", "coherent-duality", "--env-dim", "2"),
     # a partial last stack, on shapes other than the defaults: 4096 // D^2

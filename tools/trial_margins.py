@@ -1,4 +1,4 @@
-"""Write every trial of the trial-based property checks, for a per-trial comparison.
+"""Write every trial of every property check, for a per-trial comparison.
 
     PYTHONPATH=<old>/src python3 tools/trial_margins.py OLD_TRIALS
     PYTHONPATH=<new>/src python3 tools/trial_margins.py NEW_TRIALS
@@ -7,13 +7,14 @@
 A report keeps only its worst random trial, and in an identity check that
 trial is the argmax of rounding noise: a change that moves rounding can move
 ``worst_seed`` while every trial still agrees. This tool shows whether they
-do. It runs each of the eight trial-based checks at its defaults for seeds 0
-and 7 with ``harness._assemble`` wrapped in this process, and writes
+do. It runs each check of ``harness._TRIAL_CHECKS`` at its defaults for seeds
+0 and 7 with ``harness._assemble`` wrapped in this process, and writes
 ``CHECK-seedSEED.json`` to OUTDIR: the report's config and, for every trial
-the assembler received, its label, seed, margin and values. Trials keep their
-order, so ``tools/compare_outputs.py`` compares them field by field. BLAS is
-pinned to one thread before numpy loads, so eigensolves round the same way
-on every run.
+the assembler received, its label, seed, margin and values; the continuity
+check's one trial, its schedule, carries every point's deviation. Trials
+keep their order, so ``tools/compare_outputs.py`` compares them field by
+field. BLAS is pinned to one thread before numpy loads, so eigensolves round
+the same way on every run.
 """
 
 from __future__ import annotations
