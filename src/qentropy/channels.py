@@ -32,7 +32,7 @@ import numpy as np
 
 from .entropy import _entropy_from_eigs, _factor_spectra, _spectra_divergence
 from .errors import InvalidChannelError, PreconditionError, StructuralError, as_integer
-from .rng import complex_normal, generator
+from .rng import complex_normal, generator, normal_pairs
 from .states import (
     DensityMatrix,
     LabelSet,
@@ -329,12 +329,30 @@ def haar_channel(
         raise StructuralError(
             f"no isometry into dimension {dim_out}*{env_dim} from {dim_in}"
         )
-    g = complex_normal(rng, (dim_out * env_dim, dim_in))
+    pairs = _haar_channel_pairs(rng, dim_in, dim_out, env_dim)
+    return _haar_channel(pairs, dim_in, dim_out, env_dim)
+
+
+def _haar_channel_pairs(
+    rng: np.random.Generator, dim_in: int, dim_out: int, env_dim: int
+) -> np.ndarray:
+    """The draw :func:`_haar_channel` builds: the Gaussian
+    (dim_out * env_dim, dim_in) matrix's entries, row-major, as one
+    :func:`~qentropy.rng.normal_pairs` call."""
+    return normal_pairs(rng, dim_out * env_dim * dim_in)
+
+
+def _haar_channel(pairs: np.ndarray, dim_in: int, dim_out: int, env_dim: int) -> KrausChannel:
+    """The arithmetic of :func:`haar_channel` on one :func:`_haar_channel_pairs`
+    draw, or on a stack (N, 2, dim_out * env_dim * dim_in) of them: one
+    channel, or a stack of N."""
+    g = complex_normal(pairs).reshape(pairs.shape[:-2] + (dim_out * env_dim, dim_in))
     q, r = np.linalg.qr(g, mode="reduced")
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[np.abs(diag) < TAU_SUPP] = 1.0
-    v = q * (diag.conjugate() / np.abs(diag))
-    return KrausChannel(v.reshape(dim_out, env_dim, dim_in).swapaxes(0, 1))
+    v = q * (diag.conjugate() / np.abs(diag))[..., None, :]
+    # the environment slices of the isometry, environment axis first
+    return KrausChannel(np.moveaxis(v.reshape(v.shape[:-2] + (dim_out, env_dim, dim_in)), -2, 0))
 
 
 def random_channel(dim_in: int, dim_out: int, env_dim: int, seed: int = 0) -> KrausChannel:

@@ -20,6 +20,13 @@ one by one. A report's ``trials`` counts the points evaluated.
 :func:`run_check` is the only place that fills, validates, coerces and
 records parameters, and one assembler builds every report.
 
+A random trial only draws: its generator's calls give each state or channel
+arg as its raw numbers (:class:`_Draw`), by the draw function that sits
+beside its builder in ``states`` or ``channels``, and the arithmetic that
+makes them a state or a channel runs once per stack, in the builder the
+public constructor (``ginibre_state``, ``haar_pure_state``, ``haar_channel``)
+runs on one draw. Named fixed trials are built as states when they are listed.
+
 Reproducibility contract: trial i uses seed ``master_seed XOR i``, every
 report embeds its full effective config, and re-running a config reproduces
 the report exactly (see :func:`replay_report`). Stacking is not part of the
@@ -32,14 +39,17 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
-from typing import Any, Callable, Iterator, Sequence, TypeAlias
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
 
 from .catalog import bell, build_state, ghz
 from .channels import (
     KrausChannel,
+    _haar_channel,
+    _haar_channel_pairs,
     complementary,
     coherent_information,
     conditional_entropy_via_coherent_info,
@@ -59,6 +69,10 @@ from .states import (
     PureState,
     State,
     SubsystemLayout,
+    _ginibre,
+    _ginibre_pairs,
+    _haar_pure,
+    _haar_pure_pairs,
     as_density,
     ginibre_state,
     haar_pure_state,
@@ -176,10 +190,13 @@ class _TrialCheck:
     as ``(label, points)`` pairs, drawing from ``generator(seed)`` in order,
     and ``fold(points)`` gives a named trial's margin and values from its
     evaluated points. ``draw(rng, layout, config)`` gives random trial i's
-    point from ``generator(trial_seed(seed, i))``. ``margin(*args)`` returns
-    the raw slack and the values recorded with it, one of each per point
-    when every arg is stacked across points (:func:`_stacked`). The layout
-    pairs ``labels`` with the ``dims`` parameter, and is None without it.
+    point from ``generator(trial_seed(seed, i))``, drawing in a fixed order:
+    each state or channel arg is a :class:`_Draw`, its numbers not yet
+    built, and any other arg is a number. ``margin(*args)`` returns the raw
+    slack and the values recorded with it, one of each per point when every
+    arg is stacked across points by :func:`_stacked`, which builds each draw
+    arg once per stack. The layout pairs ``labels`` with the ``dims``
+    parameter, and is None without it.
     """
 
     parameters: dict[str, Any]
@@ -194,12 +211,29 @@ def _part(layout: SubsystemLayout, *labels: str) -> SubsystemLayout:
     return SubsystemLayout([(lab, layout.dim_of(lab)) for lab in labels])
 
 
-def _ginibre(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
-    return (ginibre_state(rng, layout),)
+class _Draw(NamedTuple):
+    """One random trial's numbers for one margin argument, as its generator
+    draws them, and ``build``, which turns a stack of them on a leading axis
+    into that argument for the whole stack (:func:`_stacked`)."""
+
+    numbers: np.ndarray
+    build: Callable[[np.ndarray], Any]
 
 
-def _haar_pure(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
-    return (haar_pure_state(rng, layout),)
+def _draw(
+    rng: _Rng, pairs: Callable[..., np.ndarray], build: Callable[..., Any], **shape: Any
+) -> _Draw:
+    """One trial's draw for ``build``, whose module sizes it in ``pairs``: both
+    take the same ``shape`` (e.g. ``states._ginibre_pairs`` and ``_ginibre``)."""
+    return _Draw(pairs(rng, **shape), partial(build, **shape))
+
+
+def _ginibre_trial(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
+    return (_draw(rng, _ginibre_pairs, _ginibre, layout=layout),)
+
+
+def _haar_pure_trial(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
+    return (_draw(rng, _haar_pure_pairs, _haar_pure, layout=layout),)
 
 
 def _duality_margin(state: PureState) -> tuple[float, dict[str, float]]:
@@ -265,7 +299,8 @@ def _concavity_margin(
 
 def _concavity_draw(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
     alpha = float(rng.uniform())
-    return ginibre_state(rng, layout), ginibre_state(rng, layout), alpha
+    first = _draw(rng, _ginibre_pairs, _ginibre, layout=layout)
+    return first, _draw(rng, _ginibre_pairs, _ginibre, layout=layout), alpha
 
 
 def _concavity_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Named]:
@@ -318,7 +353,14 @@ def _channel(rng: _Rng, layout: SubsystemLayout, config: _Config) -> KrausChanne
 
 
 def _coherent_duality_draw(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
-    return ginibre_state(rng, _part(layout, "A")), _channel(rng, layout, config)
+    # the state, then the channel; haar_channel has checked the channel's
+    # dimensions in the fixed trials, which run first
+    state = _draw(rng, _ginibre_pairs, _ginibre, layout=_part(layout, "A"))
+    channel = _draw(
+        rng, _haar_channel_pairs, _haar_channel,
+        dim_in=layout.dim_of("A"), dim_out=layout.dim_of("B"), env_dim=config["env_dim"],
+    )
+    return state, channel
 
 
 def _coherent_duality_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Named]:
@@ -381,11 +423,11 @@ def _continuity_fold(points: Sequence[_Trial]) -> tuple[float, dict[str, Any]]:
 _TRIAL_CHECKS: dict[str, _TrialCheck] = {
     "duality": _TrialCheck(
         {"dims": (2, 2, 2), "trials": 500, "seed": 0, "tolerance": 1e-7}, _duality_margin,
-        labels=("A", "B", "C"), draw=_haar_pure, fixed=_duality_fixed,
+        labels=("A", "B", "C"), draw=_haar_pure_trial, fixed=_duality_fixed,
     ),
     "bound": _TrialCheck(
         {"dims": (3, 3), "trials": 1000, "seed": 0, "tolerance": 1e-8}, _bound_margin,
-        labels=("A", "C"), draw=_ginibre, fixed=_bound_fixed,
+        labels=("A", "C"), draw=_ginibre_trial, fixed=_bound_fixed,
     ),
     "coherent-duality": _TrialCheck(
         {"dims": (3, 3), "trials": 300, "seed": 0, "tolerance": 1e-7, "env_dim": 3},
@@ -394,7 +436,7 @@ _TRIAL_CHECKS: dict[str, _TrialCheck] = {
     ),
     "monotonicity": _TrialCheck(
         {"dims": (2, 2, 2), "trials": 500, "seed": 0, "tolerance": 1e-8}, _monotonicity_margin,
-        labels=("A", "B", "C"), draw=_ginibre, fixed=_monotonicity_fixed,
+        labels=("A", "B", "C"), draw=_ginibre_trial, fixed=_monotonicity_fixed,
     ),
     "concavity": _TrialCheck(
         {"dims": (2, 3), "trials": 500, "seed": 0, "tolerance": 1e-8}, _concavity_margin,
@@ -402,15 +444,15 @@ _TRIAL_CHECKS: dict[str, _TrialCheck] = {
     ),
     "subadditivity": _TrialCheck(
         {"dims": (2, 2, 2, 2), "trials": 300, "seed": 0, "tolerance": 1e-7}, _subadditivity_margin,
-        labels=("A", "B", "C", "D"), draw=_ginibre, fixed=_subadditivity_fixed,
+        labels=("A", "B", "C", "D"), draw=_ginibre_trial, fixed=_subadditivity_fixed,
     ),
     "formula-standard": _TrialCheck(
         {"dims": (2, 3), "trials": 500, "seed": 0, "tolerance": 1e-8}, _formula_standard_margin,
-        labels=("A", "C"), draw=_ginibre,
+        labels=("A", "C"), draw=_ginibre_trial,
     ),
     "formula-coherent": _TrialCheck(
         {"dims": (2, 3), "trials": 500, "seed": 0, "tolerance": 1e-7}, _formula_coherent_margin,
-        labels=("A", "C"), draw=_ginibre,
+        labels=("A", "C"), draw=_ginibre_trial,
     ),
     "continuity": _TrialCheck(
         {"base": "werner:p=0.5", "steps": 20, "seed": 0, "tolerance": 1e-6}, _continuity_margin,
@@ -431,8 +473,11 @@ def _stack_size(layout: SubsystemLayout) -> int:
 
 
 def _stacked(column: Sequence[Any]) -> Any:
-    """One margin argument across several points, stacked on a leading axis."""
+    """One margin argument across several points, stacked on a leading axis: the
+    points' draws built once, or their states or numbers stacked."""
     first = column[0]
+    if isinstance(first, _Draw):
+        return first.build(np.stack([arg.numbers for arg in column]))
     if isinstance(first, DensityMatrix):
         return DensityMatrix(np.stack([arg.entries for arg in column]), first.layout)
     if isinstance(first, PureState):

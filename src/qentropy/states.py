@@ -27,7 +27,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import InvalidStateError, StructuralError, as_integer
-from .rng import complex_normal, generator
+from .rng import complex_normal, generator, normal_pairs
 from .tolerances import TAU_HERM, TAU_PSD, TAU_SUPP, TAU_TRACE
 
 LabelSet = Union[str, Iterable[str]]
@@ -416,9 +416,24 @@ def ginibre_state(
     rank = dim if rank is None else as_integer(rank, "rank")
     if not 1 <= rank <= dim:
         raise StructuralError(f"rank must be in [1, {dim}], got {rank}")
-    g = complex_normal(rng, (dim, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, layout)
+    return _ginibre(_ginibre_pairs(rng, layout, rank), layout)
+
+
+def _ginibre_pairs(
+    rng: np.random.Generator, layout: SubsystemLayout, rank: int | None = None
+) -> np.ndarray:
+    """The draw :func:`_ginibre` builds: G's dim x rank entries, row-major, as
+    one (2, dim * rank) :func:`~qentropy.rng.normal_pairs` call; full rank for None."""
+    dim = layout.total_dim
+    return normal_pairs(rng, dim * (dim if rank is None else rank))
+
+
+def _ginibre(pairs: np.ndarray, layout: SubsystemLayout) -> DensityMatrix:
+    """The arithmetic of :func:`ginibre_state` on one :func:`_ginibre_pairs`
+    draw, or on a stack (N, 2, dim * rank) of them: one state, or a stack of N."""
+    g = complex_normal(pairs).reshape(pairs.shape[:-2] + (layout.total_dim, -1))
+    m = g @ g.conj().swapaxes(-1, -2)
+    return DensityMatrix(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None], layout)
 
 
 def random_density_matrix(
@@ -443,13 +458,31 @@ def haar_pure_state(rng: np.random.Generator, layout: SubsystemLayout) -> PureSt
     positive, which leaves the Haar distribution of the induced state
     untouched.
     """
-    v = complex_normal(rng, (layout.total_dim,))
-    v /= np.linalg.norm(v)
-    for x in v:
-        if abs(x) > TAU_SUPP:
-            v = v * (x.conjugate() / abs(x))
-            break
-    return PureState(v, layout)
+    return _haar_pure(_haar_pure_pairs(rng, layout), layout)
+
+
+def _haar_pure_pairs(rng: np.random.Generator, layout: SubsystemLayout) -> np.ndarray:
+    """The draw :func:`_haar_pure` builds: the vector's D entries, (2, D)."""
+    return normal_pairs(rng, layout.total_dim)
+
+
+def _haar_pure(pairs: np.ndarray, layout: SubsystemLayout) -> PureState:
+    """The arithmetic of :func:`haar_pure_state` on one :func:`_haar_pure_pairs`
+    draw, or on a stack (N, 2, D) of them, one vector per row.
+
+    Each row takes the operations numpy applies to one vector: its norm as two
+    real dot products (a row times a column, which matmul hands to ``dot``),
+    and the moduli that place and fix its phase by hypot, as ``abs`` takes
+    them of a complex scalar (numpy's vectorized ``abs`` may round differently).
+    """
+    v = complex_normal(pairs)
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    sqnorm = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    v /= np.sqrt(sqnorm[..., 0])
+    # the first component above TAU_SUPP, which a unit vector always has
+    first = np.argmax(np.hypot(v.real, v.imag) > TAU_SUPP, axis=-1)[..., None]
+    pivot = np.take_along_axis(v, first, axis=-1)
+    return PureState(v * (pivot.conj() / np.hypot(pivot.real, pivot.imag)), layout)
 
 
 def random_pure_state(layout: SubsystemLayout, seed: int = 0) -> PureState:

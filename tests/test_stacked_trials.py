@@ -1,12 +1,13 @@
 """Stacked trials: the runner's stacks against a one-trial-at-a-time reference.
 
 The reference is the runner the stacks replace: every fixed and random trial
-goes through its check's margin on its own, unstacked args, and the
-continuity schedule is evaluated one eps at a time. Stacking changes no
-arithmetic, so reports must be equal, not merely close. The remaining tests
-pin the entry budget's stack sizes, their effect on solves and memory, and
-the per-row behaviour of the stacked spectrum, purification and channel
-paths.
+goes through its check's margin on its own, unstacked args, each random
+trial drawn by the public constructors, and the continuity schedule is
+evaluated one eps at a time. Stacking changes no arithmetic, so reports
+must be equal, not merely close. The remaining tests pin the bytes of the
+stacked draws, the entry budget's stack sizes, their effect on solves and
+memory, and the per-row behaviour of the stacked spectrum, purification and
+channel paths.
 """
 
 import dataclasses
@@ -25,6 +26,7 @@ from qentropy.channels import (
     _purification,
     coherent_information,
     complementary,
+    haar_channel,
     random_channel,
     validate_channel,
 )
@@ -39,10 +41,13 @@ from qentropy.states import (
     SubsystemLayout,
     as_density,
     clamped_spectrum,
+    ginibre_state,
+    haar_pure_state,
     random_density_matrix,
     random_pure_state,
     single,
 )
+from qentropy.tolerances import TAU_SUPP
 
 # the checks with random trials; continuity has one named trial, its schedule
 TRIAL_CHECKS = sorted(name for name, check in harness._TRIAL_CHECKS.items() if check.draw)
@@ -60,8 +65,42 @@ OTHER_SHAPES = {
 }
 
 
+def _part(layout, label):
+    return SubsystemLayout([(label, layout.dim_of(label))])
+
+
+def _one_ginibre(rng, layout, config):
+    return (ginibre_state(rng, layout),)
+
+
+def _concavity_args(rng, layout, config):
+    alpha = float(rng.uniform())
+    return ginibre_state(rng, layout), ginibre_state(rng, layout), alpha
+
+
+def _coherent_duality_args(rng, layout, config):
+    rho = ginibre_state(rng, _part(layout, "A"))
+    dims = layout.dim_of("A"), layout.dim_of("B"), config["env_dim"]
+    return rho, haar_channel(rng, *dims)
+
+
+# random trial i's margin args, drawn from its generator one trial at a time by
+# the public constructors, in the order each check's draw consumes the stream
+PUBLIC_DRAWS = {
+    "duality": lambda rng, layout, config: (haar_pure_state(rng, layout),),
+    "bound": _one_ginibre,
+    "coherent-duality": _coherent_duality_args,
+    "monotonicity": _one_ginibre,
+    "concavity": _concavity_args,
+    "subadditivity": _one_ginibre,
+    "formula-standard": _one_ginibre,
+    "formula-coherent": _one_ginibre,
+}
+
+
 def reference_trials(config):
-    """Every trial of a check, each evaluated on its own unstacked args."""
+    """Every trial of a check, each evaluated on its own unstacked args, the
+    random ones drawn by :data:`PUBLIC_DRAWS`."""
     check = harness._TRIAL_CHECKS[config["property"]]
     seed = config["seed"]
     layout = SubsystemLayout(zip(check.labels, config["dims"], strict=True))
@@ -71,7 +110,7 @@ def reference_trials(config):
     ]
     for i in range(config["trials"]):
         ts = trial_seed(seed, i)
-        args = check.draw(generator(ts), layout, config)
+        args = PUBLIC_DRAWS[config["property"]](generator(ts), layout, config)
         trials.append(harness._Trial(str(i), ts, *check.margin(*args)))
     return trials
 
@@ -210,6 +249,127 @@ class TestContinuityAgainstReference:
         stacks = [shape[0] for shape in shapes[1:]]
         assert stacks == expected
         assert max(stacks) * dim**2 <= harness._STACK_ENTRIES
+
+
+def runner_stacks(monkeypatch, name, **overrides):
+    """The margin args of each stack of random trials, as the runner builds
+    them from per-trial draws, and the run's config; fixed trials are left out."""
+    check = harness._TRIAL_CHECKS[name]
+    stacks = []
+
+    def recording(*args):
+        stacks.append(args)
+        return check.margin(*args)
+
+    entry = dataclasses.replace(check, margin=recording, fixed=lambda rng, layout, config: [])
+    monkeypatch.setitem(harness._TRIAL_CHECKS, name, entry)
+    return stacks, run_check(name, **overrides).config
+
+
+def payload(arg):
+    """What a margin arg carries: a state's entries or amplitudes, a channel's
+    Kraus operators with a stack's axis first, or a number as float64."""
+    if isinstance(arg, KrausChannel):
+        return arg.kraus_ops.swapaxes(0, 1) if arg.kraus_ops.ndim == 4 else arg.kraus_ops
+    if isinstance(arg, DensityMatrix):
+        return arg.entries
+    if isinstance(arg, PureState):
+        return arg.amplitudes
+    return np.asarray(arg, dtype=np.float64)
+
+
+def described(arg, a):
+    """Kind, dtype and bytes of an arg's payload ``a``, or of one row of it."""
+    built = isinstance(arg, (KrausChannel, DensityMatrix, PureState))
+    kind = type(arg).__name__ if built else "number"
+    a = np.ascontiguousarray(a)
+    return kind, a.dtype, a.tobytes()
+
+
+class TestDraws:
+    """Drawn per trial and built per stack, each margin arg has the bytes the
+    public constructors give one trial at a time."""
+
+    @pytest.mark.parametrize("name", TRIAL_CHECKS)
+    @pytest.mark.parametrize("shape", ["default", "other"])
+    @pytest.mark.parametrize("partial_stack", [False, True])
+    def test_stacked_draws_equal_the_public_constructors(
+        self, monkeypatch, name, shape, partial_stack
+    ):
+        check = harness._TRIAL_CHECKS[name]
+        overrides = OTHER_SHAPES[name] if shape == "other" else {}
+        layout = SubsystemLayout(zip(check.labels, overrides.get("dims", check.parameters["dims"])))
+        size = harness._stack_size(layout)
+        # one full stack, or a full stack and a partial last one of 7 trials
+        trials = size + 7 if partial_stack else size
+        stacks, config = runner_stacks(monkeypatch, name, seed=5, trials=trials, **overrides)
+        assert [len(payload(args[0])) for args in stacks] == [size, 7][: 1 + partial_stack]
+        stacked = [
+            [described(arg, payload(arg)[i]) for arg in args]
+            for args in stacks
+            for i in range(len(payload(args[0])))
+        ]
+        one_at_a_time = [
+            [described(arg, payload(arg)) for arg in args]
+            for args in (
+                PUBLIC_DRAWS[name](generator(trial_seed(5, i)), layout, config)
+                for i in range(trials)
+            )
+        ]
+        assert stacked == one_at_a_time
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 3)])
+    def test_ginibre_and_haar_pure_states_keep_their_bytes(self, dims):
+        # against each constructor's one-draw arithmetic restated: numpy's norm
+        # of the vector, then the phase of its first component above TAU_SUPP
+        layout = SubsystemLayout(zip("ABC", dims))
+        d = layout.total_dim
+        for seed in range(100):
+            rng = generator(seed)
+            g = (rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))) / np.sqrt(2.0)
+            m = g @ g.conj().T
+            rho = random_density_matrix(d, rank=2, seed=seed, layout=layout)
+            assert rho.entries.tobytes() == (m / np.trace(m).real).tobytes()
+            rng = generator(seed)
+            v = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2.0)
+            v /= np.linalg.norm(v)
+            pivot = next(x for x in v if abs(x) > TAU_SUPP)
+            expected = v * (pivot.conjugate() / abs(pivot))
+            assert random_pure_state(layout, seed=seed).amplitudes.tobytes() == expected.tobytes()
+
+    def test_the_haar_pure_build_needs_no_numpy_2_function(self, monkeypatch):
+        # pyproject allows numpy >= 1.24, which has no np.vecdot
+        layout = SubsystemLayout(zip("ABC", (2, 2, 2)))
+        before = [random_pure_state(layout, seed=seed).amplitudes for seed in range(5)]
+        monkeypatch.delattr(np, "vecdot", raising=False)
+        after = [random_pure_state(layout, seed=seed).amplitudes for seed in range(5)]
+        assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+
+    @pytest.mark.parametrize("dim_in, dim_out, env_dim", [(3, 3, 3), (2, 3, 2), (3, 2, 2)])
+    def test_haar_channels_keep_their_bytes(self, dim_in, dim_out, env_dim):
+        # against the one-draw arithmetic restated: QR, then the phase fix of R
+        for seed in range(100):
+            rng = generator(seed)
+            shape = (dim_out * env_dim, dim_in)
+            g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+            q, r = np.linalg.qr(g, mode="reduced")
+            diag = np.diagonal(r).copy()
+            diag[np.abs(diag) < TAU_SUPP] = 1.0
+            v = q * (diag.conjugate() / np.abs(diag))
+            expected = np.ascontiguousarray(v.reshape(dim_out, env_dim, dim_in).swapaxes(0, 1))
+            got = random_channel(dim_in, dim_out, env_dim, seed=seed).kraus_ops
+            assert got.tobytes() == expected.tobytes()
+
+    def test_the_mixed_sweep_input_keeps_its_bytes(self):
+        # the 576-dimensional state that perfbench's mixed-eigen-sweep writes at
+        # seed 1, against the constructor's arithmetic restated for one draw
+        layout = SubsystemLayout([("A", 24), ("B", 24)])
+        rng = generator(1)
+        g = (rng.standard_normal((576, 576)) + 1j * rng.standard_normal((576, 576))) / np.sqrt(2.0)
+        m = g @ g.conj().T
+        expected = m / np.trace(m).real
+        got = random_density_matrix(576, seed=1, layout=layout).entries
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestStackBudget:

@@ -89,6 +89,10 @@ INVOCATIONS: dict[str, list[str]] = {
         "--property", "coherent-duality", "--trials", "120", "--dims", "2,3", "--env-dim", "2",
         "--seed", "5",
     ),
+    # two states and an alpha per trial, drawn in that order from one stream
+    "check-concavity-stack": _check(
+        "--property", "concavity", "--trials", "120", "--dims", "3,2", "--seed", "5"
+    ),
     "check-subadditivity-stack": _check(
         "--property", "subadditivity", "--trials", "260", "--dims", "1,2,2,1", "--seed", "5"
     ),
