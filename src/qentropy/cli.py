@@ -3,6 +3,11 @@
 Exit codes: 0 on success (all checks passed), 1 when a property check fails,
 2 on usage, parse, or validation errors. All JSON output is deterministic
 (sorted keys, repr floats); pass --no-timestamp to make runs byte-identical.
+
+Every command ends in :func:`_finish`, the one home of the output contract:
+it stamps the document unless --no-timestamp and writes each of the
+command's files (:func:`_files`) before printing, so a failed write prints
+nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import errno
 import os
 import sys
 from datetime import datetime, timezone
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .catalog import CATALOG
 from .channels import (
@@ -29,13 +34,7 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .errors import QEntropyError
-from .fileio import (
-    _csv_table,
-    dumps_document,
-    load_channel,
-    save_sweep_csv,
-    sweep_rows,
-)
+from .fileio import _csv_table, dumps_document, load_channel, sweep_rows, sweep_to_csv
 from .harness import CHECKS, report_to_dict, resolve_state, run_check, run_converge
 from .states import State
 from .truncation import PROJECTOR_MODES
@@ -74,10 +73,6 @@ class _UsageError(QEntropyError):
     """Raised for flag combinations argparse itself cannot reject."""
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -92,30 +87,48 @@ def _parse_labels(text: str) -> tuple[str, ...]:
     return labels
 
 
-def _require_writable(path: str) -> None:
-    """Raise the error that writing ``path`` later would raise, without touching it.
+def _files(args: argparse.Namespace) -> dict[str, str]:
+    """The command's files, each path mapped to the format written there."""
+    if args.command == "converge":
+        return {args.out + ".json": "json", args.out + ".csv": "csv"}
+    return {args.out: args.format} if args.out else {}
+
+
+def _require_writable(args: argparse.Namespace) -> None:
+    """Raise the error that writing one of the command's files later would
+    raise, without touching it.
 
     Catches an existing directory, a missing parent directory and missing
     write permission before any work is done; nothing is created or truncated.
     """
-    parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(parent):
-        code = errno.ENOENT
-    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
-        code = errno.EACCES
-    else:
-        return
-    raise OSError(code, os.strerror(code), path)
+    for path in _files(args):
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
 
 
-def _emit(payload: str, out: str | None) -> None:
-    # the file first, so a failed write leaves stdout empty
-    if out:
-        with open(out, "w") as fh:
-            fh.write(payload)
-    sys.stdout.write(payload)
+def _finish(
+    args: argparse.Namespace, doc: dict[str, Any], csv: Callable[[], str] | None = None
+) -> None:
+    """Stamp ``doc`` unless --no-timestamp, write each of the command's files,
+    then print the chosen format; ``csv`` renders the command's CSV table.
+    Only the formats a file or stdout receives are rendered, each once."""
+    if not args.no_timestamp:
+        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
+    files = _files(args)
+    render = {"json": lambda: dumps_document(doc), "csv": csv}
+    texts = {fmt: render[fmt]() for fmt in dict.fromkeys([*files.values(), args.format])}
+    for path, fmt in files.items():
+        with open(path, "w") as fh:
+            fh.write(texts[fmt])
+    sys.stdout.write(texts[args.format])
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -131,27 +144,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
         names = list(CHECKS)
     else:
         names = [args.property]
-    if args.out:
-        _require_writable(args.out)
+    _require_writable(args)
 
     reports = [run_check(name, seed=args.seed, **overrides) for name in names]
     dicts = [report_to_dict(rep) for rep in reports]
     all_pass = all(rep.passed for rep in reports)
-    if args.format == "csv":
-        payload = _csv_table(REPORT_CSV_COLUMNS, dicts)
-    else:
-        doc: dict[str, Any] = {"kind": "check", "all_pass": all_pass, "reports": dicts}
-        if not args.no_timestamp:
-            doc["timestamp"] = _timestamp()
-        payload = dumps_document(doc)
-    _emit(payload, args.out)
+    doc = {"kind": "check", "all_pass": all_pass, "reports": dicts}
+    _finish(args, doc, csv=lambda: _csv_table(REPORT_CSV_COLUMNS, dicts))
     return 0 if all_pass else 1
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    base = args.out
-    for path in (base + ".json", base + ".csv"):
-        _require_writable(path)
+    _require_writable(args)
     result = run_converge(
         state_spec=args.state,
         target=_parse_labels(args.target),
@@ -162,14 +166,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         mode=args.mode,
     )
     points = result["points"]
-    doc: dict[str, Any] = {**result, "points": sweep_rows(points)}
-    if not args.no_timestamp:
-        doc["timestamp"] = _timestamp()
-    json_payload = dumps_document(doc)
-    with open(base + ".json", "w") as fh:
-        fh.write(json_payload)
-    csv_payload = save_sweep_csv(base + ".csv", points)
-    _emit(csv_payload if args.format == "csv" else json_payload, None)
+    _finish(args, {**result, "points": sweep_rows(points)}, csv=lambda: sweep_to_csv(points))
     return 0
 
 
@@ -203,8 +200,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"{quantity} takes {' or '.join(_describe(form) for form in forms)}; got {got}"
         )
-    if args.out:
-        _require_writable(args.out)
+    _require_writable(args)
     rho = resolve_state(args.state)
     inputs: dict[str, Any] = {"state": args.state}
     extras: dict[str, Any] = {}
@@ -245,9 +241,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         "inputs": inputs,
     }
     doc.update(extras)
-    if not args.no_timestamp:
-        doc["timestamp"] = _timestamp()
-    _emit(dumps_document(doc), args.out)
+    _finish(args, doc)
     return 0
 
 
@@ -293,10 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--base", help="override base state, spec or file (continuity)")
     check.add_argument("--steps", type=int, help="override schedule length (continuity)")
     check.add_argument("--out", help="also write the payload to this file")
-    check.add_argument("--format", choices=["json", "csv"], default="json")
-    check.add_argument(
-        "--no-timestamp", action="store_true", help="omit the timestamp for byte-identical output"
-    )
 
     converge = sub.add_parser(
         "converge",
@@ -328,10 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="projector family (default computational)",
     )
     converge.add_argument("--out", default="sweep", help="output base path (default sweep)")
-    converge.add_argument("--format", choices=["json", "csv"], default="json")
-    converge.add_argument(
-        "--no-timestamp", action="store_true", help="omit the timestamp for byte-identical output"
-    )
 
     compute = sub.add_parser(
         "compute",
@@ -353,10 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--given", help=f"comma list of conditioning labels{_TRACED}")
     compute.add_argument("--bits", action="store_true", help="report in bits instead of nats")
     compute.add_argument("--out", help="also write the payload to this file")
-    compute.add_argument(
-        "--no-timestamp", action="store_true", help="omit the timestamp for byte-identical output"
-    )
+    compute.set_defaults(format="json")  # compute prints JSON only
 
+    # the output flags, last in each command's help
+    for command in (check, converge):
+        command.add_argument("--format", choices=["json", "csv"], default="json")
+    for command in (check, converge, compute):
+        command.add_argument(
+            "--no-timestamp", action="store_true",
+            help="omit the timestamp for byte-identical output",
+        )  # fmt: skip
     return parser
 
 

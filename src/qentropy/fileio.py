@@ -20,10 +20,12 @@ differ from ``json.loads`` is an array nested inside ``labels`` or ``dims``:
 it too comes back as a float array, so such a label reads as that array's
 text, and such a dim is rejected with the array in the message.
 
-Sweep tables are written as CSV with a fixed column order:
+Sweep tables are rendered as CSV text (:func:`sweep_to_csv`) with a fixed
+column order:
 ``schedule_index,rank_A,rank_B,lambda,cond_entropy_nats,h_nk,h_tilde_nk,diff``.
 Floats are rendered with ``repr`` (shortest round-trip form), so identical
-runs produce byte-identical files.
+runs produce byte-identical files. Result documents and tables are rendered
+here as text; the command line writes them, every file before stdout.
 """
 
 from __future__ import annotations
@@ -267,13 +269,6 @@ def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
     return _csv_table(SWEEP_COLUMNS, sweep_rows(points))
 
 
-def save_sweep_csv(path: str | Path, points: Sequence[SweepPoint]) -> str:
-    """Write the sweep table to ``path`` and return the text written."""
-    text = sweep_to_csv(points)
-    Path(path).write_text(text)
-    return text
-
-
 __all__ = [
     "SWEEP_COLUMNS",
     "complex_to_pairs",
@@ -290,5 +285,4 @@ __all__ = [
     "save_channel",
     "sweep_rows",
     "sweep_to_csv",
-    "save_sweep_csv",
 ]

@@ -29,16 +29,16 @@ runs on one draw. Named fixed trials are built as states when they are listed.
 
 Reproducibility contract: trial i uses seed ``master_seed XOR i``, every
 report embeds its full effective config, and re-running a config reproduces
-the report exactly (see :func:`replay_report`). Stacking is not part of the
-config: it changes no arithmetic, so a report does not depend on the stack
-size.
+the report exactly (see :func:`replay_report`, which replays a sweep's too).
+Stacking is not part of the config: it changes no arithmetic, so a report
+does not depend on the stack size.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import islice
 from typing import Any, Callable, Iterator, NamedTuple, Sequence, TypeAlias
@@ -522,20 +522,11 @@ def _run_trials(config: _Config) -> PropertyReport:
 
 
 def report_to_dict(report: PropertyReport) -> dict[str, Any]:
-    """Flatten a report for serialization; feed through json_ready before dumping."""
-    return {
-        "property": report.property,
-        "verdict": report.verdict,
-        "trials": report.trials,
-        "seed": report.seed,
-        "tolerance": report.tolerance,
-        "worst_margin": report.worst_margin,
-        "worst_seed": report.worst_seed,
-        "units": "nats",
-        "config": report.config,
-        "saturated": list(report.saturated),
-        "records": list(report.records),
-    }
+    """Flatten a report for serialization: its fields plus ``units``, the
+    tuples as lists; feed through json_ready before dumping."""
+    doc = asdict(report)
+    doc.update(units="nats", saturated=list(doc["saturated"]), records=list(doc["records"]))
+    return doc
 
 
 # each entry runs a complete config, as run_check builds it
@@ -553,6 +544,8 @@ _COERCE: dict[str, Callable[[Any, str], Any]] = {
     "base": lambda value, key: str(value),
 }
 _MINIMUM = {"trials": 1, "steps": 2, "env_dim": 1, "seed": 0}
+# 1 - 2^-n rounds to 1.0 in float64 past n = 53, so a continuity point there is its base
+_MAXIMUM = {"steps": 53}
 
 
 def run_check(name: str, **overrides: Any) -> PropertyReport:
@@ -563,8 +556,9 @@ def run_check(name: str, **overrides: Any) -> PropertyReport:
     Counts, the seed and dims follow :func:`~.errors.as_integer`: an integral
     float such as 3.0 reads as 3, while a fraction, a bool or a non-number
     raises :class:`~.errors.ParseError`. An override the check does not
-    take, a count below its minimum, the wrong number of dims, or a negative
-    or non-finite tolerance raises :class:`PreconditionError`.
+    take, a count below its minimum or above its maximum, the wrong number
+    of dims, or a negative or non-finite tolerance raises
+    :class:`PreconditionError`.
     """
     if name not in CHECKS:
         raise PreconditionError(f"unknown property {name!r}; have {sorted(CHECKS)}")
@@ -581,6 +575,9 @@ def run_check(name: str, **overrides: Any) -> PropertyReport:
     for key, low in _MINIMUM.items():
         if key in config and config[key] < low:
             raise PreconditionError(f"{key} must be at least {low}, got {params[key]}")
+    for key, high in _MAXIMUM.items():
+        if key in config and config[key] > high:
+            raise PreconditionError(f"{key} must be at most {high}, got {params[key]}")
     dims = config.get("dims")
     if dims is not None and (len(dims) != len(declared["dims"]) or min(dims) < 1):
         raise PreconditionError(f"{name!r} needs {len(declared['dims'])} positive dims, got {dims}")
@@ -590,13 +587,27 @@ def run_check(name: str, **overrides: Any) -> PropertyReport:
     return CHECKS[name](config)
 
 
-def replay_report(config: dict[str, Any]) -> PropertyReport:
-    """Re-run a check from a report's embedded config; output matches the original."""
+# the fields of a converge document's config, as run_converge records them
+_SWEEP_CONFIG = ("state", "target", "given", "schedule", "mode")
+
+
+def replay_report(config: dict[str, Any]) -> PropertyReport | dict[str, Any]:
+    """Re-run a check report's or a converge document's embedded config; the
+    report, or the sweep document, matches the original.
+
+    A config with a ``property`` field is a check's; any other must hold
+    exactly a sweep's fields, else :class:`PreconditionError` is raised.
+    """
     config = dict(config)
-    name = config.pop("property", None)
-    if name is None:
-        raise PreconditionError("config has no 'property' field")
-    return run_check(name, **config)
+    if "property" in config:
+        return run_check(config.pop("property"), **config)
+    if set(config) != set(_SWEEP_CONFIG):
+        raise PreconditionError(
+            f"config has no 'property' field, and a sweep config has exactly "
+            f"{', '.join(_SWEEP_CONFIG)}; got {', '.join(sorted(config)) or 'no field'}"
+        )
+    state, target, given, schedule, mode = (config[key] for key in _SWEEP_CONFIG)
+    return run_converge(state, target, given, schedule=schedule, mode=mode)
 
 
 def run_suite(seed: int = 0, properties: Sequence[str] | None = None) -> list[PropertyReport]:

@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 
 from qentropy.channels import KrausChannel
-from qentropy.fileio import SWEEP_COLUMNS, save_channel, save_state
-from qentropy.states import DensityMatrix, SubsystemLayout, single
+from qentropy.fileio import (
+    SWEEP_COLUMNS,
+    dumps_document,
+    save_channel,
+    save_state,
+    sweep_rows,
+    sweep_to_csv,
+)
+from qentropy.harness import replay_report, run_converge
+from qentropy.states import DensityMatrix, SubsystemLayout, random_density_matrix, single
 
 LN2 = np.log(2.0)
 
@@ -214,6 +222,17 @@ class TestConvergeCommand:
         assert len(calls) == 1
         assert capsys.readouterr().out == (tmp_path / "run.csv").read_text(encoding="utf-8")
 
+    def test_csv_file_is_the_sweep_table(self, tmp_path, capsys):
+        from qentropy import cli
+
+        base = tmp_path / "run"
+        argv = ["converge", "--state", "tmsv:nbar=1,cutoff=6", "--min-rank", "3",
+                "--out", str(base)]  # fmt: skip
+        assert cli.main(argv) == 0
+        text = (tmp_path / "run.csv").read_text(encoding="utf-8")
+        assert text == sweep_to_csv(run_converge("tmsv:nbar=1,cutoff=6", min_rank=3)["points"])
+        assert text.endswith("\n")
+
     def test_state_file_input(self, tmp_path):
         path = tmp_path / "bell.json"
         from qentropy.catalog import bell
@@ -255,6 +274,97 @@ class TestConvergeCommand:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+
+def write_sweep_states(folder):
+    """The seeded files of the sweep shapes below, as the identity tool writes them."""
+    three = SubsystemLayout((("A", 3), ("B", 4), ("C", 2)))
+    save_state(folder / "rand24.json", random_density_matrix(24, seed=5, layout=three))
+    square = SubsystemLayout((("A", 24), ("B", 24)))
+    save_state(folder / "rand576.json", random_density_matrix(576, seed=201, layout=square))
+
+
+class TestSweepReplay:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (),
+            # short of full rank: the base value comes from one more step
+            ("--state", "tmsv:nbar=2,cutoff=12", "--max-rank", "8", "--mode", "eigenbasis"),
+            ("--state", "rand24.json", "--target", "A,C", "--given", "B", "--mode",
+             "eigenbasis", "--min-rank", "1"),
+            ("--state", "rand576.json", "--mode", "eigenbasis"),
+            ("--state", "ghz:parties=3", "--target", "A", "--given", "B", "--mode",
+             "eigenbasis", "--min-rank", "1"),
+        ],
+    )  # fmt: skip
+    def test_out_json_is_the_replayed_document(self, tmp_path, monkeypatch, capsys, args):
+        from qentropy import cli
+
+        monkeypatch.chdir(tmp_path)
+        write_sweep_states(tmp_path)
+        assert cli.main(["converge", *args, "--no-timestamp", "--out", "run"]) == 0
+        text = (tmp_path / "run.json").read_text(encoding="utf-8")
+        again = replay_report(json.loads(text)["config"])
+        assert dumps_document({**again, "points": sweep_rows(again["points"])}) == text
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--property", "bound", "--trials", "2", "--out", "."],
+            # OUT.json is written, then OUT.csv fails
+            ["converge", "--state", "bell", "--min-rank", "1", "--out", "base"],
+            ["compute", "entropy", "bell", "--out", "."],
+        ],
+    )
+    def test_a_write_that_fails_after_the_work_prints_nothing(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        from qentropy import cli
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "base.csv").mkdir()
+        monkeypatch.setattr(cli, "_require_writable", lambda *args: None)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_check_csv_never_renders_json(self, tmp_path, monkeypatch, capsys):
+        from qentropy import cli
+
+        def no_json(doc):
+            raise AssertionError("rendered a JSON document nothing receives")
+
+        monkeypatch.setattr(cli, "dumps_document", no_json)
+        out = tmp_path / "report.csv"
+        argv = ["check", "--property", "bound", "--trials", "2", "--format", "csv",
+                "--out", str(out)]  # fmt: skip
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("property,verdict,")
+        assert out.read_text(encoding="utf-8") == printed
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--property", "bound", "--trials", "2"],
+            ["converge", "--state", "bell", "--min-rank", "1", "--out", "run"],
+            ["compute", "entropy", "bell"],
+        ],
+    )
+    def test_every_document_is_stamped_unless_asked_not_to(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        from qentropy import cli
+
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 0
+        assert "timestamp" in json.loads(capsys.readouterr().out)
+        assert cli.main([*argv, "--no-timestamp"]) == 0
+        assert "timestamp" not in json.loads(capsys.readouterr().out)
 
 
 class TestComputeCommand:
@@ -501,6 +611,8 @@ class TestMalformedInput:
             ("check", "--property", "duality", "--env-dim", "3"),
             ("check", "--property", "continuity", "--trials", "3"),
             ("check", "--property", "continuity", "--steps", "1"),
+            # past 53 halvings the mixture rounds to the base itself
+            ("check", "--property", "continuity", "--steps", "54"),
             ("check", "--property", "concavity", "--dims", "2,2,2"),
             ("check", "--property", "bound", "--tolerance", "nan"),
             ("compute", "entropy", "thermal:nbar=nan"),

@@ -23,7 +23,6 @@ from qentropy.fileio import (
     pairs_to_complex,
     save_channel,
     save_state,
-    save_sweep_csv,
     state_from_document,
     state_to_document,
     sweep_rows,
@@ -297,10 +296,3 @@ class TestSweepSerialization:
         cells = text.splitlines()[2].split(",")
         assert float(cells[3]) == 0.75
         assert float(cells[4]) == -0.5
-
-    def test_save_sweep_csv(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        save_sweep_csv(path, sample_points())
-        text = path.read_text(encoding="utf-8")
-        assert text == sweep_to_csv(sample_points())
-        assert text.endswith("\n")

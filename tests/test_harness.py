@@ -1,5 +1,6 @@
 """Tests for the randomized property checks, report replay, and sweep orchestration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from qentropy.fileio import dumps_document, save_state
 from qentropy.harness import (
     CHECKS,
     SATURATION_BAND,
+    PropertyReport,
     replay_report,
     report_to_dict,
     resolve_state,
@@ -75,7 +77,8 @@ class TestRunCheck:
         assert report.config["trials"] == 25
 
     def test_report_dict_shape(self):
-        doc = report_to_dict(run_check("monotonicity", trials=10))
+        report = run_check("monotonicity", trials=10)
+        doc = report_to_dict(report)
         assert doc["units"] == "nats"
         assert doc["verdict"] == "pass"
         assert set(doc) == {
@@ -91,6 +94,10 @@ class TestRunCheck:
             "saturated",
             "records",
         }
+        # exactly the report's fields plus units, its tuples as lists
+        assert set(doc) == {f.name for f in dataclasses.fields(PropertyReport)} | {"units"}
+        assert type(doc["saturated"]) is type(doc["records"]) is list
+        assert doc["records"] == list(report.records)
 
 
 # the parameters each check declares, with the type run_check records for each
@@ -204,6 +211,15 @@ class TestReplay:
         assert tuple(again.config["dims"]) == (2, 2)
         assert report_to_dict(again) == report_to_dict(report)
 
+    @pytest.mark.parametrize(
+        "change", [{"state": None}, {"schedule": None}, {"mode": None}, {"stride": 1}]
+    )
+    def test_sweep_config_needs_exactly_its_fields(self, change):
+        config = {**run_converge("bell", min_rank=1)["config"], **change}
+        config = {key: value for key, value in config.items() if value is not None}
+        with pytest.raises(PreconditionError, match="sweep config"):
+            replay_report(config)
+
 
 class TestContinuity:
     def test_default_schedule_converges(self):
@@ -246,6 +262,13 @@ class TestContinuity:
         report = run_check("continuity", base="werner:p=0")
         assert report.passed and report.worst_margin == 0.0
         assert report.saturated == ({"trial": "schedule", "margin": 0.0},)
+
+    def test_schedule_stops_at_the_last_distinct_mixture(self):
+        # 1 - 2^-53 is the last 1 - eps below 1.0: a 54th point would be the base itself
+        assert 1.0 - 2.0**-53 != 1.0 and 1.0 - 2.0**-54 == 1.0
+        assert run_check("continuity", steps=53).trials == 53
+        with pytest.raises(PreconditionError, match="steps must be at most 53, got 54"):
+            run_check("continuity", steps=54)
 
     def test_invalid_base_state_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -212,7 +212,7 @@ class TestAgainstReference:
 
 class TestContinuityAgainstReference:
     @pytest.mark.parametrize("base", ["werner:p=0.5", "bell", "file"])
-    @pytest.mark.parametrize("steps", [2, 20, 60])
+    @pytest.mark.parametrize("steps", [2, 20, 53])
     @pytest.mark.parametrize("one_point_stacks", [False, True])
     def test_report_is_equal(self, monkeypatch, file_base, base, steps, one_point_stacks):
         base = continuity_base(base, file_base)

@@ -7,6 +7,9 @@
 
 ``diff -r`` proves byte identity; where a change may move rounding,
 ``tools/compare_outputs.py`` checks the outputs against its agreement bound.
+Each ``NAME.replay`` reads ``reproduced`` when re-running the configs its
+output embeds renders that output again, so a replay that stops reproducing
+shows in ``diff -r`` too.
 
 Runs ``qentropy.cli.main`` of the ``qentropy`` found on ``sys.path`` in this
 process, once per entry of :data:`INVOCATIONS`, with OUTDIR as the working
@@ -14,19 +17,25 @@ directory and relative paths only, so no output embeds a directory name.
 The seeded input files are written first, by the same ``qentropy``. For
 invocation NAME it writes ``NAME.stdout``, ``NAME.stderr`` and ``NAME.exit``,
 so an exit-2 ``error:`` line is compared too; files named by ``--out`` land
-in OUTDIR beside them. An invocation that raises instead of returning is
-recorded with exit code 1, as the command line would end, and its traceback
-goes to this tool's own stderr. BLAS is pinned to one thread
-before numpy loads, so eigensolves round the same way on every run.
+in OUTDIR beside them. An invocation that exits 0 or 1 with an output that
+embeds a config, a JSON check report on stdout or a sweep's ``OUT.json``,
+also gets ``NAME.replay``: ``reproduced``, the first field, in document
+order, where the replayed document differs, or the error the replay raised.
+An invocation that raises instead of returning is recorded with exit code
+1, as the command line would end, and its traceback goes to this tool's own
+stderr. BLAS is pinned to one thread before numpy loads, so eigensolves
+round the same way on every run.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 import traceback
+from typing import Any
 
 PINNED_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -77,6 +86,8 @@ INVOCATIONS: dict[str, list[str]] = {
     "check-continuity-bell": _check("--property", "continuity", "--base", "bell"),
     # a full-rank file base on 24 dims: the schedule runs in stacks of 4096 // 24^2 = 7
     "check-continuity-rand24": _check("--property", "continuity", "--base", STATE_3PARTY),
+    # the deepest schedule, and one past it: 1 - 2^-54 rounds to 1.0, an exit 2
+    "check-continuity-steps53": _check("--property", "continuity", "--steps", "53"),
     "check-continuity-steps60": _check("--property", "continuity", "--steps", "60"),
     "check-duality-dims": _check("--property", "duality", "--dims", "3,2,2"),
     "check-coherent-env": _check("--property", "coherent-duality", "--env-dim", "2"),
@@ -241,32 +252,80 @@ def _write_inputs() -> None:
     save_state(STATE_MANY_SUBSYSTEMS, DensityMatrix(np.ones((1, 1)), many))
 
 
+_MISSING = object()
+
+
+def _first_difference(old: Any, new: Any, path: str) -> str | None:
+    """The path of the first field, in sorted-key order, where ``new`` differs from ``old``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = sorted(old.keys() | new.keys())
+        prefix = f"{path}." if path else ""
+        pairs = [(prefix + key, old.get(key, _MISSING), new.get(key, _MISSING)) for key in keys]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(old, new))]
+    else:
+        # repr, so -0.0 differs from 0.0 and 1 from 1.0
+        return None if repr(old) == repr(new) else path or "(document)"
+    return next(filter(None, (_first_difference(a, b, where) for where, a, b in pairs)), None)
+
+
+def replay(text: str) -> str:
+    """``reproduced`` if re-running the configs a check report's or a converge
+    document's JSON ``text`` embeds renders the same document, else the first
+    field that differs, or the error the replay raised."""
+    from qentropy.fileio import dumps_document, sweep_rows
+    from qentropy.harness import replay_report, report_to_dict
+
+    doc = json.loads(text)
+    try:
+        if doc["kind"] == "check":
+            reports = [replay_report(report["config"]) for report in doc["reports"]]
+            dicts = [report_to_dict(report) for report in reports]
+            again = {"kind": "check", "all_pass": all(r.passed for r in reports), "reports": dicts}
+        else:
+            sweep = replay_report(doc["config"])
+            again = {**sweep, "points": sweep_rows(sweep["points"])}
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}\n"
+    return f"{_first_difference(doc, json.loads(dumps_document(again)), '') or 'reproduced'}\n"
+
+
+def write_outputs(name: str, args: list[str]) -> None:
+    """Run one invocation in the working directory and write its NAME.* files."""
+    from qentropy.cli import main as qentropy_main
+
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = qentropy_main(args)
+    except Exception:
+        # raised after the redirects closed: the traceback is the tool's own
+        traceback.print_exc()
+        code = 1
+    outputs = {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": f"{code}\n"}
+    if code in (0, 1) and args[0] == "converge":
+        with open(args[args.index("--out") + 1] + ".json", encoding="utf-8") as fh:
+            outputs["replay"] = replay(fh.read())
+    elif code in (0, 1) and args[0] == "check" and outputs["stdout"].startswith("{"):
+        outputs["replay"] = replay(outputs["stdout"])
+    for suffix, text in outputs.items():
+        with open(f"{name}.{suffix}", "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     # before anything loads numpy: threaded eigensolves may round differently
     os.environ.update(PINNED_THREADS)
-    from qentropy.cli import main as qentropy_main
-
     # a relative PYTHONPATH such as src must keep resolving after the chdir
     sys.path[:] = [os.path.abspath(entry) for entry in sys.path]
     os.makedirs(argv[0], exist_ok=True)
     os.chdir(argv[0])
     _write_inputs()
     for name, args in INVOCATIONS.items():
-        out, err = io.StringIO(), io.StringIO()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = qentropy_main(args)
-        except Exception:
-            # raised after the redirects closed: the traceback is the tool's own
-            traceback.print_exc()
-            code = 1
-        outputs = {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": f"{code}\n"}
-        for suffix, text in outputs.items():
-            with open(f"{name}.{suffix}", "w", encoding="utf-8") as fh:
-                fh.write(text)
+        write_outputs(name, args)
     return 0
 
 
