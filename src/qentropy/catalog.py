@@ -132,13 +132,9 @@ def thermal_fock(nbar: float = 1.0, cutoff: int = 30) -> DensityMatrix:
         raise PreconditionError(f"mean occupation must be nonnegative, got {nbar}")
     if cutoff < 1:
         raise PreconditionError(f"cutoff must be at least 1, got {cutoff}")
-    if nbar == 0.0:
-        probs = np.zeros(cutoff)
-        probs[0] = 1.0
-    else:
-        q = nbar / (nbar + 1.0)
-        probs = q ** np.arange(cutoff)
-        probs /= probs.sum()
+    q = nbar / (nbar + 1.0)
+    probs = q ** np.arange(cutoff)
+    probs /= probs.sum()
     return DensityMatrix(np.diag(probs), SubsystemLayout([("A", cutoff)]))
 
 

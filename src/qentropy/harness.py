@@ -531,7 +531,6 @@ def report_to_dict(report: PropertyReport) -> dict[str, Any]:
 
 # each entry runs a complete config, as run_check builds it
 CHECKS: dict[str, Callable[[_Config], PropertyReport]] = dict.fromkeys(_TRIAL_CHECKS, _run_trials)
-_PARAMETERS = {name: check.parameters for name, check in _TRIAL_CHECKS.items()}
 # one coercion per parameter, applied to defaults and overrides alike; it is
 # passed the value and the parameter's name
 _COERCE: dict[str, Callable[[Any, str], Any]] = {
@@ -562,7 +561,7 @@ def run_check(name: str, **overrides: Any) -> PropertyReport:
     """
     if name not in CHECKS:
         raise PreconditionError(f"unknown property {name!r}; have {sorted(CHECKS)}")
-    declared = _PARAMETERS[name]
+    declared = _TRIAL_CHECKS[name].parameters
     overrides = {k: v for k, v in overrides.items() if v is not None}
     unknown = sorted(set(overrides) - set(declared))
     if unknown:

@@ -300,10 +300,10 @@ class _Step:
     of the eigenbasis family is: its spectrum is its diagonal, and the
     state's weights on it are its own marginals' diagonal.
 
-    A sweep holds each step, joint state included, until the next step has
-    been computed: for a dense state at cutoff 30 that keeps the allocator
-    from handing the ~13 MB blocks back to the system and faulting them in
-    again every step.
+    No sweep quantity reads ``joint`` once the step is built. It is kept so
+    the truncated state itself can be checked: the reference tests compare
+    it with an independent compression (tests/test_sweep_reference.py), and
+    tests/test_truncation.py reads truncated states off it.
     """
 
     joint: np.ndarray

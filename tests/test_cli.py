@@ -118,7 +118,7 @@ class TestCheckParameters:
     def test_every_declared_parameter_is_forwarded_from_a_check_flag(self, monkeypatch, capsys):
         from qentropy import cli
         from qentropy.errors import PreconditionError
-        from qentropy.harness import _PARAMETERS
+        from qentropy.harness import _TRIAL_CHECKS
 
         calls = []
 
@@ -128,8 +128,8 @@ class TestCheckParameters:
 
         monkeypatch.setattr(cli, "run_check", record)
         values = {"dims": ("2,2", (2, 2)), "base": ("bell", "bell"), "tolerance": ("0.5", 0.5)}
-        for name, declared in _PARAMETERS.items():
-            for key in declared:
+        for name, check in _TRIAL_CHECKS.items():
+            for key in check.parameters:
                 text, value = values.get(key, ("4", 4))
                 flag = "--" + key.replace("_", "-")
                 assert cli.main(["check", "--property", name, flag, text]) == 2

@@ -440,7 +440,8 @@ class TestStackBudget:
         # larger stacks must not creep into the suite's peak memory: the largest
         # peak, formula-coherent's, is about 1.4 MB at seed 1
         # a short run first, so first-use imports are not counted
-        run_check(name, seed=1, **({"trials": 1} if "trials" in harness._PARAMETERS[name] else {}))
+        short = {"trials": 1} if "trials" in harness._TRIAL_CHECKS[name].parameters else {}
+        run_check(name, seed=1, **short)
         tracemalloc.start()
         try:
             run_check(name, seed=1)

@@ -1,30 +1,34 @@
-"""Write the outputs of a fixed list of qentropy invocations, for a byte-identity diff.
+"""Write the outputs of a fixed list of qentropy invocations: one run per tree
+proves that a change moved no output.
 
     PYTHONPATH=<old>/src python3 tools/identity_outputs.py OLD_OUT
     PYTHONPATH=<new>/src python3 tools/identity_outputs.py NEW_OUT
-    diff -r OLD_OUT NEW_OUT
-    python3 tools/compare_outputs.py OLD_OUT NEW_OUT
+    diff -r OLD_OUT NEW_OUT                           # byte identity
+    python3 tools/compare_outputs.py OLD_OUT NEW_OUT  # or the agreement bound
 
-``diff -r`` proves byte identity; where a change may move rounding,
-``tools/compare_outputs.py`` checks the outputs against its agreement bound.
-Each ``NAME.replay`` reads ``reproduced`` when re-running the configs its
-output embeds renders that output again, so a replay that stops reproducing
-shows in ``diff -r`` too.
+Each entry NAME of :data:`INVOCATIONS` runs ``qentropy.cli.main`` of the
+``qentropy`` on ``sys.path`` in this process, in OUTDIR with relative paths
+only, after the same ``qentropy`` writes the seeded input files. It writes
+``NAME.stdout``, ``NAME.stderr`` and ``NAME.exit``, argparse's own exits
+included (help text with exit 0, a usage error with exit 2), its ``--out``
+files, and:
 
-Runs ``qentropy.cli.main`` of the ``qentropy`` found on ``sys.path`` in this
-process, once per entry of :data:`INVOCATIONS`, with OUTDIR as the working
-directory and relative paths only, so no output embeds a directory name.
-The seeded input files are written first, by the same ``qentropy``. For
-invocation NAME it writes ``NAME.stdout``, ``NAME.stderr`` and ``NAME.exit``,
-so an exit-2 ``error:`` line is compared too; files named by ``--out`` land
-in OUTDIR beside them. An invocation that exits 0 or 1 with an output that
-embeds a config, a JSON check report on stdout or a sweep's ``OUT.json``,
-also gets ``NAME.replay``: ``reproduced``, the first field, in document
-order, where the replayed document differs, or the error the replay raised.
-An invocation that raises instead of returning is recorded with exit code
-1, as the command line would end, and its traceback goes to this tool's own
-stderr. BLAS is pinned to one thread before numpy loads, so eigensolves
-round the same way on every run.
+- ``NAME.trials`` if a check reached the report assembler: per report, in
+  order, its config and every trial's label, seed, margin and values. A
+  report keeps only its worst random trial, the argmax of rounding noise in
+  an identity check; this file shows whether every trial still agrees.
+- ``NAME.replay`` for a check report or a sweep on stdout or in its
+  ``OUT.json``: ``reproduced`` if re-running its configs renders it again,
+  else the first field, in document order, that differs, or the error the
+  replay raised. The assembler is restored first, so the replay adds
+  nothing to ``NAME.trials``.
+
+An invocation that raises is recorded with exit code 1, as the command line
+would end, and its traceback goes to this tool's stderr; the tool exits 1
+once every file is written, since a traceback in a new invocation has no old
+output to differ from. BLAS is pinned to one thread before numpy loads, so
+eigensolves round alike on every run, and ``COLUMNS`` to 80, so argparse
+wraps help text alike in every terminal.
 """
 
 from __future__ import annotations
@@ -37,7 +41,12 @@ import sys
 import traceback
 from typing import Any
 
-PINNED_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+PINNED_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+    "COLUMNS": "80",
+}
 
 # the seeded input files, written by _write_inputs
 STATE_24X24 = "rand576.json"
@@ -66,9 +75,9 @@ def _check(*args: str) -> list[str]:
     return ["check", *args, "--no-timestamp"]
 
 
-def _converge(stem: str, *args: str) -> list[str]:
-    # the sweep writes STEM.json and STEM.csv beside STEM.stdout
-    return ["converge", *args, "--no-timestamp", "--out", stem]
+def _converge(*args: str) -> list[str]:
+    # --out NAME follows, added below INVOCATIONS
+    return ["converge", *args, "--no-timestamp"]
 
 
 def _compute(*args: str) -> list[str]:
@@ -107,70 +116,52 @@ INVOCATIONS: dict[str, list[str]] = {
     "check-subadditivity-stack": _check(
         "--property", "subadditivity", "--trials", "260", "--dims", "1,2,2,1", "--seed", "5"
     ),
-    "converge-tmsv": _converge("converge-tmsv"),
+    "converge-tmsv": _converge(),
     "converge-tmsv-short": _converge(
-        "converge-tmsv-short", "--state", "tmsv:nbar=2,cutoff=12", "--max-rank", "8",
-        "--mode", "eigenbasis",
+        "--state", "tmsv:nbar=2,cutoff=12", "--max-rank", "8", "--mode", "eigenbasis"
     ),
     **{
-        f"converge-{stem}": _converge(f"converge-{stem}", "--state", state, *_EIGEN)
+        f"converge-{stem}": _converge("--state", state, *_EIGEN)
         for stem, state in _EIGEN_STATES.items()
     },
     # computational-mode sweeps whose original marginals are diagonal: tied
     # (classical) and deep (tmsv) leading blocks
-    "converge-classical-computational": _converge(
-        "converge-classical-computational", "--state", "classical:dim=3", "--min-rank", "1"
-    ),
-    "converge-tmsv-deep": _converge(
-        "converge-tmsv-deep", "--state", "tmsv:nbar=10,cutoff=60", "--min-rank", "40"
-    ),
+    "converge-classical-computational": _converge("--state", "classical:dim=3", "--min-rank", "1"),
+    "converge-tmsv-deep": _converge("--state", "tmsv:nbar=10,cutoff=60", "--min-rank", "40"),
     # the Schmidt-diagonal factor held as its coefficients, in the eigenbasis
     # family after its rotation
     "converge-tmsv-deep-eigen": _converge(
-        "converge-tmsv-deep-eigen", "--state", "tmsv:nbar=10,cutoff=400", "--mode",
-        "eigenbasis", "--min-rank", "395",
+        "--state", "tmsv:nbar=10,cutoff=400", "--mode", "eigenbasis", "--min-rank", "395"
     ),
     # marginals diagonal in their leading blocks only, so solved at every rank
-    "converge-leading-diagonal": _converge(
-        "converge-leading-diagonal", "--state", STATE_LEADING, "--min-rank", "1"
-    ),
+    "converge-leading-diagonal": _converge("--state", STATE_LEADING, "--min-rank", "1"),
     # the sweep table as CSV on stdout
     "converge-tmsv-csv": _converge(
-        "converge-tmsv-csv", "--state", "tmsv:nbar=2,cutoff=12", "--max-rank", "8",
-        "--format", "csv",
+        "--state", "tmsv:nbar=2,cutoff=12", "--max-rank", "8", "--format", "csv"
     ),
     "converge-ghz": _converge(
-        "converge-ghz", "--state", "ghz:parties=3", "--target", "A", "--given", "B,C",
-        "--min-rank", "1",
+        "--state", "ghz:parties=3", "--target", "A", "--given", "B,C", "--min-rank", "1"
     ),
     "converge-ghz-eigen": _converge(
-        "converge-ghz-eigen", "--state", "ghz:parties=3", "--target", "A", "--given", "B,C",
-        *_EIGEN,
+        "--state", "ghz:parties=3", "--target", "A", "--given", "B,C", *_EIGEN
     ),
     # C in neither set: the pure state's purifier
     "converge-ghz-purifier": _converge(
-        "converge-ghz-purifier", "--state", "ghz:parties=3", "--target", "A", "--given", "B",
-        "--min-rank", "1",
+        "--state", "ghz:parties=3", "--target", "A", "--given", "B", "--min-rank", "1"
     ),
     "converge-ghz-purifier-eigen": _converge(
-        "converge-ghz-purifier-eigen", "--state", "ghz:parties=3", "--target", "A", "--given",
-        "B", *_EIGEN,
+        "--state", "ghz:parties=3", "--target", "A", "--given", "B", *_EIGEN
     ),
-    "converge-rand576": _converge(
-        "converge-rand576", "--state", STATE_24X24, "--mode", "eigenbasis"
-    ),
+    "converge-rand576": _converge("--state", STATE_24X24, "--mode", "eigenbasis"),
     # the same state with a two-space indent: both layouts must load to the same entries
-    "converge-rand576-indent2": _converge(
-        "converge-rand576-indent2", "--state", STATE_24X24_INDENTED, "--mode", "eigenbasis"
-    ),
+    "converge-rand576-indent2": _converge("--state", STATE_24X24_INDENTED, "--mode", "eigenbasis"),
     "converge-rand24": _converge(
-        "converge-rand24", "--state", STATE_3PARTY, "--target", "A,C", "--given", "B", *_EIGEN
+        "--state", STATE_3PARTY, "--target", "A,C", "--given", "B", *_EIGEN
     ),
     # computational mode on reordered labels: marginals with off-diagonal entries,
     # traced off the grouped block and solved by the tilde step
     "converge-rand24-computational": _converge(
-        "converge-rand24-computational", "--state", STATE_3PARTY, "--target", "A,C",
-        "--given", "B", "--min-rank", "1"
+        "--state", STATE_3PARTY, "--target", "A,C", "--given", "B", "--min-rank", "1"
     ),
     "compute-condent-werner": _compute("condent", "werner:p=0.5"),
     "compute-relent-werner": _compute("relent", "werner:p=0.3", "werner:p=0.6"),
@@ -180,6 +171,8 @@ INVOCATIONS: dict[str, list[str]] = {
     # one state from its two files: a values-only solve of rho at dimension 576
     "compute-relent-rand576-self": _compute("relent", STATE_24X24, STATE_24X24_INDENTED),
     "compute-entropy-thermal": _compute("entropy", "thermal:nbar=2,cutoff=40"),
+    # the vacuum: q = 0, so every level past the first has probability 0
+    "compute-entropy-thermal-vacuum": _compute("entropy", "thermal:nbar=0,cutoff=5"),
     # an entry no float can hold: a parse error, not a traceback
     "compute-entropy-huge-int": _compute("entropy", STATE_HUGE_INT),
     "compute-condent-rand24": _compute("condent", STATE_3PARTY, "--target", "B", "--given", "A,C"),
@@ -214,12 +207,21 @@ INVOCATIONS: dict[str, list[str]] = {
     "compute-condent-tmsv-unknown-key": _compute("condent", "tmsv:nbar=1,eta=0.7"),
     "compute-entropy-unknown-family": _compute("entropy", "squeezed-cat"),
     "compute-condent-tmsv-nbar-and-r": _compute("condent", "tmsv:nbar=1,r=1"),
+    # argparse's own exits: help text on stdout with exit 0, a usage error with exit 2
+    "help": ["--help"],
+    "help-check": ["check", "--help"],
+    "help-converge": ["converge", "--help"],
+    "help-compute": ["compute", "--help"],
+    "usage-check-trials": ["check", "--trials", "x"],
+    "usage-converge-mode": ["converge", "--mode", "nope"],
 }  # fmt: skip
+# every sweep writes NAME.json and NAME.csv beside NAME.stdout
+INVOCATIONS.update(
+    {name: [*argv, "--out", name] for name, argv in INVOCATIONS.items() if argv[0] == "converge"}
+)
 
 
 def _write_inputs() -> None:
-    import json
-
     import numpy as np
 
     from qentropy.channels import random_channel
@@ -290,27 +292,52 @@ def replay(text: str) -> str:
     return f"{_first_difference(doc, json.loads(dumps_document(again)), '') or 'reproduced'}\n"
 
 
-def write_outputs(name: str, args: list[str]) -> None:
-    """Run one invocation in the working directory and write its NAME.* files."""
+def _document(args: list[str], stdout: str) -> str:
+    """The JSON document a run produced: stdout, else the ``OUT.json`` beside it."""
+    path = f"{args[args.index('--out') + 1]}.json" if "--out" in args else ""
+    if stdout.startswith("{") or not os.path.isfile(path):
+        return stdout
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def write_outputs(name: str, args: list[str]) -> bool:
+    """Run one invocation in the working directory and write its NAME.* files;
+    returns whether it raised."""
+    from qentropy import harness
     from qentropy.cli import main as qentropy_main
 
-    out, err = io.StringIO(), io.StringIO()
+    reports: list[dict[str, Any]] = []
+    assemble = harness._assemble
+
+    def recording(config, trials):
+        rows = [{"trial": t.label, "seed": t.seed, "margin": t.margin, **t.values} for t in trials]
+        reports.append({"config": config, "trials": rows})
+        return assemble(config, trials)
+
+    out, err, raised = io.StringIO(), io.StringIO(), False
+    harness._assemble = recording
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = qentropy_main(args)
+    except SystemExit as exc:  # argparse's own exits
+        code = exc.code
     except Exception:
         # raised after the redirects closed: the traceback is the tool's own
         traceback.print_exc()
-        code = 1
+        code, raised = 1, True
+    finally:
+        harness._assemble = assemble
     outputs = {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": f"{code}\n"}
-    if code in (0, 1) and args[0] == "converge":
-        with open(args[args.index("--out") + 1] + ".json", encoding="utf-8") as fh:
-            outputs["replay"] = replay(fh.read())
-    elif code in (0, 1) and args[0] == "check" and outputs["stdout"].startswith("{"):
-        outputs["replay"] = replay(outputs["stdout"])
+    if reports:
+        outputs["trials"] = json.dumps(reports, indent=1) + "\n"
+    document = _document(args, outputs["stdout"]) if code in (0, 1) else ""
+    if document.startswith("{") and json.loads(document)["kind"] in ("check", "sweep"):
+        outputs["replay"] = replay(document)
     for suffix, text in outputs.items():
         with open(f"{name}.{suffix}", "w", encoding="utf-8") as fh:
             fh.write(text)
+    return raised
 
 
 def main(argv: list[str]) -> int:
@@ -318,15 +345,14 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     # before anything loads numpy: threaded eigensolves may round differently
-    os.environ.update(PINNED_THREADS)
+    os.environ.update(PINNED_ENV)
     # a relative PYTHONPATH such as src must keep resolving after the chdir
     sys.path[:] = [os.path.abspath(entry) for entry in sys.path]
     os.makedirs(argv[0], exist_ok=True)
     os.chdir(argv[0])
     _write_inputs()
-    for name, args in INVOCATIONS.items():
-        write_outputs(name, args)
-    return 0
+    raised = [write_outputs(name, args) for name, args in INVOCATIONS.items()]
+    return 1 if any(raised) else 0
 
 
 if __name__ == "__main__":
