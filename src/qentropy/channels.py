@@ -334,12 +334,12 @@ def haar_channel(
 
 
 def _haar_channel_pairs(
-    rng: np.random.Generator, dim_in: int, dim_out: int, env_dim: int
+    rng: np.random.Generator, dim_in: int, dim_out: int, env_dim: int, rows: int | None = None
 ) -> np.ndarray:
     """The draw :func:`_haar_channel` builds: the Gaussian
     (dim_out * env_dim, dim_in) matrix's entries, row-major, as one
-    :func:`~qentropy.rng.normal_pairs` call."""
-    return normal_pairs(rng, dim_out * env_dim * dim_in)
+    :func:`~qentropy.rng.normal_pairs` call, or a block of ``rows`` of them."""
+    return normal_pairs(rng, dim_out * env_dim * dim_in, rows)
 
 
 def _haar_channel(pairs: np.ndarray, dim_in: int, dim_out: int, env_dim: int) -> KrausChannel:

@@ -342,8 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     compute.set_defaults(format="json")  # compute prints JSON only
 
     # the output flags, last in each command's help
-    for command in (check, converge):
-        command.add_argument("--format", choices=["json", "csv"], default="json")
+    for command, written in ((check, "printed and written to --out"), (converge, "printed")):
+        command.add_argument(
+            "--format", choices=["json", "csv"], default="json",
+            help=f"format {written} (default json)",
+        )  # fmt: skip
     for command in (check, converge, compute):
         command.add_argument(
             "--no-timestamp", action="store_true",

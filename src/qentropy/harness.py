@@ -11,27 +11,33 @@ violations fail.
 Every check is one entry of a table, run by one runner: the entry declares
 its parameters and their defaults, its named fixed trials, its random draw
 and its margin. A trial is a list of points, each one tuple of margin args:
-a random trial is one point, drawn from its own seed, and a named fixed
-trial is one point or, like the continuity check's schedule, many, which
-the entry folds into the trial's margin. The runner evaluates points in
-stacks, as many as a fixed budget of matrix entries holds, every state
-stacked on a leading axis; a stack yields the same margins as its points
-one by one. A report's ``trials`` counts the points evaluated.
+a random trial is one point, and a named fixed trial is one point or, like
+the continuity check's schedule, many, which the entry folds into the
+trial's margin. The runner evaluates points in stacks, as many as a fixed
+budget of matrix entries holds, every state stacked on a leading axis; a
+stack yields the same margins as its points one by one. A report's ``trials`` counts the points evaluated.
 :func:`run_check` is the only place that fills, validates, coerces and
 records parameters, and one assembler builds every report.
 
-A random trial only draws: its generator's calls give each state or channel
-arg as its raw numbers (:class:`_Draw`), by the draw function that sits
-beside its builder in ``states`` or ``channels``, and the arithmetic that
-makes them a state or a channel runs once per stack, in the builder the
-public constructor (``ginibre_state``, ``haar_pure_state``, ``haar_channel``)
-runs on one draw. Named fixed trials are built as states when they are listed.
+Random trials are drawn a block at a time (see :mod:`.rng`): random trial i
+is row ``i % BLOCK`` of block ``i // BLOCK``, whose generator is the master
+seed's child stream ``block_generator(seed, i // BLOCK)``. An entry draws a
+block with one generator call per margin argument, by the draw function that
+sits beside the argument's builder in ``states`` or ``channels``. The runner
+evaluates a block's rows in stacks, none spanning two blocks, and hands each
+stack a row slice of the block's numbers; the arithmetic that makes them a
+state or a channel runs once per stack, in the builder the public
+constructor (``ginibre_state``, ``haar_pure_state``, ``haar_channel``) runs
+on one draw. Named fixed trials draw from ``generator(seed)`` and are built
+as states when they are listed.
 
-Reproducibility contract: trial i uses seed ``master_seed XOR i``, every
-report embeds its full effective config, and re-running a config reproduces
-the report exactly (see :func:`replay_report`, which replays a sweep's too).
-Stacking is not part of the config: it changes no arithmetic, so a report
-does not depend on the stack size.
+Reproducibility contract: a random trial's numbers depend on the master seed
+and its index i alone, not on the trial count; every report embeds its full
+effective config, whose ``seeding`` names the derivation (:data:`.rng.SEEDING`),
+and re-running a config reproduces the report exactly (see
+:func:`replay_report`, which replays a sweep's too). Stacking is not part of
+the config: it changes no arithmetic, so a report does not depend on the
+stack size.
 """
 
 from __future__ import annotations
@@ -39,9 +45,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass
-from functools import partial
-from itertools import islice
-from typing import Any, Callable, Iterator, NamedTuple, Sequence, TypeAlias
+from typing import Any, Callable, Iterable, Sequence, TypeAlias
 
 import numpy as np
 
@@ -63,7 +67,7 @@ from .entropy import (
 )
 from .errors import InvalidStateError, PreconditionError, as_integer
 from .fileio import load_state
-from .rng import generator, trial_seed
+from .rng import BLOCK, SEEDING, block_generator, generator
 from .states import (
     DensityMatrix,
     PureState,
@@ -110,8 +114,9 @@ class PropertyReport:
     """Outcome of one randomized property check.
 
     ``worst_margin`` is the most-violating raw slack over all trials
-    (negative would mean violation beyond rounding); ``worst_seed`` is the
-    trial seed that produced it, so a failure can be reproduced in isolation.
+    (negative would mean violation beyond rounding); ``worst_seed`` names the
+    trial that produced it, so a failure can be reproduced in isolation: a
+    random trial's index i, or the master seed for a named fixed trial.
     ``config`` is the full effective configuration; feeding it back through
     :func:`replay_report` regenerates this report identically.
     """
@@ -174,6 +179,10 @@ _Rng: TypeAlias = "np.random.Generator"  # a string, so importing does not load 
 _Config = dict[str, Any]
 _Args = tuple[Any, ...]
 _Named = tuple[str, list[_Args]]
+# one margin argument across a block: its numbers, BLOCK rows on a leading
+# axis, and the builder that turns a row slice of them into the argument for
+# a stack, or None when the argument is the numbers themselves
+_Column = tuple[np.ndarray, Callable[[np.ndarray], Any] | None]
 
 
 def _one_point(points: Sequence[_Trial]) -> tuple[float, dict[str, Any]]:
@@ -189,20 +198,20 @@ class _TrialCheck:
     config order. ``fixed(rng, layout, config)`` lists the named fixed trials
     as ``(label, points)`` pairs, drawing from ``generator(seed)`` in order,
     and ``fold(points)`` gives a named trial's margin and values from its
-    evaluated points. ``draw(rng, layout, config)`` gives random trial i's
-    point from ``generator(trial_seed(seed, i))``, drawing in a fixed order:
-    each state or channel arg is a :class:`_Draw`, its numbers not yet
-    built, and any other arg is a number. ``margin(*args)`` returns the raw
-    slack and the values recorded with it, one of each per point when every
-    arg is stacked across points by :func:`_stacked`, which builds each draw
-    arg once per stack. The layout pairs ``labels`` with the ``dims``
+    evaluated points. ``draw(rng, layout, config)`` gives one block of random
+    trials from ``block_generator(seed, block)``, one :data:`_Column` per
+    margin arg, drawing with one call per arg in a fixed order.
+    ``margin(*args)`` returns the raw slack and the values recorded with it,
+    one of each per point when every arg is stacked across points: a row
+    slice of a block's columns, built, or named points stacked by
+    :func:`_stacked`. The layout pairs ``labels`` with the ``dims``
     parameter, and is None without it.
     """
 
     parameters: dict[str, Any]
     margin: Callable[..., tuple[Any, dict[str, Any]]]
     labels: tuple[str, ...] = ()
-    draw: Callable[[_Rng, SubsystemLayout, _Config], _Args] | None = None
+    draw: Callable[[_Rng, SubsystemLayout, _Config], Sequence[_Column]] | None = None
     fixed: Callable[[_Rng, SubsystemLayout, _Config], list[_Named]] = lambda rng, layout, cfg: []
     fold: Callable[[Sequence[_Trial]], tuple[float, dict[str, Any]]] = _one_point
 
@@ -211,29 +220,16 @@ def _part(layout: SubsystemLayout, *labels: str) -> SubsystemLayout:
     return SubsystemLayout([(lab, layout.dim_of(lab)) for lab in labels])
 
 
-class _Draw(NamedTuple):
-    """One random trial's numbers for one margin argument, as its generator
-    draws them, and ``build``, which turns a stack of them on a leading axis
-    into that argument for the whole stack (:func:`_stacked`)."""
-
-    numbers: np.ndarray
-    build: Callable[[np.ndarray], Any]
+def _ginibre_column(rng: _Rng, layout: SubsystemLayout) -> _Column:
+    return _ginibre_pairs(rng, layout, rows=BLOCK), lambda pairs: _ginibre(pairs, layout)
 
 
-def _draw(
-    rng: _Rng, pairs: Callable[..., np.ndarray], build: Callable[..., Any], **shape: Any
-) -> _Draw:
-    """One trial's draw for ``build``, whose module sizes it in ``pairs``: both
-    take the same ``shape`` (e.g. ``states._ginibre_pairs`` and ``_ginibre``)."""
-    return _Draw(pairs(rng, **shape), partial(build, **shape))
+def _ginibre_block(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Column]:
+    return [_ginibre_column(rng, layout)]
 
 
-def _ginibre_trial(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
-    return (_draw(rng, _ginibre_pairs, _ginibre, layout=layout),)
-
-
-def _haar_pure_trial(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
-    return (_draw(rng, _haar_pure_pairs, _haar_pure, layout=layout),)
+def _haar_pure_block(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Column]:
+    return [(_haar_pure_pairs(rng, layout, rows=BLOCK), lambda pairs: _haar_pure(pairs, layout))]
 
 
 def _duality_margin(state: PureState) -> tuple[float, dict[str, float]]:
@@ -297,10 +293,11 @@ def _concavity_margin(
     }
 
 
-def _concavity_draw(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
-    alpha = float(rng.uniform())
-    first = _draw(rng, _ginibre_pairs, _ginibre, layout=layout)
-    return first, _draw(rng, _ginibre_pairs, _ginibre, layout=layout), alpha
+def _concavity_draw(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Column]:
+    # the mixing weights, then the first states, then the second
+    alpha = rng.uniform(size=BLOCK)
+    first = _ginibre_column(rng, layout)
+    return [first, _ginibre_column(rng, layout), (alpha, None)]
 
 
 def _concavity_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Named]:
@@ -352,15 +349,13 @@ def _channel(rng: _Rng, layout: SubsystemLayout, config: _Config) -> KrausChanne
     return haar_channel(rng, layout.dim_of("A"), layout.dim_of("B"), config["env_dim"])
 
 
-def _coherent_duality_draw(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Args:
-    # the state, then the channel; haar_channel has checked the channel's
+def _coherent_duality_draw(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Column]:
+    # the states, then the channels; haar_channel has checked the channel's
     # dimensions in the fixed trials, which run first
-    state = _draw(rng, _ginibre_pairs, _ginibre, layout=_part(layout, "A"))
-    channel = _draw(
-        rng, _haar_channel_pairs, _haar_channel,
-        dim_in=layout.dim_of("A"), dim_out=layout.dim_of("B"), env_dim=config["env_dim"],
-    )
-    return state, channel
+    state = _ginibre_column(rng, _part(layout, "A"))
+    dims = layout.dim_of("A"), layout.dim_of("B"), config["env_dim"]
+    channel = _haar_channel_pairs(rng, *dims, rows=BLOCK), lambda pairs: _haar_channel(pairs, *dims)
+    return [state, channel]
 
 
 def _coherent_duality_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Named]:
@@ -423,11 +418,11 @@ def _continuity_fold(points: Sequence[_Trial]) -> tuple[float, dict[str, Any]]:
 _TRIAL_CHECKS: dict[str, _TrialCheck] = {
     "duality": _TrialCheck(
         {"dims": (2, 2, 2), "trials": 500, "seed": 0, "tolerance": 1e-7}, _duality_margin,
-        labels=("A", "B", "C"), draw=_haar_pure_trial, fixed=_duality_fixed,
+        labels=("A", "B", "C"), draw=_haar_pure_block, fixed=_duality_fixed,
     ),
     "bound": _TrialCheck(
         {"dims": (3, 3), "trials": 1000, "seed": 0, "tolerance": 1e-8}, _bound_margin,
-        labels=("A", "C"), draw=_ginibre_trial, fixed=_bound_fixed,
+        labels=("A", "C"), draw=_ginibre_block, fixed=_bound_fixed,
     ),
     "coherent-duality": _TrialCheck(
         {"dims": (3, 3), "trials": 300, "seed": 0, "tolerance": 1e-7, "env_dim": 3},
@@ -436,7 +431,7 @@ _TRIAL_CHECKS: dict[str, _TrialCheck] = {
     ),
     "monotonicity": _TrialCheck(
         {"dims": (2, 2, 2), "trials": 500, "seed": 0, "tolerance": 1e-8}, _monotonicity_margin,
-        labels=("A", "B", "C"), draw=_ginibre_trial, fixed=_monotonicity_fixed,
+        labels=("A", "B", "C"), draw=_ginibre_block, fixed=_monotonicity_fixed,
     ),
     "concavity": _TrialCheck(
         {"dims": (2, 3), "trials": 500, "seed": 0, "tolerance": 1e-8}, _concavity_margin,
@@ -444,15 +439,15 @@ _TRIAL_CHECKS: dict[str, _TrialCheck] = {
     ),
     "subadditivity": _TrialCheck(
         {"dims": (2, 2, 2, 2), "trials": 300, "seed": 0, "tolerance": 1e-7}, _subadditivity_margin,
-        labels=("A", "B", "C", "D"), draw=_ginibre_trial, fixed=_subadditivity_fixed,
+        labels=("A", "B", "C", "D"), draw=_ginibre_block, fixed=_subadditivity_fixed,
     ),
     "formula-standard": _TrialCheck(
         {"dims": (2, 3), "trials": 500, "seed": 0, "tolerance": 1e-8}, _formula_standard_margin,
-        labels=("A", "C"), draw=_ginibre_trial,
+        labels=("A", "C"), draw=_ginibre_block,
     ),
     "formula-coherent": _TrialCheck(
         {"dims": (2, 3), "trials": 500, "seed": 0, "tolerance": 1e-7}, _formula_coherent_margin,
-        labels=("A", "C"), draw=_ginibre_trial,
+        labels=("A", "C"), draw=_ginibre_block,
     ),
     "continuity": _TrialCheck(
         {"base": "werner:p=0.5", "steps": 20, "seed": 0, "tolerance": 1e-6}, _continuity_margin,
@@ -473,11 +468,9 @@ def _stack_size(layout: SubsystemLayout) -> int:
 
 
 def _stacked(column: Sequence[Any]) -> Any:
-    """One margin argument across several points, stacked on a leading axis: the
-    points' draws built once, or their states or numbers stacked."""
+    """One margin argument across several named points, stacked on a leading
+    axis: their states or numbers."""
     first = column[0]
-    if isinstance(first, _Draw):
-        return first.build(np.stack([arg.numbers for arg in column]))
     if isinstance(first, DensityMatrix):
         return DensityMatrix(np.stack([arg.entries for arg in column]), first.layout)
     if isinstance(first, PureState):
@@ -488,22 +481,20 @@ def _stacked(column: Sequence[Any]) -> Any:
 
 
 def _evaluate(
-    check: _TrialCheck, named: Sequence[tuple[str, int]], args: Iterator[_Args], size: int
+    check: _TrialCheck, args: Iterable[Any], named: Sequence[tuple[str, int]]
 ) -> list[_Trial]:
-    """The points ``named`` by (label, seed), in stacks of ``size``, args read from ``args``."""
-    evaluated = []
-    for start in range(0, len(named), size):
-        stack = named[start : start + size]
-        margins, values = check.margin(*map(_stacked, zip(*islice(args, len(stack)))))
-        evaluated += [
-            _Trial(label, ts, float(margins[row]), {k: float(v[row]) for k, v in values.items()})
-            for row, (label, ts) in enumerate(stack)
-        ]
-    return evaluated
+    """One stack: the points ``named`` by (label, seed), each margin arg
+    stacked across them in ``args``; each value column is read in one call."""
+    margins, values = check.margin(*args)
+    columns = zip(*(np.asarray(col, dtype=float).tolist() for col in (margins, *values.values())))
+    return [
+        _Trial(label, seed, margin, dict(zip(values, row)))
+        for (label, seed), (margin, *row) in zip(named, columns, strict=True)
+    ]
 
 
 def _run_trials(config: _Config) -> PropertyReport:
-    """Run a table entry: its fixed trials, then random trial i from ``trial_seed(seed, i)``."""
+    """Run a table entry: its fixed trials, then its random trials a block at a time."""
     check = _TRIAL_CHECKS[config["property"]]
     seed = config["seed"]
     dims = config.get("dims")
@@ -512,12 +503,22 @@ def _run_trials(config: _Config) -> PropertyReport:
     for label, points in check.fixed(generator(seed), layout, config):
         # a named trial's points stack by the layout of their first arg
         size = _stack_size(points[0][0].layout)
-        evaluated = _evaluate(check, [(label, seed)] * len(points), iter(points), size)
+        evaluated = []
+        for start in range(0, len(points), size):
+            stack = points[start : start + size]
+            evaluated += _evaluate(check, map(_stacked, zip(*stack)), [(label, seed)] * len(stack))
         results.append(_Trial(label, seed, *check.fold(evaluated), points=len(points)))
     if check.draw is not None:
-        named = [(str(i), trial_seed(seed, i)) for i in range(config["trials"])]
-        drawn = (check.draw(generator(ts), layout, config) for _, ts in named)
-        results += _evaluate(check, named, drawn, _stack_size(layout))
+        # random trial i is row i % BLOCK of block i // BLOCK, and is labelled by i
+        trials, size = config["trials"], min(BLOCK, _stack_size(layout))
+        for first in range(0, trials, BLOCK):
+            columns = check.draw(block_generator(seed, first // BLOCK), layout, config)
+            last = min(first + BLOCK, trials)
+            for start in range(first, last, size):
+                stop = min(start + size, last)
+                rows = slice(start - first, stop - first)
+                args = [nums[rows] if build is None else build(nums[rows]) for nums, build in columns]
+                results += _evaluate(check, args, [(str(i), i) for i in range(start, stop)])
     return _assemble(config, results)
 
 
@@ -551,18 +552,25 @@ def run_check(name: str, **overrides: Any) -> PropertyReport:
     """Run one named property check with keyword overrides of its defaults.
 
     Overrides of None are dropped. The report's ``config`` is the property
-    name plus every parameter the check takes, coerced to its recorded type.
+    name plus every parameter the check takes, coerced to its recorded type,
+    plus ``seeding``: :data:`.rng.SEEDING`, the one trial derivation, which
+    is also the only ``seeding`` override accepted.
     Counts, the seed and dims follow :func:`~.errors.as_integer`: an integral
     float such as 3.0 reads as 3, while a fraction, a bool or a non-number
     raises :class:`~.errors.ParseError`. An override the check does not
-    take, a count below its minimum or above its maximum, the wrong number
-    of dims, or a negative or non-finite tolerance raises
-    :class:`PreconditionError`.
+    take, another ``seeding``, a count below its minimum or above its
+    maximum, the wrong number of dims, or a negative or non-finite tolerance
+    raises :class:`PreconditionError`.
     """
     if name not in CHECKS:
         raise PreconditionError(f"unknown property {name!r}; have {sorted(CHECKS)}")
     declared = _TRIAL_CHECKS[name].parameters
     overrides = {k: v for k, v in overrides.items() if v is not None}
+    seeding = overrides.pop("seeding", SEEDING)
+    if seeding != SEEDING:
+        raise PreconditionError(
+            f"seeding must be {SEEDING!r}, the one way trials are drawn; got {seeding!r}"
+        )
     unknown = sorted(set(overrides) - set(declared))
     if unknown:
         raise PreconditionError(
@@ -571,6 +579,7 @@ def run_check(name: str, **overrides: Any) -> PropertyReport:
         )
     params = {**declared, **overrides}
     config = {"property": name, **{k: _COERCE[k](v, k) for k, v in params.items()}}
+    config["seeding"] = SEEDING
     for key, low in _MINIMUM.items():
         if key in config and config[key] < low:
             raise PreconditionError(f"{key} must be at least {low}, got {params[key]}")
@@ -594,11 +603,18 @@ def replay_report(config: dict[str, Any]) -> PropertyReport | dict[str, Any]:
     """Re-run a check report's or a converge document's embedded config; the
     report, or the sweep document, matches the original.
 
-    A config with a ``property`` field is a check's; any other must hold
-    exactly a sweep's fields, else :class:`PreconditionError` is raised.
+    A config with a ``property`` field is a check's, and must name its trial
+    derivation in ``seeding`` (:func:`run_check` accepts only the current
+    one); any other must hold exactly a sweep's fields. Otherwise
+    :class:`PreconditionError` is raised.
     """
     config = dict(config)
     if "property" in config:
+        if config.get("seeding") is None:
+            raise PreconditionError(
+                f"check config has no 'seeding' field, so its random trials were not "
+                f"drawn as {SEEDING!r} draws them and cannot be reproduced"
+            )
         return run_check(config.pop("property"), **config)
     if set(config) != set(_SWEEP_CONFIG):
         raise PreconditionError(

@@ -420,12 +420,16 @@ def ginibre_state(
 
 
 def _ginibre_pairs(
-    rng: np.random.Generator, layout: SubsystemLayout, rank: int | None = None
+    rng: np.random.Generator,
+    layout: SubsystemLayout,
+    rank: int | None = None,
+    rows: int | None = None,
 ) -> np.ndarray:
     """The draw :func:`_ginibre` builds: G's dim x rank entries, row-major, as
-    one (2, dim * rank) :func:`~qentropy.rng.normal_pairs` call; full rank for None."""
+    one (2, dim * rank) :func:`~qentropy.rng.normal_pairs` call, or a block
+    (rows, 2, dim * rank) of them; full rank for None."""
     dim = layout.total_dim
-    return normal_pairs(rng, dim * (dim if rank is None else rank))
+    return normal_pairs(rng, dim * (dim if rank is None else rank), rows)
 
 
 def _ginibre(pairs: np.ndarray, layout: SubsystemLayout) -> DensityMatrix:
@@ -461,9 +465,12 @@ def haar_pure_state(rng: np.random.Generator, layout: SubsystemLayout) -> PureSt
     return _haar_pure(_haar_pure_pairs(rng, layout), layout)
 
 
-def _haar_pure_pairs(rng: np.random.Generator, layout: SubsystemLayout) -> np.ndarray:
-    """The draw :func:`_haar_pure` builds: the vector's D entries, (2, D)."""
-    return normal_pairs(rng, layout.total_dim)
+def _haar_pure_pairs(
+    rng: np.random.Generator, layout: SubsystemLayout, rows: int | None = None
+) -> np.ndarray:
+    """The draw :func:`_haar_pure` builds: the vector's D entries, (2, D), or a
+    block (rows, 2, D) of them."""
+    return normal_pairs(rng, layout.total_dim, rows)
 
 
 def _haar_pure(pairs: np.ndarray, layout: SubsystemLayout) -> PureState:

@@ -117,8 +117,9 @@ class TestParameterTable:
         declared = DECLARED[name]
         overrides = {k: v for k, v in SMALL.items() if k in declared}
         config = run_check(name, **overrides).config
-        assert set(config) == {"property", *declared}
+        assert set(config) == {"property", "seeding", *declared}
         assert config["property"] == name
+        assert config["seeding"] == "spawn-blocks-64"
         for key, kind in declared.items():
             assert type(config[key]) is kind, (key, config[key])
         for d in config.get("dims", []):
@@ -195,6 +196,15 @@ class TestFixedTrials:
         assert "pure-state" in names
 
 
+# check configs as recorded before trials were drawn in spawned blocks: they name no seeding
+UNSEEDED_CONFIGS = [
+    {"dims": [3, 3], "property": "bound", "seed": 7, "tolerance": 1e-08, "trials": 3},
+    {"dims": [3, 3], "env_dim": 2, "property": "coherent-duality", "seed": 0,
+     "tolerance": 1e-07, "trials": 300},
+    {"base": "bell", "property": "continuity", "seed": 0, "steps": 20, "tolerance": 1e-06},
+]  # fmt: skip
+
+
 class TestReplay:
     @pytest.mark.parametrize("name", sorted(CHECKS))
     def test_replay_is_bit_identical(self, name):
@@ -210,6 +220,24 @@ class TestReplay:
         assert again.seed == 7
         assert tuple(again.config["dims"]) == (2, 2)
         assert report_to_dict(again) == report_to_dict(report)
+
+    @pytest.mark.parametrize("config", UNSEEDED_CONFIGS, ids=lambda c: c["property"])
+    def test_a_check_config_must_name_the_seeding(self, config):
+        for unseeded in (config, {**config, "seeding": None}):
+            with pytest.raises(PreconditionError, match="no 'seeding' field"):
+                replay_report(unseeded)
+        # the same config naming the derivation replays as a fresh run
+        again = replay_report({**config, "seeding": "spawn-blocks-64"})
+        assert again.config == {**config, "seeding": "spawn-blocks-64"}
+        fresh = dict(config)
+        assert report_to_dict(again) == report_to_dict(run_check(fresh.pop("property"), **fresh))
+
+    @pytest.mark.parametrize("seeding", ["xor", "spawn-blocks-32", ""])
+    def test_another_seeding_is_refused(self, seeding):
+        with pytest.raises(PreconditionError, match="seeding must be 'spawn-blocks-64'"):
+            replay_report({**UNSEEDED_CONFIGS[0], "seeding": seeding})
+        with pytest.raises(PreconditionError, match="seeding must be 'spawn-blocks-64'"):
+            run_check("bound", trials=3, seeding=seeding)
 
     @pytest.mark.parametrize(
         "change", [{"state": None}, {"schedule": None}, {"mode": None}, {"stride": 1}]

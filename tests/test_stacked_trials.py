@@ -2,12 +2,12 @@
 
 The reference is the runner the stacks replace: every fixed and random trial
 goes through its check's margin on its own, unstacked args, each random
-trial drawn by the public constructors, and the continuity schedule is
-evaluated one eps at a time. Stacking changes no arithmetic, so reports
-must be equal, not merely close. The remaining tests pin the bytes of the
-stacked draws, the entry budget's stack sizes, their effect on solves and
-memory, and the per-row behaviour of the stacked spectrum, purification and
-channel paths.
+trial drawn by the public constructors one draw at a time, a block's draws
+in turn from its generator, and the continuity schedule is evaluated one eps
+at a time. Stacking changes no arithmetic, so reports must be equal, not
+merely close. The remaining tests pin the bytes of the stacked draws, the
+entry budget's stack sizes, their effect on solves and memory, and the
+per-row behaviour of the stacked spectrum, purification and channel paths.
 """
 
 import dataclasses
@@ -34,7 +34,7 @@ from qentropy.entropy import conditional_entropy
 from qentropy.errors import InvalidChannelError, InvalidStateError
 from qentropy.fileio import save_state
 from qentropy.harness import report_to_dict, resolve_state, run_check
-from qentropy.rng import generator, trial_seed
+from qentropy.rng import BLOCK, block_generator, generator
 from qentropy.states import (
     DensityMatrix,
     PureState,
@@ -69,38 +69,58 @@ def _part(layout, label):
     return SubsystemLayout([(label, layout.dim_of(label))])
 
 
-def _one_ginibre(rng, layout, config):
-    return (ginibre_state(rng, layout),)
+def _in_turn(draw, rng):
+    """``BLOCK`` one-draw calls of ``draw`` on one generator, in turn."""
+    return [draw(rng) for _ in range(BLOCK)]
 
 
-def _concavity_args(rng, layout, config):
-    alpha = float(rng.uniform())
-    return ginibre_state(rng, layout), ginibre_state(rng, layout), alpha
+def _ginibre_rows(rng, layout, config):
+    return list(zip(_in_turn(lambda r: ginibre_state(r, layout), rng)))
 
 
-def _coherent_duality_args(rng, layout, config):
-    rho = ginibre_state(rng, _part(layout, "A"))
+def _concavity_rows(rng, layout, config):
+    alphas = _in_turn(lambda r: float(r.uniform()), rng)
+    firsts = _in_turn(lambda r: ginibre_state(r, layout), rng)
+    seconds = _in_turn(lambda r: ginibre_state(r, layout), rng)
+    return list(zip(firsts, seconds, alphas))
+
+
+def _coherent_duality_rows(rng, layout, config):
+    states = _in_turn(lambda r: ginibre_state(r, _part(layout, "A")), rng)
     dims = layout.dim_of("A"), layout.dim_of("B"), config["env_dim"]
-    return rho, haar_channel(rng, *dims)
+    return list(zip(states, _in_turn(lambda r: haar_channel(r, *dims), rng)))
 
 
-# random trial i's margin args, drawn from its generator one trial at a time by
-# the public constructors, in the order each check's draw consumes the stream
+# a block's margin args, row by row, drawn one at a time by the public
+# constructors: each argument's BLOCK draws in turn, the arguments in the
+# order each check's draw consumes its block's stream
 PUBLIC_DRAWS = {
-    "duality": lambda rng, layout, config: (haar_pure_state(rng, layout),),
-    "bound": _one_ginibre,
-    "coherent-duality": _coherent_duality_args,
-    "monotonicity": _one_ginibre,
-    "concavity": _concavity_args,
-    "subadditivity": _one_ginibre,
-    "formula-standard": _one_ginibre,
-    "formula-coherent": _one_ginibre,
+    "duality": lambda rng, layout, config: list(
+        zip(_in_turn(lambda r: haar_pure_state(r, layout), rng))
+    ),
+    "bound": _ginibre_rows,
+    "coherent-duality": _coherent_duality_rows,
+    "monotonicity": _ginibre_rows,
+    "concavity": _concavity_rows,
+    "subadditivity": _ginibre_rows,
+    "formula-standard": _ginibre_rows,
+    "formula-coherent": _ginibre_rows,
 }
+
+
+def public_args(name, seed, layout, config, trials):
+    """Random trials 0..trials-1's margin args, each row of each block drawn
+    by :data:`PUBLIC_DRAWS` from the block's generator."""
+    blocks = [
+        PUBLIC_DRAWS[name](block_generator(seed, block), layout, config)
+        for block in range(math.ceil(trials / BLOCK))
+    ]
+    return [blocks[i // BLOCK][i % BLOCK] for i in range(trials)]
 
 
 def reference_trials(config):
     """Every trial of a check, each evaluated on its own unstacked args, the
-    random ones drawn by :data:`PUBLIC_DRAWS`."""
+    random ones drawn by :func:`public_args` and labelled by their index."""
     check = harness._TRIAL_CHECKS[config["property"]]
     seed = config["seed"]
     layout = SubsystemLayout(zip(check.labels, config["dims"], strict=True))
@@ -108,10 +128,8 @@ def reference_trials(config):
         harness._Trial(label, seed, *check.margin(*args))
         for label, (args,) in check.fixed(generator(seed), layout, config)
     ]
-    for i in range(config["trials"]):
-        ts = trial_seed(seed, i)
-        args = PUBLIC_DRAWS[config["property"]](generator(ts), layout, config)
-        trials.append(harness._Trial(str(i), ts, *check.margin(*args)))
+    drawn = public_args(config["property"], seed, layout, config, config["trials"])
+    trials += [harness._Trial(str(i), i, *check.margin(*args)) for i, args in enumerate(drawn)]
     return trials
 
 
@@ -253,7 +271,7 @@ class TestContinuityAgainstReference:
 
 def runner_stacks(monkeypatch, name, **overrides):
     """The margin args of each stack of random trials, as the runner builds
-    them from per-trial draws, and the run's config; fixed trials are left out."""
+    them from its block draws, and the run's config; fixed trials are left out."""
     check = harness._TRIAL_CHECKS[name]
     stacks = []
 
@@ -278,6 +296,18 @@ def payload(arg):
     return np.asarray(arg, dtype=np.float64)
 
 
+def drawn_rows(monkeypatch, name, **overrides):
+    """Each random trial's margin args, described row by row as the runner
+    stacks them, in trial order, and the run's config."""
+    stacks, config = runner_stacks(monkeypatch, name, **overrides)
+    rows = [
+        [described(arg, payload(arg)[i]) for arg in args]
+        for args in stacks
+        for i in range(len(payload(args[0])))
+    ]
+    return rows, config
+
+
 def described(arg, a):
     """Kind, dtype and bytes of an arg's payload ``a``, or of one row of it."""
     built = isinstance(arg, (KrausChannel, DensityMatrix, PureState))
@@ -286,37 +316,54 @@ def described(arg, a):
     return kind, a.dtype, a.tobytes()
 
 
+def block_stacks(trials, size):
+    """The stack lengths of ``trials`` random trials: each block's rows in
+    stacks of ``size``, the last of a block or of the run cut short."""
+    return [
+        min(size, end - start)
+        for first in range(0, trials, BLOCK)
+        for end in [min(first + BLOCK, trials)]
+        for start in range(first, end, size)
+    ]
+
+
 class TestDraws:
-    """Drawn per trial and built per stack, each margin arg has the bytes the
-    public constructors give one trial at a time."""
+    """Drawn per block and built per stack, each margin arg has the bytes the
+    public constructors give one draw at a time."""
 
     @pytest.mark.parametrize("name", TRIAL_CHECKS)
     @pytest.mark.parametrize("shape", ["default", "other"])
-    @pytest.mark.parametrize("partial_stack", [False, True])
+    @pytest.mark.parametrize("past_a_block", [False, True])
     def test_stacked_draws_equal_the_public_constructors(
-        self, monkeypatch, name, shape, partial_stack
+        self, monkeypatch, name, shape, past_a_block
     ):
         check = harness._TRIAL_CHECKS[name]
         overrides = OTHER_SHAPES[name] if shape == "other" else {}
         layout = SubsystemLayout(zip(check.labels, overrides.get("dims", check.parameters["dims"])))
-        size = harness._stack_size(layout)
-        # one full stack, or a full stack and a partial last one of 7 trials
-        trials = size + 7 if partial_stack else size
-        stacks, config = runner_stacks(monkeypatch, name, seed=5, trials=trials, **overrides)
-        assert [len(payload(args[0])) for args in stacks] == [size, 7][: 1 + partial_stack]
-        stacked = [
-            [described(arg, payload(arg)[i]) for arg in args]
-            for args in stacks
-            for i in range(len(payload(args[0])))
-        ]
+        size = min(BLOCK, harness._stack_size(layout))
+        # one full stack, or a full block and 7 trials of the next
+        trials = BLOCK + 7 if past_a_block else size
+        stacks, _ = runner_stacks(monkeypatch, name, seed=5, trials=trials, **overrides)
+        lengths = [len(payload(args[0])) for args in stacks]
+        assert lengths == block_stacks(trials, size)
+        assert lengths[-1] == (7 if past_a_block else size)
+        stacked, config = drawn_rows(monkeypatch, name, seed=5, trials=trials, **overrides)
         one_at_a_time = [
             [described(arg, payload(arg)) for arg in args]
-            for args in (
-                PUBLIC_DRAWS[name](generator(trial_seed(5, i)), layout, config)
-                for i in range(trials)
-            )
+            for args in public_args(name, 5, layout, config, trials)
         ]
         assert stacked == one_at_a_time
+
+    @pytest.mark.parametrize("name, expected", [
+        # default stack budgets of 64, 50, 113 and 16 trials
+        ("duality", [64, 64, 7]),
+        ("bound", [50, 14, 50, 14, 7]),
+        ("concavity", [64, 64, 7]),
+        ("subadditivity", [16] * 8 + [7]),
+    ])  # fmt: skip
+    def test_no_stack_spans_two_blocks(self, monkeypatch, name, expected):
+        stacks, _ = runner_stacks(monkeypatch, name, trials=2 * BLOCK + 7)
+        assert [len(payload(args[0])) for args in stacks] == expected
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 3)])
     def test_ginibre_and_haar_pure_states_keep_their_bytes(self, dims):
@@ -370,6 +417,48 @@ class TestDraws:
         expected = m / np.trace(m).real
         got = random_density_matrix(576, seed=1, layout=layout).entries
         assert got.tobytes() == expected.tobytes()
+
+
+class TestSeeding:
+    """Random trial i is row i % BLOCK of block i // BLOCK, drawn whole from the
+    master seed's child stream with spawn key (block,)."""
+
+    def test_the_block_generator_is_the_masters_spawned_child(self):
+        for master in (0, 7, 2**40):
+            for block, child in enumerate(np.random.SeedSequence(master).spawn(3)):
+                expected = np.random.Generator(np.random.PCG64(child)).standard_normal(8)
+                got = block_generator(master, block).standard_normal(8)
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["duality", "bound"])
+    def test_no_two_masters_draw_a_common_trial(self, monkeypatch, name):
+        # the first 500 trials of masters 0..15; under master XOR i, masters 0
+        # and 7 shared 496 of them
+        seen = {}
+        for master in range(16):
+            rows, _ = drawn_rows(monkeypatch, name, seed=master, trials=500)
+            for i, row in enumerate(rows):
+                assert seen.setdefault(repr(row), (master, i)) == (master, i)
+        assert len(seen) == 16 * 500
+
+    @pytest.mark.parametrize("name", TRIAL_CHECKS)
+    def test_a_trials_numbers_do_not_depend_on_the_trial_count(self, monkeypatch, name):
+        everything, _ = drawn_rows(monkeypatch, name, seed=3, trials=500)
+        assert len(everything) == 500
+        for trials in (1, BLOCK, BLOCK + 1):
+            assert drawn_rows(monkeypatch, name, seed=3, trials=trials)[0] == everything[:trials]
+
+    @pytest.mark.parametrize("master", range(16))
+    def test_no_random_trial_replays_the_fixed_trials_stream(self, monkeypatch, master):
+        # SeedSequence((master, 0)) hashes to SeedSequence(master), whose stream
+        # generator(master) the named fixed trials draw from
+        stream = generator(master).standard_normal(4).tobytes()
+        tuple_seeded = np.random.Generator(np.random.PCG64(np.random.SeedSequence((master, 0))))
+        assert tuple_seeded.standard_normal(4).tobytes() == stream
+        layout = SubsystemLayout(zip("ABC", (2, 2, 2)))
+        fixed = haar_pure_state(generator(master), layout)
+        (first,), _ = drawn_rows(monkeypatch, "duality", seed=master, trials=1)
+        assert first != [described(fixed, payload(fixed))]
 
 
 class TestStackBudget:

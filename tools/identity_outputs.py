@@ -100,8 +100,8 @@ INVOCATIONS: dict[str, list[str]] = {
     "check-continuity-steps60": _check("--property", "continuity", "--steps", "60"),
     "check-duality-dims": _check("--property", "duality", "--dims", "3,2,2"),
     "check-coherent-env": _check("--property", "coherent-duality", "--env-dim", "2"),
-    # a partial last stack, on shapes other than the defaults: 4096 // D^2
-    # trials per stack, 113 at D = 6 and 256 at D = 4
+    # a partial last block, on shapes other than the defaults: a block of 64
+    # trials stacks min(64, 4096 // D^2) at a time, all 64 at D = 6 and D = 4
     "check-formula-coherent-stack": _check(
         "--property", "formula-coherent", "--trials", "120", "--dims", "3,2", "--seed", "5"
     ),
@@ -109,7 +109,7 @@ INVOCATIONS: dict[str, list[str]] = {
         "--property", "coherent-duality", "--trials", "120", "--dims", "2,3", "--env-dim", "2",
         "--seed", "5",
     ),
-    # two states and an alpha per trial, drawn in that order from one stream
+    # an alpha and two states per trial, each drawn for a block of 64 trials in one call
     "check-concavity-stack": _check(
         "--property", "concavity", "--trials", "120", "--dims", "3,2", "--seed", "5"
     ),
