@@ -13,23 +13,24 @@ its parameters and their defaults, its named fixed trials, its random draw
 and its margin. A trial is a list of points, each one tuple of margin args:
 a random trial is one point, and a named fixed trial is one point or, like
 the continuity check's schedule, many, which the entry folds into the
-trial's margin. The runner evaluates points in stacks, as many as a fixed
-budget of matrix entries holds, every state stacked on a leading axis; a
-stack yields the same margins as its points one by one. A report's ``trials`` counts the points evaluated.
-:func:`run_check` is the only place that fills, validates, coerces and
-records parameters, and one assembler builds every report.
+trial's margin. One loop, :func:`_evaluate`, cuts every list of points into
+stacks, as many as a fixed budget of matrix entries holds, and builds each
+stack's margin args with every state stacked on a leading axis; a stack
+yields the same margins as its points one by one. A report's ``trials``
+counts the points evaluated. :func:`run_check` is the only place that fills,
+validates, coerces and records parameters, and one assembler builds every
+report.
 
 Random trials are drawn a block at a time (see :mod:`.rng`): random trial i
 is row ``i % BLOCK`` of block ``i // BLOCK``, whose generator is the master
-seed's child stream ``block_generator(seed, i // BLOCK)``. An entry draws a
-block with one generator call per margin argument, by the draw function that
-sits beside the argument's builder in ``states`` or ``channels``. The runner
-evaluates a block's rows in stacks, none spanning two blocks, and hands each
-stack a row slice of the block's numbers; the arithmetic that makes them a
-state or a channel runs once per stack, in the builder the public
+seed's child stream ``block_generator(seed, i // BLOCK)``. An entry's draw
+makes one generator call per margin argument, by the draw function beside the
+argument's builder in ``states`` or ``channels``, and returns a build that
+turns a row slice of the block into a stack: the builder that the public
 constructor (``ginibre_state``, ``haar_pure_state``, ``haar_channel``) runs
-on one draw. Named fixed trials draw from ``generator(seed)`` and are built
-as states when they are listed.
+on one draw runs once per stack, and no stack spans two blocks. Named fixed
+trials draw from ``generator(seed)``, are built as states when they are
+listed, and are stacked by :func:`_stacked`.
 
 Reproducibility contract: a random trial's numbers depend on the master seed
 and its index i alone, not on the trial count; every report embeds its full
@@ -177,12 +178,9 @@ def _assemble(config: dict[str, Any], trials: Sequence[_Trial]) -> PropertyRepor
 
 _Rng: TypeAlias = "np.random.Generator"  # a string, so importing does not load numpy.random
 _Config = dict[str, Any]
-_Args = tuple[Any, ...]
-_Named = tuple[str, list[_Args]]
-# one margin argument across a block: its numbers, BLOCK rows on a leading
-# axis, and the builder that turns a row slice of them into the argument for
-# a stack, or None when the argument is the numbers themselves
-_Column = tuple[np.ndarray, Callable[[np.ndarray], Any] | None]
+_Named = tuple[str, list[tuple[Any, ...]]]
+# the margin args of a row slice of points, each stacked across the slice
+_Build = Callable[[slice], Iterable[Any]]
 
 
 def _one_point(points: Sequence[_Trial]) -> tuple[float, dict[str, Any]]:
@@ -198,20 +196,18 @@ class _TrialCheck:
     config order. ``fixed(rng, layout, config)`` lists the named fixed trials
     as ``(label, points)`` pairs, drawing from ``generator(seed)`` in order,
     and ``fold(points)`` gives a named trial's margin and values from its
-    evaluated points. ``draw(rng, layout, config)`` gives one block of random
-    trials from ``block_generator(seed, block)``, one :data:`_Column` per
-    margin arg, drawing with one call per arg in a fixed order.
-    ``margin(*args)`` returns the raw slack and the values recorded with it,
-    one of each per point when every arg is stacked across points: a row
-    slice of a block's columns, built, or named points stacked by
-    :func:`_stacked`. The layout pairs ``labels`` with the ``dims``
-    parameter, and is None without it.
+    evaluated points. ``draw(rng, layout, config)`` draws one block of random
+    trials from ``block_generator(seed, block)``, one call per margin arg in
+    a fixed order, and returns its :data:`_Build`. ``margin(*args)`` returns
+    the raw slack and the values recorded with it, one of each per point when
+    every arg is stacked across points. The layout pairs ``labels`` with the
+    ``dims`` parameter, and is None without it.
     """
 
     parameters: dict[str, Any]
     margin: Callable[..., tuple[Any, dict[str, Any]]]
     labels: tuple[str, ...] = ()
-    draw: Callable[[_Rng, SubsystemLayout, _Config], Sequence[_Column]] | None = None
+    draw: Callable[[_Rng, SubsystemLayout, _Config], _Build] | None = None
     fixed: Callable[[_Rng, SubsystemLayout, _Config], list[_Named]] = lambda rng, layout, cfg: []
     fold: Callable[[Sequence[_Trial]], tuple[float, dict[str, Any]]] = _one_point
 
@@ -220,16 +216,14 @@ def _part(layout: SubsystemLayout, *labels: str) -> SubsystemLayout:
     return SubsystemLayout([(lab, layout.dim_of(lab)) for lab in labels])
 
 
-def _ginibre_column(rng: _Rng, layout: SubsystemLayout) -> _Column:
-    return _ginibre_pairs(rng, layout, rows=BLOCK), lambda pairs: _ginibre(pairs, layout)
+def _ginibre_block(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Build:
+    pairs = _ginibre_pairs(rng, layout, rows=BLOCK)
+    return lambda rows: (_ginibre(pairs[rows], layout),)
 
 
-def _ginibre_block(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Column]:
-    return [_ginibre_column(rng, layout)]
-
-
-def _haar_pure_block(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Column]:
-    return [(_haar_pure_pairs(rng, layout, rows=BLOCK), lambda pairs: _haar_pure(pairs, layout))]
+def _haar_pure_block(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Build:
+    pairs = _haar_pure_pairs(rng, layout, rows=BLOCK)
+    return lambda rows: (_haar_pure(pairs[rows], layout),)
 
 
 def _duality_margin(state: PureState) -> tuple[float, dict[str, float]]:
@@ -293,11 +287,12 @@ def _concavity_margin(
     }
 
 
-def _concavity_draw(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Column]:
+def _concavity_draw(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Build:
     # the mixing weights, then the first states, then the second
     alpha = rng.uniform(size=BLOCK)
-    first = _ginibre_column(rng, layout)
-    return [first, _ginibre_column(rng, layout), (alpha, None)]
+    first = _ginibre_pairs(rng, layout, rows=BLOCK)
+    second = _ginibre_pairs(rng, layout, rows=BLOCK)
+    return lambda rows: (_ginibre(first[rows], layout), _ginibre(second[rows], layout), alpha[rows])
 
 
 def _concavity_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Named]:
@@ -349,13 +344,14 @@ def _channel(rng: _Rng, layout: SubsystemLayout, config: _Config) -> KrausChanne
     return haar_channel(rng, layout.dim_of("A"), layout.dim_of("B"), config["env_dim"])
 
 
-def _coherent_duality_draw(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Column]:
+def _coherent_duality_draw(rng: _Rng, layout: SubsystemLayout, config: _Config) -> _Build:
     # the states, then the channels; haar_channel has checked the channel's
     # dimensions in the fixed trials, which run first
-    state = _ginibre_column(rng, _part(layout, "A"))
+    single_a = _part(layout, "A")
+    states = _ginibre_pairs(rng, single_a, rows=BLOCK)
     dims = layout.dim_of("A"), layout.dim_of("B"), config["env_dim"]
-    channel = _haar_channel_pairs(rng, *dims, rows=BLOCK), lambda pairs: _haar_channel(pairs, *dims)
-    return [state, channel]
+    channels = _haar_channel_pairs(rng, *dims, rows=BLOCK)
+    return lambda rows: (_ginibre(states[rows], single_a), _haar_channel(channels[rows], *dims))
 
 
 def _coherent_duality_fixed(rng: _Rng, layout: SubsystemLayout, config: _Config) -> list[_Named]:
@@ -481,16 +477,21 @@ def _stacked(column: Sequence[Any]) -> Any:
 
 
 def _evaluate(
-    check: _TrialCheck, args: Iterable[Any], named: Sequence[tuple[str, int]]
+    check: _TrialCheck, build: _Build, named: Sequence[tuple[str, int]], size: int
 ) -> list[_Trial]:
-    """One stack: the points ``named`` by (label, seed), each margin arg
-    stacked across them in ``args``; each value column is read in one call."""
-    margins, values = check.margin(*args)
-    columns = zip(*(np.asarray(col, dtype=float).tolist() for col in (margins, *values.values())))
-    return [
-        _Trial(label, seed, margin, dict(zip(values, row)))
-        for (label, seed), (margin, *row) in zip(named, columns, strict=True)
-    ]
+    """The points ``named`` by (label, seed), in stacks of at most ``size``:
+    ``build(rows)`` gives a stack's margin args for its slice of ``named``,
+    and each value column of a stack is read in one call."""
+    trials = []
+    for start in range(0, len(named), size):
+        rows = slice(start, min(start + size, len(named)))
+        margins, values = check.margin(*build(rows))
+        columns = zip(*(np.asarray(c, dtype=float).tolist() for c in (margins, *values.values())))
+        trials += [
+            _Trial(label, seed, margin, dict(zip(values, row)))
+            for (label, seed), (margin, *row) in zip(named[rows], columns, strict=True)
+        ]
+    return trials
 
 
 def _run_trials(config: _Config) -> PropertyReport:
@@ -502,23 +503,16 @@ def _run_trials(config: _Config) -> PropertyReport:
     results = []
     for label, points in check.fixed(generator(seed), layout, config):
         # a named trial's points stack by the layout of their first arg
-        size = _stack_size(points[0][0].layout)
-        evaluated = []
-        for start in range(0, len(points), size):
-            stack = points[start : start + size]
-            evaluated += _evaluate(check, map(_stacked, zip(*stack)), [(label, seed)] * len(stack))
+        named, size = [(label, seed)] * len(points), _stack_size(points[0][0].layout)
+        evaluated = _evaluate(check, lambda rows: map(_stacked, zip(*points[rows])), named, size)
         results.append(_Trial(label, seed, *check.fold(evaluated), points=len(points)))
     if check.draw is not None:
         # random trial i is row i % BLOCK of block i // BLOCK, and is labelled by i
         trials, size = config["trials"], min(BLOCK, _stack_size(layout))
         for first in range(0, trials, BLOCK):
-            columns = check.draw(block_generator(seed, first // BLOCK), layout, config)
-            last = min(first + BLOCK, trials)
-            for start in range(first, last, size):
-                stop = min(start + size, last)
-                rows = slice(start - first, stop - first)
-                args = [nums[rows] if build is None else build(nums[rows]) for nums, build in columns]
-                results += _evaluate(check, args, [(str(i), i) for i in range(start, stop)])
+            build = check.draw(block_generator(seed, first // BLOCK), layout, config)
+            named = [(str(i), i) for i in range(first, min(first + BLOCK, trials))]
+            results += _evaluate(check, build, named, size)
     return _assemble(config, results)
 
 

@@ -113,6 +113,9 @@ INVOCATIONS: dict[str, list[str]] = {
     "check-concavity-stack": _check(
         "--property", "concavity", "--trials", "120", "--dims", "3,2", "--seed", "5"
     ),
+    # exactly one block, on a block edge: at dims 2,3 one stack of all 64
+    # trials, its mixing weights sliced from a full block
+    "check-concavity-block64": _check("--property", "concavity", "--trials", "64", "--seed", "5"),
     "check-subadditivity-stack": _check(
         "--property", "subadditivity", "--trials", "260", "--dims", "1,2,2,1", "--seed", "5"
     ),
