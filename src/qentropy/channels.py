@@ -25,6 +25,7 @@ per row.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -43,7 +44,6 @@ from .states import (
     Violation,
     _freeze,
     _regrouped,
-    _support_groups,
     as_density,
     clamped_spectrum,
     partial_trace,
@@ -177,6 +177,18 @@ def purify(rho: DensityMatrix, reference_label: str = "R") -> PureState:
     return PureState(amplitudes.reshape(amplitudes.shape[:-2] + (-1,)), layout)
 
 
+def _support_groups(w: np.ndarray) -> list[tuple[np.ndarray | slice, int]]:
+    """``(rows, rank)`` pairs grouping the rows of ascending spectra (N, d) by
+    rank, the count of eigenvalues above ``TAU_SUPP``; one full slice if all agree."""
+    ranks = [len(row) - bisect_right(row, TAU_SUPP) for row in w.tolist()]
+    if ranks.count(ranks[0]) == len(ranks):
+        return [(slice(None), ranks[0])]
+    groups: dict[int, list[int]] = {}
+    for row, rank in enumerate(ranks):
+        groups.setdefault(rank, []).append(row)
+    return [(np.array(rows), rank) for rank, rows in groups.items()]
+
+
 def _purification(spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """:func:`purify`'s amplitudes from rho's clamped spectrum, which it leaves
     unchanged, as a (dim, rank) matrix psi with rho = psi psi^dagger.
@@ -189,10 +201,10 @@ def _purification(spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     w, u = w.reshape(-1, dim), u.reshape(-1, dim, dim)
     groups = _support_groups(w)
     w, u = w[:, ::-1], u[:, :, ::-1]
-    if any(rank == 0 for _, (rank,) in groups):
+    if any(rank == 0 for _, rank in groups):
         raise PreconditionError("cannot purify the zero matrix")
-    psi = np.zeros((len(w), dim, max(rank for _, (rank,) in groups)), dtype=u.dtype)
-    for rows, (rank,) in groups:
+    psi = np.zeros((len(w), dim, max(rank for _, rank in groups)), dtype=u.dtype)
+    for rows, rank in groups:
         lam, vecs = w[rows, :rank], u[rows, :, :rank]
         # each column's phase makes its largest-magnitude component real positive
         top = np.argmax(np.abs(vecs), axis=-2)[:, None, :]
@@ -233,7 +245,7 @@ def _information_and_spectrum(
     kraus = np.moveaxis(channel.kraus_ops, 0, -3)  # ([N,] env, out, in)
     if isinstance(state, PureState):
         amplitudes = state.amplitudes
-        if np.min(np.linalg.norm(amplitudes, axis=-1)) ** 2 <= TAU_SUPP:
+        if np.min(state.norm()) ** 2 <= TAU_SUPP:
             raise PreconditionError("cannot purify the zero matrix")
         w = np.zeros(amplitudes.shape)
         w[..., -1] = 1.0
@@ -285,7 +297,7 @@ def conditional_entropy_via_coherent_info(
     eigenvalue, from one values-only solve, is at least 1 - ``TAU_PURE``.
     """
     if isinstance(state, PureState):
-        squares = np.linalg.norm(state.amplitudes, axis=-1).reshape(-1) ** 2
+        squares = np.reshape(state.norm(), -1) ** 2
         off = np.abs(squares - 1.0) > TAU_PURE
         if off.any():
             first = squares[np.argmax(off)]

@@ -4,17 +4,19 @@ Values are extended reals: relative entropy is ``math.inf`` when the support
 of the first argument is not contained in the support of the second, and
 every other quantity built on it inherits that convention.
 
-All formulas work on eigendecompositions; ``0 ln 0`` is taken as 0 and support
-membership is decided against fixed absolute tolerances, never by comparing
-floating-point numbers to exact zero.
+All formulas work on eigendecompositions. Every entropy sum runs over the
+whole clamped spectrum with ``0 ln 0`` = 0: the logarithm is taken where an
+eigenvalue is positive, and a zero adds exactly 0. Solver noise never
+reaches a sum, since the one solve site zeroes it (``states._spectrum``).
 
 One support rule: containment supp(rho) <= supp(sigma) is read from the
 leaked mass Tr[(I - P_sigma) rho], the weight of rho on the eigendirections
-of sigma below ``TAU_SUPP``, and fails once that mass exceeds dim *
-``TAU_SUPP``, the most that cutting a dim-dimensional spectrum at
-``TAU_SUPP`` can drop. For every state supp(rho_XY) <= supp(rho_X) x
-supp(rho_Y) holds (Holevo-Shirokov), so mutual information and conditional
-entropy of a valid state are always finite, while a real leak above the cut
+of sigma at or below ``TAU_SUPP``, and fails once that mass exceeds dim *
+``TAU_SUPP``. This is the only use ``TAU_SUPP`` has in a divergence; it
+drops nothing from a sum. For every state supp(rho_XY) <= supp(rho_X) x
+supp(rho_Y) holds (Holevo-Shirokov), and a marginal puts on its own
+eigendirections only their eigenvalues, so mutual information and
+conditional entropy of a valid state are always finite, while a real leak
 reads as ``math.inf``. The rule never reads rho's eigenvectors.
 
 One spectrum path: each matrix is solved once, by ``states._spectrum``. A
@@ -25,7 +27,7 @@ vectors, so that perfbench's count of ``eigh`` calls equals its count of
 ``clamped_spectrum`` calls. Every divergence, :func:`relative_entropy`
 included, is one call of ``_spectra_divergence``, H(rho || A x B) from
 rho's eigenvalues, the two factors' eigenvalues and rho's weights on their
-eigendirections: the one place the support cut, the leak test against
+eigendirections: the one place the entropy sums, the leak test against
 dim * ``TAU_SUPP`` and the round-off rule meet. A relative entropy against
 sigma is the same divergence against sigma x 1.
 
@@ -49,7 +51,6 @@ from .states import (
     _reduced,
     _regrouped,
     _spectrum,
-    _support_groups,
     as_density,
     clamped_spectrum,
     partial_trace,
@@ -57,17 +58,13 @@ from .states import (
 from .tolerances import NEG_CLAMP, TAU_LAMBDA, TAU_SUPP
 
 def _entropy_from_eigs(w: np.ndarray) -> float | np.ndarray:
-    """-sum w ln w over the support of an ascending spectrum, or of each row of a stack.
+    """-sum w ln w over a whole spectrum, 0 ln 0 = 0, or over each row of a stack."""
+    return _rounded(-np.add.reduce(w * _log(w), axis=-1))
 
-    The support is the top of an ascending spectrum, so each row sums its
-    own support alone, in the order a single spectrum would.
-    """
-    rows = w.reshape(-1, w.shape[-1])
-    total = np.empty(len(rows))
-    for idx, (kept,) in _support_groups(rows):
-        support = rows[idx, rows.shape[-1] - kept :]
-        total[idx] = -np.add.reduce(support * np.log(support), axis=-1)
-    return _rounded(total.reshape(w.shape[:-1]))
+
+def _log(w: np.ndarray) -> np.ndarray:
+    """ln w where w > 0 and 0 where w == 0, so that p * _log(w) reads 0 ln 0 as 0."""
+    return np.log(w, out=np.zeros(w.shape), where=w > 0.0)
 
 
 def _rounded(total: float | np.ndarray) -> float | np.ndarray:
@@ -87,9 +84,9 @@ def von_neumann_entropy(rho: State) -> float:
     """H(rho) = -Tr rho ln rho, in nats. Exactly 0.0 for a pure state (zeros for
     a stack) once its weight passes the degenerate-weight check, with no solve."""
     if isinstance(rho, PureState):
-        weight = np.linalg.norm(rho.amplitudes, axis=-1) ** 2
-        _retained(float(weight.min()), "the state")
-        return np.zeros(weight.shape) if weight.ndim else 0.0
+        weight = rho.norm() ** 2
+        _retained(float(np.min(weight)), "the state")
+        return np.zeros(np.shape(weight)) if np.ndim(weight) else 0.0
     return _entropy_from_eigs(clamped_spectrum(rho)[0])
 
 
@@ -142,40 +139,32 @@ def _spectra_divergence(
     eigenvalues ``w_a`` and ``w_b``, and the weights ``p_a`` and ``p_b`` of
     rho's marginals on the factors' eigendirections, in the same order.
 
-    Tr rho ln(A x B) = sum_a p_a ln w_a + sum_b p_b ln w_b over the supports.
-    supp(rho) <= supp(A) x supp(B) holds exactly when rho's marginals put no
-    weight outside supp(A) and supp(B), and the sum of those two weights lies
-    between Tr[(I - P_A x P_B) rho] and twice it. So the leak is read from the
-    marginal weights the cross term needs anyway, against the dimension of
-    rho's space, and rho's eigenvectors are never used: ``w_rho`` may come
-    from a values-only solve, and may list only the nonzero eigenvalues.
-    Products of supported factor eigenvalues can sit far below the support
-    cutoff (1e-9 * 1e-9), where a joint solve could not certify them; deep
-    Fock-cutoff sweeps need this to stay finite.
+    Tr rho ln(A x B) = sum_a p_a ln w_a + sum_b p_b ln w_b; these sums and
+    rho's own sum of w ln w run over whole spectra, 0 ln 0 = 0. supp(rho) <=
+    supp(A) x supp(B) holds exactly when rho's marginals put no weight
+    outside supp(A) and supp(B), and the sum of those two weights lies
+    between Tr[(I - P_A x P_B) rho] and twice it. So the leak, the only use
+    of ``TAU_SUPP``, is the marginals' weight on the factors' eigendirections
+    at or below it, against d_a * d_b * ``TAU_SUPP``, and rho's eigenvectors
+    are never used: ``w_rho`` may come from a values-only solve, and may list
+    only the nonzero eigenvalues. Products of factor eigenvalues can sit far
+    below ``TAU_SUPP`` (1e-9 * 1e-9), where a joint solve could not certify
+    them; deep Fock-cutoff sweeps need this to stay finite.
 
-    Every input may carry a leading stack axis; the value is then one per
-    row. Spectra are ascending, so each support is the top of its spectrum.
+    Every input may carry a leading stack axis; the value is then one per row.
     """
     p_a, p_b = np.maximum(p_a, 0.0), np.maximum(p_b, 0.0)
-    stack, d_a, d_b, d_rho = w_rho.shape[:-1], w_a.shape[-1], w_b.shape[-1], w_rho.shape[-1]
+    stack, d_a, d_b = w_rho.shape[:-1], w_a.shape[-1], w_b.shape[-1]
     w_a, p_a = w_a.reshape(-1, d_a), p_a.reshape(-1, d_a)
     w_b, p_b = w_b.reshape(-1, d_b), p_b.reshape(-1, d_b)
-    w_rho = w_rho.reshape(-1, d_rho)
-    out = np.empty(len(w_rho))
-    for rows, (k_a, k_b, k_rho) in _support_groups(w_a, w_b, w_rho):
-        cut_a, cut_b = d_a - k_a, d_b - k_b
-        leaked = np.add.reduce(p_a[rows, :cut_a], axis=-1)
-        leaked += np.add.reduce(p_b[rows, :cut_b], axis=-1)
-        # each cross term a row-by-column product, as a single spectrum's dot product
-        cross = (
-            p_a[rows, None, cut_a:] @ np.log(w_a[rows, cut_a:, None])
-            + p_b[rows, None, cut_b:] @ np.log(w_b[rows, cut_b:, None])
-        )[:, 0, 0]
-        lam = w_rho[rows, d_rho - k_rho :]
-        value = np.add.reduce(lam * np.log(lam), axis=-1) - cross
-        value[leaked > d_a * d_b * TAU_SUPP] = math.inf
-        out[rows] = value
-    return _rounded(out.reshape(stack))
+    leaked = np.add.reduce(p_a, axis=-1, where=w_a <= TAU_SUPP)
+    leaked += np.add.reduce(p_b, axis=-1, where=w_b <= TAU_SUPP)
+    # each cross term a row-by-column product, as a single spectrum's dot product
+    cross = p_a[:, None, :] @ _log(w_a)[:, :, None] + p_b[:, None, :] @ _log(w_b)[:, :, None]
+    w_rho = w_rho.reshape(-1, w_rho.shape[-1])
+    value = np.add.reduce(w_rho * _log(w_rho), axis=-1) - cross[:, 0, 0]
+    value[leaked > d_a * d_b * TAU_SUPP] = math.inf
+    return _rounded(value.reshape(stack))
 
 
 def _retained(weight: float, what: str) -> float:
@@ -309,9 +298,9 @@ def conditional_entropy(rho: State, target: LabelSet, given: LabelSet) -> float:
     Labels in neither set are traced out (a pure state's are its purifier).
     The correlation term is the mutual information, and supp(rho) <=
     supp(rho_target) x supp(rho_given) holds for every state, so the value is
-    finite: the marginals leak only the eigenvalues their own cut at
-    ``TAU_SUPP`` drops, at most (d_target + d_given - 2) * ``TAU_SUPP``, inside
-    the bound d_target * d_given * ``TAU_SUPP``.
+    finite: on their own eigendirections at or below ``TAU_SUPP`` the
+    marginals put only those eigenvalues, at most (d_target + d_given - 2) *
+    ``TAU_SUPP``, inside the bound d_target * d_given * ``TAU_SUPP``.
     """
     return _conditional_entropy(rho, target, given)[0]
 

@@ -20,7 +20,6 @@ to a public function that serves as an independent route.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidStateError, StructuralError, as_integer
 from .rng import complex_normal, generator, normal_pairs
-from .tolerances import TAU_HERM, TAU_PSD, TAU_SUPP, TAU_TRACE
+from .tolerances import EIGH_NOISE, TAU_HERM, TAU_PSD, TAU_SUPP, TAU_TRACE
 
 LabelSet = Union[str, Iterable[str]]
 
@@ -143,8 +142,10 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[-1]
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
+    def trace(self) -> complex | np.ndarray:
+        """The trace, or one per row of a stack."""
+        trace = np.trace(self.entries, axis1=-2, axis2=-1)
+        return trace if trace.ndim else complex(trace)
 
 
 @dataclass(frozen=True)
@@ -173,8 +174,10 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.shape[-1]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self) -> float | np.ndarray:
+        """The norm of the amplitudes, or one per row of a stack."""
+        amp = self.amplitudes
+        return np.linalg.norm(amp, axis=-1) if amp.ndim == 2 else float(np.linalg.norm(amp))
 
     def as_density(self) -> DensityMatrix:
         amp = self.amplitudes
@@ -270,7 +273,10 @@ def _spectrum(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarr
     or complex, with hygiene applied: the body of :func:`clamped_spectrum`.
 
     Symmetrizes, then clamps eigenvalues in [-TAU_PSD, 0] to 0. Anything
-    below -TAU_PSD is not noise and raises :class:`InvalidStateError`.
+    below -TAU_PSD is not noise and raises :class:`InvalidStateError`. The
+    solve rounds each eigenvalue by up to about d * eps times the largest,
+    so every eigenvalue at or below d * ``EIGH_NOISE`` times its spectrum's
+    largest is zeroed too; everything above that floor is kept.
     Returns (eigenvalues ascending, eigenvectors as columns); with
     ``vectors=False`` only the eigenvalues are computed and the second item
     is None.
@@ -297,7 +303,8 @@ def _spectrum(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarr
         w, u = np.linalg.eigh(sym)
     else:
         w, u = np.linalg.eigvalsh(sym), None
-    return _clamped(w), u
+    w = _clamped(w)
+    return np.where(w <= w.shape[-1] * EIGH_NOISE * w[..., -1:], 0.0, w), u
 
 
 def _clamped(w: np.ndarray) -> np.ndarray:
@@ -312,24 +319,6 @@ def _clamped(w: np.ndarray) -> np.ndarray:
                 f"state has eigenvalue {lowest:.3e} below -{TAU_PSD:g}; not a density matrix"
             )
     return np.where(w < 0.0, 0.0, w)
-
-
-def _support_groups(*spectra: np.ndarray) -> list[tuple[np.ndarray | slice, tuple[int, ...]]]:
-    """The rows of stacked (N, d) ascending spectra grouped by how many
-    eigenvalues of each spectrum lie above ``TAU_SUPP``.
-
-    Returns ``(rows, sizes)`` pairs, ``rows`` indexing the rows whose spectra
-    keep ``sizes`` eigenvalues. A stack whose rows all agree, the usual case,
-    is one group indexed by a full slice.
-    """
-    sizes = [[len(row) - bisect_right(row, TAU_SUPP) for row in w.tolist()] for w in spectra]
-    keys = list(zip(*sizes))
-    if keys.count(keys[0]) == len(keys):
-        return [(slice(None), keys[0])]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for row, key in enumerate(keys):
-        groups.setdefault(key, []).append(row)
-    return [(np.array(rows), key) for key, rows in groups.items()]
 
 
 def tensor(rho: State, sigma: State) -> DensityMatrix:

@@ -281,8 +281,9 @@ class TestRelativeEntropyVsProduct:
             assert factored == pytest.approx(direct, abs=1e-10)
 
 
-def lossy_tmsv(cutoff, nbar=1.0, eta=0.7):
-    """A TMSV whose mode B went through pure loss, from the loss Kraus operators.
+def lossy_tmsv_dilation(cutoff, nbar=1.0, eta=0.7):
+    """A TMSV whose mode B went through pure loss, as its Stinespring amplitudes:
+    a (cutoff^2, cutoff) matrix, rows over A x B, one column per loss branch l.
 
     A_l = sum_n sqrt(C(n, l)) eta^((n-l)/2) (1-eta)^(l/2) |n-l><n|; the TMSV
     amplitude matrix is diagonal, so branch l has amplitudes diag(c) A_l^T.
@@ -298,9 +299,19 @@ def lossy_tmsv(cutoff, nbar=1.0, eta=0.7):
             np.sqrt(math.comb(m, l) * eta ** (m - l) * (1.0 - eta) ** l) for m in n[l:]
         ]
         branches.append((c[:, None] * kraus.T).ravel())
-    v = np.array(branches).T
+    return np.array(branches).T
+
+
+def lossy_tmsv(cutoff, nbar=1.0, eta=0.7):
+    """The lossy TMSV's density matrix on A x B, the environment traced out."""
+    v = lossy_tmsv_dilation(cutoff, nbar, eta)
     layout = SubsystemLayout((("A", cutoff), ("B", cutoff)))
     return DensityMatrix(v @ v.T, layout)
+
+
+def bose_entropy(x):
+    """g(x) = (x + 1) ln(x + 1) - x ln x, the entropy of a thermal mode of mean x."""
+    return (x + 1.0) * math.log(x + 1.0) - x * math.log(x)
 
 
 class TestLossyTmsv:
@@ -326,6 +337,41 @@ class TestLossyTmsv:
         for p in points:
             assert np.isfinite(p.cond_entropy_nats) and np.isfinite(p.h_nk), p
             assert p.diff >= 0.0, p  # a sum of two relative entropies
+
+
+class TestUncutSums:
+    """Every eigenvalue the solver does not zero counts in every entropy sum;
+    ``TAU_SUPP`` decides only the leak. Deep TMSV sweeps: test_harness.py."""
+
+    @pytest.mark.parametrize("cutoff", [40, 60])
+    def test_lossy_tmsv_dilation_meets_its_closed_form(self, cutoff):
+        # H(A|B) = H(AB) - H(B) = H(E) - H(B) for the pure state on A, B and the
+        # loss environment E, whose marginals are thermal with means
+        # (1 - eta) nbar and eta nbar
+        v = lossy_tmsv_dilation(cutoff)
+        layout = SubsystemLayout((("A", cutoff), ("B", cutoff), ("E", cutoff)))
+        value = conditional_entropy(PureState(v.ravel(), layout), "A", "B")
+        assert abs(value - (bose_entropy(0.3) - bose_entropy(0.7))) <= 1e-11
+
+    def test_eigenvalues_below_tau_supp_add_to_the_entropy(self):
+        p = [1.0 - 3e-12, 2e-12, 1e-12]
+        expected = -math.fsum(x * math.log(x) for x in p)
+        assert abs(von_neumann_entropy(diag_state(p, single("A", 3))) - expected) <= 1e-15
+
+    def test_eigenvalues_below_tau_supp_add_to_a_divergence(self):
+        # rho's weight 2e-13 on sigma's eigenvalue 1e-12 is below the leak bound
+        layout = single("A", 2)
+        r, s = [1.0 - 2e-13, 2e-13], [1.0 - 1e-12, 1e-12]
+        expected = math.fsum(x * math.log(x / y) for x, y in zip(r, s))
+        value = relative_entropy(diag_state(r, layout), diag_state(s, layout))
+        assert abs(value - expected) <= 1e-15
+
+    def test_weight_on_an_eigenvalue_at_or_below_tau_supp_is_a_leak(self):
+        layout = single("A", 2)
+        rho = diag_state([0.5, 0.5], layout)
+        assert relative_entropy(rho, diag_state([1.0 - 1e-11, 1e-11], layout)) == math.inf
+        finite = relative_entropy(rho, diag_state([1.0 - 1e-10, 1e-10], layout))
+        assert finite == pytest.approx(0.5 * math.log(0.25 / (1e-10 * (1 - 1e-10))), abs=1e-12)
 
 
 class TestConditionalEntropy:

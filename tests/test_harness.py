@@ -30,7 +30,6 @@ from qentropy.states import (
     single,
     tensor,
 )
-from qentropy.tolerances import TAU_SUPP
 from qentropy.truncation import PROJECTOR_MODES, conditional_entropy_sweep
 
 LN2 = np.log(2.0)
@@ -429,12 +428,11 @@ class TestRunConverge:
             run_converge("tmsv:nbar=1,cutoff=6", schedule=[])
 
 
-def truncated_geometric_entropy(q, n, cut=0.0):
-    """Shannon entropy (nats) of p_k proportional to q^k on k = 0..n-1, over p_k > cut."""
+def truncated_geometric_entropy(q, n):
+    """Shannon entropy (nats) of p_k proportional to q^k on k = 0..n-1."""
     weights = [q**k for k in range(n)]
     total = math.fsum(weights)
-    probs = [w / total for w in weights]
-    return -math.fsum(p * math.log(p) for p in probs if p > cut)
+    return -math.fsum(w / total * math.log(w / total) for w in weights)
 
 
 def no_densify(monkeypatch):
@@ -476,17 +474,28 @@ class TestFactoredConverge:
         assert [p.rank_a for p in doc["points"]] == list(range(5, 61))
         for point in doc["points"]:
             n, value = point.rank_a, point.cond_entropy_nats
-            # entropies drop the eigenvalues at or below TAU_SUPP: from rank 37
-            # on, Schmidt weights 2^-(k+1) fall below it, and what they carry
-            # bounds the gap to the uncut entropy
-            assert abs(value + truncated_geometric_entropy(q, n, TAU_SUPP)) <= 1e-10
-            uncut = truncated_geometric_entropy(q, n)
-            dropped = uncut - truncated_geometric_entropy(q, n, TAU_SUPP)
-            assert abs(value + uncut) <= dropped + 1e-10
-            assert (dropped > 0.0) == (n >= 37)
+            # every Schmidt weight counts, those 2^-(k+1) below 1e-11 from rank
+            # 37 on too: each point is the uncut entropy of its truncation
+            assert abs(value + truncated_geometric_entropy(q, n)) <= 1e-12
             assert abs(point.diff) <= 1e-10
         base = doc["summary"]["base_cond_entropy_nats"]
-        assert abs(base + truncated_geometric_entropy(q, 60, TAU_SUPP)) <= 1e-10
+        assert abs(base + truncated_geometric_entropy(q, 60)) <= 1e-12
+
+    @pytest.mark.parametrize("nbar, cutoff", [(10, 400), (1, 60)])
+    def test_deep_tmsv_is_the_uncut_truncated_entropy(self, nbar, cutoff):
+        value = conditional_entropy(resolve_state(f"tmsv:nbar={nbar},cutoff={cutoff}"), "A", "B")
+        assert abs(value + truncated_geometric_entropy(nbar / (nbar + 1), cutoff)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", PROJECTOR_MODES)
+    @pytest.mark.parametrize("nbar, cutoff", [(10, 400), (1, 60)])
+    def test_deep_tmsv_sweep_points_are_uncut(self, nbar, cutoff, mode):
+        # the last 30 ranks: Schmidt weights fall below 1e-11 from rank 37 at
+        # nbar 1 and from rank 242 at nbar 10
+        schedule = [(n, n) for n in range(cutoff - 29, cutoff + 1)]
+        rho = resolve_state(f"tmsv:nbar={nbar},cutoff={cutoff}")
+        for point in conditional_entropy_sweep(rho, "A", "B", schedule, mode):
+            expected = -truncated_geometric_entropy(nbar / (nbar + 1), point.rank_a)
+            assert abs(point.cond_entropy_nats - expected) <= 1e-12, point
 
     def test_pure_conditional_entropy_is_the_sweeps_full_rank_point(self, monkeypatch):
         # one route: conditional_entropy reads a pure state off its factor as a

@@ -105,6 +105,15 @@ class TestDensityMatrix:
         with pytest.raises(StructuralError):
             DensityMatrix(np.ones((2, 3)), single("A", 2))
 
+    def test_stack_trace_is_one_per_row(self):
+        rows = [random_density_matrix(3, seed=seed).entries * (seed + 1) for seed in range(3)]
+        traces = DensityMatrix(np.stack(rows), single("A", 3)).trace()
+        assert traces.shape == (3,)
+        assert traces == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
+        assert [traces[i] for i in range(3)] == [
+            DensityMatrix(row, single("A", 3)).trace() for row in rows
+        ]
+
     def test_entries_frozen(self):
         dm = random_density_matrix(2, seed=5)
         with pytest.raises((ValueError, RuntimeError)):
@@ -134,6 +143,14 @@ class TestPureState:
         rho = psi.as_density()
         assert np.allclose(rho.entries, np.full((2, 2), 0.5))
         assert psi.norm() == pytest.approx(1.0)
+
+    def test_stack_norm_is_one_per_row(self):
+        layout = single("A", 3)
+        rows = [random_pure_state(layout, seed=seed).amplitudes for seed in range(3)]
+        norms = PureState(np.stack(rows), layout).norm()
+        assert norms.shape == (3,)
+        assert norms == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
+        assert isinstance(PureState(rows[0], layout).norm(), float)
 
     def test_as_density_accepts_both_kinds(self):
         psi = random_pure_state(single("A", 3), seed=1)
@@ -215,6 +232,15 @@ class TestClampedSpectrum:
         dm = diag_state([1.2, -0.2], single("A", 2))
         with pytest.raises(InvalidStateError):
             clamped_spectrum(dm)
+
+    def test_solver_noise_is_zeroed(self):
+        # a rank-3 state on 12 dims: the solve leaves ~1e-16 where the nine
+        # kernel eigenvalues are, each of which would add ~37x its size to an
+        # entropy; all sit below 12 * eps * the largest and read exactly 0.0
+        for seed in range(5):
+            w, _ = clamped_spectrum(random_density_matrix(12, rank=3, seed=seed))
+            assert np.count_nonzero(w == 0.0) == 9
+            assert np.all(w[9:] > 0.05)
 
     def test_ascending_order(self):
         dm = diag_state([0.7, 0.1, 0.2], single("A", 3))

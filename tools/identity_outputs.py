@@ -131,6 +131,8 @@ INVOCATIONS: dict[str, list[str]] = {
     # (classical) and deep (tmsv) leading blocks
     "converge-classical-computational": _converge("--state", "classical:dim=3", "--min-rank", "1"),
     "converge-tmsv-deep": _converge("--state", "tmsv:nbar=10,cutoff=60", "--min-rank", "40"),
+    # Schmidt weights 2^-(k+1) fall below 1e-11 from rank 37 on
+    "converge-tmsv-nbar1-60": _converge("--state", "tmsv:nbar=1,cutoff=60", "--min-rank", "36"),
     # the Schmidt-diagonal factor held as its coefficients, in the eigenbasis
     # family after its rotation
     "converge-tmsv-deep-eigen": _converge(
