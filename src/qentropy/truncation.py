@@ -24,7 +24,9 @@ entropy commutes with it. A pure state is held as its factor F of shape
 (d_A, d_B, r), rho = F F^dagger, r running over the labels in neither side,
 or as its Schmidt coefficients when F is diagonal, and is never densified.
 Each term of a step is one ``entropy._spectra_divergence``, and a step solves
-for eigenvectors only where a term reads them (see :class:`_Step`).
+for eigenvectors only where a term reads them (see :class:`_Step`). A
+marginal with no off-diagonal nonzero is held as its diagonal, which is its
+own eigendecomposition in both families (:func:`_eigensystem`): never solved.
 """
 
 from __future__ import annotations
@@ -209,37 +211,43 @@ def _bipartite(rho: State, target: LabelSet, given: LabelSet, mode: ProjectorMod
     pure state, which keeps its amplitudes, become its factor's r axis.
 
     The computational family keeps the state as it is. The eigenbasis family
-    solves each marginal once and rotates the state into the descending
-    eigenbases, on its ket and bra indices, or a factor on its ket indices
-    alone; each marginal is then the diagonal of its descending
-    eigenvalues. A real marginal has a real eigenbasis, so a real factor
-    stays real. In either family a factor then Schmidt-diagonal is held as
-    its coefficients.
+    puts it into each marginal's descending :func:`_eigensystem`, on its ket
+    and bra indices, or a factor's ket indices alone: a gather by index for a
+    diagonal marginal, a rotation for any other. Each marginal is then the
+    diagonal of its descending eigenvalues; a real marginal's basis is real.
+    In either family a factor then Schmidt-diagonal, as GHZ on A|BC is once
+    BC is sorted, is held as its coefficients.
     """
     if mode not in PROJECTOR_MODES:
         raise PreconditionError(f"unknown projector mode {mode!r}; have {PROJECTOR_MODES}")
     labels_t, labels_g, rest = rho.layout.split(target, given)
+    c = None  # Schmidt coefficients, found before any change of basis and after one
     if isinstance(rho, DensityMatrix):
         # (a, b, r, a', b', r'), the leftover labels r traced out
         joint = _regrouped(rho.entries, rho.layout, (labels_t, labels_g, rest), 2)
         joint = np.einsum("abrcdr->abcd", joint) if rest else joint[:, :, 0, :, :, 0]
         marginals = _axis_traces(joint)
-    else:
-        joint = _grouped(rho, labels_t, labels_g)
+    elif (c := _schmidt_coefficients(joint := _grouped(rho, labels_t, labels_g))) is None:
         marginals = [rows @ rows.conj().swapaxes(-1, -2) for rows in _unfolded(joint)]
-    if mode == "computational":
-        held = [m if (diagonal := _diagonal(m)) is None else diagonal for m in marginals]
-    else:
-        spectra = [_spectrum(m) for m in marginals]
-        held = [w[::-1] for w, _ in spectra]
-        for axis, (_, u) in enumerate(spectra):
-            basis = u[:, ::-1]
+    else:  # diag(|c_i|^2) in c's dtype, zero-padded to each side: no d x d product
+        squares = np.concatenate([c.conj() * c, np.zeros(max(joint.shape[:2]) - c.size, c.dtype)])
+        marginals = [squares[:size] for size in joint.shape[:2]]
+    held = [m if m.ndim == 1 or (diagonal := _diagonal(m)) is None else diagonal for m in marginals]
+    if mode == "eigenbasis":
+        for axis, m in enumerate(held):
+            w, u = _eigensystem(m)
+            held[axis], basis = w[::-1], u[..., ::-1]
+            if basis.ndim == 1:  # a permutation: the state is gathered by index
+                joint = np.take(joint, basis, axis=axis)
+                if joint.ndim == 4:  # a density matrix's bra index
+                    joint = np.take(joint, basis, axis=2 + axis)
+                continue
             joint = np.moveaxis(np.tensordot(basis.conj(), joint, axes=(0, axis)), 0, axis)
             if joint.ndim == 4:  # a density matrix's bra index
                 joint = np.moveaxis(np.tensordot(joint, basis, axes=(2 + axis, 0)), -1, 2 + axis)
         joint = np.ascontiguousarray(joint)
-    coefficients = _schmidt_coefficients(joint) if joint.ndim == 3 else None
-    return _Bipartite(joint if coefficients is None else coefficients, *held)
+        c = _schmidt_coefficients(joint) if joint.ndim == 3 else None
+    return _Bipartite(joint if c is None else c, *held)
 
 
 def _axis_traces(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,11 +276,10 @@ class _Marginal:
         are the diagonal entries it names.
         """
         m = self.matrix
-        if m.ndim == 1:  # Schmidt coefficients' diagonal: so is the tilde marginal
-            return m[u]
-        if u.ndim == 1:
-            diagonal = np.einsum("ij,ij->i", m.conj(), m).real if self.root else m.diagonal().real
-            return diagonal[u]
+        if u.ndim == 1:  # a 1-D marginal, as for Schmidt coefficients, is its own diagonal
+            if self.root:
+                m = np.einsum("ij,ij->i", m.conj(), m)
+            return (m if m.ndim == 1 else m.diagonal()).real[u]
         if self.root:
             rotated = u.conj().T @ m
             return np.einsum("ai,ai->a", rotated.conj(), rotated).real
@@ -348,25 +355,28 @@ def _truncated(
     return factor, float(lam), w_joint, *(_Marginal(w, m, factor.ndim == 3) for w, m in sides)
 
 
-def _tilde(marginal: np.ndarray, rank: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The truncated, renormalized original marginal's eigenvalues, ascending,
-    and its eigenvectors.
+def _eigensystem(marginal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A hermitian marginal's clamped eigenvalues, ascending, and eigenvectors.
 
-    A diagonal needs no solve: it is sliced and divided by its own sum in its
-    own dtype, real for a real factor (a complex division multiplies by the
-    reciprocal, and sweep outputs are pinned to the bit), its spectrum is
-    that slice in ascending order, and its eigenvectors are standard basis
-    vectors, returned as their indices. The order is a stable sort of the
-    reversed diagonal, so a descending diagonal, as in the eigenbasis family,
-    is read in exact reverse and its ties keep that order. A matrix's block
-    is renormalized and solved once.
-    """
+    A 1-D diagonal needs no solve: its eigenvectors are standard basis vectors,
+    returned as their indices in the order of a stable sort of the reversed
+    diagonal, so a descending one is read in exact reverse, ties included.
+    A matrix is solved once, by ``states._spectrum``."""
+    if marginal.ndim == 1:
+        diagonal = marginal.real
+        order = diagonal.size - 1 - np.argsort(diagonal[::-1], kind="stable")
+        return _clamped(diagonal[order]), order
+    return _spectrum(marginal)
+
+
+def _tilde(marginal: np.ndarray, rank: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The truncated, renormalized original marginal's :func:`_eigensystem`. A
+    diagonal is divided by its own sum in its own dtype (a complex division
+    multiplies by the reciprocal, and sweep outputs are pinned to the bit)."""
     if marginal.ndim == 1:
         block = marginal[:rank]
-        diagonal = (block / _retained(float(block.sum().real), what)).real
-        order = rank - 1 - np.argsort(diagonal[::-1], kind="stable")
-        return _clamped(diagonal[order]), order
-    return _spectrum(_renormalized(marginal[:rank, :rank], what)[0])
+        return _eigensystem(block / _retained(float(block.sum().real), what))
+    return _eigensystem(_renormalized(marginal[:rank, :rank], what)[0])
 
 
 def _step(part: _Bipartite, rank_a: int, rank_b: int) -> _Step:

@@ -444,19 +444,21 @@ def no_densify(monkeypatch):
 
 class TestFactoredConverge:
     @pytest.mark.parametrize("mode", PROJECTOR_MODES)
-    @pytest.mark.parametrize("spec", ["tmsv:nbar=1,cutoff=30", "tmsv:nbar=10,cutoff=400"])
+    @pytest.mark.parametrize(
+        "spec",
+        ["tmsv:nbar=1,cutoff=30", "tmsv:nbar=10,cutoff=400", "tmsv:nbar=10,cutoff=2000"],
+    )
     def test_schmidt_diagonal_sweep_solves_nothing_per_step(
         self, spec, mode, solve_calls, monkeypatch
     ):
         # a TMSV is held as its Schmidt coefficients: no step forms a Gram
-        # matrix or runs an SVD, and no tilde marginal is solved; the eigenbasis
-        # family solves each full marginal once, for the basis it rotates into
+        # matrix or runs an SVD, and no tilde marginal is solved; its full
+        # marginals are diag(|c_i|^2), so the eigenbasis family sorts them
+        # and solves nothing either
         no_densify(monkeypatch)
         doc = run_converge(spec, mode=mode)
         assert doc["summary"]["skipped_steps"] == 0
-        dim = resolve_state(spec).layout.dim_of("A")
-        basis = [("eigh", (dim, dim), False)] * 2 if mode == "eigenbasis" else []
-        assert solve_calls == basis
+        assert solve_calls == []
 
     @pytest.mark.parametrize("spec", ["tmsv:nbar=1,cutoff=30", "tmsv:nbar=10,cutoff=400"])
     def test_schmidt_diagonal_conditional_entropy_solves_nothing(

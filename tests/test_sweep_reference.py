@@ -34,7 +34,6 @@ from qentropy.states import (
     DensityMatrix,
     PureState,
     SubsystemLayout,
-    _spectrum,
     as_density,
     partial_trace,
     random_density_matrix,
@@ -76,24 +75,25 @@ def reference_bases(rho, mode, target="A", given="B"):
 
 
 def sweep_bases(state, mode, target="A", given="B"):
-    """The bases a sweep of ``state`` slices in, from the eigensolves ``_bipartite``
-    makes: each marginal's eigenvectors in descending order, or the standard
-    bases when it solves none."""
-    solved = []
+    """The bases a sweep of ``state`` slices in, from the eigensystems ``_bipartite``
+    takes: each marginal's eigenvectors in descending order, as columns, a
+    permutation matrix for a diagonal marginal, or the standard bases when
+    it takes none."""
+    taken, eigensystem = [], truncation._eigensystem
 
-    def recording(m, vectors=True):
-        w, u = _spectrum(m, vectors)
-        solved.append(u)
+    def recording(m):
+        w, u = eigensystem(m)
+        taken.append(np.eye(len(u))[:, u] if u.ndim == 1 else u)
         return w, u
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(truncation, "_spectrum", recording)
+        patch.setattr(truncation, "_eigensystem", recording)
         part = _bipartite(state, target, given, mode)
     if mode == "computational":
-        assert not solved
+        assert not taken
         return tuple(np.eye(dim) for dim in part.dims)
-    assert len(solved) == 2
-    return tuple(u[:, ::-1] for u in solved)
+    assert len(taken) == 2
+    return tuple(u[:, ::-1] for u in taken)
 
 
 def kron_compressed(rho, basis_a, basis_b, n, k, target="A", given="B"):
@@ -500,10 +500,8 @@ def test_held_schmidt_coefficients_agree_with_the_general_factor_route(
     assert part.joint.ndim == 1
     solve_calls.clear()
     held = conditional_entropy_sweep(state, "A", "B", schedule, mode)
-    # the held route solves nothing per step, and only the eigenbasis it rotates into
-    assert Counter(name for name, _, _ in solve_calls) == (
-        {"eigh": 2} if mode == "eigenbasis" else {}
-    )
+    # the held route solves nothing, per step or for the eigenbasis it sorts into
+    assert not solve_calls
     solve_calls.clear()
     general_part = dataclasses.replace(part, joint=held_factor(part.joint, *part.dims))
     monkeypatch.setattr(truncation, "_bipartite", lambda *args: general_part)
@@ -560,22 +558,67 @@ DIAGONAL_STATES = {
 }
 
 
+@pytest.mark.parametrize("mode", PROJECTOR_MODES)
 @pytest.mark.parametrize("name", sorted(DIAGONAL_STATES))
-def test_diagonal_tilde_marginals_read_off_agree_with_kron_reference(name, monkeypatch):
-    # in the computational family each tilde marginal is a diagonal block,
-    # read off its diagonal: the sweep solves nothing with eigenvectors
+def test_diagonal_tilde_marginals_read_off_agree_with_kron_reference(name, mode, monkeypatch):
+    # each tilde marginal is a diagonal block, read off its diagonal, and in
+    # the eigenbasis family each full marginal is sorted, its basis a
+    # permutation that the state is gathered by: the sweep solves nothing
+    # with eigenvectors. Ties make the eigenbasis not unique, so the
+    # reference takes the sweep's own bases, checked to sort each marginal
     make, target, given = DIAGONAL_STATES[name]
     state = make()
     rho = as_density(state)
     schedule = full_schedule(rho, target, given)
-    expected = reference_sweep(rho, schedule, "computational", target, given)
+    bases = sweep_bases(state, mode, target, given)
+    for basis, marginal in zip(bases, grouped_with_marginals(rho, target, given)[1:]):
+        assert set(np.abs(basis).ravel()) == {0.0, 1.0}
+        if mode == "eigenbasis":
+            assert np.all(np.diff(np.diag(basis.T @ marginal.entries @ basis).real) <= 0.0)
+    expected = reference_sweep(rho, schedule, mode, target, given, bases=bases)
 
     def solve(*args, **kwargs):
-        raise AssertionError("a diagonal tilde marginal was solved")
+        raise AssertionError("a diagonal marginal was solved")
 
     monkeypatch.setattr(np.linalg, "eigh", solve)
-    points = conditional_entropy_sweep(state, target, given, schedule)
+    points = conditional_entropy_sweep(state, target, given, schedule, mode=mode)
     assert_agrees(points, expected)
+
+
+# states whose marginals are diagonal and sorted, so both families slice in
+# the same basis: the TMSVs are held as Schmidt coefficients
+SORTED_DIAGONAL_SPECS = [
+    "tmsv:nbar=10,cutoff=400",
+    "tmsv:nbar=1,cutoff=60",
+    "bell",
+    "bell:dim=3",
+    "werner:p=0.5",
+    "classical",
+]
+
+
+@pytest.mark.parametrize("spec", SORTED_DIAGONAL_SPECS)
+def test_both_families_sweep_a_sorted_diagonal_alike(spec):
+    # one spectrum per diagonal marginal: the eigenbasis family sorts it by
+    # the rule the tilde marginals follow, so every point is the same to the bit
+    state = build_state(spec)
+    schedule = diagonal_schedule(1, state.layout.dim_of("A"))
+    computational, eigenbasis = (
+        conditional_entropy_sweep(state, "A", "B", schedule, mode=mode) for mode in PROJECTOR_MODES
+    )
+    assert computational == eigenbasis
+
+
+@pytest.mark.parametrize("spec", SORTED_DIAGONAL_SPECS)
+def test_eigenbasis_sweep_never_reads_h_tilde_below_h(spec):
+    # h_tilde_nk - h_nk is a sum of two relative entropies: the raw fields,
+    # not the rounded diff, must keep h_tilde_nk >= h_nk at every point
+    state = build_state(spec)
+    schedule = diagonal_schedule(1, state.layout.dim_of("A"))
+    points = conditional_entropy_sweep(state, "A", "B", schedule, mode="eigenbasis")
+    kept = [p for p in points if not p.skipped]
+    assert kept
+    assert all(p.h_tilde_nk >= p.h_nk for p in kept), min(p.h_tilde_nk - p.h_nk for p in kept)
 
 
 def leading_block_diagonal():

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from qentropy import truncation
 from qentropy.catalog import bell, build_state, tmsv
 from qentropy.entropy import conditional_entropy, von_neumann_entropy
 from qentropy.errors import ParseError, PreconditionError, StructuralError
@@ -352,6 +353,32 @@ class TestConditionalEntropySweep:
             counts.append(sorted(calls))
         rotations = 2 if pure else 4
         assert counts == [["eigh"] * 2 + ["tensordot"] * rotations] * 2
+
+    @pytest.mark.parametrize("mode", PROJECTOR_MODES)
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_schmidt_diagonal_factor_forms_no_marginal_product(self, complex_, mode, monkeypatch):
+        # the marginals of sum_i c_i |i, i> are diag(|c_i|^2), zero-padded to
+        # each side and in c's dtype: the factor is never unfolded into the
+        # rows whose d x d products the marginals of any other factor are
+        c = np.array([0.2, 0.0, 0.5, 0.4]) * (1.0 + 0.5j if complex_ else 1.0)
+        amp = np.zeros((4, 6), dtype=c.dtype)
+        amp[np.arange(4), np.arange(4)] = c
+        psi = PureState(amp.ravel() / np.linalg.norm(c), pair_layout(4, 6))
+
+        def unfolded(factor):
+            raise AssertionError("a Schmidt-diagonal factor was unfolded")
+
+        monkeypatch.setattr(truncation, "_unfolded", unfolded)
+        part = _bipartite(psi, "A", "B", mode)
+        squares = np.abs(c / np.linalg.norm(c)) ** 2
+        if mode == "computational":
+            expected = [np.pad(squares, (0, pad)) for pad in (0, 2)]
+            assert all(m.dtype == c.dtype for m in (part.marginal_a, part.marginal_b))
+        else:
+            expected = [np.pad(np.sort(squares)[::-1], (0, pad)) for pad in (0, 2)]
+        for got, ref in zip((part.marginal_a, part.marginal_b), expected):
+            assert np.max(np.abs(got - ref)) <= 1e-15
+        assert part.joint.ndim == 1
 
     def test_dense_step_solves_own_marginals_for_values_only(self, eigh_sizes, vector_solve_sizes):
         # own marginals (3, 4) values only; the tilde marginals, also 3 and 4,

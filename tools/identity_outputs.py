@@ -54,6 +54,7 @@ STATE_24X24_INDENTED = "rand576-indent2.json"
 STATE_HUGE_INT = "huge-int.json"
 STATE_3PARTY = "rand24.json"
 STATE_LEADING = "leading5x4.json"
+STATE_DIAGONAL = "diagonal3x4.json"
 STATE_MANY_SUBSYSTEMS = "many40.json"
 CHANNEL = "channel.json"
 
@@ -68,7 +69,12 @@ _TRIAL_PROPERTIES = (
     "formula-coherent",
 )
 _EIGEN = ("--mode", "eigenbasis", "--min-rank", "1")
-_EIGEN_STATES = {"werner": "werner:p=0.5", "bell": "bell", "classical": "classical"}
+_EIGEN_STATES = {
+    "werner": "werner:p=0.5",
+    "bell": "bell",
+    "bell3": "bell:dim=3",
+    "classical": "classical",
+}
 
 
 def _check(*args: str) -> list[str]:
@@ -138,6 +144,9 @@ INVOCATIONS: dict[str, list[str]] = {
     "converge-tmsv-deep-eigen": _converge(
         "--state", "tmsv:nbar=10,cutoff=400", "--mode", "eigenbasis", "--min-rank", "395"
     ),
+    # diagonal, unsorted and non-degenerate marginals: the eigenbasis family
+    # sorts each one and gathers the state by index
+    "converge-diagonal-eigen": _converge("--state", STATE_DIAGONAL, *_EIGEN),
     # marginals diagonal in their leading blocks only, so solved at every rank
     "converge-leading-diagonal": _converge("--state", STATE_LEADING, "--min-rank", "1"),
     # the sweep table as CSV on stdout
@@ -255,6 +264,10 @@ def _write_inputs() -> None:
     inner = random_density_matrix(4, seed=13).entries
     entries = 0.5 * np.diag(head.ravel()) + 0.5 * tail @ inner @ tail.T
     save_state(STATE_LEADING, DensityMatrix(entries, SubsystemLayout((("A", 5), ("B", 4)))))
+    # a diagonal state on A = 0..2, B = 0..3 whose marginals are neither sorted nor tied
+    weights = np.random.default_rng(17).dirichlet(np.ones(12))
+    diagonal = DensityMatrix(np.diag(weights), SubsystemLayout((("A", 3), ("B", 4))))
+    save_state(STATE_DIAGONAL, diagonal)
     many = SubsystemLayout((f"S{i}", 1) for i in range(40))
     save_state(STATE_MANY_SUBSYSTEMS, DensityMatrix(np.ones((1, 1)), many))
 
